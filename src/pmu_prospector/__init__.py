@@ -17,7 +17,7 @@ from .backend import (
     SimModel,
     SimulatedPmu,
     load_sim_model,
-    measure_delta,
+    measure,
 )
 from .collector import (
     ScanConfig,

@@ -13,7 +13,7 @@ import os
 import random
 import struct
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -21,9 +21,8 @@ from .errors import (
     BackendStateError,
     ReportParseError,
     SlotRangeError,
-    WorkloadFault,
 )
-from .events import EventSelector, PerfEvtSelValue, render_msr_value, umask_gates
+from .events import PerfEvtSelValue, render_msr_value, umask_gates
 from .seeding import derive_seed
 
 PROGRAMMABLE_SLOTS = 4
@@ -73,25 +72,53 @@ class CounterBackend(ABC):
         ...
 
 
-def measure_delta(
+def measure(
+    backend: CounterBackend,
+    values: Sequence[PerfEvtSelValue],
+    run: Callable[[int], object],
+    repetitions: int,
+) -> Iterator[tuple[int, list[list[int]], object]]:
+    """The one measurement loop: program, run a workload, read.
+
+    Values are measured four at a time, one per slot.  For each repetition
+    every slot of the batch is programmed (which resets its count), then
+    run(rep) executes the workload and every slot is read, so each read is
+    already a delta.  Yields (offset, deltas, outcome) per batch, where
+    deltas[j][rep] belongs to values[offset + j] and outcome is what the
+    last run returned.  A batch lost to a BackendError yields the exception
+    as its outcome and no deltas; the next batch is still measured.
+    """
+    program = backend.program
+    read = backend.read
+    for base in range(0, len(values), PROGRAMMABLE_SLOTS):
+        programs = tuple(zip(SLOTS, values[base : base + PROGRAMMABLE_SLOTS]))
+        deltas: list[list[int]] = [[] for _ in programs]
+        reads = tuple(zip(SLOTS, deltas))
+        outcome = None
+        try:
+            for rep in range(repetitions):
+                for slot, value in programs:
+                    program(slot, value)
+                outcome = run(rep)
+                for slot, column in reads:
+                    column.append(read(slot))
+        except BackendError as exc:
+            yield base, [], exc
+        else:
+            yield base, deltas, outcome
+
+
+def measure_one(
     backend: CounterBackend,
     value: PerfEvtSelValue,
-    workload: Callable[[], None],
-    slot: CounterSlot = SLOTS[0],
-) -> tuple[int, str | None]:
-    """Run a workload between a program and a read on one slot.
-
-    Programming resets the count, so the read is already the delta.  A
-    faulting workload is contained: the fault kind is returned alongside
-    whatever the counter accumulated before the fault.
-    """
-    backend.program(slot, value)
-    fault: str | None = None
-    try:
-        workload()
-    except WorkloadFault as exc:
-        fault = exc.kind
-    return backend.read(slot), fault
+    run: Callable[[int], object],
+    repetitions: int,
+) -> list[int]:
+    """Per-repetition deltas of a single value; a BackendError propagates."""
+    ((_, deltas, outcome),) = measure(backend, (value,), run, repetitions)
+    if isinstance(outcome, BackendError):
+        raise outcome
+    return deltas[0]
 
 
 @dataclass(frozen=True)
@@ -177,13 +204,6 @@ class SimulatedPmu(CounterBackend):
     @property
     def families(self) -> Mapping[int, SimEventFamily]:
         return dict(self._families)
-
-    def spawn(self) -> "SimulatedPmu":
-        """Fresh backend with identical behaviour, for partitioned scans."""
-        return SimulatedPmu(
-            self._families.values(), seed=self._seed, label=self._label,
-            supports_tsx=self._supports_tsx,
-        )
 
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities

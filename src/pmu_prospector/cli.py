@@ -34,7 +34,7 @@ CONFIG_ENV_VAR = "PMU_PROSPECTOR_CONFIG"
 
 # keys a config file may set; anything else is a spelling mistake worth failing on
 _CONFIG_KEYS = frozenset(
-    {"backend", "sim_model", "corpus", "catalog", "seed", "jobs", "repetitions",
+    {"backend", "sim_model", "corpus", "catalog", "seed", "repetitions",
      "quiet_threshold", "capture", "suppression", "iterations", "samples"}
 )
 
@@ -109,7 +109,6 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     catalog_path = _require(_setting(args, config, "catalog"), "--catalog")
     backend_kind = _setting(args, config, "backend", default="sim")
     seed = _setting(args, config, "seed", default=0, cast=int)
-    jobs = max(1, _setting(args, config, "jobs", default=1, cast=int))
     scan_config = collector.ScanConfig(
         repetitions=_setting(args, config, "repetitions", default=5, cast=int),
         quiet_threshold=_setting(args, config, "quiet_threshold", default=1, cast=int),
@@ -126,19 +125,16 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             print(probe_report, file=sys.stderr)
             return 1
         print(probe_report)
-        executors = [NativeExecutor(backend)]
+        executor = NativeExecutor(backend)
     elif backend_kind == "sim":
         model = _load_model(args, config)
         entry_map = {e.id: e for e in entries}
-        executors = [
-            SimulatedExecutor(
-                model.make_backend(seed),
-                entry_map,
-                fault_table=model.fault_table,
-                supported_extensions=model.supported_extensions,
-            )
-            for _ in range(jobs)
-        ]
+        executor = SimulatedExecutor(
+            model.make_backend(seed),
+            entry_map,
+            fault_table=model.fault_table,
+            supported_extensions=model.supported_extensions,
+        )
     else:
         raise ConfigError(f"unknown backend {backend_kind!r} (choose sim or native)")
     sink = None
@@ -148,7 +144,7 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         sink = collector.ndjson_record_sink(records_fh)
     try:
         report = collector.full_scan(
-            entries, catalog, executors, scan_config, record_sink=sink
+            entries, catalog, executor, scan_config, record_sink=sink
         )
     finally:
         if records_fh is not None:
@@ -315,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--quiet-threshold", dest="quiet_threshold", type=int)
     scan.add_argument("--capture", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
     scan.add_argument("--any-thread", dest="any_thread", action="store_true")
-    scan.add_argument("--jobs", type=int, help="parallel selector-space partitions")
     scan.add_argument("--seed", type=int)
     scan.add_argument("--records", help="optional NDJSON stream of every measurement")
     scan.add_argument("--out", required=True, help="scan report JSON")

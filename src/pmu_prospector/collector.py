@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .backend import SLOTS, BackendError
+from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
 from .corpus import (
     DEFAULT_POOL,
     ExecStatus,
@@ -40,8 +39,6 @@ from .events import (
 )
 
 log = logging.getLogger(__name__)
-
-_BATCH = len(SLOTS)
 
 
 @dataclass(frozen=True)
@@ -81,30 +78,27 @@ class ScanReport:
         return len(self.hidden_events)
 
 
-def _median_low(values: list[int]) -> int:
-    # lower middle element; keeps medians integral for even repetition counts
-    return sorted(values)[(len(values) - 1) // 2]
-
-
 def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
     """Scan control values for the whole space, indexed by packed selector."""
     return [scan_control(unpack_selector(p), any_thread) for p in range(EVENT_SPACE_SIZE)]
 
 
-def _measure_batch(executor, snippet: Snippet, values: Sequence[PerfEvtSelValue],
-                   mode: str, repetitions: int) -> tuple[list[int], ExecStatus]:
-    """Median deltas for up to four selector values measured together."""
-    backend = executor.backend
-    n = len(values)
-    per_value: list[list[int]] = [[] for _ in range(n)]
-    status = ExecStatus.SUCCESS
-    for _ in range(repetitions):
-        for j in range(n):
-            backend.program(SLOTS[j], values[j])
-        status = executor.execute(snippet, mode).status
-        for j in range(n):
-            per_value[j].append(backend.read(SLOTS[j]))
-    return [_median_low(deltas) for deltas in per_value], status
+def _median(deltas: Sequence[int]) -> int:
+    # lower middle element; keeps medians integral for even repetition counts
+    return sorted(deltas)[(len(deltas) - 1) // 2]
+
+
+def _measure_snippet(executor, snippet: Snippet, values: Sequence[PerfEvtSelValue],
+                     config: ScanConfig) -> Iterator[tuple[int, list[list[int]], object]]:
+    """measure() with one run of the snippet per repetition; each batch's
+    outcome is the workload's ExecStatus or the BackendError that lost it."""
+    execute = executor.execute
+    mode = config.mode
+
+    def run(_rep: int) -> ExecStatus:
+        return execute(snippet, mode).status
+
+    return measure(executor.backend, values, run, config.repetitions)
 
 
 def scan_instruction(
@@ -117,161 +111,79 @@ def scan_instruction(
     """Measure one instruction against the given selectors.
 
     Selectors are visited in the given order, four per workload run; the
-    recorded delta is the median across repetitions.
+    recorded delta is the median across repetitions and the outcome that of
+    the batch's workload run.  A batch lost to the backend raises its
+    BackendError.
     """
     snippet = instantiate(normalize_syntax(entry, executor.dialect), pool)
     values = [scan_control(s, config.any_thread) for s in selectors]
     records: list[ScanRecord] = []
-    for base in range(0, len(values), _BATCH):
-        batch = values[base : base + _BATCH]
-        medians, status = _measure_batch(executor, snippet, batch, config.mode, config.repetitions)
-        for value, median in zip(batch, medians):
+    for base, deltas, outcome in _measure_snippet(executor, snippet, values, config):
+        if isinstance(outcome, BackendError):
+            raise outcome
+        for value, column in zip(values[base : base + PROGRAMMABLE_SLOTS], deltas):
             records.append(
-                ScanRecord(value.selector, entry.id, median, status, config.repetitions)
+                ScanRecord(value.selector, entry.id, _median(column), outcome, config.repetitions)
             )
     return records
-
-
-def _scan_chunk(executor, snippet: Snippet, values: Sequence[PerfEvtSelValue],
-                start: int, stop: int, config: ScanConfig,
-                want_all: bool) -> tuple[dict[int, int], list[int] | None, ExecStatus | None]:
-    """Scan one contiguous packed-selector chunk for one instruction.
-
-    Returns nonzero median deltas keyed by packed selector, optionally the
-    full per-selector median list (for record streaming), and the workload
-    outcome.  Backend failures skip the affected batch and keep scanning.
-    """
-    backend = executor.backend
-    program = backend.program
-    read = backend.read
-    execute = executor.execute
-    mode = config.mode
-    repetitions = config.repetitions
-    slots = SLOTS
-    nonzero: dict[int, int] = {}
-    all_medians: list[int] | None = [0] * (stop - start) if want_all else None
-    status: ExecStatus | None = None
-    for base in range(start, stop, _BATCH):
-        high = min(base + _BATCH, stop)
-        try:
-            if repetitions == 1:
-                for j in range(base, high):
-                    program(slots[j - base], values[j])
-                status = execute(snippet, mode).status
-                for j in range(base, high):
-                    delta = read(slots[j - base])
-                    if want_all:
-                        all_medians[j - start] = delta
-                    if delta:
-                        nonzero[j] = delta
-            else:
-                batch_deltas = [[0] * repetitions for _ in range(high - base)]
-                for rep in range(repetitions):
-                    for j in range(base, high):
-                        program(slots[j - base], values[j])
-                    status = execute(snippet, mode).status
-                    for j in range(base, high):
-                        batch_deltas[j - base][rep] = read(slots[j - base])
-                for offset, deltas in enumerate(batch_deltas):
-                    median = _median_low(deltas)
-                    if want_all:
-                        all_medians[base - start + offset] = median
-                    if median:
-                        nonzero[base + offset] = median
-        except BackendError as exc:
-            log.warning(
-                "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
-                base, high - 1, snippet.entry_id, exc,
-            )
-    return nonzero, all_medians, status
-
-
-def _partition(size: int, parts: int) -> list[tuple[int, int]]:
-    # contiguous chunks aligned to the batch width so batches never straddle partitions
-    parts = max(1, parts)
-    chunk = -(-size // parts)
-    chunk += (-chunk) % _BATCH
-    bounds = []
-    start = 0
-    while start < size:
-        stop = min(start + chunk, size)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
 
 
 def full_scan(
     entries: Iterable[InstructionEntry],
     catalog: EventCatalog,
-    executors,
+    executor,
     config: ScanConfig = ScanConfig(),
     pool: RegisterPool = DEFAULT_POOL,
     record_sink: Callable[[ScanRecord], None] | None = None,
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
-    `executors` is one executor or a list; with a list the selector space is
-    partitioned contiguously across them and chunks run on worker threads.
-    Chunk results are merged in packed order, so the report is identical for
-    any partitioning.  Instructions whose templates cannot be instantiated
-    are skipped (and logged); they still count toward total_instructions.
+    Selectors are measured in packed order.  A batch lost to a backend
+    failure is logged and skipped, and the scan goes on.  Instructions whose
+    templates cannot be instantiated are skipped (and logged); they still
+    count toward total_instructions.
     """
-    executor_list = list(executors) if isinstance(executors, (list, tuple)) else [executors]
-    if not executor_list:
-        raise ValueError("at least one executor is required")
     values = control_values(config.any_thread)
-    chunks = _partition(EVENT_SPACE_SIZE, len(executor_list))
     documented = frozenset(s.packed for s in catalog.entries)
     hidden: dict[int, set[int]] = {}
     total = 0
     executed_success = 0
     threshold = config.quiet_threshold
-    thread_pool = ThreadPoolExecutor(max_workers=len(executor_list)) if len(executor_list) > 1 else None
-    try:
-        for entry in entries:
-            total += 1
-            try:
-                snippet = instantiate(normalize_syntax(entry, executor_list[0].dialect), pool)
-            except (NormalizationError, InstantiationError) as exc:
-                log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
+    for entry in entries:
+        total += 1
+        try:
+            snippet = instantiate(normalize_syntax(entry, executor.dialect), pool)
+        except (NormalizationError, InstantiationError) as exc:
+            log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
+            continue
+        all_medians = [0] * EVENT_SPACE_SIZE if record_sink is not None else None
+        status: ExecStatus | None = None
+        for base, deltas, outcome in _measure_snippet(executor, snippet, values, config):
+            if isinstance(outcome, BackendError):
+                log.warning(
+                    "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
+                    base, base + PROGRAMMABLE_SLOTS - 1, entry.id, outcome,
+                )
                 continue
-            want_all = record_sink is not None
-            if thread_pool is None:
-                results = [
-                    _scan_chunk(executor_list[0], snippet, values, start, stop, config, want_all)
-                    for start, stop in chunks
-                ]
-            else:
-                futures = [
-                    thread_pool.submit(
-                        _scan_chunk, executor_list[i % len(executor_list)],
-                        snippet, values, start, stop, config, want_all,
-                    )
-                    for i, (start, stop) in enumerate(chunks)
-                ]
-                results = [f.result() for f in futures]
-            status = next((s for _, _, s in results if s is not None), None)
-            if status is ExecStatus.SUCCESS:
-                executed_success += 1
-            for nonzero, _, _ in results:
-                for packed, median in nonzero.items():
-                    if median >= threshold and packed not in documented:
-                        hidden.setdefault(packed, set()).add(entry.id)
-            if record_sink is not None:
-                for (start, _), (_, medians, _) in zip(chunks, results):
-                    assert medians is not None
-                    for offset, median in enumerate(medians):
-                        record_sink(
-                            ScanRecord(
-                                unpack_selector(start + offset), entry.id, median,
-                                status or ExecStatus.SUCCESS, config.repetitions,
-                            )
-                        )
-    finally:
-        if thread_pool is not None:
-            thread_pool.shutdown()
+            status = outcome
+            if not any(map(any, deltas)):
+                continue  # a batch with no counts has only zero medians
+            for packed, column in enumerate(deltas, base):
+                median = _median(column)
+                if all_medians is not None:
+                    all_medians[packed] = median
+                if median >= threshold and packed not in documented:
+                    hidden.setdefault(packed, set()).add(entry.id)
+        if status is ExecStatus.SUCCESS:
+            executed_success += 1
+        if record_sink is not None:
+            record_status = status or ExecStatus.SUCCESS
+            for value, median in zip(values, all_medians):
+                record_sink(
+                    ScanRecord(value.selector, entry.id, median, record_status, config.repetitions)
+                )
     return ScanReport(
-        microarchitecture_label=_backend_label(executor_list[0]),
+        microarchitecture_label=_backend_label(executor),
         total_instructions=total,
         executed_success=executed_success,
         hidden_events={

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CounterBackend, SLOTS
+from .backend import CounterBackend, measure_one
 from .errors import CapabilityError, DegenerateDataError, NotFittedError, ReportParseError
 from .events import EventSelector, format_selector, parse_selector, scan_control
 from .seeding import derive_seed
@@ -178,16 +178,14 @@ def collect_samples(
     label = 1 if scenario.kind is ScenarioKind.ATTACK else 0
     activity = sorted(scenario.workload_profile.items())
     record = backend.record_execution  # type: ignore[attr-defined]
-    slot = SLOTS[0]
-    samples: list[Sample] = []
-    for _ in range(n):
-        backend.program(slot, value)
+
+    def window(_rep: int) -> None:
         for tag, act in activity:
             count = act.base if act.jitter == 0 else act.base + rng.randint(-act.jitter, act.jitter)
             for _ in range(max(0, count)):
                 record(tag)
-        samples.append((backend.read(slot), label))
-    return samples
+
+    return [(delta, label) for delta in measure_one(backend, value, window, n)]
 
 
 @dataclass(frozen=True)
@@ -287,22 +285,6 @@ class LogisticDetector:
         self.threshold = threshold
         self.model_: LogisticModel | None = None
         self.epochs_: int = 0
-
-    def get_params(self, deep: bool = True) -> dict[str, float | int]:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "grad_tolerance": self.grad_tolerance,
-            "threshold": self.threshold,
-        }
-
-    def set_params(self, **params) -> "LogisticDetector":
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, deltas: Sequence[int], labels: Sequence[int]) -> "LogisticDetector":
         x = np.asarray(deltas, dtype=float)

@@ -25,18 +25,6 @@ class CapabilityError(ProspectorError):
     """A requested feature is not supported by the active backend or host."""
 
 
-class WorkloadFault(ProspectorError):
-    """A measured workload faulted instead of completing.
-
-    `kind` carries the fault classification (e.g. "illegal-instruction").
-    """
-
-    def __init__(self, kind: str, detail: str = ""):
-        super().__init__(f"workload fault: {kind}" + (f" ({detail})" if detail else ""))
-        self.kind = kind
-        self.detail = detail
-
-
 class CatalogError(ProspectorError):
     """The documented-event catalog is malformed or inconsistent."""
 

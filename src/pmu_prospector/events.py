@@ -179,10 +179,6 @@ class EventCatalog:
         return self.entries.get(selector)
 
 
-def is_documented(selector: EventSelector, catalog: EventCatalog) -> bool:
-    return selector in catalog
-
-
 def _parse_hex_byte(field_name: str, text: str, where: str) -> int:
     t = text.strip()
     if not t.lower().startswith("0x"):

@@ -13,10 +13,11 @@ comes from a cost model calibrated to measured channel rates.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from itertools import product
 
-from .backend import CounterBackend, SimEventFamily, SLOTS
+from .backend import CounterBackend, SimEventFamily, measure_one
 from .corpus import SIGNAL_HANDLER, TRANSACTIONAL
 from .errors import CapabilityError
 from .events import EventSelector, format_selector, scan_control, umask_gates
@@ -109,18 +110,37 @@ def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> None:
         raise CapabilityError("backend does not support transactional suppression")
 
 
-def _fires(spec: GadgetSpec, victim: SimVictim, position: int, guess: int, iteration: int) -> bool:
+def _fire_table(
+    spec: GadgetSpec, victim: SimVictim, position: int, trials: Iterable[tuple[int, int]]
+) -> list[bool]:
+    """Per (guess, iteration) trial: whether the gadget runs the transmit
+    instruction."""
     # spectre_v1 mistraining never reaches the transmit gadget in this model
     if spec.attack_kind == SPECTRE_V1:
-        return False
-    if guess == victim.secret[position]:
-        return True
-    if victim.false_fire_prob > 0.0:
-        return (
-            point_fraction(victim.noise_seed, position, guess, iteration)
-            < victim.false_fire_prob
-        )
-    return False
+        return [False for _ in trials]
+    secret_byte = victim.secret[position]
+    prob = victim.false_fire_prob
+    seed = victim.noise_seed
+    return [
+        guess == secret_byte
+        or (prob > 0.0 and point_fraction(seed, position, guess, iteration) < prob)
+        for guess, iteration in trials
+    ]
+
+
+def _gadget_rounds(spec: GadgetSpec, backend: CounterBackend, fires: Sequence[bool]) -> list[int]:
+    """Bound-counter delta of one gadget round per entry of fires: zero the
+    counter, run the transient compare, transmit on a fire, read."""
+    record = backend.record_execution  # type: ignore[attr-defined]
+    scaffold = spec.scaffold_class
+    transmit = spec.transmit_class
+
+    def run(rep: int) -> None:
+        record(scaffold)
+        if fires[rep]:
+            record(transmit)
+
+    return measure_one(backend, scan_control(spec.bound_selector), run, len(fires))
 
 
 def run_trial(
@@ -131,20 +151,14 @@ def run_trial(
     victim: SimVictim,
     iteration: int = 0,
 ) -> int:
-    """One gadget round: zero the bound counter, run the transient compare,
-    transmit on a match, read the delta."""
+    """One gadget round for one candidate byte; returns the counter delta."""
     _check_runnable(spec, backend)
     if not 0 <= guess <= 0xFF:
         raise ValueError(f"guess out of byte range: {guess!r}")
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
-    slot = SLOTS[0]
-    backend.program(slot, scan_control(spec.bound_selector))
-    record = backend.record_execution  # type: ignore[attr-defined]
-    record(spec.scaffold_class)
-    if _fires(spec, victim, position, guess, iteration):
-        record(spec.transmit_class)
-    return backend.read(slot)
+    fires = _fire_table(spec, victim, position, [(guess, iteration)])
+    return _gadget_rounds(spec, backend, fires)[0]
 
 
 def recover_byte(
@@ -152,41 +166,18 @@ def recover_byte(
 ) -> tuple[int, list[int]]:
     """Decode one secret byte from accumulated trial scores.
 
-    Runs spec.iterations trials for each of the 256 candidates (the same
-    loop as run_trial, inlined) and returns the argmax candidate plus all
-    scores.  Score ties resolve to the lowest byte value, so an all-zero
-    round decodes as 0x00; treat zero top scores as no-confidence.
+    Runs spec.iterations trials for each of the 256 candidates, in candidate
+    order, and returns the argmax candidate plus all scores.  Score ties
+    resolve to the lowest byte value, so an all-zero round decodes as 0x00;
+    treat zero top scores as no-confidence.
     """
     _check_runnable(spec, backend)
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
-    value = scan_control(spec.bound_selector)
-    slot = SLOTS[0]
-    program = backend.program
-    record = backend.record_execution  # type: ignore[attr-defined]
-    read = backend.read
-    scaffold = spec.scaffold_class
-    transmit = spec.transmit_class
-    secret_byte = victim.secret[position]
-    prob = victim.false_fire_prob
-    seed = victim.noise_seed
-    v1 = spec.attack_kind == SPECTRE_V1
     iterations = spec.iterations
-    scores = [0] * 256
-    for candidate in range(256):
-        match = candidate == secret_byte and not v1
-        noisy = prob > 0.0 and not v1 and not match
-        total = 0
-        for iteration in range(iterations):
-            fire = match or (
-                noisy and point_fraction(seed, position, candidate, iteration) < prob
-            )
-            program(slot, value)
-            record(scaffold)
-            if fire:
-                record(transmit)
-            total += read(slot)
-        scores[candidate] = total
+    fires = _fire_table(spec, victim, position, product(range(256), range(iterations)))
+    deltas = _gadget_rounds(spec, backend, fires)
+    scores = [sum(deltas[c * iterations : (c + 1) * iterations]) for c in range(256)]
     best = 0
     best_score = scores[0]
     for candidate in range(1, 256):

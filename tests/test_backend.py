@@ -8,13 +8,15 @@ from pmu_prospector.backend import (
     PERFEVTSEL_BASE_MSR,
     PMC_BASE_MSR,
     PROGRAMMABLE_SLOTS,
+    BackendCapabilities,
+    CounterBackend,
     CounterSlot,
     NativeMsrBackend,
     SLOTS,
     SimEventFamily,
     SimulatedPmu,
     load_sim_model,
-    measure_delta,
+    measure,
     probe_native_backend,
 )
 from pmu_prospector.errors import (
@@ -22,7 +24,6 @@ from pmu_prospector.errors import (
     BackendStateError,
     ReportParseError,
     SlotRangeError,
-    WorkloadFault,
 )
 from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control
 
@@ -244,50 +245,63 @@ class TestSimulatedPmu:
             if model[i] is not None:
                 assert backend.read(SLOTS[i]) == counts[i]
 
-    def test_spawn_behaves_identically(self):
-        family = SimEventFamily(0x20, 0x01, frozenset({"alu"}), noise_stddev=1.5, seed=9)
-        original = SimulatedPmu([family], seed=4, label="twin")
-        clone = original.spawn()
-        assert clone.label == "twin"
-        for backend in (original, clone):
-            backend.program(SLOTS[0], scan_control(EventSelector(0x20, 0x01)))
-            for _ in range(25):
-                backend.record_execution("alu")
-        assert original.read(SLOTS[0]) == clone.read(SLOTS[0])
+
+class SelectorEchoBackend(CounterBackend):
+    """Reads back the packed selector a slot holds; refuses one selector."""
+
+    def __init__(self, refuse: int | None = None):
+        self.refuse = refuse
+        self.held: dict[int, int] = {}
+
+    def program(self, slot, value):
+        if value.selector.packed == self.refuse:
+            raise BackendError(f"cannot program 0x{self.refuse:04X}")
+        self.held[slot.index] = value.selector.packed
+
+    def read(self, slot):
+        return self.held[slot.index]
+
+    def capabilities(self):
+        return BackendCapabilities(PROGRAMMABLE_SLOTS, False, True)
 
 
-class TestMeasureDelta:
-    def test_counts_workload_executions(self):
+def control(base: int, n: int) -> list[PerfEvtSelValue]:
+    return [scan_control(EventSelector(0x6C, base + j)) for j in range(n)]
+
+
+class TestMeasure:
+    def test_one_delta_per_repetition(self):
         backend = make_backend()
+        seen = []
 
-        def workload():
-            backend.record_execution("memory-load")
-            backend.record_execution("memory-load")
+        def run(rep):
+            seen.append(rep)
+            for _ in range(rep + 1):
+                backend.record_execution("memory-load")
+            return "ran"
 
-        delta, fault = measure_delta(backend, scan_control(EventSelector(0x6C, 0x01)), workload)
-        assert (delta, fault) == (2, None)
+        batches = list(measure(backend, control(0x01, 1), run, 3))
+        assert batches == [(0, [[1, 2, 3]], "ran")]
+        assert seen == [0, 1, 2]
 
-    def test_contains_workload_faults(self):
-        backend = make_backend()
+    def test_four_values_per_batch_one_per_slot(self):
+        values = control(0x10, 9)
+        batches = list(measure(SelectorEchoBackend(), values, lambda rep: None, 2))
+        assert [base for base, _, _ in batches] == [0, 4, 8]
+        for base, deltas, _ in batches:
+            assert deltas == [[values[base + j].selector.packed] * 2 for j in range(len(deltas))]
+        assert [len(deltas) for _, deltas, _ in batches] == [4, 4, 1]
 
-        def workload():
-            backend.record_execution("memory-load")
-            raise WorkloadFault("illegal-instruction")
-
-        delta, fault = measure_delta(backend, scan_control(EventSelector(0x6C, 0x01)), workload)
-        assert (delta, fault) == (1, "illegal-instruction")
-
-    def test_uses_requested_slot(self):
-        backend = make_backend()
-        delta, fault = measure_delta(
-            backend,
-            scan_control(EventSelector(0x6C, 0x01)),
-            lambda: backend.record_execution("memory-load"),
-            slot=SLOTS[3],
-        )
-        assert (delta, fault) == (1, None)
-        with pytest.raises(BackendStateError):
-            backend.read(SLOTS[0])
+    def test_backend_error_loses_only_its_batch(self):
+        values = control(0x10, 9)
+        backend = SelectorEchoBackend(refuse=values[5].selector.packed)
+        batches = list(measure(backend, values, lambda rep: "ran", 1))
+        assert [base for base, _, _ in batches] == [0, 4, 8]
+        (_, first, ok_first), (_, lost, error), (_, last, ok_last) = batches
+        assert isinstance(error, BackendError) and lost == []
+        assert (ok_first, ok_last) == ("ran", "ran")
+        assert first == [[v.selector.packed] for v in values[:4]]
+        assert last == [[values[8].selector.packed]]
 
 
 class TestSimModelLoading:

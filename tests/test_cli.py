@@ -126,12 +126,6 @@ class TestScanCommand:
         assert dispatch(scan_args(second)) == 0
         assert read_bytes(first) == read_bytes(second)
 
-    def test_jobs_do_not_change_the_report(self, tmp_path, scan_args):
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        assert dispatch(scan_args(serial)) == 0
-        assert dispatch(scan_args(parallel, extra=["--jobs", "3"])) == 0
-        assert read_bytes(serial) == read_bytes(parallel)
-
     def test_records_stream_written_and_deterministic(self, tmp_path, catalog_path, model_path):
         corpus = tmp_path / "mini.tsv"
         corpus.write_text("1\tMOV\tr64,m64\tbase\tmemory-load\n")

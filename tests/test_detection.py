@@ -194,18 +194,6 @@ class TestDatasetAndSplit:
 
 
 class TestLogisticDetector:
-    def test_params_roundtrip(self):
-        detector = LogisticDetector(learning_rate=0.2, max_epochs=50)
-        params = detector.get_params()
-        assert params["learning_rate"] == 0.2
-        assert params["max_epochs"] == 50
-        assert detector.set_params(threshold=0.4) is detector
-        assert detector.get_params()["threshold"] == 0.4
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            LogisticDetector().set_params(alpha=1.0)
-
     def test_predict_before_fit_rejected(self):
         with pytest.raises(NotFittedError):
             LogisticDetector().predict([1.0])

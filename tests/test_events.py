@@ -12,7 +12,6 @@ from pmu_prospector.events import (
     decode_msr_value,
     enumerate_space,
     format_selector,
-    is_documented,
     load_catalog,
     pack_selector,
     parse_selector,
@@ -180,8 +179,8 @@ class TestCatalog:
         text = "event_code,umask,name\n0x3C,0x00,clock\n0x6C,0x01,widget\n"
         catalog = load_catalog(io.StringIO(text), source="inline")
         assert len(catalog) == 2
-        assert is_documented(EventSelector(0x3C, 0x00), catalog)
-        assert not is_documented(EventSelector(0x3C, 0x01), catalog)
+        assert EventSelector(0x3C, 0x00) in catalog
+        assert EventSelector(0x3C, 0x01) not in catalog
         assert catalog.name_of(EventSelector(0x6C, 0x01)) == "widget"
 
     def test_duplicate_keys_fail(self):
@@ -218,4 +217,4 @@ class TestCatalog:
         undocumented = [s for s in enumerate_space() if s not in documented]
         assert len(undocumented) == len(set(undocumented))
         assert len(undocumented) == 65536 - 200 == 65336
-        assert sum(1 for s in enumerate_space() if not is_documented(s, catalog)) == 65336
+        assert sum(1 for s in enumerate_space() if s not in catalog) == 65336
