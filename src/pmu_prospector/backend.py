@@ -16,18 +16,21 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BackendError,
     BackendStateError,
     ReportParseError,
     SlotRangeError,
 )
-from .events import PerfEvtSelValue, render_msr_value, umask_gates
+from .events import PerfEvtSelValue, render_msr_value, scan_control, umask_gates, unpack_selector
 from .seeding import derive_seed
 
 PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
+VECTOR_BATCH = 4096  # selectors per batch on the simulated path; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -74,51 +77,104 @@ class CounterBackend(ABC):
 
 def measure(
     backend: CounterBackend,
-    values: Sequence[PerfEvtSelValue],
+    codes: Sequence[int],
     run: Callable[[int], object],
     repetitions: int,
-) -> Iterator[tuple[int, list[list[int]], object]]:
-    """The one measurement loop: program, run a workload, read.
+    any_thread: bool = False,
+) -> Iterator[tuple[int, np.ndarray, object]]:
+    """The one measurement loop: per-repetition deltas of packed selectors.
 
-    Values are measured four at a time, one per slot.  For each repetition
-    every slot of the batch is programmed (which resets its count), then
-    run(rep) executes the workload and every slot is read, so each read is
-    already a delta.  Yields (offset, deltas, outcome) per batch, where
-    deltas[j][rep] belongs to values[offset + j] and outcome is what the
-    last run returned.  A batch lost to a BackendError yields the exception
-    as its outcome and no deltas; the next batch is still measured.
+    run(rep) executes the workload of repetition rep.  It must produce the
+    same class trace and outcome every time it is called for a given rep,
+    because the two paths below call it a different number of times.
+
+    Yields (offset, deltas, outcome) per batch.  deltas is an int64 array of
+    shape (selectors in the batch, repetitions) whose row j belongs to
+    codes[offset + j]; outcome is what run(repetitions - 1) returned.
+
+    - On a simulated backend (one that exposes its SimulatedPmu as
+      `simulation`, directly or through a delegating proxy) run(rep) executes
+      once per repetition while the PMU tallies class tags instead of
+      counting.  Every selector's deltas are then computed in numpy from its
+      family's umask gate and increment applied to each repetition's class
+      counts, in batches of VECTOR_BATCH selectors.  Noise is drawn exactly as
+      programming the selector on slot (index mod 4) would draw it.
+    - Any other backend gets the scalar loop: codes are rendered with
+      scan_control four at a time, one per slot; each repetition programs
+      every slot of the batch (which resets its count), runs the workload
+      and reads every slot, so each read is already a delta.  A batch lost
+      to a BackendError yields the exception as its outcome and an empty
+      deltas array; the next batch is still measured.
     """
+    pmu = getattr(backend, "simulation", None)
+    if isinstance(pmu, SimulatedPmu):
+        return _measure_simulated(pmu, codes, run, repetitions)
+    return _measure_scalar(backend, codes, run, repetitions, any_thread)
+
+
+def _measure_scalar(backend, codes, run, repetitions, any_thread):
     program = backend.program
     read = backend.read
-    for base in range(0, len(values), PROGRAMMABLE_SLOTS):
-        programs = tuple(zip(SLOTS, values[base : base + PROGRAMMABLE_SLOTS]))
-        deltas: list[list[int]] = [[] for _ in programs]
-        reads = tuple(zip(SLOTS, deltas))
+    for base in range(0, len(codes), PROGRAMMABLE_SLOTS):
+        programs = tuple(
+            (slot, scan_control(unpack_selector(code), any_thread))
+            for slot, code in zip(SLOTS, codes[base : base + PROGRAMMABLE_SLOTS])
+        )
+        reads: list[int] = []
         outcome = None
         try:
             for rep in range(repetitions):
                 for slot, value in programs:
                     program(slot, value)
                 outcome = run(rep)
-                for slot, column in reads:
-                    column.append(read(slot))
+                reads.extend(read(slot) for slot, _ in programs)
         except BackendError as exc:
-            yield base, [], exc
+            yield base, np.empty((0, repetitions), np.int64), exc
         else:
-            yield base, deltas, outcome
+            yield base, np.array(reads, np.int64).reshape(repetitions, len(programs)).T, outcome
+
+
+def _measure_simulated(pmu, codes, run, repetitions):
+    if not len(codes):
+        return
+    width = pmu._increments.shape[1]
+    tallies: list[int] = []  # flat: one row of class counts per repetition
+    outcome = None
+    try:
+        for rep in range(repetitions):
+            pmu._tally = tally = [0] * width
+            outcome = run(rep)
+            tallies += tally
+    finally:
+        pmu._tally = None
+    tally = np.array(tallies, np.int64).reshape(repetitions, width)
+    executions = tally.sum(axis=1)
+    counts = pmu._increments @ tally.T  # per family row and repetition
+    if isinstance(codes, range):  # np.asarray would convert a range element by element
+        codes = np.arange(codes.start, codes.stop, codes.step)
+    codes = np.asarray(codes, np.int64)
+    for base in range(0, len(codes), VECTOR_BATCH):
+        batch = codes[base : base + VECTOR_BATCH]
+        family = pmu._family_index[batch & 0xFF]
+        armed = pmu._gates[family, batch >> 8]
+        deltas = np.where(armed[:, None], counts[family], 0)
+        for j in np.flatnonzero(armed & pmu._noisy[family]).tolist():
+            pmu._add_noise(deltas[j], (base + j) % PROGRAMMABLE_SLOTS, int(batch[j]), executions)
+        yield base, deltas, outcome
 
 
 def measure_one(
     backend: CounterBackend,
-    value: PerfEvtSelValue,
+    code: int,
     run: Callable[[int], object],
     repetitions: int,
 ) -> list[int]:
-    """Per-repetition deltas of a single value; a BackendError propagates."""
-    ((_, deltas, outcome),) = measure(backend, (value,), run, repetitions)
+    """Per-repetition deltas of a single packed selector; a BackendError
+    propagates."""
+    ((_, deltas, outcome),) = measure(backend, (code,), run, repetitions)
     if isinstance(outcome, BackendError):
         raise outcome
-    return deltas[0]
+    return deltas[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -191,6 +247,23 @@ class SimulatedPmu(CounterBackend):
         self._supports_tsx = supports_tsx
         self._slots = [_SimSlot() for _ in range(PROGRAMMABLE_SLOTS)]
         self._epochs: dict[tuple[int, int], int] = {}
+        self._tally: list[int] | None = None  # set while measure() tallies class tags
+        # tables for measure(): row k is family k, the last row is no family;
+        # column c is trigger class c, the last column every other class
+        families = list(self._families.values())
+        classes = sorted({tag for family in families for tag in family.trigger_classes})
+        self._class_index = {tag: i for i, tag in enumerate(classes)}
+        self._family_index = np.full(256, len(families), np.intp)
+        self._gates = np.zeros((len(families) + 1, 256), bool)
+        self._noisy = np.zeros(len(families) + 1, bool)
+        self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
+        umasks = np.arange(256)
+        for k, family in enumerate(families):
+            self._family_index[family.event_code] = k
+            self._gates[k] = (family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)
+            self._noisy[k] = family.noise_stddev > 0
+            for tag in family.trigger_classes:
+                self._increments[k, self._class_index[tag]] = family.increment
         self._capabilities = BackendCapabilities(
             programmable_count=PROGRAMMABLE_SLOTS,
             supports_transactional_suppression=supports_tsx,
@@ -204,6 +277,12 @@ class SimulatedPmu(CounterBackend):
     @property
     def families(self) -> Mapping[int, SimEventFamily]:
         return dict(self._families)
+
+    @property
+    def simulation(self) -> SimulatedPmu:
+        """The PMU model itself.  Delegating proxies forward this attribute,
+        which lets measure() compute their deltas instead of programming."""
+        return self
 
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities
@@ -239,7 +318,11 @@ class SimulatedPmu(CounterBackend):
 
     def record_execution(self, class_tag: str) -> None:
         """Account one executed instruction of the given class to every
-        armed slot."""
+        armed slot, or only tally its class while measure() runs."""
+        tally = self._tally
+        if tally is not None:
+            tally[self._class_index.get(class_tag, -1)] += 1
+            return
         for state in self._slots:
             triggers = state.triggers
             if triggers is None:
@@ -252,6 +335,21 @@ class SimulatedPmu(CounterBackend):
                     delta += noise
             if delta:
                 state.count += delta
+
+    def _add_noise(self, row: np.ndarray, slot: int, packed: int, executions: np.ndarray) -> None:
+        """Add the over-count that programming packed on slot once per
+        repetition draws, and advance the (slot, selector) epoch alike."""
+        family = self._families[packed & 0xFF]
+        key = (slot, packed)
+        epoch = self._epochs.get(key, 0)
+        self._epochs[key] = epoch + len(executions)
+        stddev = family.noise_stddev
+        for rep, n in enumerate(executions.tolist()):
+            if n:
+                gauss = random.Random(
+                    derive_seed(self._seed, family.seed, slot, packed, epoch + rep)
+                ).gauss
+                row[rep] += sum(max(0, round(gauss(0.0, stddev))) for _ in range(n))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Full-space scan orchestration and scan-report persistence.
 
 The scan walks the instruction corpus (outer loop) and the 65536-point
-selector space (inner loop, packed order), programming four selectors at a
-time across the programmable slots so one workload run measures four
+selector space (inner loop, packed order) through backend.measure: a
+simulated PMU runs each instruction once per repetition and computes every
+selector's delta at once, while a real one is programmed four selectors at
+a time across the programmable slots, so one workload run measures four
 candidates.  A selector is readable for an instruction when the median
 delta over the repetitions reaches the quiet threshold; readable selectors
 absent from the documented catalog are the hidden events.
@@ -14,6 +16,8 @@ import json
 import logging
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
 from .corpus import (
@@ -83,13 +87,13 @@ def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
     return [scan_control(unpack_selector(p), any_thread) for p in range(EVENT_SPACE_SIZE)]
 
 
-def _median(deltas: Sequence[int]) -> int:
-    # lower middle element; keeps medians integral for even repetition counts
-    return sorted(deltas)[(len(deltas) - 1) // 2]
+def _lower_medians(deltas: np.ndarray) -> np.ndarray:
+    # lower middle element per row; keeps medians integral for even repetition counts
+    return np.sort(deltas, axis=1)[:, (deltas.shape[1] - 1) // 2]
 
 
-def _measure_snippet(executor, snippet: Snippet, values: Sequence[PerfEvtSelValue],
-                     config: ScanConfig) -> Iterator[tuple[int, list[list[int]], object]]:
+def _measure_snippet(executor, snippet: Snippet, codes: Sequence[int],
+                     config: ScanConfig) -> Iterator[tuple[int, np.ndarray, object]]:
     """measure() with one run of the snippet per repetition; each batch's
     outcome is the workload's ExecStatus or the BackendError that lost it."""
     execute = executor.execute
@@ -98,7 +102,7 @@ def _measure_snippet(executor, snippet: Snippet, values: Sequence[PerfEvtSelValu
     def run(_rep: int) -> ExecStatus:
         return execute(snippet, mode).status
 
-    return measure(executor.backend, values, run, config.repetitions)
+    return measure(executor.backend, codes, run, config.repetitions, config.any_thread)
 
 
 def scan_instruction(
@@ -110,21 +114,20 @@ def scan_instruction(
 ) -> list[ScanRecord]:
     """Measure one instruction against the given selectors.
 
-    Selectors are visited in the given order, four per workload run; the
-    recorded delta is the median across repetitions and the outcome that of
-    the batch's workload run.  A batch lost to the backend raises its
-    BackendError.
+    Selectors are visited in the given order; the recorded delta is the
+    lower median across repetitions and the outcome that of the batch's
+    workload run.  A batch lost to the backend raises its BackendError.
     """
     snippet = instantiate(normalize_syntax(entry, executor.dialect), pool)
-    values = [scan_control(s, config.any_thread) for s in selectors]
+    selectors = list(selectors)
+    codes = [s.packed for s in selectors]
     records: list[ScanRecord] = []
-    for base, deltas, outcome in _measure_snippet(executor, snippet, values, config):
+    for base, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
         if isinstance(outcome, BackendError):
             raise outcome
-        for value, column in zip(values[base : base + PROGRAMMABLE_SLOTS], deltas):
-            records.append(
-                ScanRecord(value.selector, entry.id, _median(column), outcome, config.repetitions)
-            )
+        medians = _lower_medians(deltas).tolist()
+        for selector, median in zip(selectors[base : base + len(medians)], medians):
+            records.append(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
     return records
 
 
@@ -139,12 +142,15 @@ def full_scan(
     """Scan every corpus instruction against the full selector space.
 
     Selectors are measured in packed order.  A batch lost to a backend
-    failure is logged and skipped, and the scan goes on.  Instructions whose
-    templates cannot be instantiated are skipped (and logged); they still
-    count toward total_instructions.
+    failure is logged and skipped, and the scan goes on; its records carry
+    the backend-error outcome.  Instructions whose templates cannot be
+    instantiated are skipped (and logged); they still count toward
+    total_instructions.
     """
-    values = control_values(config.any_thread)
-    documented = frozenset(s.packed for s in catalog.entries)
+    codes = range(EVENT_SPACE_SIZE)
+    documented = np.zeros(EVENT_SPACE_SIZE, bool)
+    documented[[s.packed for s in catalog.entries]] = True
+    selectors = [unpack_selector(p) for p in codes] if record_sink is not None else None
     hidden: dict[int, set[int]] = {}
     total = 0
     executed_success = 0
@@ -156,32 +162,30 @@ def full_scan(
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue
-        all_medians = [0] * EVENT_SPACE_SIZE if record_sink is not None else None
+        medians = np.zeros(EVENT_SPACE_SIZE, np.int64)
+        lost: list[int] = []
         status: ExecStatus | None = None
-        for base, deltas, outcome in _measure_snippet(executor, snippet, values, config):
+        for base, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
             if isinstance(outcome, BackendError):
                 log.warning(
                     "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
                     base, base + PROGRAMMABLE_SLOTS - 1, entry.id, outcome,
                 )
+                lost.append(base)
                 continue
             status = outcome
-            if not any(map(any, deltas)):
-                continue  # a batch with no counts has only zero medians
-            for packed, column in enumerate(deltas, base):
-                median = _median(column)
-                if all_medians is not None:
-                    all_medians[packed] = median
-                if median >= threshold and packed not in documented:
-                    hidden.setdefault(packed, set()).add(entry.id)
+            medians[base : base + len(deltas)] = _lower_medians(deltas)
         if status is ExecStatus.SUCCESS:
             executed_success += 1
+        for packed in np.flatnonzero((medians >= threshold) & ~documented).tolist():
+            hidden.setdefault(packed, set()).add(entry.id)
         if record_sink is not None:
-            record_status = status or ExecStatus.SUCCESS
-            for value, median in zip(values, all_medians):
-                record_sink(
-                    ScanRecord(value.selector, entry.id, median, record_status, config.repetitions)
-                )
+            outcomes = [status or ExecStatus.SUCCESS] * EVENT_SPACE_SIZE
+            lost_batch = [ExecStatus.BACKEND_ERROR] * PROGRAMMABLE_SLOTS
+            for base in lost:  # the space is a whole number of batches
+                outcomes[base : base + PROGRAMMABLE_SLOTS] = lost_batch
+            for selector, median, outcome in zip(selectors, medians.tolist(), outcomes):
+                record_sink(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
     return ScanReport(
         microarchitecture_label=_backend_label(executor),
         total_instructions=total,

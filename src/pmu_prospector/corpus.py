@@ -263,6 +263,7 @@ class ExecStatus(enum.Enum):
     SUCCESS = "success"
     FAULT = "fault"
     UNSUPPORTED = "unsupported"
+    BACKEND_ERROR = "backend-error"  # the measurement was lost, not the execution
 
 
 @dataclass(frozen=True)

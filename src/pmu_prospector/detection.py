@@ -19,7 +19,7 @@ import numpy as np
 
 from .backend import CounterBackend, measure_one
 from .errors import CapabilityError, DegenerateDataError, NotFittedError, ReportParseError
-from .events import EventSelector, format_selector, parse_selector, scan_control
+from .events import EventSelector, format_selector, parse_selector
 from .seeding import derive_seed
 
 Sample = tuple[int, int]  # (count delta, label)
@@ -163,13 +163,14 @@ def collect_samples(
 ) -> list[Sample]:
     """Measure n windows of one scenario on one selector.
 
-    Each window is one program/read cycle around the scenario's jittered
-    activity mix.  Scenario synthesis drives the simulated backend's class
-    dispatch, so a simulated backend is required.
+    Each window is one repetition of measure() around the scenario's
+    jittered activity mix.  With one selector, measure() runs each window
+    once, in order, so drawing the jitter from one stream stays replayable.
+    Scenario synthesis drives the simulated backend's class dispatch, so a
+    simulated backend is required.
     """
     if not backend.capabilities().is_simulated:
         raise CapabilityError("scenario synthesis requires a simulated backend")
-    value = scan_control(selector)
     rng = random.Random(
         derive_seed(
             seed, "collect", scenario.kind.value, scenario.attack_name or "", selector.packed
@@ -185,7 +186,7 @@ def collect_samples(
             for _ in range(max(0, count)):
                 record(tag)
 
-    return [(delta, label) for delta in measure_one(backend, value, window, n)]
+    return [(delta, label) for delta in measure_one(backend, selector.packed, window, n)]
 
 
 @dataclass(frozen=True)

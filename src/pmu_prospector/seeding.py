@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -51,3 +53,26 @@ def point_fraction(*parts: int) -> float:
     for part in parts:
         h = mix64(h ^ (part & _MASK64))
     return h / float(1 << 64)
+
+
+def point_fractions(*parts: int | np.ndarray) -> np.ndarray:
+    """point_fraction over broadcast numpy coordinates, bit for bit.
+
+    Integer parts are masked to 64 bits like the scalar version; array parts
+    are taken as uint64.  Returns a float64 array of the broadcast shape
+    (at least one-dimensional).
+    """
+    h = np.zeros(1, np.uint64)
+    for part in parts:
+        if isinstance(part, int):
+            part &= _MASK64
+        h = _mix64_array(h ^ np.asarray(part).astype(np.uint64))
+    return h.astype(np.float64) / float(1 << 64)
+
+
+def _mix64_array(value: np.ndarray) -> np.ndarray:
+    # mix64 in uint64 arithmetic, which wraps modulo 2**64 like the masks there
+    value = value + np.uint64(0x9E3779B97F4A7C15)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return value ^ (value >> np.uint64(31))

@@ -13,15 +13,16 @@ comes from a cost model calibrated to measured channel rates.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from itertools import product
+
+import numpy as np
 
 from .backend import CounterBackend, SimEventFamily, measure_one
 from .corpus import SIGNAL_HANDLER, TRANSACTIONAL
 from .errors import CapabilityError
-from .events import EventSelector, format_selector, scan_control, umask_gates
-from .seeding import point_fraction
+from .events import EventSelector, format_selector, umask_gates
+from .seeding import point_fractions
 
 MELTDOWN = "meltdown"
 SPECTRE_V1 = "spectre_v1"
@@ -111,24 +112,25 @@ def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> None:
 
 
 def _fire_table(
-    spec: GadgetSpec, victim: SimVictim, position: int, trials: Iterable[tuple[int, int]]
+    spec: GadgetSpec,
+    victim: SimVictim,
+    position: int,
+    guesses: np.ndarray,
+    iterations: np.ndarray,
 ) -> list[bool]:
-    """Per (guess, iteration) trial: whether the gadget runs the transmit
-    instruction."""
+    """Per (guess, iteration) trial, paired by index: whether the gadget
+    runs the transmit instruction."""
     # spectre_v1 mistraining never reaches the transmit gadget in this model
     if spec.attack_kind == SPECTRE_V1:
-        return [False for _ in trials]
-    secret_byte = victim.secret[position]
+        return [False] * len(guesses)
+    fires = guesses == victim.secret[position]
     prob = victim.false_fire_prob
-    seed = victim.noise_seed
-    return [
-        guess == secret_byte
-        or (prob > 0.0 and point_fraction(seed, position, guess, iteration) < prob)
-        for guess, iteration in trials
-    ]
+    if prob > 0.0:
+        fires |= point_fractions(victim.noise_seed, position, guesses, iterations) < prob
+    return fires.tolist()
 
 
-def _gadget_rounds(spec: GadgetSpec, backend: CounterBackend, fires: Sequence[bool]) -> list[int]:
+def _gadget_rounds(spec: GadgetSpec, backend: CounterBackend, fires: list[bool]) -> list[int]:
     """Bound-counter delta of one gadget round per entry of fires: zero the
     counter, run the transient compare, transmit on a fire, read."""
     record = backend.record_execution  # type: ignore[attr-defined]
@@ -140,7 +142,7 @@ def _gadget_rounds(spec: GadgetSpec, backend: CounterBackend, fires: Sequence[bo
         if fires[rep]:
             record(transmit)
 
-    return measure_one(backend, scan_control(spec.bound_selector), run, len(fires))
+    return measure_one(backend, spec.bound_selector.packed, run, len(fires))
 
 
 def run_trial(
@@ -157,7 +159,7 @@ def run_trial(
         raise ValueError(f"guess out of byte range: {guess!r}")
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
-    fires = _fire_table(spec, victim, position, [(guess, iteration)])
+    fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
     return _gadget_rounds(spec, backend, fires)[0]
 
 
@@ -175,7 +177,13 @@ def recover_byte(
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     iterations = spec.iterations
-    fires = _fire_table(spec, victim, position, product(range(256), range(iterations)))
+    fires = _fire_table(
+        spec,
+        victim,
+        position,
+        np.repeat(np.arange(256), iterations),
+        np.tile(np.arange(iterations), 256),
+    )
     deltas = _gadget_rounds(spec, backend, fires)
     scores = [sum(deltas[c * iterations : (c + 1) * iterations]) for c in range(256)]
     best = 0

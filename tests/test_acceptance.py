@@ -58,7 +58,7 @@ from pmu_prospector.umask import RelevanceMask, RelevanceObservation, infer_rele
 
 # pinned budgets and tolerances
 ENUMERATION_BUDGET_SECONDS = 1.0
-RANDOM_SCAN_BUDGET_SECONDS = 120.0
+RANDOM_SCAN_BUDGET_SECONDS = 10.0
 AUC_TOLERANCE = 1e-12
 MIN_TEST_ACCURACY = 0.9
 MIN_BAYES_ACCURACY = 0.95

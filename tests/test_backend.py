@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from pmu_prospector.backend import (
     SimulatedPmu,
     load_sim_model,
     measure,
+    measure_one,
     probe_native_backend,
 )
 from pmu_prospector.errors import (
@@ -25,7 +27,7 @@ from pmu_prospector.errors import (
     ReportParseError,
     SlotRangeError,
 )
-from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control
+from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control, unpack_selector
 
 LOAD_FAMILY = SimEventFamily(
     event_code=0x6C, relevance_mask=0x01, trigger_classes=frozenset({"memory-load"})
@@ -265,8 +267,9 @@ class SelectorEchoBackend(CounterBackend):
         return BackendCapabilities(PROGRAMMABLE_SLOTS, False, True)
 
 
-def control(base: int, n: int) -> list[PerfEvtSelValue]:
-    return [scan_control(EventSelector(0x6C, base + j)) for j in range(n)]
+def control(base: int, n: int) -> list[int]:
+    """Packed codes of event 0x6C with umasks base .. base + n - 1."""
+    return [((base + j) << 8) | 0x6C for j in range(n)]
 
 
 class TestMeasure:
@@ -280,28 +283,163 @@ class TestMeasure:
                 backend.record_execution("memory-load")
             return "ran"
 
-        batches = list(measure(backend, control(0x01, 1), run, 3))
-        assert batches == [(0, [[1, 2, 3]], "ran")]
+        ((base, deltas, outcome),) = measure(backend, control(0x01, 1), run, 3)
+        assert deltas.dtype == np.int64 and deltas.shape == (1, 3)
+        assert (base, deltas.tolist(), outcome) == (0, [[1, 2, 3]], "ran")
         assert seen == [0, 1, 2]
 
     def test_four_values_per_batch_one_per_slot(self):
-        values = control(0x10, 9)
-        batches = list(measure(SelectorEchoBackend(), values, lambda rep: None, 2))
+        codes = control(0x10, 9)
+        batches = list(measure(SelectorEchoBackend(), codes, lambda rep: None, 2))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         for base, deltas, _ in batches:
-            assert deltas == [[values[base + j].selector.packed] * 2 for j in range(len(deltas))]
+            assert deltas.dtype == np.int64
+            assert deltas.tolist() == [[codes[base + j]] * 2 for j in range(len(deltas))]
         assert [len(deltas) for _, deltas, _ in batches] == [4, 4, 1]
 
     def test_backend_error_loses_only_its_batch(self):
-        values = control(0x10, 9)
-        backend = SelectorEchoBackend(refuse=values[5].selector.packed)
-        batches = list(measure(backend, values, lambda rep: "ran", 1))
+        codes = control(0x10, 9)
+        backend = SelectorEchoBackend(refuse=codes[5])
+        batches = list(measure(backend, codes, lambda rep: "ran", 1))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         (_, first, ok_first), (_, lost, error), (_, last, ok_last) = batches
-        assert isinstance(error, BackendError) and lost == []
+        assert isinstance(error, BackendError) and lost.tolist() == []
         assert (ok_first, ok_last) == ("ran", "ran")
-        assert first == [[v.selector.packed] for v in values[:4]]
-        assert last == [[values[8].selector.packed]]
+        assert first.tolist() == [[code] for code in codes[:4]]
+        assert last.tolist() == [[codes[8]]]
+
+    def test_measure_one_returns_python_ints_on_both_paths(self):
+        backend = make_backend()
+
+        def run(rep):
+            backend.record_execution("memory-load")
+
+        for target in (backend, _HiddenModel(backend)):
+            deltas = measure_one(target, 0x016C, run, 2)
+            assert deltas == [1, 1] and all(type(d) is int for d in deltas)
+
+    def test_any_thread_reaches_the_programmed_values(self):
+        programmed = []
+
+        class Recorder(SelectorEchoBackend):
+            def program(self, slot, value):
+                programmed.append(value)
+                super().program(slot, value)
+
+        list(measure(Recorder(), control(0x10, 2), lambda rep: None, 1, any_thread=True))
+        assert programmed == [scan_control(unpack_selector(c), True) for c in control(0x10, 2)]
+
+
+class _HiddenModel:
+    """Delegates the backend contract to a SimulatedPmu but not its model,
+    so measure() programs and reads it slot by slot."""
+
+    def __init__(self, inner: SimulatedPmu):
+        self._inner = inner
+
+    def program(self, slot, value):
+        self._inner.program(slot, value)
+
+    def read(self, slot):
+        return self._inner.read(slot)
+
+    def record_execution(self, class_tag):
+        self._inner.record_execution(class_tag)
+
+    def capabilities(self):
+        return self._inner.capabilities()
+
+
+class _Forwarding:
+    """Proxy that forwards every attribute, as benchmark tracers do."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+EQUIVALENCE_CODES = [0x10, 0x20, 0x30, 0x40, 0x99]  # 0x99 has no family
+EQUIVALENCE_UMASKS = [0x00, 0x01, 0x02, 0x03, 0x10, 0x80, 0xFF]
+EQUIVALENCE_TAGS = ["alu", "memory-load", "memory-store", "branch"]
+
+families_strategy = st.lists(
+    st.builds(
+        SimEventFamily,
+        event_code=st.sampled_from(EQUIVALENCE_CODES[:4]),
+        relevance_mask=st.sampled_from([0x00, 0x01, 0x03, 0x12, 0x80]),
+        trigger_classes=st.frozensets(st.sampled_from(EQUIVALENCE_TAGS[:3]), max_size=2),
+        increment=st.integers(0, 3),
+        noise_stddev=st.sampled_from([0.0, 0.0, 0.6, 2.5]),
+        seed=st.integers(0, 2**32),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda f: f.event_code,
+)
+codes_strategy = st.lists(
+    st.builds(
+        lambda event, umask: (umask << 8) | event,
+        st.sampled_from(EQUIVALENCE_CODES),
+        st.sampled_from(EQUIVALENCE_UMASKS),
+    ),
+    min_size=1,
+    max_size=11,
+).filter(lambda codes: len(codes) % PROGRAMMABLE_SLOTS)
+
+
+def measured(backend, codes, plan, repetitions):
+    """Per-code deltas and outcomes of one measure() call whose run records
+    plan[rep]'s classes through the backend."""
+
+    def run(rep):
+        for tag in plan[rep]:
+            backend.record_execution(tag)
+        return f"outcome-{rep}-{len(plan[rep])}"
+
+    deltas, outcomes = [], []
+    for _, batch, outcome in measure(backend, codes, run, repetitions):
+        assert batch.dtype == np.int64 and batch.shape[1] == repetitions
+        deltas += batch.tolist()
+        outcomes += [outcome] * len(batch)
+    return deltas, outcomes
+
+
+class TestMeasurePathsAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        families=families_strategy,
+        codes=codes_strategy,
+        repetitions=st.integers(1, 4),
+        plan=st.lists(
+            st.lists(st.sampled_from(EQUIVALENCE_TAGS), max_size=3), min_size=4, max_size=4
+        ),
+        seed=st.integers(0, 1000),
+    )
+    def test_simulated_path_equals_scalar_loop(self, families, codes, repetitions, plan, seed):
+        simulated = SimulatedPmu(families, seed=seed)
+        scalar = _HiddenModel(SimulatedPmu(families, seed=seed))
+        for _ in range(2):  # the second round shows that epochs advanced alike
+            fast = measured(simulated, codes, plan, repetitions)
+            slow = measured(scalar, codes, plan, repetitions)
+            assert fast == slow
+        # the simulated path computed its deltas without programming a slot
+        with pytest.raises(BackendStateError):
+            simulated.read(SLOTS[0])
+
+    def test_forwarding_proxy_takes_the_simulated_path(self):
+        family = SimEventFamily(
+            0x6C, 0x01, frozenset({"memory-load"}), noise_stddev=1.5, seed=2
+        )
+        direct = SimulatedPmu([family], seed=4)
+        proxied = SimulatedPmu([family], seed=4)
+        codes = control(0x00, 7)
+        plan = [["memory-load"] * 3] * 4
+        via_proxy = measured(_Forwarding(proxied), codes, plan, 3)
+        assert via_proxy == measured(direct, codes, plan, 3)
+        with pytest.raises(BackendStateError):
+            proxied.read(SLOTS[0])
 
 
 class TestSimModelLoading:

@@ -193,6 +193,7 @@ class TestScanInstruction:
         ]
         records = scan_instruction(by_id[1], selectors, executor)
         assert [r.delta for r in records] == [1, 0, 2, 0, 0]
+        assert all(type(r.delta) is int for r in records)
         assert all(r.outcome is ExecStatus.SUCCESS for r in records)
 
     def test_faulting_instruction_reports_fault_and_zero_deltas(
@@ -334,6 +335,24 @@ class TestRecordSink:
         }
         # repeat runs produce byte-identical streams
         assert hashlib.sha256(run().encode()).digest() == hashlib.sha256(text.encode()).digest()
+
+    def test_lost_batch_records_read_backend_error(self):
+        sink_file = io.StringIO()
+        full_scan(
+            LOAD_ONLY, EventCatalog(), failing_executor(0x016C), ScanConfig(repetitions=1),
+            record_sink=ndjson_record_sink(sink_file),
+        )
+        lines = sink_file.getvalue().splitlines()
+        assert len(lines) == EVENT_SPACE_SIZE
+        outcomes = {packed: json.loads(lines[packed])["outcome"] for packed in range(0x0168, 0x0174)}
+        assert outcomes == {
+            packed: "backend-error" if 0x016C <= packed <= 0x016F else "success"
+            for packed in range(0x0168, 0x0174)
+        }
+        # the scan went on after the lost batch
+        assert json.loads(lines[0x036C]) == {
+            "delta": 1, "instruction": 1, "outcome": "success", "selector": "0x036C"
+        }
 
 
 def sample_report() -> ScanReport:

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pmu_prospector.seeding import derive_seed, mix64, point_fraction
+from pmu_prospector.seeding import derive_seed, mix64, point_fraction, point_fractions
 
 
 def test_derive_seed_is_stable_across_calls():
@@ -54,3 +55,26 @@ def test_point_fraction_draws_do_not_depend_on_draw_count():
     five = [point_fraction(1, 0, 7, it) for it in range(5)]
     fifty = [point_fraction(1, 0, 7, it) for it in range(50)]
     assert fifty[:5] == five
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**20),
+    st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=20),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(0, 0, [0, 255], 0)
+@example(2**64 - 1, 15, [0, 65, 255], 9)
+def test_point_fractions_match_point_fraction_bit_for_bit(seed, position, guesses, iteration):
+    vector = point_fractions(seed, position, np.array(guesses), np.full(len(guesses), iteration))
+    assert vector.dtype == np.float64
+    assert vector.tolist() == [point_fraction(seed, position, g, iteration) for g in guesses]
+
+
+def test_point_fractions_broadcast_a_trial_grid():
+    guesses = np.repeat(np.arange(256), 3)
+    iterations = np.tile(np.arange(3), 256)
+    grid = point_fractions(5, 1, guesses, iterations).tolist()
+    assert grid == [point_fraction(5, 1, g, i) for g in range(256) for i in range(3)]
+    assert point_fractions(5, 1, 7, 2).tolist() == [point_fraction(5, 1, 7, 2)]
