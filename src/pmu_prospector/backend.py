@@ -24,7 +24,7 @@ from .errors import (
     ReportParseError,
     SlotRangeError,
 )
-from .events import PerfEvtSelValue, render_msr_value, scan_control, umask_gates, unpack_selector
+from .events import PerfEvtSelValue, render_msr_value, scan_control, unpack_selector
 from .seeding import derive_seed
 
 PROGRAMMABLE_SLOTS = 4
@@ -94,11 +94,12 @@ def measure(
 
     - On a simulated backend (one that exposes its SimulatedPmu as
       `simulation`, directly or through a delegating proxy) run(rep) executes
-      once per repetition while the PMU tallies class tags instead of
-      counting.  Every selector's deltas are then computed in numpy from its
-      family's umask gate and increment applied to each repetition's class
-      counts, in batches of VECTOR_BATCH selectors.  Noise is drawn exactly as
-      programming the selector on slot (index mod 4) would draw it.
+      once per repetition, and the PMU's running class tally taken around it
+      gives that repetition's class counts.  Every selector's deltas are then
+      computed in numpy from its family's umask gate and increment, in
+      batches of VECTOR_BATCH selectors.  Noise is drawn exactly as
+      programming the selector on slot (index mod 4) would draw it.  Slots
+      programmed before the call count its executions too.
     - Any other backend gets the scalar loop: codes are rendered with
       scan_control four at a time, one per slot; each repetition programs
       every slot of the batch (which resets its count), runs the workload
@@ -108,7 +109,7 @@ def measure(
     """
     pmu = getattr(backend, "simulation", None)
     if isinstance(pmu, SimulatedPmu):
-        return _measure_simulated(pmu, codes, run, repetitions)
+        return pmu.measure(codes, run, repetitions)
     return _measure_scalar(backend, codes, run, repetitions, any_thread)
 
 
@@ -132,35 +133,6 @@ def _measure_scalar(backend, codes, run, repetitions, any_thread):
             yield base, np.empty((0, repetitions), np.int64), exc
         else:
             yield base, np.array(reads, np.int64).reshape(repetitions, len(programs)).T, outcome
-
-
-def _measure_simulated(pmu, codes, run, repetitions):
-    if not len(codes):
-        return
-    width = pmu._increments.shape[1]
-    tallies: list[int] = []  # flat: one row of class counts per repetition
-    outcome = None
-    try:
-        for rep in range(repetitions):
-            pmu._tally = tally = [0] * width
-            outcome = run(rep)
-            tallies += tally
-    finally:
-        pmu._tally = None
-    tally = np.array(tallies, np.int64).reshape(repetitions, width)
-    executions = tally.sum(axis=1)
-    counts = pmu._increments @ tally.T  # per family row and repetition
-    if isinstance(codes, range):  # np.asarray would convert a range element by element
-        codes = np.arange(codes.start, codes.stop, codes.step)
-    codes = np.asarray(codes, np.int64)
-    for base in range(0, len(codes), VECTOR_BATCH):
-        batch = codes[base : base + VECTOR_BATCH]
-        family = pmu._family_index[batch & 0xFF]
-        armed = pmu._gates[family, batch >> 8]
-        deltas = np.where(armed[:, None], counts[family], 0)
-        for j in np.flatnonzero(armed & pmu._noisy[family]).tolist():
-            pmu._add_noise(deltas[j], (base + j) % PROGRAMMABLE_SLOTS, int(batch[j]), executions)
-        yield base, deltas, outcome
 
 
 def measure_one(
@@ -207,27 +179,41 @@ class SimEventFamily:
 
 
 class _SimSlot:
-    __slots__ = ("value", "count", "triggers", "increment", "stddev", "rng")
+    # noise is drawn from lazily: `drawn` executions so far gave `overcount`
+    __slots__ = ("row", "start", "noise", "drawn", "overcount")
 
     def __init__(self) -> None:
-        self.value: PerfEvtSelValue | None = None
-        self.count = 0
-        self.triggers: frozenset[str] | None = None  # None = not counting
-        self.increment = 0
-        self.stddev = 0.0
-        self.rng: random.Random | None = None
+        self.row: int | None = None  # None until programmed
+        self.start: list[int] = []  # the class tally when programmed
+        self.noise: tuple | None = None  # (gauss, stddev) of a noisy family
+        self.drawn = 0
+        self.overcount = 0
+
+
+def _overcount(gauss: Callable[[float, float], float], stddev: float, executions: int) -> int:
+    """Truncated-at-zero rounded Gaussian over-count of `executions` draws."""
+    total = 0
+    for _ in range(executions):
+        noise = round(gauss(0.0, stddev))
+        if noise > 0:
+            total += noise
+    return total
 
 
 class SimulatedPmu(CounterBackend):
     """Deterministic in-process PMU model.
 
-    Counting state lives per slot; programming one slot never touches the
-    others.  Noise generators are reseeded at program time from the run
-    seed, the family seed, the slot index, the packed selector, and a
-    per-(slot, selector) reprogramming epoch.  Seeding by position instead
-    of by global call order makes a scan split across backends replay
-    identically however the selector space was partitioned, while repeated
-    measurements of one selector still see fresh draws.
+    record_execution adds to a running tally of executions per class.  Each
+    family is one row of a table (umask gate, increment per trigger class);
+    a slot counts its row's increments over the tally's growth since it was
+    programmed, and measure() applies the table to every selector at once.
+
+    Noise sources are seeded from the run seed, the family seed, the slot
+    index, the packed selector, and a per-(slot, selector) reprogramming
+    epoch.  Seeding by position instead of by global call order makes a scan
+    split across backends replay identically however the selector space was
+    partitioned, while repeated measurements of one selector still see fresh
+    draws.
     """
 
     def __init__(
@@ -247,13 +233,15 @@ class SimulatedPmu(CounterBackend):
         self._supports_tsx = supports_tsx
         self._slots = [_SimSlot() for _ in range(PROGRAMMABLE_SLOTS)]
         self._epochs: dict[tuple[int, int], int] = {}
-        self._tally: list[int] | None = None  # set while measure() tallies class tags
-        # tables for measure(): row k is family k, the last row is no family;
-        # column c is trigger class c, the last column every other class
+        # row k of the tables is family k, the last row no family; column c of
+        # the tally and of _increments is trigger class c, the last column
+        # every other class
         families = list(self._families.values())
         classes = sorted({tag for family in families for tag in family.trigger_classes})
         self._class_index = {tag: i for i, tag in enumerate(classes)}
-        self._family_index = np.full(256, len(families), np.intp)
+        self._tally = [0] * (len(classes) + 1)
+        self._quiet_row = len(families)
+        self._family_index = np.full(256, self._quiet_row, np.intp)
         self._gates = np.zeros((len(families) + 1, 256), bool)
         self._noisy = np.zeros(len(families) + 1, bool)
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
@@ -275,10 +263,6 @@ class SimulatedPmu(CounterBackend):
         return self._label
 
     @property
-    def families(self) -> Mapping[int, SimEventFamily]:
-        return dict(self._families)
-
-    @property
     def simulation(self) -> SimulatedPmu:
         """The PMU model itself.  Delegating proxies forward this attribute,
         which lets measure() compute their deltas instead of programming."""
@@ -288,68 +272,79 @@ class SimulatedPmu(CounterBackend):
         return self._capabilities
 
     def program(self, slot: CounterSlot, value: PerfEvtSelValue) -> None:
-        state = self._slots[slot.index]
-        state.value = value
-        state.count = 0
         selector = value.selector
-        family = self._families.get(selector.event_code)
-        if family is not None and umask_gates(selector.umask, family.relevance_mask):
-            state.triggers = family.trigger_classes
-            state.increment = family.increment
-            state.stddev = family.noise_stddev
-            if family.noise_stddev > 0:
-                key = (slot.index, selector.packed)
-                epoch = self._epochs.get(key, 0)
-                self._epochs[key] = epoch + 1
-                state.rng = random.Random(
-                    derive_seed(self._seed, family.seed, slot.index, selector.packed, epoch)
-                )
-            else:
-                state.rng = None
-        else:
-            state.triggers = None
-            state.rng = None
+        row = int(self._family_index[selector.event_code])
+        if not self._gates[row, selector.umask]:
+            row = self._quiet_row
+        state = self._slots[slot.index]
+        state.row = row
+        state.start = self._tally.copy()
+        state.noise = None
+        state.drawn = state.overcount = 0
+        if self._noisy[row]:
+            family = self._families[selector.event_code]
+            (gauss,) = self._noise_sources(slot.index, family, selector.packed, (1,))
+            state.noise = (gauss, family.noise_stddev)
 
     def read(self, slot: CounterSlot) -> int:
         state = self._slots[slot.index]
-        if state.value is None:
+        if state.row is None:
             raise BackendStateError(f"slot {slot.index} read before being programmed")
-        return state.count
+        executed = np.subtract(self._tally, state.start)
+        count = int(self._increments[state.row] @ executed)
+        if state.noise is not None:
+            executions = int(executed.sum())
+            state.overcount += _overcount(*state.noise, executions - state.drawn)
+            state.drawn = executions
+            count += state.overcount
+        return count
 
     def record_execution(self, class_tag: str) -> None:
-        """Account one executed instruction of the given class to every
-        armed slot, or only tally its class while measure() runs."""
-        tally = self._tally
-        if tally is not None:
-            tally[self._class_index.get(class_tag, -1)] += 1
-            return
-        for state in self._slots:
-            triggers = state.triggers
-            if triggers is None:
-                continue
-            delta = state.increment if class_tag in triggers else 0
-            rng = state.rng
-            if rng is not None:
-                noise = round(rng.gauss(0.0, state.stddev))
-                if noise > 0:
-                    delta += noise
-            if delta:
-                state.count += delta
+        """Account one executed instruction of the given class."""
+        self._tally[self._class_index.get(class_tag, -1)] += 1
 
-    def _add_noise(self, row: np.ndarray, slot: int, packed: int, executions: np.ndarray) -> None:
-        """Add the over-count that programming packed on slot once per
-        repetition draws, and advance the (slot, selector) epoch alike."""
-        family = self._families[packed & 0xFF]
+    def measure(self, codes: Sequence[int], run: Callable[[int], object], repetitions: int):
+        """The simulated path of backend.measure, which documents it."""
+        if not len(codes):
+            return
+        tally = self._tally
+        snapshots = tally.copy()  # flat: the tally before, then after each repetition
+        outcome = None
+        for rep in range(repetitions):
+            outcome = run(rep)
+            snapshots += tally
+        classes = np.diff(np.array(snapshots, np.int64).reshape(repetitions + 1, -1), axis=0)
+        executions = classes.sum(axis=1).tolist()
+        counts = self._increments @ classes.T  # per family row and repetition
+        if isinstance(codes, range):  # np.asarray would convert a range element by element
+            codes = np.arange(codes.start, codes.stop, codes.step)
+        codes = np.asarray(codes, np.int64)
+        for base in range(0, len(codes), VECTOR_BATCH):
+            batch = codes[base : base + VECTOR_BATCH]
+            rows = self._family_index[batch & 0xFF]
+            armed = self._gates[rows, batch >> 8]
+            deltas = np.where(armed[:, None], counts[rows], 0)
+            for j in np.flatnonzero(armed & self._noisy[rows]).tolist():
+                slot, packed = (base + j) % PROGRAMMABLE_SLOTS, int(batch[j])
+                family = self._families[packed & 0xFF]
+                sources = self._noise_sources(slot, family, packed, executions)
+                stddev = family.noise_stddev
+                deltas[j] += [_overcount(gauss, stddev, n) if n else 0
+                              for gauss, n in zip(sources, executions)]
+            yield base, deltas, outcome
+
+    def _noise_sources(self, slot: int, family: SimEventFamily, packed: int, due: Sequence[int]):
+        """Claim the next len(due) noise epochs of packed on slot and return
+        each epoch's seeded gauss, or None where due is 0: an epoch without
+        executions seeds no generator."""
         key = (slot, packed)
-        epoch = self._epochs.get(key, 0)
-        self._epochs[key] = epoch + len(executions)
-        stddev = family.noise_stddev
-        for rep, n in enumerate(executions.tolist()):
-            if n:
-                gauss = random.Random(
-                    derive_seed(self._seed, family.seed, slot, packed, epoch + rep)
-                ).gauss
-                row[rep] += sum(max(0, round(gauss(0.0, stddev))) for _ in range(n))
+        first = self._epochs.get(key, 0)
+        self._epochs[key] = first + len(due)
+        return [
+            random.Random(derive_seed(self._seed, family.seed, slot, packed, epoch)).gauss
+            if n else None
+            for epoch, n in enumerate(due, first)
+        ]
 
 
 @dataclass(frozen=True)

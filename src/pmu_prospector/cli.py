@@ -119,13 +119,14 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     for issue in issues:
         log.warning("%s:%d: %s", corpus_path, issue.line, issue.message)
     catalog = load_catalog_file(catalog_path)
+    native = None
     if backend_kind == "native":
-        backend, probe_report = probe_native_backend(cpu=args.cpu)
-        if backend is None:
+        native, probe_report = probe_native_backend(cpu=args.cpu)
+        if native is None:
             print(probe_report, file=sys.stderr)
             return 1
         print(probe_report)
-        executor = NativeExecutor(backend)
+        executor = NativeExecutor(native)
     elif backend_kind == "sim":
         model = _load_model(args, config)
         entry_map = {e.id: e for e in entries}
@@ -149,6 +150,8 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     finally:
         if records_fh is not None:
             records_fh.close()
+        if native is not None:
+            native.close()
     report.catalog_source = catalog.source
     collector.persist_report(report, args.out)
     print(

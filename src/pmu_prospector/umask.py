@@ -2,9 +2,8 @@
 
 Hidden events of one event code usually react to many umasks at once; the
 pattern (e.g. every odd umask) reveals which umask bits the hardware
-actually decodes.  The analysis brute-forces all 256 candidate bit masks
-against the observed counted/quiet pattern and keeps the maximal consistent
-one.
+actually decodes.  The analysis finds the maximal bit mask consistent with
+the observed counted/quiet pattern in closed form.
 """
 
 from __future__ import annotations
@@ -45,10 +44,12 @@ def infer_relevance_mask(observations: Iterable[RelevanceObservation]) -> Releva
     """Infer the relevance mask explaining a counted/quiet umask pattern.
 
     Candidate masks m are scored against the gate "counts iff
-    umask AND m != 0" (m = 0 counts always).  Among fully consistent
-    candidates the one with the most set bits wins, ties broken by numeric
-    value ascending.  Duplicate observations of one umask are merged by OR:
-    a point that ever counted is treated as counting.
+    umask AND m != 0" (m = 0 counts always); the consistent one with the
+    most set bits wins.  Duplicate observations of one umask are merged by
+    OR: a point that ever counted is treated as counting.  Each quiet umask
+    rules out m = 0 and its own bits, so the widest candidate is
+    ~OR(quiet umasks); a narrower one could only lose counted points.  With
+    no quiet umask, a counted umask 0 needs m = 0, and otherwise 0xFF wins.
     """
     observed: dict[int, bool] = {}
     event_code: int | None = None
@@ -63,18 +64,15 @@ def infer_relevance_mask(observations: Iterable[RelevanceObservation]) -> Releva
     if event_code is None:
         raise ValueError("at least one observation is required")
     points = list(observed.items())
-    best_mask = -1
-    best_bits = -1
-    for mask in range(256):
-        for umask, counted in points:
-            if umask_gates(umask, mask) != counted:
-                break
-        else:
-            bits = mask.bit_count()
-            if bits > best_bits:
-                best_mask, best_bits = mask, bits
-    if best_mask >= 0:
-        return RelevanceMask(event_code, best_mask, consistent=True)
+    if all(counted for _, counted in points):
+        return RelevanceMask(event_code, 0 if 0 in observed else 0xFF, consistent=True)
+    quiet = 0
+    for umask, counted in points:
+        if not counted:
+            quiet |= umask
+    mask = ~quiet & 0xFF
+    if mask and all(umask & mask for umask, counted in points if counted):
+        return RelevanceMask(event_code, mask, consistent=True)
     # nothing explains everything; fall back to the single bit that agrees most
     best_mask = _SINGLE_BITS[0]
     best_score = -1

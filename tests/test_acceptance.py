@@ -7,6 +7,7 @@ and budgets are pinned here and nowhere else.
 """
 
 import contextlib
+import hashlib
 import json
 import random
 import time
@@ -356,6 +357,21 @@ def test_criterion_08_throughput_ratios_and_metric_formulas():
             assert channel_metrics(result, truth) == expected
 
 
+# SHA-256 of criterion 09's outputs.  detector.json, screen.csv and
+# metrics-plot.csv are left out: their bytes come from numpy float training,
+# which may round differently across numpy builds.
+PINNED_OUTPUT_DIGESTS = {
+    "report.json": "141c1bcb9890f4385c285ff4f66ed5f382a4ea462d1e082416c72cc1ecbe44af",
+    "records.ndjson": "3634a2648f3ae3b7f4232ca7d32141654235633b9e78f9fe542b299c02d324c0",
+    "analysis/umask_distribution.csv": "167450223021316ac2428408fa07c957fec5ddf38126950405155e7b6b0e9688",
+    "analysis/relevance_masks.csv": "4c6d2c743042663e09d1c4f6d45dca387cbb2544b379a6815841cfa007ea06bf",
+    "dataset.csv": "7799551f1a32ad3a3e8c8e2ce668b1ae3da9e2914cfe7c6ac3cf07030630aee8",
+    "recovery.json": "dcfba18c69a75d14077588c418cbb4833d7b05db874b759f5e3ed771160a4202",
+    "channel.csv": "9b6d498f18f7300d2b63a00893b7dd619bc5ab1420ef84357702365d54050329",
+    "channel-plot.csv": "266aa3c40d84797585027da5648ba7a46b80f131465224b52b29cf2fd10bd1cb",
+}
+
+
 def test_criterion_09_cli_runs_are_byte_identical(
     tmp_path, capsys, corpus_path, catalog_path, model_path, secret_path
 ):
@@ -432,6 +448,11 @@ def test_criterion_09_cli_runs_are_byte_identical(
         assert stdouts["stdout"][0] == stdouts["stdout"][1]
         for name, (first, second) in outputs.items():
             assert first == second, f"{name} differs between identical runs"
+        # and equal to the pinned bytes; the report names the catalog by its
+        # path, so that is masked as well
+        for name, digest in PINNED_OUTPUT_DIGESTS.items():
+            data = outputs[name][0].replace(catalog_path.encode(), b"<catalog>")
+            assert hashlib.sha256(data).hexdigest() == digest, f"{name} changed"
         # sanity: the pipeline produced real content, not empty files
         recovery = json.loads(outputs["recovery.json"][0])
         assert recovery["error_rate"] == 0.0

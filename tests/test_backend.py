@@ -132,16 +132,21 @@ class TestSimulatedPmu:
             0x20, 0x00, frozenset({"alu"}), increment=2, noise_stddev=3.0, seed=5
         )
         backend = make_backend(family)
-        backend.program(SLOTS[0], scan_control(EventSelector(0x20, 0x00)))
+        twin = make_backend(family)  # read only at the end
+        for pmu in (backend, twin):
+            pmu.program(SLOTS[0], scan_control(EventSelector(0x20, 0x00)))
         previous = 0
         for _ in range(200):
             backend.record_execution("alu")
+            twin.record_execution("alu")
             current = backend.read(SLOTS[0])
             # never decrements, and each execution adds at least the increment
             assert current >= previous + 2
             previous = current
         # with stddev 3 some over-count must have appeared in 200 draws
         assert previous > 400
+        # draws taken at read time do not depend on when the reads happen
+        assert twin.read(SLOTS[0]) == previous
 
     def test_noise_applies_even_without_trigger(self):
         # an armed noisy counter over-counts on unrelated executions too
@@ -317,6 +322,16 @@ class TestMeasure:
         for target in (backend, _HiddenModel(backend)):
             deltas = measure_one(target, 0x016C, run, 2)
             assert deltas == [1, 1] and all(type(d) is int for d in deltas)
+
+    def test_slot_programmed_before_measure_counts_its_executions(self):
+        backend = make_backend()
+        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+
+        def run(rep):
+            backend.record_execution("memory-load")
+
+        assert measure_one(backend, 0x016C, run, 3) == [1, 1, 1]
+        assert backend.read(SLOTS[0]) == 3
 
     def test_any_thread_reaches_the_programmed_values(self):
         programmed = []

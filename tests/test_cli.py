@@ -9,10 +9,11 @@ import json
 
 import pytest
 
+from pmu_prospector import cli
 from pmu_prospector.cli import CONFIG_ENV_VAR, dispatch, parse_config_text
 from pmu_prospector.collector import load_report
 from pmu_prospector.detection import load_dataset_csv, load_model_json
-from pmu_prospector.errors import ConfigError
+from pmu_prospector.errors import BackendError, ConfigError
 from pmu_prospector.events import EventSelector, parse_selector
 
 
@@ -95,6 +96,33 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "native backend unavailable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan_fails", [False, True])
+    def test_native_backend_closed_after_scan(
+        self, tmp_path, capsys, monkeypatch, catalog_path, scan_fails
+    ):
+        class FakeMsrBackend:
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        backend = FakeMsrBackend()
+        monkeypatch.setattr(cli, "probe_native_backend", lambda cpu: (backend, "ready"))
+        monkeypatch.setattr(cli, "NativeExecutor", lambda native: object())
+        if scan_fails:
+            def failing_scan(*args, **kwargs):
+                raise BackendError("MSR write failed")
+
+            monkeypatch.setattr(cli.collector, "full_scan", failing_scan)
+        corpus = tmp_path / "empty.tsv"
+        corpus.write_text("")
+        code = dispatch([
+            "scan", "--backend", "native", "--corpus", str(corpus),
+            "--catalog", catalog_path, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == (1 if scan_fails else 0)
+        assert backend.closed == 1
 
 
 @pytest.fixture()

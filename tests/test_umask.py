@@ -6,7 +6,7 @@ points and must recover the mask that generated them.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmu_prospector.collector import ScanReport
@@ -32,11 +32,64 @@ def full_pattern(event_code: int, mask: int) -> list[RelevanceObservation]:
     ]
 
 
+def brute_force_mask(observations: list[RelevanceObservation]) -> RelevanceMask:
+    """Reference search: score all 256 candidate masks against the merged
+    points, keep the consistent one with the most bits, else fall back to
+    the single bit that agrees with the most points."""
+    observed: dict[int, bool] = {}
+    for obs in observations:
+        observed[obs.umask] = observed.get(obs.umask, False) or obs.counted
+    points = list(observed.items())
+    code = observations[0].event_code
+    consistent = [
+        mask for mask in range(256)
+        if all(umask_gates(umask, mask) == counted for umask, counted in points)
+    ]
+    if consistent:
+        return RelevanceMask(code, max(consistent, key=int.bit_count), consistent=True)
+    scores = [
+        sum(umask_gates(umask, 1 << bit) == counted for umask, counted in points)
+        for bit in range(8)
+    ]
+    return RelevanceMask(code, 1 << scores.index(max(scores)), consistent=False)
+
+
+@st.composite
+def gate_points_with_flips(draw):
+    """Points generated by a random gate, a few of them flipped."""
+    mask = draw(st.integers(0, 255))
+    umasks = draw(st.lists(st.integers(0, 255), min_size=1, max_size=40))
+    flips = draw(st.sets(st.integers(0, len(umasks) - 1), max_size=3))
+    return [(u, umask_gates(u, mask) != (i in flips)) for i, u in enumerate(umasks)]
+
+
+observation_points = st.one_of(
+    # few distinct umasks, so duplicates with both verdicts are common
+    st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 0x0C, 0x80, 0xFF]), st.booleans()),
+             min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 255), st.just(True)), min_size=1, max_size=20),
+    st.lists(st.tuples(st.integers(0, 255), st.just(False)), min_size=1, max_size=20),
+    gate_points_with_flips(),
+)
+
+
 class TestInference:
+    @settings(max_examples=500, deadline=None)
+    @given(observation_points)
+    @example([(0, True)])
+    @example([(0, True), (0x10, True)])
+    @example([(0x03, True), (0x40, True)])
+    @example([(0, False), (0xFF, False)])
+    @example([(0x05, False), (0x05, True), (0x0A, False)])
+    def test_closed_form_equals_brute_force(self, points):
+        observations = [RelevanceObservation(0x21, umask, counted) for umask, counted in points]
+        assert infer_relevance_mask(observations) == brute_force_mask(observations)
+
     def test_every_mask_recovered_from_its_full_pattern(self):
         for mask in range(256):
             result = infer_relevance_mask(full_pattern(0x42, mask))
             assert result == RelevanceMask(0x42, mask, consistent=True)
+            assert brute_force_mask(full_pattern(0x42, mask)) == result
 
     def test_odd_umask_pattern_means_bit_zero(self):
         result = infer_relevance_mask(
