@@ -152,7 +152,7 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             records_fh.close()
         if native is not None:
             native.close()
-    report.catalog_source = catalog.source
+    report.catalog_source = os.path.basename(catalog.source)
     collector.persist_report(report, args.out)
     print(
         f"scanned {report.total_instructions} instructions "

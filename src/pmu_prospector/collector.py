@@ -44,6 +44,8 @@ from .events import (
 
 log = logging.getLogger(__name__)
 
+RECORD_BLOCK = 4096  # NDJSON lines per record_sink call; bounds the text held at once
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -131,26 +133,64 @@ def scan_instruction(
     return records
 
 
+def selector_texts() -> list[str]:
+    """format_selector text of every selector, indexed by packed selector."""
+    digits = [f"{i:02X}" for i in range(256)]
+    return ["0x" + umask + code for umask in digits for code in digits]
+
+
+def render_records(
+    instruction_id: int,
+    texts: Sequence[str],
+    deltas: Sequence[int],
+    outcomes: Sequence[str],
+    start: int,
+    stop: int,
+) -> str:
+    """NDJSON lines for the selectors at indexes start..stop-1 of the
+    aligned texts, deltas and outcome values.
+
+    Each line is byte-identical to json.dumps({"selector": text,
+    "instruction": instruction_id, "delta": delta, "outcome": outcome},
+    sort_keys=True) followed by a newline, for integer ids and deltas and
+    the ExecStatus values, none of which need JSON escaping.
+    """
+    return "".join([
+        f'{{"delta": {delta}, "instruction": {instruction_id}, '
+        f'"outcome": "{outcome}", "selector": "{text}"}}\n'
+        for text, delta, outcome in zip(
+            texts[start:stop], deltas[start:stop], outcomes[start:stop]
+        )
+    ])
+
+
 def full_scan(
     entries: Iterable[InstructionEntry],
     catalog: EventCatalog,
     executor,
     config: ScanConfig = ScanConfig(),
     pool: RegisterPool = DEFAULT_POOL,
-    record_sink: Callable[[ScanRecord], None] | None = None,
+    record_sink: Callable[[str], object] | None = None,
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
     Selectors are measured in packed order.  A batch lost to a backend
-    failure is logged and skipped, and the scan goes on; its records carry
-    the backend-error outcome.  Instructions whose templates cannot be
-    instantiated are skipped (and logged); they still count toward
-    total_instructions.
+    failure is logged and skipped, and the scan goes on.  An instruction
+    counts as executed when at least one batch was measured and every
+    measured batch ran with the success outcome.  Instructions whose
+    templates cannot be instantiated are skipped (and logged); they still
+    count toward total_instructions.
+
+    record_sink, when given, receives the NDJSON records of each scanned
+    instruction as rendered text, RECORD_BLOCK lines per call, in packed
+    order: one line per selector (see render_records), whose outcome is
+    that of the selector's own batch, or backend-error for a lost batch.
+    A skipped instruction writes nothing.
     """
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
     documented[[s.packed for s in catalog.entries]] = True
-    selectors = [unpack_selector(p) for p in codes] if record_sink is not None else None
+    texts = selector_texts() if record_sink is not None else None
     hidden: dict[int, set[int]] = {}
     total = 0
     executed_success = 0
@@ -163,29 +203,30 @@ def full_scan(
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue
         medians = np.zeros(EVENT_SPACE_SIZE, np.int64)
-        lost: list[int] = []
-        status: ExecStatus | None = None
+        measured: list[tuple[int, int, ExecStatus]] = []  # start, stop, outcome per batch
         for base, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
             if isinstance(outcome, BackendError):
                 log.warning(
                     "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
                     base, base + PROGRAMMABLE_SLOTS - 1, entry.id, outcome,
                 )
-                lost.append(base)
                 continue
-            status = outcome
-            medians[base : base + len(deltas)] = _lower_medians(deltas)
-        if status is ExecStatus.SUCCESS:
+            stop = base + len(deltas)
+            medians[base:stop] = _lower_medians(deltas)
+            measured.append((base, stop, outcome))
+        if measured and all(outcome is ExecStatus.SUCCESS for _, _, outcome in measured):
             executed_success += 1
         for packed in np.flatnonzero((medians >= threshold) & ~documented).tolist():
             hidden.setdefault(packed, set()).add(entry.id)
         if record_sink is not None:
-            outcomes = [status or ExecStatus.SUCCESS] * EVENT_SPACE_SIZE
-            lost_batch = [ExecStatus.BACKEND_ERROR] * PROGRAMMABLE_SLOTS
-            for base in lost:  # the space is a whole number of batches
-                outcomes[base : base + PROGRAMMABLE_SLOTS] = lost_batch
-            for selector, median, outcome in zip(selectors, medians.tolist(), outcomes):
-                record_sink(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
+            outcomes = [ExecStatus.BACKEND_ERROR.value] * EVENT_SPACE_SIZE  # lost batches keep it
+            for start, stop, outcome in measured:
+                outcomes[start:stop] = [outcome.value] * (stop - start)
+            values = medians.tolist()
+            for start in range(0, EVENT_SPACE_SIZE, RECORD_BLOCK):
+                record_sink(render_records(
+                    entry.id, texts, values, outcomes, start, start + RECORD_BLOCK
+                ))
     return ScanReport(
         microarchitecture_label=_backend_label(executor),
         total_instructions=total,
@@ -205,24 +246,10 @@ def _backend_label(executor) -> str:
 _REPORT_FORMAT = "pmu-prospector-scan-v1"
 
 
-def ndjson_record_sink(fh) -> Callable[[ScanRecord], None]:
-    """Record sink streaming one JSON object per measured selector."""
-
-    def sink(record: ScanRecord) -> None:
-        fh.write(
-            json.dumps(
-                {
-                    "selector": format_selector(record.selector),
-                    "instruction": record.instruction_id,
-                    "delta": record.delta,
-                    "outcome": record.outcome.value,
-                },
-                sort_keys=True,
-            )
-        )
-        fh.write("\n")
-
-    return sink
+def ndjson_record_sink(fh) -> Callable[[str], object]:
+    """Record sink for full_scan: writes each rendered block of NDJSON
+    records to the text file fh as it arrives."""
+    return fh.write
 
 
 def persist_report(report: ScanReport, path: str) -> None:

@@ -146,7 +146,7 @@ class TestScanCommand:
         report = load_report(str(out))
         assert report.hidden_count() == 702
         assert report.microarchitecture_label == "sim-skylake-desk"
-        assert report.catalog_source.endswith("catalog.csv")
+        assert report.catalog_source == "catalog.csv"  # the file name, not the path
 
     def test_seeded_runs_are_byte_identical(self, tmp_path, scan_args):
         first, second = tmp_path / "a.json", tmp_path / "b.json"

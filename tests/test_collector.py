@@ -11,11 +11,15 @@ import hashlib
 import io
 import json
 import logging
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmu_prospector.backend import SLOTS, BackendError, SimEventFamily, SimulatedPmu
 from pmu_prospector.collector import (
+    RECORD_BLOCK,
     ScanConfig,
     ScanRecord,
     ScanReport,
@@ -24,7 +28,9 @@ from pmu_prospector.collector import (
     load_report,
     ndjson_record_sink,
     persist_report,
+    render_records,
     scan_instruction,
+    selector_texts,
 )
 from pmu_prospector.corpus import (
     INTEL_ORDER,
@@ -39,6 +45,8 @@ from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
     EventSelector,
+    format_selector,
+    unpack_selector,
 )
 
 HIDDEN_6C = frozenset(EventSelector(0x6C, u) for u in range(256) if u & 0x01)
@@ -85,6 +93,25 @@ class _FailingBackend:
 
     def capabilities(self):
         return self._inner.capabilities()
+
+
+class _FaultingBatchExecutor:
+    """Delegates to a simulated executor, except that the workload run with
+    the given 1-based call number faults."""
+
+    def __init__(self, inner, fault_call):
+        self._inner = inner
+        self._fault_call = fault_call
+        self._calls = 0
+        self.backend = inner.backend
+        self.dialect = inner.dialect
+
+    def execute(self, snippet, mode=SIGNAL_HANDLER):
+        outcome = self._inner.execute(snippet, mode)
+        self._calls += 1
+        if self._calls == self._fault_call:
+            return ExecOutcome(ExecStatus.FAULT, "sigsegv")
+        return outcome
 
 
 def failing_executor(fail_packed):
@@ -353,6 +380,81 @@ class TestRecordSink:
         assert json.loads(lines[0x036C]) == {
             "delta": 1, "instruction": 1, "outcome": "success", "selector": "0x036C"
         }
+
+    def test_each_record_carries_its_own_batch_outcome(self):
+        # the scalar path runs the workload once per batch of four at one
+        # repetition, so run 0x016C // 4 + 1 measures selectors 0x016C..0x016F
+        inner = failing_executor(fail_packed=-1)  # a scalar-path backend that never fails
+        executor = _FaultingBatchExecutor(inner, fault_call=0x016C // 4 + 1)
+        sink_file = io.StringIO()
+        report = full_scan(
+            LOAD_ONLY, EventCatalog(), executor, ScanConfig(repetitions=1),
+            record_sink=ndjson_record_sink(sink_file),
+        )
+        lines = sink_file.getvalue().splitlines()
+        outcomes = Counter(json.loads(line)["outcome"] for line in lines)
+        assert outcomes == {"fault": 4, "success": EVENT_SPACE_SIZE - 4}
+        assert [json.loads(lines[p])["outcome"] for p in range(0x016B, 0x0171)] == [
+            "success", "fault", "fault", "fault", "fault", "success"
+        ]
+        # one faulting batch keeps the instruction from counting as executed
+        assert report.executed_success == 0
+        assert report.total_instructions == 1
+
+    def test_blocks_per_instruction_in_packed_order(self, make_executor, corpus_entries, catalog):
+        blocks: list[str] = []
+        full_scan(
+            corpus_entries, catalog, make_executor(seed=3), ScanConfig(repetitions=1),
+            record_sink=blocks.append,
+        )
+        calls: Counter[int] = Counter()
+        for block in blocks:
+            entry_id = json.loads(block[: block.index("\n")])["instruction"]
+            # every line of a block belongs to one instruction
+            assert block.count(f'"instruction": {entry_id}, ') == block.count("\n")
+            calls[entry_id] += 1
+        scanned = [e.id for e in corpus_entries if e.id != 9]  # 9 needs avx512
+        assert sorted(calls) == scanned
+        assert max(calls.values()) <= 16
+        stream = "".join(blocks)
+        assert stream.count("\n") == len(scanned) * EVENT_SPACE_SIZE
+        selectors = re.findall(r'"selector": "(0x[0-9A-F]{4})"', stream)
+        assert selectors == selector_texts() * len(scanned)
+
+
+class TestRenderRecords:
+    def test_selector_texts_follow_packed_order(self):
+        assert selector_texts() == [
+            format_selector(unpack_selector(p)) for p in range(EVENT_SPACE_SIZE)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instruction_id=st.integers(min_value=-(2**70), max_value=2**70),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - 1),
+                st.integers(min_value=0, max_value=2**63 - 1),
+                st.sampled_from(ExecStatus),
+            ),
+            max_size=40,
+        ),
+        start=st.integers(min_value=0, max_value=40),
+        length=st.integers(min_value=0, max_value=RECORD_BLOCK),
+    )
+    def test_lines_equal_json_dumps(self, instruction_id, rows, start, length):
+        texts = [format_selector(unpack_selector(packed)) for packed, _, _ in rows]
+        deltas = [delta for _, delta, _ in rows]
+        outcomes = [status.value for _, _, status in rows]
+        text = render_records(instruction_id, texts, deltas, outcomes, start, start + length)
+        expected = [
+            json.dumps(
+                {"selector": t, "instruction": instruction_id, "delta": d, "outcome": o},
+                sort_keys=True,
+            ) + "\n"
+            for t, d, o in list(zip(texts, deltas, outcomes))[start : start + length]
+        ]
+        assert text.splitlines(keepends=True) == expected
 
 
 def sample_report() -> ScanReport:
