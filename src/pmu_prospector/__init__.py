@@ -76,7 +76,6 @@ from .sidechannel import (
     channel_metrics,
     recover_byte,
     recover_secret,
-    run_trial,
     screen_channel_events,
 )
 from .umask import (

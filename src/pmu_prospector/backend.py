@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import struct
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -25,12 +24,13 @@ from .errors import (
     SlotRangeError,
 )
 from .events import PerfEvtSelValue, render_msr_value, scan_control, unpack_selector
-from .seeding import derive_seed
+from .seeding import derive_seed, point_fractions, point_hashes
 
 PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
 VECTOR_BATCH = 4096  # selectors per batch on the simulated path; bounds peak memory
+NOISE_BATCH = 1 << 14  # noisy executions drawn at once; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,10 @@ def measure(
       once per repetition, and the PMU's running class tally taken around it
       gives that repetition's class counts.  Every selector's deltas are then
       computed in numpy from its family's umask gate and increment, in
-      batches of VECTOR_BATCH selectors.  Noise is drawn exactly as
-      programming the selector on slot (index mod 4) would draw it.  Slots
-      programmed before the call count its executions too.
+      batches of VECTOR_BATCH selectors, and so is the noise: each
+      repetition is the next noise epoch of the selector, the one that
+      programming it would claim (see SimulatedPmu).  Slots programmed
+      before the call count its executions too.
     - Any other backend gets the scalar loop: codes are rendered with
       scan_control four at a time, one per slot; each repetition programs
       every slot of the batch (which resets its count), runs the workload
@@ -107,10 +108,17 @@ def measure(
       to a BackendError yields the exception as its outcome and an empty
       deltas array; the next batch is still measured.
     """
-    pmu = getattr(backend, "simulation", None)
-    if isinstance(pmu, SimulatedPmu):
+    pmu = simulation_of(backend)
+    if pmu is not None:
         return pmu.measure(codes, run, repetitions)
     return _measure_scalar(backend, codes, run, repetitions, any_thread)
+
+
+def simulation_of(backend: CounterBackend) -> SimulatedPmu | None:
+    """The SimulatedPmu a backend exposes as `simulation`, directly or
+    through a delegating proxy; None for any other backend."""
+    pmu = getattr(backend, "simulation", None)
+    return pmu if isinstance(pmu, SimulatedPmu) else None
 
 
 def _measure_scalar(backend, codes, run, repetitions, any_thread):
@@ -133,20 +141,6 @@ def _measure_scalar(backend, codes, run, repetitions, any_thread):
             yield base, np.empty((0, repetitions), np.int64), exc
         else:
             yield base, np.array(reads, np.int64).reshape(repetitions, len(programs)).T, outcome
-
-
-def measure_one(
-    backend: CounterBackend,
-    code: int,
-    run: Callable[[int], object],
-    repetitions: int,
-) -> list[int]:
-    """Per-repetition deltas of a single packed selector; a BackendError
-    propagates."""
-    ((_, deltas, outcome),) = measure(backend, (code,), run, repetitions)
-    if isinstance(outcome, BackendError):
-        raise outcome
-    return deltas[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -179,25 +173,13 @@ class SimEventFamily:
 
 
 class _SimSlot:
-    # noise is drawn from lazily: `drawn` executions so far gave `overcount`
-    __slots__ = ("row", "start", "noise", "drawn", "overcount")
+    # executions [0, drawn) of the slot's noise epoch over-counted by overcount
+    __slots__ = ("row", "start", "packed", "epoch", "drawn", "overcount")
 
     def __init__(self) -> None:
         self.row: int | None = None  # None until programmed
         self.start: list[int] = []  # the class tally when programmed
-        self.noise: tuple | None = None  # (gauss, stddev) of a noisy family
-        self.drawn = 0
-        self.overcount = 0
-
-
-def _overcount(gauss: Callable[[float, float], float], stddev: float, executions: int) -> int:
-    """Truncated-at-zero rounded Gaussian over-count of `executions` draws."""
-    total = 0
-    for _ in range(executions):
-        noise = round(gauss(0.0, stddev))
-        if noise > 0:
-            total += noise
-    return total
+        self.packed = self.epoch = self.drawn = self.overcount = 0
 
 
 class SimulatedPmu(CounterBackend):
@@ -206,14 +188,18 @@ class SimulatedPmu(CounterBackend):
     record_execution adds to a running tally of executions per class.  Each
     family is one row of a table (umask gate, increment per trigger class);
     a slot counts its row's increments over the tally's growth since it was
-    programmed, and measure() applies the table to every selector at once.
+    programmed, and measure() and measure_counts() apply the table to every
+    selector at once.
 
-    Noise sources are seeded from the run seed, the family seed, the slot
-    index, the packed selector, and a per-(slot, selector) reprogramming
-    epoch.  Seeding by position instead of by global call order makes a scan
-    split across backends replay identically however the selector space was
-    partitioned, while repeated measurements of one selector still see fresh
-    draws.
+    A noisy family over-counts every execution a selector of it counts
+    through.  Execution k of noise epoch e of packed selector p over-counts
+    max(0, rint(stddev * z)), where z is the Box-Muller normal of the
+    uniforms point_fractions(key, p, e, k) and point_fractions(key, p, e,
+    k, 1), and key = derive_seed(run seed, family seed).  Each
+    programming of p, and each repetition p is measured for, claims the
+    next epoch of p.  So the counts depend on what was measured, not on the
+    slot or on how the selector space was split, and repeated measurements
+    of one selector still see fresh draws.
     """
 
     def __init__(
@@ -223,35 +209,36 @@ class SimulatedPmu(CounterBackend):
         label: str = "sim",
         supports_tsx: bool = True,
     ):
-        self._families: dict[int, SimEventFamily] = {}
+        by_code: dict[int, SimEventFamily] = {}
         for family in families:
-            if family.event_code in self._families:
+            if family.event_code in by_code:
                 raise ValueError(f"duplicate family for event code 0x{family.event_code:02X}")
-            self._families[family.event_code] = family
-        self._seed = seed
+            by_code[family.event_code] = family
         self._label = label
-        self._supports_tsx = supports_tsx
         self._slots = [_SimSlot() for _ in range(PROGRAMMABLE_SLOTS)]
-        self._epochs: dict[tuple[int, int], int] = {}
+        self._epochs: dict[int, int] = {}  # packed selector -> its next noise epoch
         # row k of the tables is family k, the last row no family; column c of
         # the tally and of _increments is trigger class c, the last column
         # every other class
-        families = list(self._families.values())
+        families = list(by_code.values())
         classes = sorted({tag for family in families for tag in family.trigger_classes})
         self._class_index = {tag: i for i, tag in enumerate(classes)}
         self._tally = [0] * (len(classes) + 1)
         self._quiet_row = len(families)
         self._family_index = np.full(256, self._quiet_row, np.intp)
         self._gates = np.zeros((len(families) + 1, 256), bool)
-        self._noisy = np.zeros(len(families) + 1, bool)
+        self._stddevs = np.zeros(len(families) + 1)
+        self._keys = np.zeros(len(families) + 1, np.uint64)
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
         umasks = np.arange(256)
         for k, family in enumerate(families):
             self._family_index[family.event_code] = k
             self._gates[k] = (family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)
-            self._noisy[k] = family.noise_stddev > 0
+            self._stddevs[k] = family.noise_stddev
+            self._keys[k] = derive_seed(seed, family.seed)
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
+        self._noisy = self._stddevs > 0
         self._capabilities = BackendCapabilities(
             programmable_count=PROGRAMMABLE_SLOTS,
             supports_transactional_suppression=supports_tsx,
@@ -268,6 +255,16 @@ class SimulatedPmu(CounterBackend):
         which lets measure() compute their deltas instead of programming."""
         return self
 
+    @property
+    def column_count(self) -> int:
+        """Class columns of a measure_counts matrix."""
+        return len(self._tally)
+
+    def column(self, class_tag: str) -> int:
+        """Column of class_tag in a measure_counts matrix.  Classes no family
+        triggers on share the last column."""
+        return self._class_index.get(class_tag, len(self._tally) - 1)
+
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities
 
@@ -279,22 +276,26 @@ class SimulatedPmu(CounterBackend):
         state = self._slots[slot.index]
         state.row = row
         state.start = self._tally.copy()
-        state.noise = None
+        state.packed = selector.packed
         state.drawn = state.overcount = 0
         if self._noisy[row]:
-            family = self._families[selector.event_code]
-            (gauss,) = self._noise_sources(slot.index, family, selector.packed, (1,))
-            state.noise = (gauss, family.noise_stddev)
+            state.epoch = self._epochs.get(state.packed, 0)
+            self._epochs[state.packed] = state.epoch + 1
 
     def read(self, slot: CounterSlot) -> int:
         state = self._slots[slot.index]
-        if state.row is None:
+        row = state.row
+        if row is None:
             raise BackendStateError(f"slot {slot.index} read before being programmed")
         executed = np.subtract(self._tally, state.start)
-        count = int(self._increments[state.row] @ executed)
-        if state.noise is not None:
+        count = int(self._increments[row] @ executed)
+        if self._noisy[row]:
             executions = int(executed.sum())
-            state.overcount += _overcount(*state.noise, executions - state.drawn)
+            (extra,) = self._overcounts(
+                np.array([row]), np.array([state.packed]), np.array([state.epoch]),
+                np.array([state.drawn]), np.array([executions]),
+            )
+            state.overcount += int(extra)
             state.drawn = executions
             count += state.overcount
         return count
@@ -314,7 +315,34 @@ class SimulatedPmu(CounterBackend):
             outcome = run(rep)
             snapshots += tally
         classes = np.diff(np.array(snapshots, np.int64).reshape(repetitions + 1, -1), axis=0)
-        executions = classes.sum(axis=1).tolist()
+        for base, deltas in self._deltas(codes, classes):
+            yield base, deltas, outcome
+
+    def measure_counts(self, codes: Sequence[int], classes: np.ndarray) -> np.ndarray:
+        """Per-repetition deltas of packed selectors over a workload given as
+        class counts instead of a run callback.
+
+        classes[rep, column(tag)] is how often the workload executes class
+        tag in repetition rep.  Returns the int64 (len(codes), repetitions)
+        deltas that measure() would give for a run recording those classes,
+        and claims the same noise epochs.  The counts join the running
+        tally, so a slot programmed before the call counts them too.
+        """
+        classes = np.asarray(classes, np.int64)
+        if classes.ndim != 2 or classes.shape[1] != len(self._tally):
+            raise ValueError(
+                f"class counts must have shape (repetitions, {len(self._tally)}), "
+                f"got {classes.shape}"
+            )
+        self._tally[:] = (classes.sum(axis=0) + self._tally).tolist()
+        batches = [deltas for _, deltas in self._deltas(codes, classes)]
+        return np.concatenate([np.empty((0, len(classes)), np.int64), *batches])
+
+    def _deltas(self, codes: Sequence[int], classes: np.ndarray):
+        """(offset, deltas) per batch of VECTOR_BATCH codes, for repetitions
+        with the given class counts."""
+        repetitions = len(classes)
+        executions = classes.sum(axis=1)
         counts = self._increments @ classes.T  # per family row and repetition
         if isinstance(codes, range):  # np.asarray would convert a range element by element
             codes = np.arange(codes.start, codes.stop, codes.step)
@@ -324,27 +352,68 @@ class SimulatedPmu(CounterBackend):
             rows = self._family_index[batch & 0xFF]
             armed = self._gates[rows, batch >> 8]
             deltas = np.where(armed[:, None], counts[rows], 0)
-            for j in np.flatnonzero(armed & self._noisy[rows]).tolist():
-                slot, packed = (base + j) % PROGRAMMABLE_SLOTS, int(batch[j])
-                family = self._families[packed & 0xFF]
-                sources = self._noise_sources(slot, family, packed, executions)
-                stddev = family.noise_stddev
-                deltas[j] += [_overcount(gauss, stddev, n) if n else 0
-                              for gauss, n in zip(sources, executions)]
-            yield base, deltas, outcome
+            noisy = np.flatnonzero(armed & self._noisy[rows])
+            if len(noisy):
+                epochs = self._claim_epochs(batch[noisy], base + noisy, repetitions)
+                deltas[noisy] += self._overcounts(
+                    np.repeat(rows[noisy], repetitions),
+                    np.repeat(batch[noisy], repetitions),
+                    epochs.ravel(),
+                    np.zeros(epochs.size, np.int64),
+                    np.tile(executions, len(noisy)),
+                ).reshape(epochs.shape)
+            yield base, deltas
 
-    def _noise_sources(self, slot: int, family: SimEventFamily, packed: int, due: Sequence[int]):
-        """Claim the next len(due) noise epochs of packed on slot and return
-        each epoch's seeded gauss, or None where due is 0: an epoch without
-        executions seeds no generator."""
-        key = (slot, packed)
-        first = self._epochs.get(key, 0)
-        self._epochs[key] = first + len(due)
-        return [
-            random.Random(derive_seed(self._seed, family.seed, slot, packed, epoch)).gauss
-            if n else None
-            for epoch, n in enumerate(due, first)
-        ]
+    def _claim_epochs(self, codes: np.ndarray, positions: np.ndarray, repetitions: int):
+        """Claim the noise epochs of codes (listed at positions of a measured
+        code list) for `repetitions` repetitions each.
+
+        Row i holds the epochs of codes[i], claimed in the order the scalar
+        loop of backend.measure programs them: four positions at a time,
+        repetition by repetition.  That order shows only for a code listed
+        twice among four neighbouring positions; any other code simply gets
+        its next `repetitions` epochs.
+        """
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (packed, position) in enumerate(zip(codes.tolist(), positions.tolist())):
+            groups.setdefault((position // PROGRAMMABLE_SLOTS, packed), []).append(i)
+        first = [0] * len(codes)  # row i's first epoch, then every stride[i]-th
+        stride = [0] * len(codes)
+        for (_, packed), rows in groups.items():
+            claimed = self._epochs.get(packed, 0)
+            self._epochs[packed] = claimed + len(rows) * repetitions
+            for rank, i in enumerate(rows):
+                first[i], stride[i] = claimed + rank, len(rows)
+        return np.array(first)[:, None] + np.array(stride)[:, None] * np.arange(repetitions)
+
+    def _overcounts(self, rows, packed, epochs, starts, stops) -> np.ndarray:
+        """Summed over-count of executions [starts, stops) of each noise
+        epoch, given per epoch with its family row and packed selector.
+
+        The executions of all epochs are laid end to end and drawn
+        NOISE_BATCH at a time, which bounds peak memory.
+        """
+        sizes = stops - starts
+        ends = np.cumsum(sizes)
+        shift = ends - stops  # position in the layout minus execution index
+        total = int(ends[-1]) if len(ends) else 0
+        prefix = point_hashes(self._keys[rows], packed, epochs)
+        stddevs = self._stddevs[rows]
+        sums = np.zeros(len(sizes))
+        for low in range(0, total, NOISE_BATCH):
+            high = min(low + NOISE_BATCH, total)
+            first, last = np.searchsorted(ends, [low, high - 1], side="right").tolist()
+            span = slice(first, last + 1)  # the epochs this batch overlaps
+            taken = np.minimum(ends[span], high) - np.maximum(ends[span] - sizes[span], low)
+            k = np.arange(low, high) - np.repeat(shift[span], taken)
+            h = point_hashes(k, prefix=np.repeat(prefix[span], taken))
+            u1 = np.maximum(point_fractions(prefix=h), 2.0**-64)  # 0 only for hash 0
+            u2 = point_fractions(1, prefix=h)
+            normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+            over = np.maximum(np.rint(np.repeat(stddevs[span], taken) * normal), 0.0)
+            counted = np.flatnonzero(taken)
+            sums[first + counted] += np.add.reduceat(over, (np.cumsum(taken) - taken)[counted])
+        return sums.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CounterBackend, measure_one
+from .backend import CounterBackend, simulation_of
 from .errors import CapabilityError, DegenerateDataError, NotFittedError, ReportParseError
 from .events import EventSelector, format_selector, parse_selector
 from .seeding import derive_seed
@@ -163,13 +163,13 @@ def collect_samples(
 ) -> list[Sample]:
     """Measure n windows of one scenario on one selector.
 
-    Each window is one repetition of measure() around the scenario's
-    jittered activity mix.  With one selector, measure() runs each window
-    once, in order, so drawing the jitter from one stream stays replayable.
-    Scenario synthesis drives the simulated backend's class dispatch, so a
+    Each window is one repetition of the scenario's jittered activity mix,
+    drawn window by window from one stream, so the draws replay.  The
+    windows go to the simulated PMU as one class-count matrix, so a
     simulated backend is required.
     """
-    if not backend.capabilities().is_simulated:
+    pmu = simulation_of(backend)
+    if pmu is None:
         raise CapabilityError("scenario synthesis requires a simulated backend")
     rng = random.Random(
         derive_seed(
@@ -178,15 +178,17 @@ def collect_samples(
     )
     label = 1 if scenario.kind is ScenarioKind.ATTACK else 0
     activity = sorted(scenario.workload_profile.items())
-    record = backend.record_execution  # type: ignore[attr-defined]
-
-    def window(_rep: int) -> None:
-        for tag, act in activity:
-            count = act.base if act.jitter == 0 else act.base + rng.randint(-act.jitter, act.jitter)
-            for _ in range(max(0, count)):
-                record(tag)
-
-    return [(delta, label) for delta in measure_one(backend, selector.packed, window, n)]
+    windows = [
+        [act.base + rng.randint(-act.jitter, act.jitter) if act.jitter else act.base
+         for _, act in activity]
+        for _ in range(n)
+    ]
+    executed = np.maximum(np.array(windows, np.int64).reshape(n, len(activity)), 0)
+    classes = np.zeros((n, pmu.column_count), np.int64)
+    for j, (tag, _) in enumerate(activity):
+        classes[:, pmu.column(tag)] += executed[:, j]
+    (deltas,) = pmu.measure_counts((selector.packed,), classes)
+    return [(delta, label) for delta in deltas.tolist()]
 
 
 @dataclass(frozen=True)

@@ -55,19 +55,28 @@ def point_fraction(*parts: int) -> float:
     return h / float(1 << 64)
 
 
-def point_fractions(*parts: int | np.ndarray) -> np.ndarray:
+def point_fractions(*parts: int | np.ndarray, prefix: int | np.ndarray = 0) -> np.ndarray:
     """point_fraction over broadcast numpy coordinates, bit for bit.
 
     Integer parts are masked to 64 bits like the scalar version; array parts
     are taken as uint64.  Returns a float64 array of the broadcast shape
-    (at least one-dimensional).
+    (at least one-dimensional).  prefix continues a hash from point_hashes.
     """
-    h = np.zeros(1, np.uint64)
+    return point_hashes(*parts, prefix=prefix).astype(np.float64) / float(1 << 64)
+
+
+def point_hashes(*parts: int | np.ndarray, prefix: int | np.ndarray = 0) -> np.ndarray:
+    """The uint64 hash behind point_fractions, continued from prefix.
+
+    point_hashes(*a, *b) == point_hashes(*b, prefix=point_hashes(*a)), so a
+    hash over coordinates shared by many draws is computed once.
+    """
+    h = np.atleast_1d(np.asarray(prefix, np.uint64))
     for part in parts:
         if isinstance(part, int):
             part &= _MASK64
         h = _mix64_array(h ^ np.asarray(part).astype(np.uint64))
-    return h.astype(np.float64) / float(1 << 64)
+    return h
 
 
 def _mix64_array(value: np.ndarray) -> np.ndarray:

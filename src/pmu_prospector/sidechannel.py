@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backend import CounterBackend, SimEventFamily, measure_one
+from .backend import CounterBackend, SimEventFamily, SimulatedPmu, simulation_of
 from .corpus import SIGNAL_HANDLER, TRANSACTIONAL
 from .errors import CapabilityError
 from .events import EventSelector, format_selector, umask_gates
@@ -103,12 +103,15 @@ class SimVictim:
             raise ValueError("false_fire_prob must be in [0, 1)")
 
 
-def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> None:
-    caps = backend.capabilities()
-    if not caps.is_simulated:
+def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> SimulatedPmu:
+    """The simulated PMU behind backend, which the gadget model drives."""
+    pmu = simulation_of(backend)
+    if pmu is None:
         raise CapabilityError("gadget simulation requires a simulated backend")
-    if spec.suppression == TRANSACTIONAL and not caps.supports_transactional_suppression:
+    if (spec.suppression == TRANSACTIONAL
+            and not backend.capabilities().supports_transactional_suppression):
         raise CapabilityError("backend does not support transactional suppression")
+    return pmu
 
 
 def _fire_table(
@@ -117,50 +120,26 @@ def _fire_table(
     position: int,
     guesses: np.ndarray,
     iterations: np.ndarray,
-) -> list[bool]:
+) -> np.ndarray:
     """Per (guess, iteration) trial, paired by index: whether the gadget
     runs the transmit instruction."""
     # spectre_v1 mistraining never reaches the transmit gadget in this model
     if spec.attack_kind == SPECTRE_V1:
-        return [False] * len(guesses)
+        return np.zeros(len(guesses), bool)
     fires = guesses == victim.secret[position]
     prob = victim.false_fire_prob
     if prob > 0.0:
         fires |= point_fractions(victim.noise_seed, position, guesses, iterations) < prob
-    return fires.tolist()
+    return fires
 
 
-def _gadget_rounds(spec: GadgetSpec, backend: CounterBackend, fires: list[bool]) -> list[int]:
+def _gadget_rounds(spec: GadgetSpec, pmu: SimulatedPmu, fires: np.ndarray) -> np.ndarray:
     """Bound-counter delta of one gadget round per entry of fires: zero the
     counter, run the transient compare, transmit on a fire, read."""
-    record = backend.record_execution  # type: ignore[attr-defined]
-    scaffold = spec.scaffold_class
-    transmit = spec.transmit_class
-
-    def run(rep: int) -> None:
-        record(scaffold)
-        if fires[rep]:
-            record(transmit)
-
-    return measure_one(backend, spec.bound_selector.packed, run, len(fires))
-
-
-def run_trial(
-    spec: GadgetSpec,
-    guess: int,
-    position: int,
-    backend: CounterBackend,
-    victim: SimVictim,
-    iteration: int = 0,
-) -> int:
-    """One gadget round for one candidate byte; returns the counter delta."""
-    _check_runnable(spec, backend)
-    if not 0 <= guess <= 0xFF:
-        raise ValueError(f"guess out of byte range: {guess!r}")
-    if not 0 <= position < len(victim.secret):
-        raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
-    fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
-    return _gadget_rounds(spec, backend, fires)[0]
+    classes = np.zeros((len(fires), pmu.column_count), np.int64)
+    classes[:, pmu.column(spec.scaffold_class)] += 1
+    classes[:, pmu.column(spec.transmit_class)] += fires
+    return pmu.measure_counts((spec.bound_selector.packed,), classes)[0]
 
 
 def recover_byte(
@@ -173,7 +152,7 @@ def recover_byte(
     resolve to the lowest byte value, so an all-zero round decodes as 0x00;
     treat zero top scores as no-confidence.
     """
-    _check_runnable(spec, backend)
+    pmu = _check_runnable(spec, backend)
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     iterations = spec.iterations
@@ -184,14 +163,8 @@ def recover_byte(
         np.repeat(np.arange(256), iterations),
         np.tile(np.arange(iterations), 256),
     )
-    deltas = _gadget_rounds(spec, backend, fires)
-    scores = [sum(deltas[c * iterations : (c + 1) * iterations]) for c in range(256)]
-    best = 0
-    best_score = scores[0]
-    for candidate in range(1, 256):
-        if scores[candidate] > best_score:
-            best, best_score = candidate, scores[candidate]
-    return best, scores
+    scores = _gadget_rounds(spec, pmu, fires).reshape(256, iterations).sum(axis=1)
+    return int(np.argmax(scores)), scores.tolist()  # argmax keeps the first maximum
 
 
 @dataclass(frozen=True)

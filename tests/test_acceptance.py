@@ -361,8 +361,8 @@ def test_criterion_08_throughput_ratios_and_metric_formulas():
 # metrics-plot.csv are left out: their bytes come from numpy float training,
 # which may round differently across numpy builds.
 PINNED_OUTPUT_DIGESTS = {
-    "report.json": "da064f2800f5ccfe1d0e3d63c9f3b97d31f8e98757a241a6198f85c009d5e0bc",
-    "records.ndjson": "3634a2648f3ae3b7f4232ca7d32141654235633b9e78f9fe542b299c02d324c0",
+    "report.json": "cb5fa03fc72e9e80d832e929411856a9c8ac21c919e7d3e7ea46f99ce559b2a8",
+    "records.ndjson": "591c64b7939cf6a2773c4096db389a65ff295c0af012cd5dd6102ce704b8328c",
     "analysis/umask_distribution.csv": "167450223021316ac2428408fa07c957fec5ddf38126950405155e7b6b0e9688",
     "analysis/relevance_masks.csv": "4c6d2c743042663e09d1c4f6d45dca387cbb2544b379a6815841cfa007ea06bf",
     "dataset.csv": "7799551f1a32ad3a3e8c8e2ce668b1ae3da9e2914cfe7c6ac3cf07030630aee8",

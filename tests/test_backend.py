@@ -1,10 +1,14 @@
+import itertools
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
+from pmu_prospector import backend as backend_module
 from pmu_prospector.backend import (
     PERFEVTSEL_BASE_MSR,
     PMC_BASE_MSR,
@@ -18,7 +22,6 @@ from pmu_prospector.backend import (
     SimulatedPmu,
     load_sim_model,
     measure,
-    measure_one,
     probe_native_backend,
 )
 from pmu_prospector.errors import (
@@ -28,6 +31,7 @@ from pmu_prospector.errors import (
     SlotRangeError,
 )
 from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control, unpack_selector
+from pmu_prospector.seeding import derive_seed, point_fraction
 
 LOAD_FAMILY = SimEventFamily(
     event_code=0x6C, relevance_mask=0x01, trigger_classes=frozenset({"memory-load"})
@@ -178,7 +182,7 @@ class TestSimulatedPmu:
         assert run(42) != run(43)  # stddev 2 makes collisions over 30 draws implausible
 
     def test_noise_stream_independent_of_programming_order(self):
-        # the draw stream depends on (slot, selector), not on what ran before
+        # the draw stream depends on the selector and its epoch, not on what ran before
         family = SimEventFamily(0x20, 0x00, frozenset({"alu"}), noise_stddev=2.0, seed=3)
 
         def measure(backend, umask):
@@ -313,16 +317,6 @@ class TestMeasure:
         assert first.tolist() == [[code] for code in codes[:4]]
         assert last.tolist() == [[codes[8]]]
 
-    def test_measure_one_returns_python_ints_on_both_paths(self):
-        backend = make_backend()
-
-        def run(rep):
-            backend.record_execution("memory-load")
-
-        for target in (backend, _HiddenModel(backend)):
-            deltas = measure_one(target, 0x016C, run, 2)
-            assert deltas == [1, 1] and all(type(d) is int for d in deltas)
-
     def test_slot_programmed_before_measure_counts_its_executions(self):
         backend = make_backend()
         backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
@@ -330,7 +324,8 @@ class TestMeasure:
         def run(rep):
             backend.record_execution("memory-load")
 
-        assert measure_one(backend, 0x016C, run, 3) == [1, 1, 1]
+        ((_, deltas, _),) = measure(backend, [0x016C], run, 3)
+        assert deltas.tolist() == [[1, 1, 1]]
         assert backend.read(SLOTS[0]) == 3
 
     def test_any_thread_reaches_the_programmed_values(self):
@@ -393,15 +388,14 @@ families_strategy = st.lists(
     max_size=4,
     unique_by=lambda f: f.event_code,
 )
-codes_strategy = st.lists(
-    st.builds(
-        lambda event, umask: (umask << 8) | event,
-        st.sampled_from(EQUIVALENCE_CODES),
-        st.sampled_from(EQUIVALENCE_UMASKS),
-    ),
-    min_size=1,
-    max_size=11,
-).filter(lambda codes: len(codes) % PROGRAMMABLE_SLOTS)
+code_strategy = st.builds(
+    lambda event, umask: (umask << 8) | event,
+    st.sampled_from(EQUIVALENCE_CODES),
+    st.sampled_from(EQUIVALENCE_UMASKS),
+)
+codes_strategy = st.lists(code_strategy, min_size=1, max_size=11).filter(
+    lambda codes: len(codes) % PROGRAMMABLE_SLOTS
+)
 
 
 def measured(backend, codes, plan, repetitions):
@@ -455,6 +449,166 @@ class TestMeasurePathsAgree:
         assert via_proxy == measured(direct, codes, plan, 3)
         with pytest.raises(BackendStateError):
             proxied.read(SLOTS[0])
+
+
+def count_matrix(pmu, plan):
+    """measure_counts matrix of a plan: per repetition, (class, executions)."""
+    classes = np.zeros((len(plan), pmu.column_count), np.int64)
+    for rep, runs in enumerate(plan):
+        for tag, times in runs:
+            classes[rep, pmu.column(tag)] += times
+    return classes
+
+
+class TestMeasureCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        families=families_strategy,
+        codes=st.lists(code_strategy, min_size=1, max_size=11),
+        plan=st.lists(
+            st.lists(st.tuples(st.sampled_from(EQUIVALENCE_TAGS), st.integers(0, 5)), max_size=3),
+            max_size=4,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    def test_count_matrix_equals_recording_run(self, families, codes, plan, seed):
+        by_matrix = SimulatedPmu(families, seed=seed)
+        by_run = SimulatedPmu(families, seed=seed)
+
+        def run(rep):
+            for tag, times in plan[rep]:
+                for _ in range(times):
+                    by_run.record_execution(tag)
+
+        for _ in range(2):  # the second round shows that epochs advanced alike
+            fast = by_matrix.measure_counts(codes, count_matrix(by_matrix, plan))
+            slow = [row for _, batch, _ in measure(by_run, codes, run, len(plan)) for row in batch]
+            assert fast.dtype == np.int64 and fast.shape == (len(codes), len(plan))
+            assert fast.tolist() == [row.tolist() for row in slow]
+        # both joined the running tally and hold the same next epochs
+        for pmu in (by_matrix, by_run):
+            pmu.program(SLOTS[0], scan_control(unpack_selector(codes[0])))
+            pmu.record_execution("alu")
+        assert by_matrix.read(SLOTS[0]) == by_run.read(SLOTS[0])
+
+    def test_slot_programmed_before_counts_the_matrix(self):
+        backend = make_backend()
+        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        classes = count_matrix(backend, [[("memory-load", 2)], [("alu", 1)], [("memory-load", 1)]])
+        assert backend.measure_counts([0x016C, 0x026C], classes).tolist() == [[2, 0, 1], [0, 0, 0]]
+        assert backend.read(SLOTS[0]) == 3
+
+    def test_untriggered_classes_share_the_last_column(self):
+        backend = make_backend()
+        assert backend.column_count == 2
+        assert backend.column("memory-load") == 0
+        assert backend.column("alu") == backend.column("branch") == 1
+
+    def test_matrix_shape_checked(self):
+        backend = make_backend()
+        with pytest.raises(ValueError, match="shape"):
+            backend.measure_counts([0x016C], np.zeros((3, 5), np.int64))
+        with pytest.raises(ValueError, match="shape"):
+            backend.measure_counts([0x016C], np.zeros(2, np.int64))
+
+
+NOISY = SimEventFamily(0x5E, 0x00, frozenset({"alu"}), increment=0, noise_stddev=1.5, seed=13)
+
+
+def one_execution_per_epoch(pmu, codes, epochs):
+    return pmu.measure_counts(codes, count_matrix(pmu, [[("alu", 1)]] * epochs))
+
+
+class TestCounterBasedNoise:
+    def test_overcount_follows_the_documented_formula(self):
+        pmu = SimulatedPmu([NOISY], seed=21)
+        key = derive_seed(21, NOISY.seed)
+        packed = 0x335E
+
+        def expected(epoch, k):
+            u1 = point_fraction(key, packed, epoch, k)
+            u2 = point_fraction(key, packed, epoch, k, 1)
+            normal = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            return max(0, round(NOISY.noise_stddev * normal))
+
+        # repetitions measured are epochs 0..39, execution 0 each
+        (deltas,) = one_execution_per_epoch(pmu, [packed], 40)
+        assert deltas.tolist() == [expected(e, 0) for e in range(40)]
+        # programming claims epoch 40; reads sum its executions in order
+        pmu.program(SLOTS[2], scan_control(unpack_selector(packed)))
+        reads = []
+        for _ in range(40):
+            pmu.record_execution("branch")
+            reads.append(pmu.read(SLOTS[2]))
+        assert reads == list(itertools.accumulate(expected(40, k) for k in range(40)))
+        assert max(deltas) > 0 and max(reads) > 0
+
+    def test_noise_batches_do_not_change_the_counts(self, monkeypatch):
+        sizes = [0, 5, 1, 13, 0, 40, 2, 9]
+
+        def measured():
+            pmu = SimulatedPmu([NOISY], seed=4)
+            plan = [[("alu", n)] for n in sizes]
+            return pmu.measure_counts([0x015E, 0x0A5E, 0x016C], count_matrix(pmu, plan)).tolist()
+
+        whole = measured()
+        for batch in (1, 3, 7, 16):  # batches that split epochs anywhere
+            monkeypatch.setattr(backend_module, "NOISE_BATCH", batch)
+            assert measured() == whole
+        assert whole[2] == [0] * len(sizes) and whole[0] != whole[1]
+
+    @pytest.mark.parametrize("stddev", [0.5, 1.5, 3.0])
+    def test_overcount_is_a_truncated_rounded_gaussian(self, stddev):
+        family = SimEventFamily(0x5E, 0x00, frozenset(), increment=0, noise_stddev=stddev)
+        pmu = SimulatedPmu([family], seed=3)
+        # across epochs (execution 0 of 256 selectors x 64 repetitions) and
+        # across the 2048 executions of one epoch
+        across_epochs = one_execution_per_epoch(pmu, range(0x5E, 1 << 16, 256), 64)
+        pmu.program(SLOTS[0], scan_control(EventSelector(0x5E, 0x02)))
+        reads = [0]
+        for _ in range(2048):
+            pmu.record_execution("alu")
+            reads.append(pmu.read(SLOTS[0]))
+        within = np.diff(reads)
+
+        values = np.arange(int(12 * stddev) + 2)
+        pmf = norm.cdf((values + 0.5) / stddev) - norm.cdf((values - 0.5) / stddev)
+        pmf[0] = norm.cdf(0.5 / stddev)
+        mean = pmf @ values
+        var = pmf @ (values - mean) ** 2
+        fourth = pmf @ (values - mean) ** 4
+        for sample in (across_epochs.ravel(), within):
+            n = len(sample)
+            # each statistic within five standard errors of its expectation
+            assert abs(sample.mean() - mean) < 5 * math.sqrt(var / n)
+            assert abs(sample.var() - var) < 5 * math.sqrt((fourth - var**2) / n)
+            assert abs((sample == 0).mean() - pmf[0]) < 5 * math.sqrt(pmf[0] * (1 - pmf[0]) / n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(1, (1 << 16) - 1), max_size=6),
+        order=st.integers(0, 2**32),
+        repetitions=st.integers(1, 3),
+    )
+    def test_deltas_do_not_depend_on_position_or_cut(self, cuts, order, repetitions):
+        families = [NOISY, SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}),
+                                          noise_stddev=0.7, seed=2)]
+        plan = [[("alu", 3), ("memory-load", rep)] for rep in range(repetitions)]
+
+        def deltas(pieces):
+            """Every selector's deltas, indexed by packed code."""
+            pmu = SimulatedPmu(families, seed=9)
+            out = np.zeros((1 << 16, repetitions), np.int64)
+            for piece in pieces:
+                out[piece] = pmu.measure_counts(piece, count_matrix(pmu, plan))
+            return out
+
+        space = np.arange(1 << 16)
+        whole = deltas([space])
+        shuffled = np.random.default_rng(order).permutation(space)
+        assert np.array_equal(deltas(np.split(shuffled, sorted(set(cuts)))), whole)
+        assert np.array_equal(deltas(np.split(space, sorted(set(cuts)))), whole)
+        assert len(np.unique(whole[0x5E::256], axis=0)) > 1  # the noise is there
 
 
 class TestSimModelLoading:

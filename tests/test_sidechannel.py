@@ -8,6 +8,7 @@ noise floor.  All tests drive the deterministic simulated backend.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pmu_prospector.backend import BackendCapabilities, SimEventFamily, SimulatedPmu
@@ -27,11 +28,13 @@ from pmu_prospector.sidechannel import (
     channel_metrics,
     recover_byte,
     recover_secret,
-    run_trial,
     screen_channel_events,
     transmit_capable_selectors,
     trial_cost_seconds,
     write_result_json,
+    _check_runnable,
+    _fire_table,
+    _gadget_rounds,
 )
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
@@ -44,6 +47,17 @@ def load_backend(seed: int = 0, supports_tsx: bool = True) -> SimulatedPmu:
 
 def spec_with(**overrides) -> GadgetSpec:
     return GadgetSpec(bound_selector=BOUND, **overrides)
+
+
+def run_trial(spec, guess, position, backend, victim, iteration=0) -> int:
+    """One gadget round for one candidate byte; returns the counter delta."""
+    pmu = _check_runnable(spec, backend)
+    if not 0 <= guess <= 0xFF:
+        raise ValueError(f"guess out of byte range: {guess!r}")
+    if not 0 <= position < len(victim.secret):
+        raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
+    fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
+    return int(_gadget_rounds(spec, pmu, fires)[0])
 
 
 class TestTrialCosts:
