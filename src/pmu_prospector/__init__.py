@@ -41,7 +41,6 @@ from .corpus import (
 )
 from .detection import (
     LabeledDataset,
-    LogisticDetector,
     LogisticModel,
     MetricsReport,
     ScenarioSpec,

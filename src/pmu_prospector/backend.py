@@ -54,9 +54,7 @@ SLOTS = tuple(CounterSlot(i) for i in range(PROGRAMMABLE_SLOTS))
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    programmable_count: int
     supports_transactional_suppression: bool
-    is_simulated: bool
 
 
 class CounterBackend(ABC):
@@ -173,13 +171,12 @@ class SimEventFamily:
 
 
 class _SimSlot:
-    # executions [0, drawn) of the slot's noise epoch over-counted by overcount
-    __slots__ = ("row", "start", "packed", "epoch", "drawn", "overcount")
+    __slots__ = ("row", "start", "packed", "epoch")
 
     def __init__(self) -> None:
         self.row: int | None = None  # None until programmed
         self.start: list[int] = []  # the class tally when programmed
-        self.packed = self.epoch = self.drawn = self.overcount = 0
+        self.packed = self.epoch = 0
 
 
 class SimulatedPmu(CounterBackend):
@@ -239,11 +236,7 @@ class SimulatedPmu(CounterBackend):
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
         self._noisy = self._stddevs > 0
-        self._capabilities = BackendCapabilities(
-            programmable_count=PROGRAMMABLE_SLOTS,
-            supports_transactional_suppression=supports_tsx,
-            is_simulated=True,
-        )
+        self._capabilities = BackendCapabilities(supports_transactional_suppression=supports_tsx)
 
     @property
     def label(self) -> str:
@@ -277,7 +270,6 @@ class SimulatedPmu(CounterBackend):
         state.row = row
         state.start = self._tally.copy()
         state.packed = selector.packed
-        state.drawn = state.overcount = 0
         if self._noisy[row]:
             state.epoch = self._epochs.get(state.packed, 0)
             self._epochs[state.packed] = state.epoch + 1
@@ -290,14 +282,11 @@ class SimulatedPmu(CounterBackend):
         executed = np.subtract(self._tally, state.start)
         count = int(self._increments[row] @ executed)
         if self._noisy[row]:
-            executions = int(executed.sum())
-            (extra,) = self._overcounts(
+            (overcount,) = self._overcounts(
                 np.array([row]), np.array([state.packed]), np.array([state.epoch]),
-                np.array([state.drawn]), np.array([executions]),
+                np.array([executed.sum()]),
             )
-            state.overcount += int(extra)
-            state.drawn = executions
-            count += state.overcount
+            count += int(overcount)
         return count
 
     def record_execution(self, class_tag: str) -> None:
@@ -359,7 +348,6 @@ class SimulatedPmu(CounterBackend):
                     np.repeat(rows[noisy], repetitions),
                     np.repeat(batch[noisy], repetitions),
                     epochs.ravel(),
-                    np.zeros(epochs.size, np.int64),
                     np.tile(executions, len(noisy)),
                 ).reshape(epochs.shape)
             yield base, deltas
@@ -386,16 +374,15 @@ class SimulatedPmu(CounterBackend):
                 first[i], stride[i] = claimed + rank, len(rows)
         return np.array(first)[:, None] + np.array(stride)[:, None] * np.arange(repetitions)
 
-    def _overcounts(self, rows, packed, epochs, starts, stops) -> np.ndarray:
-        """Summed over-count of executions [starts, stops) of each noise
-        epoch, given per epoch with its family row and packed selector.
+    def _overcounts(self, rows, packed, epochs, sizes) -> np.ndarray:
+        """Summed over-count of executions [0, sizes) of each noise epoch,
+        given per epoch with its family row and packed selector.
 
         The executions of all epochs are laid end to end and drawn
         NOISE_BATCH at a time, which bounds peak memory.
         """
-        sizes = stops - starts
         ends = np.cumsum(sizes)
-        shift = ends - stops  # position in the layout minus execution index
+        shift = ends - sizes  # where each epoch's execution 0 lies in the layout
         total = int(ends[-1]) if len(ends) else 0
         prefix = point_hashes(self._keys[rows], packed, epochs)
         stddevs = self._stddevs[rows]
@@ -560,11 +547,7 @@ class NativeMsrBackend(CounterBackend):
         return self._read_msr(PMC_BASE_MSR + slot.index)
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            programmable_count=PROGRAMMABLE_SLOTS,
-            supports_transactional_suppression=_host_supports_rtm(),
-            is_simulated=False,
-        )
+        return BackendCapabilities(supports_transactional_suppression=_host_supports_rtm())
 
 
 def probe_native_backend(cpu: int = 0) -> tuple[NativeMsrBackend | None, str]:

@@ -245,19 +245,18 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         false_fire_prob=args.false_fire,
         noise_seed=derive_seed(seed, "channel-noise"),
     )
-    iterations = _setting(args, config, "iterations", default=10, cast=int)
-    suppression = _setting(args, config, "suppression", default=SIGNAL_HANDLER)
-    if args.sidechannel_command == "run":
-        selector = parse_selector(args.selector)
-        length = args.length if args.length is not None else min(16, len(secret))
-        spec = sidechannel.GadgetSpec(
-            bound_selector=selector,
-            iterations=iterations,
-            suppression=suppression,
-            secret_length=length,
-            attack_kind=args.attack,
-            transmit_class=args.transmit_class,
-        )
+    # the screen binds each hidden event in turn; run binds --selector
+    run = args.sidechannel_command == "run"
+    selector = parse_selector(args.selector) if run else EventSelector(0, 0)
+    spec = sidechannel.GadgetSpec(
+        bound_selector=selector,
+        iterations=_setting(args, config, "iterations", default=10, cast=int),
+        suppression=_setting(args, config, "suppression", default=SIGNAL_HANDLER),
+        secret_length=args.length if args.length is not None else min(16, len(secret)),
+        attack_kind=args.attack,
+        transmit_class=args.transmit_class,
+    )
+    if run:
         result = sidechannel.recover_secret(spec, backend, victim)
         metrics = sidechannel.channel_metrics(result, secret)
         sidechannel.write_result_json(selector, spec, result, metrics, args.out)
@@ -268,18 +267,7 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         return 0
     # screen
     report = collector.load_report(args.report)
-    length = args.length if args.length is not None else min(16, len(secret))
-    template = sidechannel.GadgetSpec(
-        bound_selector=EventSelector(0, 0),
-        iterations=iterations,
-        suppression=suppression,
-        secret_length=length,
-        attack_kind=args.attack,
-        transmit_class=args.transmit_class,
-    )
-    rows = sidechannel.screen_channel_events(
-        report.hidden_events, template, backend, victim
-    )
+    rows = sidechannel.screen_channel_events(report.hidden_events, spec, backend, victim)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("selector,accuracy\n")
         for selector, accuracy in rows:

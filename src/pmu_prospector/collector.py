@@ -80,9 +80,6 @@ class ScanReport:
     hidden_events: dict[EventSelector, set[int]] = field(default_factory=dict)
     catalog_source: str = ""
 
-    def hidden_count(self) -> int:
-        return len(self.hidden_events)
-
 
 def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
     """Scan control values for the whole space, indexed by packed selector."""

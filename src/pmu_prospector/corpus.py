@@ -75,10 +75,6 @@ class InstructionEntry:
     class_tag: str
     dialect: str = INTEL_ORDER
 
-    @property
-    def is_control_flow(self) -> bool:
-        return any(t.strip().lower().startswith("rel") for t in self.operand_templates)
-
 
 class CorpusIssue(NamedTuple):
     line: int

@@ -18,11 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import CounterBackend, simulation_of
-from .errors import CapabilityError, DegenerateDataError, NotFittedError, ReportParseError
+from .errors import CapabilityError, DegenerateDataError, ReportParseError
 from .events import EventSelector, format_selector, parse_selector
 from .seeding import derive_seed
 
 Sample = tuple[int, int]  # (count delta, label)
+
+LEARNING_RATE = 0.1
+MAX_EPOCHS = 2000
+GRAD_TOLERANCE = 1e-6
+TRAIN_FRACTION = 0.7
+# a usable detector clears all three bars strictly
+MIN_ACCURACY = 0.8
+MIN_F1 = 0.8
+MIN_AUC = 0.7
 
 
 class ScenarioKind(enum.Enum):
@@ -224,19 +233,16 @@ def build_dataset(
     )
 
 
-def train_test_split(
-    dataset: LabeledDataset, train_fraction: float = 0.7
-) -> tuple[list[Sample], list[Sample]]:
-    """Stratified split preserving label balance within one sample per class."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be in (0, 1)")
+def train_test_split(dataset: LabeledDataset) -> tuple[list[Sample], list[Sample]]:
+    """Stratified TRAIN_FRACTION split preserving label balance within one
+    sample per class."""
     rng = random.Random(dataset.split_seed)
     train: list[Sample] = []
     test: list[Sample] = []
     for label in (0, 1):
         group = [s for s in dataset.samples if s[1] == label]
         rng.shuffle(group)
-        k = int(round(len(group) * train_fraction))
+        k = int(round(len(group) * TRAIN_FRACTION))
         train += group[:k]
         test += group[k:]
     return train, test
@@ -262,83 +268,43 @@ class LogisticModel:
         z = (np.asarray(deltas, dtype=float) - self.feature_mean) / self.feature_stddev
         return _sigmoid(self.weight * z + self.bias)
 
-    def predict(self, deltas) -> np.ndarray:
-        return (self.predict_proba(deltas) >= self.threshold).astype(int)
 
+def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, int]:
+    """Single-feature logistic regression: (model, epochs run).
 
-class LogisticDetector:
-    """Single-feature logistic regression, fitted by full-batch gradient
-    descent from zero weights.
-
-    Standardization parameters are estimated from the fitted data, so fit
-    on the training split only.  The procedure has no random state: the
-    same samples always give the same model.
+    Full-batch gradient descent from zero weights with step LEARNING_RATE,
+    stopping once both gradient components are below GRAD_TOLERANCE or
+    after MAX_EPOCHS epochs.  Standardization parameters are estimated from
+    the fitted data, so fit on the training split only.  The procedure has
+    no random state: the same samples always give the same model.
     """
-
-    def __init__(
-        self,
-        learning_rate: float = 0.1,
-        max_epochs: int = 2000,
-        grad_tolerance: float = 1e-6,
-        threshold: float = 0.5,
-    ):
-        self.learning_rate = learning_rate
-        self.max_epochs = max_epochs
-        self.grad_tolerance = grad_tolerance
-        self.threshold = threshold
-        self.model_: LogisticModel | None = None
-        self.epochs_: int = 0
-
-    def fit(self, deltas: Sequence[int], labels: Sequence[int]) -> "LogisticDetector":
-        x = np.asarray(deltas, dtype=float)
-        y = np.asarray(labels, dtype=float)
-        if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-            raise ValueError("deltas and labels must be equal-length 1-d sequences")
-        present = set(np.unique(y))
-        if not present <= {0.0, 1.0}:
-            raise ValueError(f"labels must be 0 or 1, got {sorted(present)}")
-        if len(present) < 2:
-            raise DegenerateDataError("training data needs both labels present")
-        mean = float(x.mean())
-        stddev = float(x.std())
-        if stddev == 0.0:
-            stddev = 1.0  # constant feature: fall back to a pure shift
-        z = (x - mean) / stddev
-        weight = 0.0
-        bias = 0.0
-        epochs = 0
-        inv_n = 1.0 / x.size
-        for epochs in range(1, self.max_epochs + 1):
-            error = _sigmoid(weight * z + bias) - y
-            grad_w = float(error @ z) * inv_n
-            grad_b = float(error.sum()) * inv_n
-            if max(abs(grad_w), abs(grad_b)) < self.grad_tolerance:
-                break
-            weight -= self.learning_rate * grad_w
-            bias -= self.learning_rate * grad_b
-        self.model_ = LogisticModel(weight, bias, mean, stddev, self.threshold)
-        self.epochs_ = epochs
-        return self
-
-    def _fitted(self) -> LogisticModel:
-        if self.model_ is None:
-            raise NotFittedError("call fit before predicting")
-        return self.model_
-
-    def predict_proba(self, deltas) -> np.ndarray:
-        return self._fitted().predict_proba(deltas)
-
-    def predict(self, deltas) -> np.ndarray:
-        return self._fitted().predict(deltas)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    max_epochs: int = 2000
-    grad_tolerance: float = 1e-6
-    train_fraction: float = 0.7
-    threshold: float = 0.5
+    x = np.asarray(deltas, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
+        raise ValueError("deltas and labels must be equal-length 1-d sequences")
+    present = set(np.unique(y))
+    if not present <= {0.0, 1.0}:
+        raise ValueError(f"labels must be 0 or 1, got {sorted(present)}")
+    if len(present) < 2:
+        raise DegenerateDataError("training data needs both labels present")
+    mean = float(x.mean())
+    stddev = float(x.std())
+    if stddev == 0.0:
+        stddev = 1.0  # constant feature: fall back to a pure shift
+    z = (x - mean) / stddev
+    weight = 0.0
+    bias = 0.0
+    epochs = 0
+    inv_n = 1.0 / x.size
+    for epochs in range(1, MAX_EPOCHS + 1):
+        error = _sigmoid(weight * z + bias) - y
+        grad_w = float(error @ z) * inv_n
+        grad_b = float(error.sum()) * inv_n
+        if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
+            break
+        weight -= LEARNING_RATE * grad_w
+        bias -= LEARNING_RATE * grad_b
+    return LogisticModel(weight, bias, mean, stddev), epochs
 
 
 @dataclass(frozen=True)
@@ -349,23 +315,17 @@ class TrainResult:
     epochs: int
 
 
-def train(dataset: LabeledDataset, config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Split, standardize on the training side, fit, and keep the held-out
+def train(dataset: LabeledDataset) -> TrainResult:
+    """Split at TRAIN_FRACTION, fit on the training side (see fit for
+    LEARNING_RATE, MAX_EPOCHS and GRAD_TOLERANCE), and keep the held-out
     test samples with the result."""
-    train_samples, test_samples = train_test_split(dataset, config.train_fraction)
-    detector = LogisticDetector(
-        learning_rate=config.learning_rate,
-        max_epochs=config.max_epochs,
-        grad_tolerance=config.grad_tolerance,
-        threshold=config.threshold,
-    )
-    detector.fit([s[0] for s in train_samples], [s[1] for s in train_samples])
-    assert detector.model_ is not None
+    train_samples, test_samples = train_test_split(dataset)
+    model, epochs = fit([s[0] for s in train_samples], [s[1] for s in train_samples])
     return TrainResult(
-        model=detector.model_,
+        model=model,
         train_samples=tuple(train_samples),
         test_samples=tuple(test_samples),
-        epochs=detector.epochs_,
+        epochs=epochs,
     )
 
 
@@ -440,17 +400,14 @@ def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> tuple[float, boo
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg), True
 
 
-def compute_metrics(
-    model: LogisticModel, samples: Sequence[Sample], threshold: float | None = None
-) -> MetricsReport:
+def compute_metrics(model: LogisticModel, samples: Sequence[Sample]) -> MetricsReport:
     """Evaluate a model on labeled samples at its decision threshold."""
     if not samples:
         raise DegenerateDataError("cannot evaluate on an empty sample set")
-    cut = model.threshold if threshold is None else threshold
     deltas = [s[0] for s in samples]
     labels = np.asarray([s[1] for s in samples])
     probs = model.predict_proba(deltas)
-    predictions = probs >= cut
+    predictions = probs >= model.threshold
     actual = labels == 1
     tp = int(np.sum(predictions & actual))
     fp = int(np.sum(predictions & ~actual))
@@ -465,11 +422,8 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class ScreenCriteria:
-    """Metric thresholds a usable detector must clear (all strict)."""
+    """Optional exclusions on top of the fixed metric bars of passes_screen."""
 
-    min_accuracy: float = 0.8
-    min_f1: float = 0.8
-    min_auc: float = 0.7
     exclude_perfect: bool = False      # drop events with any metric exactly 1.0
     exclude_f1_band: bool = False      # drop events with F1 in the open band (0.9, 1)
 
@@ -478,11 +432,9 @@ _PERFECTABLE = ("accuracy", "precision", "recall", "f1", "auc")
 
 
 def passes_screen(report: MetricsReport, criteria: ScreenCriteria = ScreenCriteria()) -> bool:
-    if not (
-        report.accuracy > criteria.min_accuracy
-        and report.f1 > criteria.min_f1
-        and report.auc > criteria.min_auc
-    ):
+    """Whether a detector clears accuracy > MIN_ACCURACY, F1 > MIN_F1 and
+    AUC > MIN_AUC, and none of the criteria's exclusions drops it."""
+    if not (report.accuracy > MIN_ACCURACY and report.f1 > MIN_F1 and report.auc > MIN_AUC):
         return False
     if criteria.exclude_perfect and any(
         getattr(report, name) == 1.0 for name in _PERFECTABLE
@@ -588,9 +540,9 @@ def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsRep
     return selector, model, metrics
 
 
-def evaluate(dataset: LabeledDataset, config: TrainConfig = TrainConfig()) -> tuple[LogisticModel, MetricsReport]:
+def evaluate(dataset: LabeledDataset) -> tuple[LogisticModel, MetricsReport]:
     """Train on the dataset's training split and score its held-out split."""
-    result = train(dataset, config)
+    result = train(dataset)
     return result.model, compute_metrics(result.model, result.test_samples)
 
 

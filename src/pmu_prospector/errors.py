@@ -49,9 +49,5 @@ class DegenerateDataError(ProspectorError):
     """A dataset lacks the variety required by the requested computation."""
 
 
-class NotFittedError(ProspectorError):
-    """A detector was used for prediction before being fitted."""
-
-
 class ConfigError(ProspectorError):
     """A configuration file or value cannot be parsed."""

@@ -175,9 +175,6 @@ class EventCatalog:
     def __contains__(self, selector: EventSelector) -> bool:
         return selector in self.entries
 
-    def name_of(self, selector: EventSelector) -> str | None:
-        return self.entries.get(selector)
-
 
 def _parse_hex_byte(field_name: str, text: str, where: str) -> int:
     t = text.strip()

@@ -126,8 +126,6 @@ class TestSimulatedPmu:
 
     def test_capabilities(self):
         caps = make_backend().capabilities()
-        assert caps.programmable_count == 4
-        assert caps.is_simulated
         assert caps.supports_transactional_suppression
         assert not make_backend(supports_tsx=False).capabilities().supports_transactional_suppression
 
@@ -273,7 +271,7 @@ class SelectorEchoBackend(CounterBackend):
         return self.held[slot.index]
 
     def capabilities(self):
-        return BackendCapabilities(PROGRAMMABLE_SLOTS, False, True)
+        return BackendCapabilities(False)
 
 
 def control(base: int, n: int) -> list[int]:
@@ -684,9 +682,7 @@ class TestNativeBackendDevice:
     def test_program_read_cycle(self):
         backend = NativeMsrBackend(cpu=0)
         try:
-            caps = backend.capabilities()
-            assert caps.programmable_count == 4
-            assert not caps.is_simulated
+            assert isinstance(backend.capabilities().supports_transactional_suppression, bool)
             with pytest.raises(BackendStateError):
                 backend.read(SLOTS[1])
             backend.program(SLOTS[0], scan_control(EventSelector(0x3C, 0x00)))

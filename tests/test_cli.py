@@ -144,7 +144,7 @@ class TestScanCommand:
         stdout = capsys.readouterr().out
         assert "scanned 10 instructions (8 executed): 702 hidden events" in stdout
         report = load_report(str(out))
-        assert report.hidden_count() == 702
+        assert len(report.hidden_events) == 702
         assert report.microarchitecture_label == "sim-skylake-desk"
         assert report.catalog_source == "catalog.csv"  # the file name, not the path
 

@@ -263,7 +263,7 @@ class TestFullScan:
     def test_hidden_selector_sets_match_oracle(self, fixture_report):
         hidden = set(fixture_report.hidden_events)
         assert hidden == HIDDEN_6C | HIDDEN_D3 | HIDDEN_08 | HIDDEN_5E
-        assert fixture_report.hidden_count() == 128 + 190 + 128 + 256
+        assert len(fixture_report.hidden_events) == 128 + 190 + 128 + 256
 
     def test_reacting_instruction_ids(self, fixture_report):
         for selector, ids in fixture_report.hidden_events.items():
@@ -330,7 +330,7 @@ class TestFullScan:
                 LOAD_ONLY, EventCatalog(), failing_executor(0x016C), ScanConfig(repetitions=1)
             )
         assert EventSelector(0x6C, 0x01) not in report.hidden_events
-        assert report.hidden_count() == 127
+        assert len(report.hidden_events) == 127
         assert "0x016C" in caplog.text
 
 

@@ -70,8 +70,6 @@ class TestParsing:
     def test_fixture_corpus(self, corpus_entries):
         assert len(corpus_entries) == 10
         by_id = {e.id: e for e in corpus_entries}
-        assert by_id[5].is_control_flow
-        assert not by_id[3].is_control_flow
         assert by_id[7].extension == "sse2"
 
     def test_line_count_equals_entry_count_on_clean_file(self, tmp_path):

@@ -14,24 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from pmu_prospector import detection
 from pmu_prospector.backend import BackendCapabilities, SimEventFamily, SimulatedPmu
 from pmu_prospector.detection import (
     DEFAULT_ATTACKS,
+    MAX_EPOCHS,
+    TRAIN_FRACTION,
     VICTIM_PROFILE,
     ClassActivity,
     LabeledDataset,
-    LogisticDetector,
     LogisticModel,
     MetricsReport,
     ScenarioKind,
     ScenarioSpec,
     ScreenCriteria,
-    TrainConfig,
     build_dataset,
     collect_samples,
     compute_metrics,
     confusion_ratios,
     evaluate,
+    fit,
     load_dataset_csv,
     load_model_json,
     passes_screen,
@@ -43,12 +45,7 @@ from pmu_prospector.detection import (
     train_test_split,
     write_screen_csv,
 )
-from pmu_prospector.errors import (
-    CapabilityError,
-    DegenerateDataError,
-    NotFittedError,
-    ReportParseError,
-)
+from pmu_prospector.errors import CapabilityError, DegenerateDataError, ReportParseError
 from pmu_prospector.events import EventSelector
 from pmu_prospector.seeding import derive_seed
 
@@ -126,7 +123,7 @@ class TestCollectSamples:
     def test_requires_simulated_backend(self):
         class FakeNative:
             def capabilities(self):
-                return BackendCapabilities(4, False, is_simulated=False)
+                return BackendCapabilities(False)
 
         clean, _, _ = scenario_suite("meltdown")
         with pytest.raises(CapabilityError):
@@ -155,7 +152,7 @@ class TestDatasetAndSplit:
     def test_split_sizes_and_stratification(self):
         samples = tuple((i, i % 2) for i in range(4000))
         dataset = LabeledDataset(SELECTOR, samples, split_seed=9)
-        train_part, test_part = train_test_split(dataset, 0.7)
+        train_part, test_part = train_test_split(dataset)
         assert len(train_part) == 2800
         assert len(test_part) == 1200
         assert sum(1 for s in train_part if s[1] == 1) == 1400
@@ -170,67 +167,50 @@ class TestDatasetAndSplit:
         assert a == b
         assert a != c
 
-    def test_split_fraction_validated(self):
-        dataset = LabeledDataset(SELECTOR, ((1, 0), (2, 1)))
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                train_test_split(dataset, bad)
-
     @settings(max_examples=30, deadline=None)
-    @given(
-        n_per_class=st.integers(2, 60),
-        fraction=st.floats(0.1, 0.9),
-        seed=st.integers(0, 2**32),
-    )
-    def test_split_preserves_balance_within_rounding(self, n_per_class, fraction, seed):
+    @given(n_per_class=st.integers(2, 60), seed=st.integers(0, 2**32))
+    def test_split_preserves_balance_within_rounding(self, n_per_class, seed):
         samples = tuple((i, i % 2) for i in range(2 * n_per_class))
-        train_part, test_part = train_test_split(
-            LabeledDataset(SELECTOR, samples, split_seed=seed), fraction
-        )
-        k = int(round(n_per_class * fraction))
+        train_part, test_part = train_test_split(LabeledDataset(SELECTOR, samples, split_seed=seed))
+        k = int(round(n_per_class * TRAIN_FRACTION))
         assert sum(1 for s in train_part if s[1] == 0) == k
         assert sum(1 for s in train_part if s[1] == 1) == k
         assert len(test_part) == 2 * n_per_class - 2 * k
 
 
-class TestLogisticDetector:
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(NotFittedError):
-            LogisticDetector().predict([1.0])
-
+class TestFit:
     def test_single_label_rejected(self):
         with pytest.raises(DegenerateDataError):
-            LogisticDetector().fit([1, 2, 3], [1, 1, 1])
+            fit([1, 2, 3], [1, 1, 1])
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            LogisticDetector().fit([1, 2], [0, 2])
+            fit([1, 2], [0, 2])
         with pytest.raises(ValueError):
-            LogisticDetector().fit([1, 2, 3], [0, 1])
+            fit([1, 2, 3], [0, 1])
         with pytest.raises(ValueError):
-            LogisticDetector().fit([], [])
+            fit([], [])
 
     def test_separable_data_fits_perfectly(self):
         deltas = list(range(10)) + list(range(100, 110))
         labels = [0] * 10 + [1] * 10
-        detector = LogisticDetector().fit(deltas, labels)
-        assert detector.predict(deltas).tolist() == labels
-        assert detector.model_.weight > 0
+        model, _ = fit(deltas, labels)
+        assert (model.predict_proba(deltas) >= model.threshold).astype(int).tolist() == labels
+        assert model.weight > 0
 
     def test_constant_feature_falls_back_to_unit_scale(self):
-        detector = LogisticDetector().fit([5, 5, 5, 5], [0, 1, 0, 1])
-        assert detector.model_.feature_stddev == 1.0
+        model, _ = fit([5, 5, 5, 5], [0, 1, 0, 1])
+        assert model.feature_stddev == 1.0
 
     def test_fit_is_deterministic(self):
         deltas = [1, 4, 2, 8, 9, 7]
         labels = [0, 0, 0, 1, 1, 1]
-        a = LogisticDetector().fit(deltas, labels).model_
-        b = LogisticDetector().fit(deltas, labels).model_
-        assert (a.weight, a.bias) == (b.weight, b.bias)
+        assert fit(deltas, labels) == fit(deltas, labels)
 
-    def test_epoch_cap_respected(self):
-        detector = LogisticDetector(max_epochs=3).fit([1, 2, 8, 9], [0, 0, 1, 1])
-        assert detector.epochs_ == 3
+    def test_epoch_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(detection, "MAX_EPOCHS", 3)
+        _, epochs = fit([1, 2, 8, 9], [0, 0, 1, 1])
+        assert epochs == 3
 
     def test_gradient_descent_reaches_external_optimum(self):
         # overlapping classes, so the optimum is finite and comparable
@@ -238,9 +218,8 @@ class TestLogisticDetector:
         deltas = [round(rng.gauss(50, 8)) for _ in range(100)]
         deltas += [round(rng.gauss(58, 8)) for _ in range(100)]
         labels = [0] * 100 + [1] * 100
-        detector = LogisticDetector().fit(deltas, labels)
-        model = detector.model_
-        assert detector.epochs_ < detector.max_epochs  # converged, not capped
+        model, epochs = fit(deltas, labels)
+        assert epochs < MAX_EPOCHS  # converged, not capped
 
         x = np.asarray(deltas, dtype=float)
         y = np.asarray(labels, dtype=float)
@@ -260,8 +239,8 @@ class TestLogisticDetector:
         assert math.isclose(model.bias, opt.x[1], abs_tol=1e-4)
 
     def test_probabilities_stay_in_open_interval(self):
-        detector = LogisticDetector().fit([0, 1, 1000, 1001], [0, 0, 1, 1])
-        probs = detector.predict_proba([-1e9, 0, 1000, 1e9])
+        model, _ = fit([0, 1, 1000, 1001], [0, 0, 1, 1])
+        probs = model.predict_proba([-1e9, 0, 1000, 1e9])
         assert np.all(probs > 0.0)
         assert np.all(probs < 1.0)
 
@@ -348,11 +327,11 @@ class TestMetrics:
         assert report.tp + report.fp + report.fn + report.tn == len(samples)
 
     def test_compute_metrics_threshold_override(self):
-        model = LogisticModel(weight=1.0, bias=0.0, feature_mean=0.0, feature_stddev=1.0)
+        # the decision threshold is the model's own, not a fixed 0.5
         samples = [(-1, 0), (1, 1)]
-        strict = compute_metrics(model, samples, threshold=0.99)
+        strict = compute_metrics(LogisticModel(1.0, 0.0, 0.0, 1.0, threshold=0.99), samples)
         assert strict.tp == 0 and strict.tn == 2 - strict.fp - strict.fn
-        lax = compute_metrics(model, samples, threshold=0.01)
+        lax = compute_metrics(LogisticModel(1.0, 0.0, 0.0, 1.0, threshold=0.01), samples)
         assert lax.tp == 1 and lax.fp == 1
 
     def test_compute_metrics_empty_rejected(self):
@@ -430,9 +409,9 @@ class TestEndToEnd:
     def test_train_keeps_heldout_samples(self):
         dataset = build_dataset(EventSelector(0x5F, 0x01), "meltdown",
                                 backend_with(PRIMITIVE_FAMILY), samples_per_class=50, seed=5)
-        result = train(dataset, TrainConfig())
+        result = train(dataset)
         assert len(result.train_samples) + len(result.test_samples) == 100
-        assert 0 < result.epochs <= TrainConfig().max_epochs
+        assert 0 < result.epochs <= MAX_EPOCHS
 
 
 class TestPersistence:

@@ -181,7 +181,6 @@ class TestCatalog:
         assert len(catalog) == 2
         assert EventSelector(0x3C, 0x00) in catalog
         assert EventSelector(0x3C, 0x01) not in catalog
-        assert catalog.name_of(EventSelector(0x6C, 0x01)) == "widget"
 
     def test_duplicate_keys_fail(self):
         text = "0x3C,0x00,a\n0x3C,0x00,b\n"

@@ -150,7 +150,7 @@ class TestRunTrial:
     def test_requires_simulated_backend(self):
         class FakeNative:
             def capabilities(self):
-                return BackendCapabilities(4, False, is_simulated=False)
+                return BackendCapabilities(False)
 
         with pytest.raises(CapabilityError):
             run_trial(spec_with(), 0, 0, FakeNative(), SimVictim(b"A"))
