@@ -31,7 +31,6 @@ from .collector import (
 from .corpus import (
     InstructionEntry,
     NativeExecutor,
-    RegisterPool,
     SimulatedExecutor,
     Snippet,
     instantiate,

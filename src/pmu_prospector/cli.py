@@ -205,9 +205,7 @@ def cmd_detect(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         return 0
     if args.detect_command == "train":
         selector = parse_selector(args.selector)
-        dataset = detection.load_dataset_csv(
-            args.dataset, selector, split_seed=derive_seed(seed, "split", selector.packed)
-        )
+        dataset = detection.load_dataset_csv(args.dataset, selector, seed)
         result = detection.train(dataset)
         metrics = detection.compute_metrics(result.model, result.test_samples)
         detection.save_model_json(selector, result.model, metrics, args.out)
@@ -278,7 +276,7 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         )
     print(
         f"{len(rows)} of {len(report.hidden_events)} hidden events "
-        f"carry the channel at >=80% accuracy -> {args.out}"
+        f"carry the channel at >={sidechannel.MIN_CHANNEL_ACCURACY:.0%} accuracy -> {args.out}"
     )
     return 0
 
@@ -398,6 +396,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ProspectorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # the library rejecting an out-of-range value
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

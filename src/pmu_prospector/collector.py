@@ -21,10 +21,8 @@ import numpy as np
 
 from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
 from .corpus import (
-    DEFAULT_POOL,
     ExecStatus,
     InstructionEntry,
-    RegisterPool,
     SIGNAL_HANDLER,
     Snippet,
     instantiate,
@@ -109,7 +107,6 @@ def scan_instruction(
     selectors: Iterable[EventSelector],
     executor,
     config: ScanConfig = ScanConfig(),
-    pool: RegisterPool = DEFAULT_POOL,
 ) -> list[ScanRecord]:
     """Measure one instruction against the given selectors.
 
@@ -117,7 +114,7 @@ def scan_instruction(
     lower median across repetitions and the outcome that of the batch's
     workload run.  A batch lost to the backend raises its BackendError.
     """
-    snippet = instantiate(normalize_syntax(entry, executor.dialect), pool)
+    snippet = instantiate(normalize_syntax(entry, executor.dialect))
     selectors = list(selectors)
     codes = [s.packed for s in selectors]
     records: list[ScanRecord] = []
@@ -166,7 +163,6 @@ def full_scan(
     catalog: EventCatalog,
     executor,
     config: ScanConfig = ScanConfig(),
-    pool: RegisterPool = DEFAULT_POOL,
     record_sink: Callable[[str], object] | None = None,
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
@@ -195,7 +191,7 @@ def full_scan(
     for entry in entries:
         total += 1
         try:
-            snippet = instantiate(normalize_syntax(entry, executor.dialect), pool)
+            snippet = instantiate(normalize_syntax(entry, executor.dialect))
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue

@@ -32,6 +32,7 @@ ATT_ORDER = "att-order"
 _DIALECTS = (INTEL_ORDER, ATT_ORDER)
 
 SCRATCH_SIZE = 4096
+PROBE_TIMEOUT_S = 2.0  # watchdog on one compiled probe run
 
 
 class OperandKind(enum.Enum):
@@ -157,13 +158,10 @@ _ATT_SUFFIX = {8: "b", 16: "w", 32: "l", 64: "q"}
 
 @dataclass(frozen=True)
 class RegisterPool:
-    """Concrete registers and memory available for instantiating templates."""
+    """Concrete registers available for instantiating templates."""
 
     registers: Mapping[str, tuple[str, ...]]
-    scratch_symbol: str = "scratch"
-    scratch_size: int = SCRATCH_SIZE
-    immediate: int = 1
-    supported_extensions: frozenset[str] = frozenset({"base"})
+    supported_extensions: frozenset[str]
 
 
 DEFAULT_POOL = RegisterPool(
@@ -198,16 +196,16 @@ def _register_class(token: str) -> str:
     raise InstantiationError(f"no register class for template {token!r}")
 
 
-def instantiate(entry: InstructionEntry, pool: RegisterPool = DEFAULT_POOL) -> Snippet:
+def instantiate(entry: InstructionEntry) -> Snippet:
     """Bind template operands to concrete registers, scratch memory,
     immediates or a local branch target.
 
-    Register operands rotate through the pool per width class; memory
-    operands address the scratch buffer; relative branches target a label
-    placed immediately after the instruction.  The same entry and pool
-    always render byte-identical text.
+    Register operands rotate through DEFAULT_POOL per width class; memory
+    operands address the probe's scratch buffer; immediates are 1; relative
+    branches target a label placed immediately after the instruction.  The
+    same entry always renders byte-identical text.
     """
-    if entry.extension not in pool.supported_extensions:
+    if entry.extension not in DEFAULT_POOL.supported_extensions:
         raise InstantiationError(
             f"extension {entry.extension!r} not supported by the register pool"
         )
@@ -221,7 +219,7 @@ def instantiate(entry: InstructionEntry, pool: RegisterPool = DEFAULT_POOL) -> S
         kind = classify_operand(template)
         if kind is OperandKind.REGISTER:
             reg_class = _register_class(template)
-            names = pool.registers.get(reg_class)
+            names = DEFAULT_POOL.registers.get(reg_class)
             if not names:
                 raise InstantiationError(f"register pool lacks class {reg_class!r}")
             name = names[register_index % len(names)]
@@ -231,12 +229,9 @@ def instantiate(entry: InstructionEntry, pool: RegisterPool = DEFAULT_POOL) -> S
             operands.append(f"%{name}" if att else name)
         elif kind is OperandKind.MEMORY:
             width = max(width, _WIDTH_BY_MEMORY.get(template.strip().lower(), 0))
-            if att:
-                operands.append(f"{pool.scratch_symbol}(%rip)")
-            else:
-                operands.append(f"[{pool.scratch_symbol}]")
+            operands.append("scratch(%rip)" if att else "[scratch]")
         elif kind is OperandKind.IMMEDIATE:
-            operands.append(f"${pool.immediate}" if att else str(pool.immediate))
+            operands.append("$1" if att else "1")
         else:
             needs_label = True
             operands.append("1f" if att else "target")
@@ -340,23 +335,27 @@ int main(void) {{
 """
 
 
-class NativeSnippetExecutor:
-    """Compiles an att-order snippet into a one-shot probe binary and runs
-    it under a watchdog, mapping kill signals to fault kinds.
+class NativeExecutor:
+    """Pairs a real counter backend with compiled-probe execution.
 
-    Slow (one compile per instruction) but honest: the instruction really
+    Each execute compiles an att-order snippet into a one-shot probe binary
+    and runs it under a watchdog, mapping kill signals to fault kinds.  Slow
+    (one compile per instruction) but honest: the instruction really
     executes on the host.  Exception capture is per-process rather than
     per-signal-handler, which contains the same fault set.
+
+    Probe runs include process scaffolding (fork, exec, libc startup) inside
+    the measured window, so native deltas carry a large baseline; the scan's
+    median-over-repetitions absorbs the jitter but not the baseline.
     """
 
     dialect = ATT_ORDER
 
-    def __init__(self, cc: str = "cc", timeout: float = 2.0, workdir: str | None = None):
+    def __init__(self, backend, cc: str = "cc"):
+        self.backend = backend
         self._cc = shutil.which(cc)
         if self._cc is None:
             raise CapabilityError(f"no C compiler {cc!r} on PATH")
-        self._timeout = timeout
-        self._workdir = workdir
 
     def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
         if mode not in _EXEC_MODES:
@@ -370,7 +369,7 @@ class NativeSnippetExecutor:
             for line in snippet.rendered_text.splitlines()
         )
         source = _NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE)
-        with tempfile.TemporaryDirectory(dir=self._workdir) as tmp:
+        with tempfile.TemporaryDirectory() as tmp:
             c_path = os.path.join(tmp, "probe.c")
             bin_path = os.path.join(tmp, "probe")
             with open(c_path, "w", encoding="utf-8") as fh:
@@ -384,7 +383,7 @@ class NativeSnippetExecutor:
                 tail = compile_proc.stderr.strip().splitlines()[-1:] or ["?"]
                 return ExecOutcome(ExecStatus.UNSUPPORTED, detail=f"assembler: {tail[0]}")
             try:
-                run_proc = subprocess.run([bin_path], capture_output=True, timeout=self._timeout)
+                run_proc = subprocess.run([bin_path], capture_output=True, timeout=PROBE_TIMEOUT_S)
             except subprocess.TimeoutExpired:
                 return ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
         if run_proc.returncode == 0:
@@ -395,21 +394,3 @@ class NativeSnippetExecutor:
                 ExecStatus.FAULT, fault_kind=_SIGNAL_KINDS.get(signo, f"signal-{signo}")
             )
         return ExecOutcome(ExecStatus.FAULT, fault_kind=f"exit-{run_proc.returncode}")
-
-
-class NativeExecutor:
-    """Pairs a real counter backend with compiled-probe execution.
-
-    Probe runs include process scaffolding (fork, exec, libc startup) inside
-    the measured window, so native deltas carry a large baseline; the scan's
-    median-over-repetitions absorbs the jitter but not the baseline.
-    """
-
-    dialect = ATT_ORDER
-
-    def __init__(self, backend, cc: str = "cc", timeout: float = 2.0):
-        self.backend = backend
-        self._probe = NativeSnippetExecutor(cc=cc, timeout=timeout)
-
-    def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
-        return self._probe.execute(snippet, mode)

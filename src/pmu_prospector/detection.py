@@ -138,27 +138,24 @@ def _merge_profiles(*profiles: Profile) -> dict[str, ClassActivity]:
     return merged
 
 
-def scenario_suite(
-    attack_name: str,
-    victim_profile: Profile = VICTIM_PROFILE,
-    attacks: Mapping[str, AttackRecipe] = DEFAULT_ATTACKS,
-) -> tuple[ScenarioSpec, ScenarioSpec, ScenarioSpec]:
-    """The (clean, no-attack, attack) scenario triple for one attack.
+def scenario_suite(attack_name: str) -> tuple[ScenarioSpec, ScenarioSpec, ScenarioSpec]:
+    """The (clean, no-attack, attack) scenario triple for one attack of
+    DEFAULT_ATTACKS, each running on top of VICTIM_PROFILE.
 
     The no-attack scenario is the attack scenario minus its primitive
     classes: same scaffold, no leak.
     """
-    if attack_name not in attacks:
-        raise ValueError(f"unknown attack {attack_name!r}; known: {sorted(attacks)}")
-    recipe = attacks[attack_name]
-    clean = ScenarioSpec(ScenarioKind.CLEAN, None, dict(victim_profile))
+    if attack_name not in DEFAULT_ATTACKS:
+        raise ValueError(f"unknown attack {attack_name!r}; known: {sorted(DEFAULT_ATTACKS)}")
+    recipe = DEFAULT_ATTACKS[attack_name]
+    clean = ScenarioSpec(ScenarioKind.CLEAN, None, dict(VICTIM_PROFILE))
     no_attack = ScenarioSpec(
-        ScenarioKind.NO_ATTACK, attack_name, _merge_profiles(victim_profile, recipe.scaffold)
+        ScenarioKind.NO_ATTACK, attack_name, _merge_profiles(VICTIM_PROFILE, recipe.scaffold)
     )
     attack = ScenarioSpec(
         ScenarioKind.ATTACK,
         attack_name,
-        _merge_profiles(victim_profile, recipe.scaffold, recipe.primitives),
+        _merge_profiles(VICTIM_PROFILE, recipe.scaffold, recipe.primitives),
     )
     return clean, no_attack, attack
 
@@ -213,15 +210,15 @@ def build_dataset(
     backend: CounterBackend,
     samples_per_class: int = 2000,
     seed: int = 0,
-    victim_profile: Profile = VICTIM_PROFILE,
-    attacks: Mapping[str, AttackRecipe] = DEFAULT_ATTACKS,
 ) -> LabeledDataset:
     """Balanced dataset for one (selector, attack) pair.
 
     The negative class mixes clean and no-attack windows half and half, so
     the detector cannot get away with recognising the scaffold alone.
     """
-    clean, no_attack, attack = scenario_suite(attack_name, victim_profile, attacks)
+    if samples_per_class < 1:
+        raise ValueError("samples_per_class must be at least 1")
+    clean, no_attack, attack = scenario_suite(attack_name)
     clean_n = samples_per_class // 2
     samples = collect_samples(selector, clean, clean_n, backend, seed)
     samples += collect_samples(selector, no_attack, samples_per_class - clean_n, backend, seed)
@@ -229,8 +226,13 @@ def build_dataset(
     return LabeledDataset(
         selector=selector,
         samples=tuple(samples),
-        split_seed=derive_seed(seed, "split", selector.packed),
+        split_seed=_split_seed(seed, selector),
     )
+
+
+def _split_seed(seed: int, selector: EventSelector) -> int:
+    """Seed of the train/test split of a selector's dataset under a run seed."""
+    return derive_seed(seed, "split", selector.packed)
 
 
 def train_test_split(dataset: LabeledDataset) -> tuple[list[Sample], list[Sample]]:
@@ -464,7 +466,9 @@ def write_dataset_csv(dataset: LabeledDataset, path: str) -> None:
             writer.writerow([delta, label])
 
 
-def load_dataset_csv(path: str, selector: EventSelector, split_seed: int = 0) -> LabeledDataset:
+def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> LabeledDataset:
+    """A dataset written by write_dataset_csv, with the split seed that
+    build_dataset gives it under the run seed."""
     samples: list[Sample] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -480,7 +484,7 @@ def load_dataset_csv(path: str, selector: EventSelector, split_seed: int = 0) ->
                     raise ReportParseError(f"{path}:{row_no}: non-integer field") from None
     except OSError as exc:
         raise ReportParseError(f"cannot read dataset {path}: {exc}") from exc
-    return LabeledDataset(selector=selector, samples=tuple(samples), split_seed=split_seed)
+    return LabeledDataset(selector, tuple(samples), _split_seed(seed, selector))
 
 
 def save_model_json(

@@ -45,6 +45,8 @@ _REFERENCE_RATES: dict[tuple[str, str], float] = {
 }
 _REFERENCE_TRIALS_PER_BYTE = 256 * 10
 
+MIN_CHANNEL_ACCURACY = 0.8
+
 
 def trial_cost_seconds(attack_kind: str, suppression: str) -> float:
     """Modeled cost of one trial for the given gadget flavour."""
@@ -67,7 +69,6 @@ class GadgetSpec:
     suppression: str = SIGNAL_HANDLER
     secret_length: int = 16
     attack_kind: str = MELTDOWN
-    scaffold_class: str = "alu"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -137,7 +138,7 @@ def _gadget_rounds(spec: GadgetSpec, pmu: SimulatedPmu, fires: np.ndarray) -> np
     """Bound-counter delta of one gadget round per entry of fires: zero the
     counter, run the transient compare, transmit on a fire, read."""
     classes = np.zeros((len(fires), pmu.column_count), np.int64)
-    classes[:, pmu.column(spec.scaffold_class)] += 1
+    classes[:, pmu.column("alu")] += 1  # the gadget's compare scaffold
     classes[:, pmu.column(spec.transmit_class)] += fires
     return pmu.measure_counts((spec.bound_selector.packed,), classes)[0]
 
@@ -251,19 +252,18 @@ def screen_channel_events(
     template: GadgetSpec,
     backend: CounterBackend,
     victim: SimVictim,
-    min_accuracy: float = 0.80,
 ) -> list[tuple[EventSelector, float]]:
     """Try the channel through each selector and keep the usable ones.
 
     Accuracy is 1 - error_rate against the victim's own secret; selectors
-    below min_accuracy are dropped.  Results stay in packed order.
+    below MIN_CHANNEL_ACCURACY are dropped.  Results stay in packed order.
     """
     kept: list[tuple[EventSelector, float]] = []
     for selector in sorted(selectors, key=lambda s: s.packed):
         result = recover_secret(replace(template, bound_selector=selector), backend, victim)
         metrics = channel_metrics(result, victim.secret)
         accuracy = 1.0 - metrics.error_rate
-        if accuracy >= min_accuracy:
+        if accuracy >= MIN_CHANNEL_ACCURACY:
             kept.append((selector, accuracy))
     return kept
 

@@ -19,10 +19,11 @@ from pmu_prospector.cli import dispatch
 from pmu_prospector.collector import ScanConfig, ScanReport, full_scan, persist_report
 from pmu_prospector.corpus import SIGNAL_HANDLER, TRANSACTIONAL, SimulatedExecutor, parse_corpus
 from pmu_prospector.detection import (
-    AttackRecipe,
     ClassActivity,
     LabeledDataset,
-    build_dataset,
+    ScenarioKind,
+    ScenarioSpec,
+    collect_samples,
     confusion_ratios,
     evaluate,
     passes_screen,
@@ -227,23 +228,20 @@ def test_criterion_05_metric_formulas_match_independent_oracles():
 
 def _separable_dataset(seed: int) -> LabeledDataset:
     # victim load traffic 30+-8 per window; the attack adds 24+-8 more, which
-    # keeps a thin overlap so the detection task is hard but not impossible
+    # keeps a thin overlap so the detection task is hard but not impossible.
+    # The negative half is clean and no-attack windows, as in build_dataset.
+    selector = EventSelector(0x6C, 0x01)
+    backend = SimulatedPmu([SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))], seed=0)
     victim = {"memory-load": ClassActivity(30, 8)}
-    attacks = {
-        "probe": AttackRecipe(
-            scaffold={}, primitives={"memory-load": ClassActivity(24, 8)}
-        )
-    }
-    family = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
-    return build_dataset(
-        EventSelector(0x6C, 0x01),
-        "probe",
-        SimulatedPmu([family], seed=0),
-        samples_per_class=2000,
-        seed=seed,
-        victim_profile=victim,
-        attacks=attacks,
+    scenarios = (
+        (ScenarioSpec(ScenarioKind.CLEAN, None, victim), 1000),
+        (ScenarioSpec(ScenarioKind.NO_ATTACK, "probe", victim), 1000),
+        (ScenarioSpec(ScenarioKind.ATTACK, "probe", {"memory-load": ClassActivity(54, 16)}), 2000),
     )
+    samples = []
+    for scenario, n in scenarios:
+        samples += collect_samples(selector, scenario, n, backend, seed)
+    return LabeledDataset(selector, tuple(samples), derive_seed(seed, "split", selector.packed))
 
 
 def _best_threshold_accuracy(samples) -> float:

@@ -6,6 +6,8 @@ subcommand leaves behind.
 """
 
 import json
+import os
+import shlex
 
 import pytest
 
@@ -96,6 +98,33 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "native backend unavailable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
+         "--secret-file", "{secret}", "--length", "20"],
+        ["sidechannel", "screen", "--report", "{report}", "--secret-file", "{secret}",
+         "--iterations", "0"],
+        ["scan", "--corpus", "{corpus}", "--catalog", "{catalog}", "--repetitions", "0"],
+        ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "-3"],
+        ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "0"],
+        ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x16C00",
+         "--secret-file", "{secret}"],
+    ], ids=["length-past-secret", "zero-iterations", "zero-repetitions",
+            "negative-samples", "zero-samples", "selector-past-space"])
+    def test_out_of_range_value_exits_two(
+        self, argv, tmp_path, capsys, corpus_path, catalog_path, model_path, secret_path,
+        scan_report_path,
+    ):
+        paths = {"corpus": corpus_path, "catalog": catalog_path, "secret": secret_path,
+                 "report": scan_report_path}
+        out = tmp_path / "out"
+        code = dispatch([arg.format(**paths) for arg in argv]
+                        + ["--sim-model", model_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scan_fails", [False, True])
     def test_native_backend_closed_after_scan(
@@ -273,8 +302,8 @@ class TestDetectCommands:
         assert lines[1].startswith("0x016C,")
 
     def test_train_matches_library_evaluation(self, tmp_path, model_path):
-        from pmu_prospector.detection import compute_metrics, train
-        from pmu_prospector.seeding import derive_seed
+        from pmu_prospector.backend import load_sim_model
+        from pmu_prospector.detection import build_dataset, compute_metrics, train
 
         dataset_path = tmp_path / "dataset.csv"
         assert dispatch([
@@ -290,9 +319,9 @@ class TestDetectCommands:
         _, cli_model, cli_metrics = load_model_json(str(model_out))
 
         selector = parse_selector("0x016C")
-        dataset = load_dataset_csv(
-            str(dataset_path), selector, split_seed=derive_seed(3, "split", selector.packed)
-        )
+        dataset = load_dataset_csv(str(dataset_path), selector, seed=3)
+        backend = load_sim_model(model_path).make_backend(3)
+        assert dataset == build_dataset(selector, "meltdown", backend, 150, seed=3)
         result = train(dataset)
         assert result.model == cli_model
         assert compute_metrics(result.model, result.test_samples) == cli_metrics
@@ -391,3 +420,45 @@ class TestSidechannelCommands:
             "selector,accuracy",
             "0x016C,1.000000",
         ]
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, stdout lines) of every `$ pmu-prospector` example in README.md,
+    in order.  A command's output is the lines after it, up to the next
+    command or the end of its code block."""
+    examples: list[tuple[list[str], list[str]]] = []
+    expected = None
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = iter(fh.read().splitlines())
+    for line in lines:
+        if line.startswith("```"):
+            expected = None
+        elif line.startswith("$ "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines)
+            program, *argv = shlex.split(command)
+            expected = None
+            if program == "pmu-prospector":
+                expected = []
+                examples.append((argv, expected))
+        elif expected is not None:
+            expected.append(line.rstrip())
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    examples = readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "scan", "report", "analyze-umask", "detect", "sidechannel"
+    }
+    monkeypatch.chdir(tmp_path)  # later examples read what earlier ones wrote
+    for argv, expected in examples:
+        argv = [os.path.join(ROOT, arg) if arg.startswith("tests/data/") else arg
+                for arg in argv]
+        assert dispatch(argv) == 0, argv
+        got = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+        assert got == expected, argv

@@ -5,13 +5,11 @@ import pytest
 from pmu_prospector.backend import SLOTS, SimEventFamily, SimulatedPmu
 from pmu_prospector.corpus import (
     ATT_ORDER,
-    DEFAULT_POOL,
     ExecStatus,
     InstructionEntry,
     INTEL_ORDER,
-    NativeSnippetExecutor,
+    NativeExecutor,
     OperandKind,
-    RegisterPool,
     SIGNAL_HANDLER,
     SimulatedExecutor,
     TRANSACTIONAL,
@@ -181,9 +179,9 @@ class TestInstantiation:
             instantiate(entry(ext="avx512"))
 
     def test_missing_register_class_fails(self):
-        pool = RegisterPool(registers={"r64": ("rax",)})
-        with pytest.raises(InstantiationError, match="xmm"):
-            instantiate(entry(templates=("xmm", "xmm"), ext="base"), pool)
+        # the pool holds no zmm registers, although the template names them
+        with pytest.raises(InstantiationError, match="register pool lacks class 'zmm'"):
+            instantiate(entry(templates=("zmm", "zmm"), ext="base"))
 
     def test_att_size_suffix_when_no_register_discriminates(self):
         # memory-only forms need the width spelled on the mnemonic
@@ -230,9 +228,7 @@ class TestSimulatedExecutor:
         e = entry(ext="sse2")
         executor = make_executor_with([self.FAMILY], [e], extensions=frozenset({"base"}))
         executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
-        outcome = executor.execute(instantiate(e, RegisterPool(
-            registers=DEFAULT_POOL.registers, supported_extensions=frozenset({"base", "sse2"})
-        )))
+        outcome = executor.execute(instantiate(e))  # the register pool holds sse2
         assert outcome.status is ExecStatus.UNSUPPORTED
         assert executor.backend.read(SLOTS[0]) == 0
 
@@ -263,7 +259,7 @@ class TestSimulatedExecutor:
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestNativeSnippetExecutor:
     def run_native(self, e):
-        executor = NativeSnippetExecutor()
+        executor = NativeExecutor(backend=None)
         return executor.execute(instantiate(normalize_syntax(e, ATT_ORDER)))
 
     def test_benign_alu_instruction_succeeds(self):
@@ -294,10 +290,10 @@ class TestNativeSnippetExecutor:
 
     def test_transactional_mode_not_available(self):
         with pytest.raises(CapabilityError):
-            NativeSnippetExecutor().execute(
+            NativeExecutor(backend=None).execute(
                 instantiate(normalize_syntax(entry(), ATT_ORDER)), mode=TRANSACTIONAL
             )
 
     def test_intel_order_snippet_rejected(self):
         with pytest.raises(NormalizationError):
-            NativeSnippetExecutor().execute(instantiate(entry()))
+            NativeExecutor(backend=None).execute(instantiate(entry()))

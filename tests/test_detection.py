@@ -140,6 +140,13 @@ class TestDatasetAndSplit:
         assert labels.count(1) == 40
         assert dataset.split_seed == derive_seed(2, "split", SELECTOR.packed)
 
+    @pytest.mark.parametrize("samples_per_class", [0, -3])
+    def test_rejects_fewer_than_one_sample_per_class(self, samples_per_class):
+        # zero windows would write a header-only dataset that train cannot fit
+        with pytest.raises(ValueError, match="at least 1"):
+            build_dataset(SELECTOR, "meltdown", backend_with(LOAD_FAMILY),
+                          samples_per_class=samples_per_class)
+
     def test_negative_class_mixes_clean_and_scaffold(self):
         # clean windows lack the scaffold's extra loads, so the negative
         # deltas must span both activity levels
@@ -418,11 +425,13 @@ class TestPersistence:
     def test_dataset_csv_roundtrip(self, tmp_path):
         from pmu_prospector.detection import write_dataset_csv
 
-        dataset = LabeledDataset(SELECTOR, ((3, 0), (9, 1), (4, 0)), split_seed=77)
+        dataset = LabeledDataset(
+            SELECTOR, ((3, 0), (9, 1), (4, 0)), split_seed=derive_seed(77, "split", SELECTOR.packed)
+        )
         path = str(tmp_path / "dataset.csv")
         write_dataset_csv(dataset, path)
-        loaded = load_dataset_csv(path, SELECTOR, split_seed=77)
-        assert loaded == dataset
+        loaded = load_dataset_csv(path, SELECTOR, seed=77)
+        assert loaded == dataset  # the split seed build_dataset gives under seed 77
         lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[0] == "delta,label"
         assert lines[1] == "3,0"

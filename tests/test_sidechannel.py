@@ -19,6 +19,7 @@ from pmu_prospector.seeding import point_fraction
 from pmu_prospector.sidechannel import (
     ATTACK_KINDS,
     MELTDOWN,
+    MIN_CHANNEL_ACCURACY,
     SPECTRE_V1,
     SPECTRE_V2,
     ChannelMetrics,
@@ -314,16 +315,13 @@ class TestSelectorScreening:
         backend = load_backend()
         # a v1 gadget decodes every byte as zero, so accuracy equals the
         # fraction of zero bytes in the secret
-        victim = SimVictim(b"\x00\x00AB")
-        template = GadgetSpec(
-            bound_selector=BOUND, secret_length=4, attack_kind=SPECTRE_V1
-        )
-        at_half = screen_channel_events([BOUND], template, backend, victim,
-                                        min_accuracy=0.5)
-        assert at_half == [(BOUND, 0.5)]
-        above_half = screen_channel_events([BOUND], template, backend, victim,
-                                           min_accuracy=0.51)
-        assert above_half == []
+        assert MIN_CHANNEL_ACCURACY == 0.8
+        at_bar = SimVictim(b"\x00\x00\x00\x00A")  # 1 - 1/5 is exactly 0.8
+        template = GadgetSpec(bound_selector=BOUND, secret_length=5, attack_kind=SPECTRE_V1)
+        assert screen_channel_events([BOUND], template, backend, at_bar) == [(BOUND, 0.8)]
+        below_bar = SimVictim(b"\x00\x00\x00A")
+        template = GadgetSpec(bound_selector=BOUND, secret_length=4, attack_kind=SPECTRE_V1)
+        assert screen_channel_events([BOUND], template, backend, below_bar) == []
 
 
 class TestResultJson:
