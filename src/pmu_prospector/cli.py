@@ -243,19 +243,16 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         false_fire_prob=args.false_fire,
         noise_seed=derive_seed(seed, "channel-noise"),
     )
-    # the screen binds each hidden event in turn; run binds --selector
-    run = args.sidechannel_command == "run"
-    selector = parse_selector(args.selector) if run else EventSelector(0, 0)
     spec = sidechannel.GadgetSpec(
-        bound_selector=selector,
         iterations=_setting(args, config, "iterations", default=10, cast=int),
         suppression=_setting(args, config, "suppression", default=SIGNAL_HANDLER),
         secret_length=args.length if args.length is not None else min(16, len(secret)),
         attack_kind=args.attack,
         transmit_class=args.transmit_class,
     )
-    if run:
-        result = sidechannel.recover_secret(spec, backend, victim)
+    if args.sidechannel_command == "run":
+        selector = parse_selector(args.selector)
+        result = sidechannel.recover_secret(spec, selector, backend, victim)
         metrics = sidechannel.channel_metrics(result, secret)
         sidechannel.write_result_json(selector, spec, result, metrics, args.out)
         print(
@@ -340,35 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     side = sub.add_parser("sidechannel", help="run the count-based covert channel")
     side_sub = side.add_subparsers(dest="sidechannel_command", required=True)
-    run = side_sub.add_parser("run", help="recover a secret through one event")
+    channel = argparse.ArgumentParser(add_help=False)  # the options run and screen share
+    channel.add_argument("--sim-model", dest="sim_model")
+    channel.add_argument("--secret-file", dest="secret_file", required=True)
+    channel.add_argument("--length", type=int, help="bytes to recover (default min(16, secret))")
+    channel.add_argument("--iterations", type=int)
+    channel.add_argument("--suppression", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
+    channel.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
+    channel.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
+    channel.add_argument("--seed", type=int)
+    channel.set_defaults(handler=cmd_sidechannel)
+    run = side_sub.add_parser("run", parents=[channel], help="recover a secret through one event")
     run.add_argument("--attack", required=True, choices=list(sidechannel.ATTACK_KINDS))
     run.add_argument("--selector", required=True)
-    run.add_argument("--sim-model", dest="sim_model")
-    run.add_argument("--secret-file", dest="secret_file", required=True)
-    run.add_argument("--length", type=int, help="bytes to recover (default min(16, secret))")
-    run.add_argument("--iterations", type=int)
-    run.add_argument("--suppression", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
-    run.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
-    run.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
-    run.add_argument("--seed", type=int)
     run.add_argument("--out", required=True, help="recovery result JSON")
-    run.set_defaults(handler=cmd_sidechannel)
-    cscreen = side_sub.add_parser("screen", help="find hidden events that carry the channel")
+    cscreen = side_sub.add_parser("screen", parents=[channel],
+                                  help="find hidden events that carry the channel")
     cscreen.add_argument("--report", required=True, help="scan report JSON")
     cscreen.add_argument("--attack", default=sidechannel.MELTDOWN,
                          choices=list(sidechannel.ATTACK_KINDS))
-    cscreen.add_argument("--sim-model", dest="sim_model")
-    cscreen.add_argument("--secret-file", dest="secret_file", required=True)
-    cscreen.add_argument("--length", type=int)
-    cscreen.add_argument("--iterations", type=int)
-    cscreen.add_argument("--suppression", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
-    cscreen.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
-    cscreen.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
-    cscreen.add_argument("--seed", type=int)
     cscreen.add_argument("--plot-out", help="optional accuracy scatter CSV")
     cscreen.add_argument("--plot-sample", type=int, default=100)
     cscreen.add_argument("--out", required=True, help="screening CSV")
-    cscreen.set_defaults(handler=cmd_sidechannel)
 
     report = sub.add_parser("report", help="summarize a scan report")
     report.add_argument("--in", dest="input", required=True, help="scan report JSON")

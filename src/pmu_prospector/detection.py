@@ -216,8 +216,8 @@ def build_dataset(
     The negative class mixes clean and no-attack windows half and half, so
     the detector cannot get away with recognising the scaffold alone.
     """
-    if samples_per_class < 1:
-        raise ValueError("samples_per_class must be at least 1")
+    if samples_per_class < 2:  # a split of fewer windows leaves nothing to evaluate
+        raise ValueError("samples_per_class must be at least 2")
     clean, no_attack, attack = scenario_suite(attack_name)
     clean_n = samples_per_class // 2
     samples = collect_samples(selector, clean, clean_n, backend, seed)

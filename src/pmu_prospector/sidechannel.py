@@ -6,6 +6,11 @@ instruction only on a match; the counter delta afterwards says whether the
 candidate fired.  Iterating all 256 candidates and taking the argmax of the
 accumulated scores decodes one secret byte.
 
+recover_byte is the one decode, through any number of bound selectors at
+once: recover_secret binds one, and the channel screen binds at most
+SCREEN_CELLS (selector, trial) cells per call, since a measurement's noise
+temporaries, and so a run's peak memory, grow with its noisy cells.
+
 The victim here is simulated, so trials are deterministic and elapsed time
 comes from a cost model calibrated to measured channel rates.
 """
@@ -13,8 +18,8 @@ comes from a cost model calibrated to measured channel rates.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +51,7 @@ _REFERENCE_RATES: dict[tuple[str, str], float] = {
 _REFERENCE_TRIALS_PER_BYTE = 256 * 10
 
 MIN_CHANNEL_ACCURACY = 0.8
+SCREEN_CELLS = 1 << 13  # (selector, trial) cells of one screen measurement, at least one selector
 
 
 def trial_cost_seconds(attack_kind: str, suppression: str) -> float:
@@ -63,7 +69,6 @@ def trial_cost_seconds(attack_kind: str, suppression: str) -> float:
 class GadgetSpec:
     """Shape of the transmitting gadget and its recovery loop."""
 
-    bound_selector: EventSelector
     transmit_class: str = "memory-load"
     iterations: int = 10
     suppression: str = SIGNAL_HANDLER
@@ -116,11 +121,7 @@ def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> SimulatedPmu:
 
 
 def _fire_table(
-    spec: GadgetSpec,
-    victim: SimVictim,
-    position: int,
-    guesses: np.ndarray,
-    iterations: np.ndarray,
+    spec: GadgetSpec, victim: SimVictim, position: int, guesses: np.ndarray, iterations: np.ndarray
 ) -> np.ndarray:
     """Per (guess, iteration) trial, paired by index: whether the gadget
     runs the transmit instruction."""
@@ -134,38 +135,37 @@ def _fire_table(
     return fires
 
 
-def _gadget_rounds(spec: GadgetSpec, pmu: SimulatedPmu, fires: np.ndarray) -> np.ndarray:
-    """Bound-counter delta of one gadget round per entry of fires: zero the
-    counter, run the transient compare, transmit on a fire, read."""
+def _gadget_classes(spec: GadgetSpec, pmu: SimulatedPmu, fires: np.ndarray) -> np.ndarray:
+    """Class counts of one gadget round per entry of fires, the repetitions
+    of a measurement: the transient compare, then the transmit on a fire."""
     classes = np.zeros((len(fires), pmu.column_count), np.int64)
     classes[:, pmu.column("alu")] += 1  # the gadget's compare scaffold
     classes[:, pmu.column(spec.transmit_class)] += fires
-    return pmu.measure_counts((spec.bound_selector.packed,), classes)[0]
+    return classes
 
 
 def recover_byte(
-    spec: GadgetSpec, position: int, backend: CounterBackend, victim: SimVictim
-) -> tuple[int, list[int]]:
-    """Decode one secret byte from accumulated trial scores.
+    spec: GadgetSpec, position: int, selectors: Sequence[EventSelector],
+    backend: CounterBackend, victim: SimVictim,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one secret byte through each of the given bound selectors.
 
     Runs spec.iterations trials for each of the 256 candidates, in candidate
-    order, and returns the argmax candidate plus all scores.  Score ties
-    resolve to the lowest byte value, so an all-zero round decodes as 0x00;
-    treat zero top scores as no-confidence.
+    order, and measures them through every selector at once.  Returns the
+    decoded bytes, shape (n,), and the scores, shape (n, 256), of the n
+    selectors.  Score ties resolve to the lowest byte value, so an all-zero
+    round decodes as 0x00; treat zero top scores as no-confidence.
     """
     pmu = _check_runnable(spec, backend)
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     iterations = spec.iterations
-    fires = _fire_table(
-        spec,
-        victim,
-        position,
-        np.repeat(np.arange(256), iterations),
-        np.tile(np.arange(iterations), 256),
-    )
-    scores = _gadget_rounds(spec, pmu, fires).reshape(256, iterations).sum(axis=1)
-    return int(np.argmax(scores)), scores.tolist()  # argmax keeps the first maximum
+    # trial i is iteration i % iterations of candidate i // iterations
+    fires = _fire_table(spec, victim, position, *np.divmod(np.arange(256 * iterations), iterations))
+    codes = [s.packed for s in selectors]
+    deltas = pmu.measure_counts(codes, _gadget_classes(spec, pmu, fires))
+    scores = deltas.reshape(len(codes), 256, iterations).sum(axis=2)
+    return scores.argmax(axis=1), scores  # argmax keeps the first maximum
 
 
 @dataclass(frozen=True)
@@ -179,37 +179,39 @@ class RecoveryResult:
         """Per-byte relative margin of the winning score; 0.0 = no signal."""
         margins: list[float] = []
         for scores in self.per_byte_scores:
-            top = max(scores)
-            if top <= 0:
-                margins.append(0.0)
-                continue
-            runner_up = max(s for i, s in enumerate(scores) if i != scores.index(top))
-            margins.append((top - runner_up) / top)
+            runner_up, top = sorted(scores)[-2:]
+            margins.append((top - runner_up) / top if top > 0 else 0.0)
         return margins
 
 
-def recover_secret(spec: GadgetSpec, backend: CounterBackend, victim: SimVictim) -> RecoveryResult:
-    """Recover the first secret_length bytes of the victim's secret.
-
-    Elapsed time is modeled: executed trials times the calibrated per-trial
-    cost for the gadget flavour, which keeps results reproducible.
-    """
+def _positions(spec: GadgetSpec, victim: SimVictim) -> range:
+    """The secret positions spec recovers, checked against the victim."""
     if spec.secret_length > len(victim.secret):
         raise ValueError(
             f"spec wants {spec.secret_length} bytes but the victim holds {len(victim.secret)}"
         )
-    cost = trial_cost_seconds(spec.attack_kind, spec.suppression)
+    return range(spec.secret_length)
+
+
+def recover_secret(
+    spec: GadgetSpec, selector: EventSelector, backend: CounterBackend, victim: SimVictim
+) -> RecoveryResult:
+    """Recover the first secret_length bytes of the victim's secret via selector.
+
+    Elapsed time is modeled: executed trials times the calibrated per-trial
+    cost for the gadget flavour, which keeps results reproducible.
+    """
     recovered = bytearray()
     all_scores: list[tuple[int, ...]] = []
-    for position in range(spec.secret_length):
-        byte, scores = recover_byte(spec, position, backend, victim)
-        recovered.append(byte)
-        all_scores.append(tuple(scores))
+    for position in _positions(spec, victim):
+        decoded, scores = recover_byte(spec, position, [selector], backend, victim)
+        recovered.append(int(decoded[0]))
+        all_scores.append(tuple(scores[0].tolist()))
     trials = spec.secret_length * 256 * spec.iterations
     return RecoveryResult(
         recovered_bytes=bytes(recovered),
         per_byte_scores=tuple(all_scores),
-        elapsed_seconds=trials * cost,
+        elapsed_seconds=trials * trial_cost_seconds(spec.attack_kind, spec.suppression),
         attack_kind=spec.attack_kind,
     )
 
@@ -225,9 +227,7 @@ def channel_metrics(result: RecoveryResult, true_secret: bytes) -> ChannelMetric
     n = len(result.recovered_bytes)
     if len(true_secret) < n:
         raise ValueError("true secret shorter than the recovered prefix")
-    mismatches = sum(
-        1 for got, want in zip(result.recovered_bytes, true_secret) if got != want
-    )
+    mismatches = sum(got != want for got, want in zip(result.recovered_bytes, true_secret))
     return ChannelMetrics(
         throughput_bps=n / result.elapsed_seconds,
         error_rate=mismatches / n,
@@ -249,22 +249,32 @@ def transmit_capable_selectors(
 
 def screen_channel_events(
     selectors: Iterable[EventSelector],
-    template: GadgetSpec,
+    spec: GadgetSpec,
     backend: CounterBackend,
     victim: SimVictim,
 ) -> list[tuple[EventSelector, float]]:
     """Try the channel through each selector and keep the usable ones.
 
-    Accuracy is 1 - error_rate against the victim's own secret; selectors
-    below MIN_CHANNEL_ACCURACY are dropped.  Results stay in packed order.
+    Accuracy is 1 - mismatches / secret_length against the victim's own
+    secret, as channel_metrics gives it; selectors below
+    MIN_CHANNEL_ACCURACY are dropped.  Results stay in packed order.
+
+    Chunks of max(1, SCREEN_CELLS // (256 * spec.iterations)) selectors, in
+    packed order, share one recover_byte call per position, which bounds
+    peak memory.  Noise epochs are per selector, so chunking changes no
+    accuracy.
     """
+    selectors = sorted(selectors, key=lambda s: s.packed)
+    chunk = max(1, SCREEN_CELLS // (256 * spec.iterations))
     kept: list[tuple[EventSelector, float]] = []
-    for selector in sorted(selectors, key=lambda s: s.packed):
-        result = recover_secret(replace(template, bound_selector=selector), backend, victim)
-        metrics = channel_metrics(result, victim.secret)
-        accuracy = 1.0 - metrics.error_rate
-        if accuracy >= MIN_CHANNEL_ACCURACY:
-            kept.append((selector, accuracy))
+    for start in range(0, len(selectors), chunk):
+        bound = selectors[start : start + chunk]
+        mismatches = np.zeros(len(bound), np.int64)
+        for position in _positions(spec, victim):
+            decoded, _ = recover_byte(spec, position, bound, backend, victim)
+            mismatches += decoded != victim.secret[position]
+        accuracies = (1.0 - mismatches / spec.secret_length).tolist()
+        kept += [(s, a) for s, a in zip(bound, accuracies) if a >= MIN_CHANNEL_ACCURACY]
     return kept
 
 

@@ -289,15 +289,13 @@ def test_criterion_07_channel_recovery_exact_then_noise_bounded():
         victim = SimVictim(secret)
         capable = transmit_capable_selectors([CHANNEL_FAMILY], "memory-load")
         assert len(capable) == 128
+        spec = GadgetSpec(iterations=1, secret_length=64)
         for selector in capable:
-            spec = GadgetSpec(
-                bound_selector=selector, iterations=1, secret_length=64
-            )
-            result = recover_secret(spec, backend, victim)
+            result = recover_secret(spec, selector, backend, victim)
             assert channel_metrics(result, secret).error_rate == 0.0, format_selector(selector)
         # the reference configuration stays exact as well
-        ten = GadgetSpec(bound_selector=capable[0], iterations=10, secret_length=64)
-        assert recover_secret(ten, backend, victim).recovered_bytes == secret
+        ten = GadgetSpec(iterations=10, secret_length=64)
+        assert recover_secret(ten, capable[0], backend, victim).recovered_bytes == secret
 
         wrong10 = 0
         wrong20 = 0
@@ -308,10 +306,10 @@ def test_criterion_07_channel_recovery_exact_then_noise_bounded():
                 false_fire_prob=0.05,
                 noise_seed=derive_seed(4242, "mc", run),
             )
-            spec10 = GadgetSpec(bound_selector=capable[0], iterations=10, secret_length=1)
-            spec20 = GadgetSpec(bound_selector=capable[0], iterations=20, secret_length=1)
-            byte10, _ = recover_byte(spec10, 0, backend, noisy)
-            byte20, _ = recover_byte(spec20, 0, backend, noisy)
+            spec10 = GadgetSpec(iterations=10, secret_length=1)
+            spec20 = GadgetSpec(iterations=20, secret_length=1)
+            (byte10,), _ = recover_byte(spec10, 0, capable[:1], backend, noisy)
+            (byte20,), _ = recover_byte(spec20, 0, capable[:1], backend, noisy)
             wrong10 += byte10 != noisy.secret[0]
             wrong20 += byte20 != noisy.secret[0]
         assert wrong10 / runs <= MAX_MEAN_BYTE_ERROR, f"error {wrong10 / runs:.4f}"
@@ -325,10 +323,8 @@ def test_criterion_08_throughput_ratios_and_metric_formulas():
         selector = EventSelector(0x6C, 0x80)
 
         def throughput(kind, suppression):
-            spec = GadgetSpec(
-                bound_selector=selector, attack_kind=kind, suppression=suppression
-            )
-            result = recover_secret(spec, backend, SimVictim(secret))
+            spec = GadgetSpec(attack_kind=kind, suppression=suppression)
+            result = recover_secret(spec, selector, backend, SimVictim(secret))
             return channel_metrics(result, secret).throughput_bps
 
         measured = {

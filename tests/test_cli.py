@@ -107,10 +107,11 @@ class TestExitCodes:
         ["scan", "--corpus", "{corpus}", "--catalog", "{catalog}", "--repetitions", "0"],
         ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "-3"],
         ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "0"],
+        ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "1"],
         ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x16C00",
          "--secret-file", "{secret}"],
     ], ids=["length-past-secret", "zero-iterations", "zero-repetitions",
-            "negative-samples", "zero-samples", "selector-past-space"])
+            "negative-samples", "zero-samples", "one-sample", "selector-past-space"])
     def test_out_of_range_value_exits_two(
         self, argv, tmp_path, capsys, corpus_path, catalog_path, model_path, secret_path,
         scan_report_path,
@@ -462,3 +463,19 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, caps
         assert dispatch(argv) == 0, argv
         got = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
         assert got == expected, argv
+
+
+def readme_library_example() -> str:
+    """The python block of README.md's `## Library use` section."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    code = readme_library_example()
+    expected = [line.split("  # ", 1)[1] for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) == 2
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -140,10 +140,11 @@ class TestDatasetAndSplit:
         assert labels.count(1) == 40
         assert dataset.split_seed == derive_seed(2, "split", SELECTOR.packed)
 
-    @pytest.mark.parametrize("samples_per_class", [0, -3])
-    def test_rejects_fewer_than_one_sample_per_class(self, samples_per_class):
-        # zero windows would write a header-only dataset that train cannot fit
-        with pytest.raises(ValueError, match="at least 1"):
+    @pytest.mark.parametrize("samples_per_class", [1, 0, -3])
+    def test_rejects_fewer_than_two_samples_per_class(self, samples_per_class):
+        # zero windows would write a header-only dataset that train cannot fit,
+        # and one window per class leaves train nothing to evaluate on
+        with pytest.raises(ValueError, match="at least 2"):
             build_dataset(SELECTOR, "meltdown", backend_with(LOAD_FAMILY),
                           samples_per_class=samples_per_class)
 

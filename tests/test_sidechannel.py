@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pmu_prospector import sidechannel
 from pmu_prospector.backend import BackendCapabilities, SimEventFamily, SimulatedPmu
 from pmu_prospector.corpus import SIGNAL_HANDLER, TRANSACTIONAL
 from pmu_prospector.errors import CapabilityError
@@ -35,7 +36,7 @@ from pmu_prospector.sidechannel import (
     write_result_json,
     _check_runnable,
     _fire_table,
-    _gadget_rounds,
+    _gadget_classes,
 )
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
@@ -46,19 +47,16 @@ def load_backend(seed: int = 0, supports_tsx: bool = True) -> SimulatedPmu:
     return SimulatedPmu([LOAD_FAMILY], seed=seed, supports_tsx=supports_tsx)
 
 
-def spec_with(**overrides) -> GadgetSpec:
-    return GadgetSpec(bound_selector=BOUND, **overrides)
-
-
-def run_trial(spec, guess, position, backend, victim, iteration=0) -> int:
-    """One gadget round for one candidate byte; returns the counter delta."""
+def run_trial(spec, selector, guess, position, backend, victim, iteration=0) -> int:
+    """One gadget round for one candidate byte; returns the delta of the
+    counter bound to selector."""
     pmu = _check_runnable(spec, backend)
     if not 0 <= guess <= 0xFF:
         raise ValueError(f"guess out of byte range: {guess!r}")
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
-    return int(_gadget_rounds(spec, pmu, fires)[0])
+    return int(pmu.measure_counts([selector.packed], _gadget_classes(spec, pmu, fires))[0, 0])
 
 
 class TestTrialCosts:
@@ -81,15 +79,15 @@ class TestTrialCosts:
 class TestValidation:
     def test_gadget_spec_bounds(self):
         with pytest.raises(ValueError):
-            spec_with(iterations=0)
+            GadgetSpec(iterations=0)
         with pytest.raises(ValueError):
-            spec_with(secret_length=0)
+            GadgetSpec(secret_length=0)
         with pytest.raises(ValueError):
-            spec_with(suppression="polling")
+            GadgetSpec(suppression="polling")
         with pytest.raises(ValueError):
-            spec_with(attack_kind="rowhammer")
+            GadgetSpec(attack_kind="rowhammer")
         with pytest.raises(ValueError):
-            spec_with(transmit_class="")
+            GadgetSpec(transmit_class="")
 
     def test_victim_bounds(self):
         with pytest.raises(ValueError):
@@ -108,45 +106,45 @@ class TestRunTrial:
     def test_matching_guess_fires_transmit(self):
         victim = SimVictim(b"A")
         backend = load_backend()
-        assert run_trial(spec_with(), ord("A"), 0, backend, victim) == 1
-        assert run_trial(spec_with(), ord("B"), 0, backend, victim) == 0
+        assert run_trial(GadgetSpec(), BOUND, ord("A"), 0, backend, victim) == 1
+        assert run_trial(GadgetSpec(), BOUND, ord("B"), 0, backend, victim) == 0
 
     def test_increment_scales_the_delta(self):
         family = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}), increment=3)
         backend = SimulatedPmu([family])
-        assert run_trial(spec_with(), ord("A"), 0, backend, SimVictim(b"A")) == 3
+        assert run_trial(GadgetSpec(), BOUND, ord("A"), 0, backend, SimVictim(b"A")) == 3
 
     def test_scaffold_counter_cannot_carry_the_signal(self):
         # bound event reacts to the scaffold class itself: every trial looks
         # identical, so the channel through this selector is useless
         family = SimEventFamily(0x5E, 0x01, frozenset({"alu"}))
         backend = SimulatedPmu([family])
-        spec = GadgetSpec(bound_selector=EventSelector(0x5E, 0x01))
+        bound = EventSelector(0x5E, 0x01)
         victim = SimVictim(b"A")
-        assert run_trial(spec, ord("A"), 0, backend, victim) == 1
-        assert run_trial(spec, ord("B"), 0, backend, victim) == 1
+        assert run_trial(GadgetSpec(), bound, ord("A"), 0, backend, victim) == 1
+        assert run_trial(GadgetSpec(), bound, ord("B"), 0, backend, victim) == 1
 
     def test_spectre_v1_never_reaches_transmit(self):
         victim = SimVictim(b"A")
-        spec = spec_with(attack_kind=SPECTRE_V1)
-        assert run_trial(spec, ord("A"), 0, load_backend(), victim) == 0
+        spec = GadgetSpec(attack_kind=SPECTRE_V1)
+        assert run_trial(spec, BOUND, ord("A"), 0, load_backend(), victim) == 0
 
     def test_false_fire_follows_the_indexed_draw(self):
         victim = SimVictim(b"A", false_fire_prob=0.5, noise_seed=77)
-        spec = spec_with()
+        spec = GadgetSpec()
         backend = load_backend()
         for guess in (0, 10, 200):
             for iteration in (0, 3):
                 expected = point_fraction(77, 0, guess, iteration) < 0.5
-                delta = run_trial(spec, guess, 0, backend, victim, iteration)
+                delta = run_trial(spec, BOUND, guess, 0, backend, victim, iteration)
                 assert delta == int(expected)
 
     def test_guess_and_position_validated(self):
         victim = SimVictim(b"AB")
         with pytest.raises(ValueError, match="guess out of byte range"):
-            run_trial(spec_with(), 256, 0, load_backend(), victim)
+            run_trial(GadgetSpec(), BOUND, 256, 0, load_backend(), victim)
         with pytest.raises(IndexError):
-            run_trial(spec_with(), 0, 2, load_backend(), victim)
+            run_trial(GadgetSpec(), BOUND, 0, 2, load_backend(), victim)
 
     def test_requires_simulated_backend(self):
         class FakeNative:
@@ -154,59 +152,59 @@ class TestRunTrial:
                 return BackendCapabilities(False)
 
         with pytest.raises(CapabilityError):
-            run_trial(spec_with(), 0, 0, FakeNative(), SimVictim(b"A"))
+            run_trial(GadgetSpec(), BOUND, 0, 0, FakeNative(), SimVictim(b"A"))
 
     def test_transactional_needs_backend_support(self):
-        spec = spec_with(suppression=TRANSACTIONAL)
+        spec = GadgetSpec(suppression=TRANSACTIONAL)
         with pytest.raises(CapabilityError):
-            run_trial(spec, 0, 0, load_backend(supports_tsx=False), SimVictim(b"A"))
-        assert run_trial(spec, ord("A"), 0, load_backend(), SimVictim(b"A")) == 1
+            run_trial(spec, BOUND, 0, 0, load_backend(supports_tsx=False), SimVictim(b"A"))
+        assert run_trial(spec, BOUND, ord("A"), 0, load_backend(), SimVictim(b"A")) == 1
 
 
 class TestRecoverByte:
     def test_noise_free_byte_is_exact(self):
         victim = SimVictim(b"K")
-        best, scores = recover_byte(spec_with(), 0, load_backend(), victim)
+        (best,), (scores,) = recover_byte(GadgetSpec(), 0, [BOUND], load_backend(), victim)
         assert best == ord("K")
         assert scores[ord("K")] == 10  # iterations x increment
         assert sum(scores) == 10
 
     def test_scores_match_accumulated_single_trials(self):
         victim = SimVictim(bytes([200]), false_fire_prob=0.35, noise_seed=9)
-        spec = spec_with(iterations=4)
+        spec = GadgetSpec(iterations=4)
         backend = load_backend()
         manual = [
-            sum(run_trial(spec, candidate, 0, backend, victim, it) for it in range(4))
+            sum(run_trial(spec, BOUND, candidate, 0, backend, victim, it) for it in range(4))
             for candidate in range(256)
         ]
-        best, scores = recover_byte(spec, 0, backend, victim)
-        assert scores == manual
+        (best,), (scores,) = recover_byte(spec, 0, [BOUND], backend, victim)
+        assert scores.tolist() == manual
         assert best == max(range(256), key=lambda c: (scores[c], -c))
 
     def test_all_zero_scores_decode_low_byte(self):
         victim = SimVictim(b"Z")
-        best, scores = recover_byte(spec_with(attack_kind=SPECTRE_V1), 0,
-                                    load_backend(), victim)
+        (best,), (scores,) = recover_byte(GadgetSpec(attack_kind=SPECTRE_V1), 0, [BOUND],
+                                          load_backend(), victim)
         assert best == 0
-        assert scores == [0] * 256
+        assert scores.tolist() == [0] * 256
 
     def test_position_validated(self):
         with pytest.raises(IndexError):
-            recover_byte(spec_with(), 5, load_backend(), SimVictim(b"AB"))
+            recover_byte(GadgetSpec(), 5, [BOUND], load_backend(), SimVictim(b"AB"))
 
 
 class TestRecoverSecret:
     def test_noise_free_recovery_is_exact(self, secret_path):
         secret = open(secret_path, "rb").read()
         assert len(secret) == 16
-        result = recover_secret(spec_with(), load_backend(), SimVictim(secret))
+        result = recover_secret(GadgetSpec(), BOUND, load_backend(), SimVictim(secret))
         assert result.recovered_bytes == secret
         assert channel_metrics(result, secret).error_rate == 0.0
         assert result.confidences() == [1.0] * 16
 
     def test_elapsed_is_trials_times_cost(self):
-        spec = spec_with(secret_length=4, iterations=7)
-        result = recover_secret(spec, load_backend(), SimVictim(b"ABCD"))
+        spec = GadgetSpec(secret_length=4, iterations=7)
+        result = recover_secret(spec, BOUND, load_backend(), SimVictim(b"ABCD"))
         expected = 4 * 256 * 7 * trial_cost_seconds(MELTDOWN, SIGNAL_HANDLER)
         assert result.elapsed_seconds == expected
 
@@ -219,16 +217,16 @@ class TestRecoverSecret:
             (SPECTRE_V2, SIGNAL_HANDLER, 148.68),
         ]
         for kind, suppression, rate in cases:
-            spec = spec_with(attack_kind=kind, suppression=suppression)
-            result = recover_secret(spec, load_backend(), SimVictim(secret))
+            spec = GadgetSpec(attack_kind=kind, suppression=suppression)
+            result = recover_secret(spec, BOUND, load_backend(), SimVictim(secret))
             metrics = channel_metrics(result, secret)
             assert math.isclose(metrics.throughput_bps, rate, rel_tol=1e-9)
             assert metrics.error_rate == 0.0
 
     def test_spectre_v1_recovers_nothing_with_zero_confidence(self):
         secret = b"HIDDEN!"
-        spec = spec_with(attack_kind=SPECTRE_V1, secret_length=7)
-        result = recover_secret(spec, load_backend(), SimVictim(secret))
+        spec = GadgetSpec(attack_kind=SPECTRE_V1, secret_length=7)
+        result = recover_secret(spec, BOUND, load_backend(), SimVictim(secret))
         assert result.recovered_bytes == b"\x00" * 7
         assert result.confidences() == [0.0] * 7
         assert channel_metrics(result, secret).error_rate == 1.0
@@ -239,8 +237,8 @@ class TestRecoverSecret:
         secret = bytes(range(32, 48))
         for seed in (1, 2, 3, 4, 5):
             victim = SimVictim(secret, false_fire_prob=0.6, noise_seed=seed)
-            short = recover_secret(spec_with(iterations=10), load_backend(), victim)
-            long = recover_secret(spec_with(iterations=20), load_backend(), victim)
+            short = recover_secret(GadgetSpec(iterations=10), BOUND, load_backend(), victim)
+            long = recover_secret(GadgetSpec(iterations=20), BOUND, load_backend(), victim)
             wrong_short = {
                 i for i, b in enumerate(short.recovered_bytes) if b != secret[i]
             }
@@ -251,7 +249,7 @@ class TestRecoverSecret:
 
     def test_secret_length_cannot_exceed_victim(self):
         with pytest.raises(ValueError, match="victim holds"):
-            recover_secret(spec_with(secret_length=5), load_backend(), SimVictim(b"AB"))
+            recover_secret(GadgetSpec(secret_length=5), BOUND, load_backend(), SimVictim(b"AB"))
 
 
 class TestChannelMetrics:
@@ -299,7 +297,7 @@ class TestSelectorScreening:
         ]
         backend = SimulatedPmu(families)
         victim = SimVictim(b"PMU!")
-        template = GadgetSpec(bound_selector=BOUND, secret_length=4)
+        template = GadgetSpec(secret_length=4)
         candidates = [
             EventSelector(0x6C, 0x03),
             EventSelector(0x5E, 0x01),
@@ -317,18 +315,52 @@ class TestSelectorScreening:
         # fraction of zero bytes in the secret
         assert MIN_CHANNEL_ACCURACY == 0.8
         at_bar = SimVictim(b"\x00\x00\x00\x00A")  # 1 - 1/5 is exactly 0.8
-        template = GadgetSpec(bound_selector=BOUND, secret_length=5, attack_kind=SPECTRE_V1)
+        template = GadgetSpec(secret_length=5, attack_kind=SPECTRE_V1)
         assert screen_channel_events([BOUND], template, backend, at_bar) == [(BOUND, 0.8)]
         below_bar = SimVictim(b"\x00\x00\x00A")
-        template = GadgetSpec(bound_selector=BOUND, secret_length=4, attack_kind=SPECTRE_V1)
+        template = GadgetSpec(secret_length=4, attack_kind=SPECTRE_V1)
         assert screen_channel_events([BOUND], template, backend, below_bar) == []
+
+    @pytest.mark.parametrize("cells", [1, 3 * 256 * 3, 1 << 20],
+                             ids=["one-per-chunk", "ragged-last-chunk", "one-chunk"])
+    def test_screen_matches_per_selector_recovery_for_any_chunking(
+        self, sim_model, monkeypatch, cells
+    ):
+        # 29 noisy 0x5E selectors, a 0x6C and a 0xD3 load counter and a quiet
+        # selector, listed out of packed order: 32 selectors, so 3 per chunk
+        # leaves a ragged last chunk
+        candidates = [EventSelector(0xC0, 0x00), EventSelector(0xD3, 0x02),
+                      EventSelector(0x6C, 0x01)]
+        candidates += [EventSelector(0x5E, umask) for umask in range(0, 256, 9)]
+        spec = GadgetSpec(iterations=3, secret_length=3)
+        victim = SimVictim(b"PMU", false_fire_prob=0.2)
+
+        def reference(bar):
+            backend = sim_model.make_backend(3)
+            rows = []
+            for selector in sorted(candidates, key=lambda s: s.packed):
+                result = recover_secret(spec, selector, backend, victim)
+                accuracy = 1.0 - channel_metrics(result, victim.secret).error_rate
+                if accuracy >= bar:
+                    rows.append((selector, accuracy))
+            return rows
+
+        monkeypatch.setattr(sidechannel, "SCREEN_CELLS", cells)
+        kept = screen_channel_events(candidates, spec, sim_model.make_backend(3), victim)
+        assert kept == reference(MIN_CHANNEL_ACCURACY)
+        assert kept == [(EventSelector(0x6C, 0x01), 1.0), (EventSelector(0xD3, 0x02), 1.0)]
+        # every accuracy, the noisy selectors' partial ones included
+        monkeypatch.setattr(sidechannel, "MIN_CHANNEL_ACCURACY", 0.0)
+        every = screen_channel_events(candidates, spec, sim_model.make_backend(3), victim)
+        assert every == reference(0.0)
+        assert {accuracy for _, accuracy in every} == {0.0, 1.0 - 2 / 3, 1.0}
 
 
 class TestResultJson:
     def test_layout_and_determinism(self, tmp_path):
-        spec = spec_with(secret_length=4, iterations=10)
+        spec = GadgetSpec(secret_length=4, iterations=10)
         victim = SimVictim(b"PMU!")
-        result = recover_secret(spec, load_backend(), victim)
+        result = recover_secret(spec, BOUND, load_backend(), victim)
         metrics = channel_metrics(result, victim.secret)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_result_json(BOUND, spec, result, metrics, a)
