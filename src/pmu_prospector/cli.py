@@ -10,6 +10,7 @@ always win over config values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -17,13 +18,7 @@ from collections.abc import Callable, Mapping
 
 from . import collector, detection, reporting, sidechannel, umask
 from .backend import SimModel, load_sim_model, probe_native_backend
-from .corpus import (
-    NativeExecutor,
-    SIGNAL_HANDLER,
-    SimulatedExecutor,
-    TRANSACTIONAL,
-    load_corpus_file,
-)
+from .corpus import EXEC_MODES, SIGNAL_HANDLER, NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
 from .events import EventSelector, format_selector, load_catalog_file, parse_selector
 from .seeding import derive_seed
@@ -119,39 +114,31 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     for issue in issues:
         log.warning("%s:%d: %s", corpus_path, issue.line, issue.message)
     catalog = load_catalog_file(catalog_path)
-    native = None
-    if backend_kind == "native":
-        native, probe_report = probe_native_backend(cpu=args.cpu)
-        if native is None:
-            print(probe_report, file=sys.stderr)
-            return 1
-        print(probe_report)
-        executor = NativeExecutor(native)
-    elif backend_kind == "sim":
-        model = _load_model(args, config)
-        entry_map = {e.id: e for e in entries}
-        executor = SimulatedExecutor(
-            model.make_backend(seed),
-            entry_map,
-            fault_table=model.fault_table,
-            supported_extensions=model.supported_extensions,
-        )
-    else:
-        raise ConfigError(f"unknown backend {backend_kind!r} (choose sim or native)")
-    sink = None
-    records_fh = None
-    if args.records:
-        records_fh = open(args.records, "w", encoding="utf-8")
-        sink = collector.ndjson_record_sink(records_fh)
-    try:
-        report = collector.full_scan(
-            entries, catalog, executor, scan_config, record_sink=sink
-        )
-    finally:
-        if records_fh is not None:
-            records_fh.close()
-        if native is not None:
-            native.close()
+    with contextlib.ExitStack() as stack:  # closes the records file, then the MSR device
+        if backend_kind == "native":
+            native, probe_report = probe_native_backend(cpu=args.cpu)
+            if native is None:
+                print(probe_report, file=sys.stderr)
+                return 1
+            stack.callback(native.close)
+            print(probe_report)
+            executor = NativeExecutor(native)
+        elif backend_kind == "sim":
+            model = _load_model(args, config)
+            entry_map = {e.id: e for e in entries}
+            executor = SimulatedExecutor(
+                model.make_backend(seed),
+                entry_map,
+                fault_table=model.fault_table,
+                supported_extensions=model.supported_extensions,
+            )
+        else:
+            raise ConfigError(f"unknown backend {backend_kind!r} (choose sim or native)")
+        sink = None
+        if args.records:
+            records_fh = stack.enter_context(open(args.records, "w", encoding="utf-8"))
+            sink = collector.ndjson_record_sink(records_fh)
+        report = collector.full_scan(entries, catalog, executor, scan_config, record_sink=sink)
     report.catalog_source = os.path.basename(catalog.source)
     collector.persist_report(report, args.out)
     print(
@@ -295,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--cpu", type=int, default=0, help="CPU for the native backend")
     scan.add_argument("--repetitions", type=int)
     scan.add_argument("--quiet-threshold", dest="quiet_threshold", type=int)
-    scan.add_argument("--capture", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
+    scan.add_argument("--capture", choices=EXEC_MODES)
     scan.add_argument("--any-thread", dest="any_thread", action="store_true")
     scan.add_argument("--seed", type=int)
     scan.add_argument("--records", help="optional NDJSON stream of every measurement")
@@ -342,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--secret-file", dest="secret_file", required=True)
     channel.add_argument("--length", type=int, help="bytes to recover (default min(16, secret))")
     channel.add_argument("--iterations", type=int)
-    channel.add_argument("--suppression", choices=[SIGNAL_HANDLER, TRANSACTIONAL])
+    channel.add_argument("--suppression", choices=EXEC_MODES)
     channel.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
     channel.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
     channel.add_argument("--seed", type=int)

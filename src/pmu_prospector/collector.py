@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
-from .corpus import (
-    ExecStatus,
-    InstructionEntry,
-    SIGNAL_HANDLER,
-    Snippet,
-    instantiate,
-    normalize_syntax,
-)
+from .corpus import ExecStatus, InstructionEntry, SIGNAL_HANDLER, Snippet, instantiate
 from .errors import InstantiationError, NormalizationError, ReportParseError
 from .events import (
     EVENT_SPACE_SIZE,
@@ -114,7 +107,7 @@ def scan_instruction(
     lower median across repetitions and the outcome that of the batch's
     workload run.  A batch lost to the backend raises its BackendError.
     """
-    snippet = instantiate(normalize_syntax(entry, executor.dialect))
+    snippet = instantiate(entry)
     selectors = list(selectors)
     codes = [s.packed for s in selectors]
     records: list[ScanRecord] = []
@@ -191,7 +184,7 @@ def full_scan(
     for entry in entries:
         total += 1
         try:
-            snippet = instantiate(normalize_syntax(entry, executor.dialect))
+            snippet = instantiate(entry)
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue

@@ -3,9 +3,9 @@
 The corpus is a TSV derived from machine-readable ISA documentation: one
 instruction form per line with an operand-kind template and a behaviour
 class tag.  Templates are instantiated against a fixed register pool and a
-scratch buffer, producing snippets a backend-specific executor can run; the
-simulated executor dispatches the class tag into the simulated PMU instead
-of executing machine code.
+scratch buffer, producing AT&T-syntax snippets an executor can run: the
+native executor compiles and runs them, the simulated executor dispatches
+the class tag into the simulated PMU instead of executing machine code.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
 
 INTEL_ORDER = "intel-order"
 ATT_ORDER = "att-order"
-_DIALECTS = (INTEL_ORDER, ATT_ORDER)
 
 SCRATCH_SIZE = 4096
 PROBE_TIMEOUT_S = 2.0  # watchdog on one compiled probe run
@@ -42,14 +41,16 @@ class OperandKind(enum.Enum):
     RELATIVE_BRANCH = "relative-branch"
 
 
-_REGISTER_PREFIXES = ("r8", "r16", "r32", "r64", "xmm", "ymm", "zmm", "mm", "st")
+# template prefixes naming a register class of the pool; "m" alone is memory
+_REGISTER_CLASSES = ("r8", "r16", "r32", "r64", "mm", "xmm", "ymm", "zmm", "st")
 
 
 def classify_operand(template: str) -> OperandKind:
     """Map an operand template token to its kind.
 
     rel* is checked before the register prefixes so rel8/rel32 do not read
-    as registers.
+    as registers, and the register prefixes before memory so mm does not
+    read as a memory operand.
     """
     token = template.strip().lower()
     if not token:
@@ -58,10 +59,10 @@ def classify_operand(template: str) -> OperandKind:
         return OperandKind.RELATIVE_BRANCH
     if token.startswith("imm"):
         return OperandKind.IMMEDIATE
+    if token.startswith(_REGISTER_CLASSES):
+        return OperandKind.REGISTER
     if token.startswith("m"):
         return OperandKind.MEMORY
-    if any(token.startswith(prefix) for prefix in _REGISTER_PREFIXES):
-        return OperandKind.REGISTER
     raise NormalizationError(f"unknown operand kind {template!r}")
 
 
@@ -114,15 +115,7 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[InstructionEntry], list[Cor
             issues.append(CorpusIssue(line_no, "mnemonic, extension and class tag are required"))
             continue
         templates = tuple(t.strip() for t in templates_text.split(",") if t.strip())
-        entries.append(
-            InstructionEntry(
-                id=entry_id,
-                mnemonic=mnemonic,
-                operand_templates=templates,
-                extension=extension,
-                class_tag=class_tag,
-            )
-        )
+        entries.append(InstructionEntry(entry_id, mnemonic, templates, extension, class_tag))
         seen_ids.add(entry_id)
     return entries, issues
 
@@ -142,7 +135,7 @@ def normalize_syntax(entry: InstructionEntry, dialect: str) -> InstructionEntry:
     the template tuple.  Normalizing to the current dialect is the identity,
     which makes the operation idempotent.
     """
-    if dialect not in _DIALECTS:
+    if dialect not in (INTEL_ORDER, ATT_ORDER):
         raise NormalizationError(f"unknown dialect {dialect!r}")
     for template in entry.operand_templates:
         classify_operand(template)  # unknown kinds fail here, named in the error
@@ -151,7 +144,6 @@ def normalize_syntax(entry: InstructionEntry, dialect: str) -> InstructionEntry:
     return replace(entry, operand_templates=entry.operand_templates[::-1], dialect=dialect)
 
 
-_WIDTH_BY_PREFIX = {"r8": 8, "r16": 16, "r32": 32, "r64": 64}
 _WIDTH_BY_MEMORY = {"m8": 8, "m16": 16, "m32": 32, "m64": 64}
 _ATT_SUFFIX = {8: "b", 16: "w", 32: "l", 64: "q"}
 
@@ -180,74 +172,51 @@ DEFAULT_POOL = RegisterPool(
 
 @dataclass(frozen=True)
 class Snippet:
-    """A rendered, executable instruction instance."""
+    """A rendered, executable instruction instance in AT&T syntax."""
 
     entry_id: int
     rendered_text: str
-    register_pool: tuple[str, ...]
-    dialect: str = INTEL_ORDER
-
-
-def _register_class(token: str) -> str:
-    token = token.strip().lower()
-    for prefix in ("xmm", "ymm", "zmm", "r16", "r32", "r64", "r8", "mm", "st"):
-        if token.startswith(prefix):
-            return prefix
-    raise InstantiationError(f"no register class for template {token!r}")
 
 
 def instantiate(entry: InstructionEntry) -> Snippet:
-    """Bind template operands to concrete registers, scratch memory,
-    immediates or a local branch target.
+    """Render an entry as AT&T (GNU as) text, normalizing it to att order.
 
-    Register operands rotate through DEFAULT_POOL per width class; memory
-    operands address the probe's scratch buffer; immediates are 1; relative
-    branches target a label placed immediately after the instruction.  The
-    same entry always renders byte-identical text.
+    Register operands rotate through DEFAULT_POOL per class; memory
+    operands address the probe's scratch buffer; immediates are $1;
+    relative branches target a local label placed immediately after the
+    instruction.  A form with no register operand takes its size suffix
+    from its widest memory operand.  The same entry always renders
+    byte-identical text.
     """
+    entry = normalize_syntax(entry, ATT_ORDER)
     if entry.extension not in DEFAULT_POOL.supported_extensions:
-        raise InstantiationError(
-            f"extension {entry.extension!r} not supported by the register pool"
-        )
-    att = entry.dialect == ATT_ORDER
+        raise InstantiationError(f"extension {entry.extension!r} not supported"
+                                 " by the register pool")
     operands: list[str] = []
-    used_registers: list[str] = []
-    register_index = 0
+    registers = 0
     width = 0
-    needs_label = False
     for template in entry.operand_templates:
-        kind = classify_operand(template)
+        token = template.strip().lower()
+        kind = classify_operand(token)
         if kind is OperandKind.REGISTER:
-            reg_class = _register_class(template)
+            reg_class = next(p for p in _REGISTER_CLASSES if token.startswith(p))
             names = DEFAULT_POOL.registers.get(reg_class)
             if not names:
                 raise InstantiationError(f"register pool lacks class {reg_class!r}")
-            name = names[register_index % len(names)]
-            register_index += 1
-            used_registers.append(name)
-            width = max(width, _WIDTH_BY_PREFIX.get(reg_class, 0))
-            operands.append(f"%{name}" if att else name)
+            operands.append(f"%{names[registers % len(names)]}")
+            registers += 1
         elif kind is OperandKind.MEMORY:
-            width = max(width, _WIDTH_BY_MEMORY.get(template.strip().lower(), 0))
-            operands.append("scratch(%rip)" if att else "[scratch]")
-        elif kind is OperandKind.IMMEDIATE:
-            operands.append("$1" if att else "1")
+            width = max(width, _WIDTH_BY_MEMORY.get(token, 0))
+            operands.append("scratch(%rip)")
         else:
-            needs_label = True
-            operands.append("1f" if att else "target")
+            operands.append("$1" if kind is OperandKind.IMMEDIATE else "1f")
     mnemonic = entry.mnemonic.lower()
-    # att syntax needs a size suffix when no register operand fixes the width
-    if att and width and not used_registers:
+    if width and not registers:  # no register operand fixes the width
         mnemonic += _ATT_SUFFIX[width]
-    text = mnemonic if not operands else f"{mnemonic} {', '.join(operands)}"
-    if needs_label:
-        text += "\n1:" if att else "\ntarget:"
-    return Snippet(
-        entry_id=entry.id,
-        rendered_text=text,
-        register_pool=tuple(used_registers),
-        dialect=entry.dialect,
-    )
+    text = f"{mnemonic} {', '.join(operands)}" if operands else mnemonic
+    if "1f" in operands:
+        text += "\n1:"
+    return Snippet(entry_id=entry.id, rendered_text=text)
 
 
 class ExecStatus(enum.Enum):
@@ -266,7 +235,7 @@ class ExecOutcome:
 
 SIGNAL_HANDLER = "signal-handler"
 TRANSACTIONAL = "transactional"
-_EXEC_MODES = (SIGNAL_HANDLER, TRANSACTIONAL)
+EXEC_MODES = (SIGNAL_HANDLER, TRANSACTIONAL)
 
 _SUCCESS = ExecOutcome(ExecStatus.SUCCESS)
 
@@ -294,7 +263,7 @@ class SimulatedExecutor:
         self._extensions = frozenset(supported_extensions)
 
     def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
-        if mode not in _EXEC_MODES:
+        if mode not in EXEC_MODES:
             raise ValueError(f"unknown exception-capture mode {mode!r}")
         if mode == TRANSACTIONAL and not self.backend.capabilities().supports_transactional_suppression:
             raise CapabilityError("backend does not support transactional suppression")
@@ -302,9 +271,8 @@ class SimulatedExecutor:
         if entry is None:
             raise CorpusError(f"snippet references unknown corpus id {snippet.entry_id}")
         if entry.extension not in self._extensions:
-            return ExecOutcome(
-                ExecStatus.UNSUPPORTED, detail=f"extension {entry.extension!r} not modeled"
-            )
+            return ExecOutcome(ExecStatus.UNSUPPORTED,
+                               detail=f"extension {entry.extension!r} not modeled")
         fault_kind = self._fault_table.get(entry.id)
         if fault_kind is not None:
             return ExecOutcome(ExecStatus.FAULT, fault_kind=fault_kind)
@@ -338,7 +306,7 @@ int main(void) {{
 class NativeExecutor:
     """Pairs a real counter backend with compiled-probe execution.
 
-    Each execute compiles an att-order snippet into a one-shot probe binary
+    Each execute compiles a snippet into a one-shot probe binary
     and runs it under a watchdog, mapping kill signals to fault kinds.  Slow
     (one compile per instruction) but honest: the instruction really
     executes on the host.  Exception capture is per-process rather than
@@ -358,27 +326,20 @@ class NativeExecutor:
             raise CapabilityError(f"no C compiler {cc!r} on PATH")
 
     def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
-        if mode not in _EXEC_MODES:
+        if mode not in EXEC_MODES:
             raise ValueError(f"unknown exception-capture mode {mode!r}")
         if mode == TRANSACTIONAL:
             raise CapabilityError("transactional suppression is not built into the probe binary")
-        if snippet.dialect != ATT_ORDER:
-            raise NormalizationError("native execution requires att-order snippets")
-        body = "\n".join(
-            f'        "{line.replace("%", "%%")}\\n\\t"'
-            for line in snippet.rendered_text.splitlines()
-        )
+        lines = snippet.rendered_text.replace("%", "%%").splitlines()
+        body = "\n".join(f'        "{line}\\n\\t"' for line in lines)
         source = _NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE)
         with tempfile.TemporaryDirectory() as tmp:
             c_path = os.path.join(tmp, "probe.c")
             bin_path = os.path.join(tmp, "probe")
             with open(c_path, "w", encoding="utf-8") as fh:
                 fh.write(source)
-            compile_proc = subprocess.run(
-                [self._cc, "-O0", "-o", bin_path, c_path],
-                capture_output=True,
-                text=True,
-            )
+            compile_proc = subprocess.run([self._cc, "-O0", "-o", bin_path, c_path],
+                                          capture_output=True, text=True)
             if compile_proc.returncode != 0:
                 tail = compile_proc.stderr.strip().splitlines()[-1:] or ["?"]
                 return ExecOutcome(ExecStatus.UNSUPPORTED, detail=f"assembler: {tail[0]}")
@@ -390,7 +351,6 @@ class NativeExecutor:
             return _SUCCESS
         if run_proc.returncode < 0:
             signo = -run_proc.returncode
-            return ExecOutcome(
-                ExecStatus.FAULT, fault_kind=_SIGNAL_KINDS.get(signo, f"signal-{signo}")
-            )
+            return ExecOutcome(ExecStatus.FAULT,
+                               fault_kind=_SIGNAL_KINDS.get(signo, f"signal-{signo}"))
         return ExecOutcome(ExecStatus.FAULT, fault_kind=f"exit-{run_proc.returncode}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import CounterBackend, SimEventFamily, SimulatedPmu, simulation_of
-from .corpus import SIGNAL_HANDLER, TRANSACTIONAL
+from .corpus import EXEC_MODES, SIGNAL_HANDLER, TRANSACTIONAL
 from .errors import CapabilityError
 from .events import EventSelector, format_selector, umask_gates
 from .seeding import point_fractions
@@ -33,8 +33,6 @@ MELTDOWN = "meltdown"
 SPECTRE_V1 = "spectre_v1"
 SPECTRE_V2 = "spectre_v2"
 ATTACK_KINDS = (MELTDOWN, SPECTRE_V1, SPECTRE_V2)
-
-_SUPPRESSION_MODES = (SIGNAL_HANDLER, TRANSACTIONAL)
 
 # Reference channel rates in bytes/s, measured with 10 iterations per
 # candidate over the full 256-candidate ring.  Spectre variants pay for
@@ -80,7 +78,7 @@ class GadgetSpec:
             raise ValueError("iterations must be at least 1")
         if self.secret_length < 1:
             raise ValueError("secret_length must be at least 1")
-        if self.suppression not in _SUPPRESSION_MODES:
+        if self.suppression not in EXEC_MODES:
             raise ValueError(f"unknown suppression mode {self.suppression!r}")
         if self.attack_kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.attack_kind!r}")

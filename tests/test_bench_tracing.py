@@ -8,7 +8,10 @@ the hooks here catches that without running a benchmark body.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from pmu_prospector import backend, cli, collector, corpus, detection, sidechannel, umask
+from pmu_prospector.errors import InstantiationError
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -31,3 +34,19 @@ def test_install_then_undo_restores_every_hooked_name():
         undo()
     for owner, names in zip(owners, before):
         assert dict(vars(owner)) == names, owner.__name__
+
+
+@pytest.mark.parametrize("executor_class", [corpus.SimulatedExecutor, corpus.NativeExecutor])
+def test_executors_render_through_the_benchmark_call(corpus_entries, executor_class):
+    # benchmarks/tracing.py copies executor.dialect; benchmarks/workloads.py
+    # renders with instantiate(normalize_syntax(entry, executor.dialect))
+    assert executor_class.dialect == corpus.ATT_ORDER
+    for entry in corpus_entries:
+        normalized = corpus.normalize_syntax(entry, executor_class.dialect)
+        try:
+            expected = corpus.instantiate(entry)
+        except InstantiationError:
+            with pytest.raises(InstantiationError):
+                corpus.instantiate(normalized)
+            continue
+        assert corpus.instantiate(normalized) == expected, entry.id

@@ -15,7 +15,7 @@ from pmu_prospector import cli
 from pmu_prospector.cli import CONFIG_ENV_VAR, dispatch, parse_config_text
 from pmu_prospector.collector import load_report
 from pmu_prospector.detection import load_dataset_csv, load_model_json
-from pmu_prospector.errors import BackendError, ConfigError
+from pmu_prospector.errors import BackendError, CapabilityError, ConfigError
 from pmu_prospector.events import EventSelector, parse_selector
 
 
@@ -127,9 +127,10 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scan_fails", [False, True])
+    # failure: False for none, True for the scan itself, or what fails before the scan
+    @pytest.mark.parametrize("failure", [False, True, "no-compiler", "records"])
     def test_native_backend_closed_after_scan(
-        self, tmp_path, capsys, monkeypatch, catalog_path, scan_fails
+        self, tmp_path, capsys, monkeypatch, catalog_path, failure
     ):
         class FakeMsrBackend:
             closed = 0
@@ -137,21 +138,27 @@ class TestExitCodes:
             def close(self):
                 self.closed += 1
 
+        def failing(exc):
+            def fail(*args, **kwargs):
+                raise exc
+
+            return fail
+
         backend = FakeMsrBackend()
         monkeypatch.setattr(cli, "probe_native_backend", lambda cpu: (backend, "ready"))
         monkeypatch.setattr(cli, "NativeExecutor", lambda native: object())
-        if scan_fails:
-            def failing_scan(*args, **kwargs):
-                raise BackendError("MSR write failed")
-
-            monkeypatch.setattr(cli.collector, "full_scan", failing_scan)
+        if failure is True:
+            monkeypatch.setattr(cli.collector, "full_scan", failing(BackendError("MSR write")))
+        if failure == "no-compiler":
+            monkeypatch.setattr(cli, "NativeExecutor", failing(CapabilityError("no C compiler")))
+        records = tmp_path / ("missing-dir" if failure == "records" else "") / "records.ndjson"
         corpus = tmp_path / "empty.tsv"
         corpus.write_text("")
         code = dispatch([
-            "scan", "--backend", "native", "--corpus", str(corpus),
+            "scan", "--backend", "native", "--corpus", str(corpus), "--records", str(records),
             "--catalog", catalog_path, "--out", str(tmp_path / "r.json"),
         ])
-        assert code == (1 if scan_fails else 0)
+        assert code == (1 if failure else 0)
         assert backend.closed == 1
 
 

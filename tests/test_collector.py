@@ -33,7 +33,6 @@ from pmu_prospector.collector import (
     selector_texts,
 )
 from pmu_prospector.corpus import (
-    INTEL_ORDER,
     SIGNAL_HANDLER,
     ExecOutcome,
     ExecStatus,
@@ -104,7 +103,6 @@ class _FaultingBatchExecutor:
         self._fault_call = fault_call
         self._calls = 0
         self.backend = inner.backend
-        self.dialect = inner.dialect
 
     def execute(self, snippet, mode=SIGNAL_HANDLER):
         outcome = self._inner.execute(snippet, mode)
@@ -166,8 +164,6 @@ class _ScriptedBackend:
 
 
 class _StubExecutor:
-    dialect = INTEL_ORDER
-
     def __init__(self, backend, status: ExecStatus = ExecStatus.SUCCESS):
         self.backend = backend
         self._status = status

@@ -90,6 +90,7 @@ class TestOperandClassification:
             ("r64", OperandKind.REGISTER),
             ("xmm", OperandKind.REGISTER),
             ("ymm", OperandKind.REGISTER),
+            ("mm", OperandKind.REGISTER),
             ("m8", OperandKind.MEMORY),
             ("m64", OperandKind.MEMORY),
             ("imm8", OperandKind.IMMEDIATE),
@@ -143,12 +144,12 @@ class TestNormalization:
 class TestInstantiation:
     def test_registers_rotate_through_the_pool(self):
         snippet = instantiate(entry(templates=("r64", "r64")))
-        assert snippet.rendered_text == "add rax, rbx"
-        assert snippet.register_pool == ("rax", "rbx")
+        assert snippet.rendered_text == "add %rax, %rbx"
 
     def test_memory_goes_to_scratch(self):
+        # an intel-order entry is reversed into att order before rendering
         snippet = instantiate(entry(mnemonic="MOV", templates=("r64", "m64")))
-        assert snippet.rendered_text == "mov rax, [scratch]"
+        assert snippet.rendered_text == "mov scratch(%rip), %rax"
 
     def test_att_rendering(self):
         e = normalize_syntax(entry(mnemonic="MOV", templates=("r64", "m64")), ATT_ORDER)
@@ -156,19 +157,23 @@ class TestInstantiation:
         assert snippet.rendered_text == "mov scratch(%rip), %rax"
 
     def test_immediate_rendering(self):
-        assert instantiate(entry(templates=("r64", "imm8"))).rendered_text == "add rax, 1"
+        assert instantiate(entry(templates=("r64", "imm8"))).rendered_text == "add $1, %rax"
         att = normalize_syntax(entry(templates=("r64", "imm8")), ATT_ORDER)
         assert instantiate(att).rendered_text == "add $1, %rax"
 
     def test_branch_target_label_after_instruction(self):
         snippet = instantiate(entry(mnemonic="JMP", templates=("rel32",), tag="branch"))
         first, second = snippet.rendered_text.splitlines()
-        assert first == "jmp target"
-        assert second == "target:"
+        assert first == "jmp 1f"
+        assert second == "1:"
 
     def test_att_branch_uses_local_numeric_label(self):
         e = normalize_syntax(entry(mnemonic="JMP", templates=("rel32",), tag="branch"), ATT_ORDER)
         assert instantiate(e).rendered_text == "jmp 1f\n1:"
+
+    def test_mmx_operands_take_mm_registers(self):
+        e = entry(mnemonic="PADDQ", templates=("mm", "mm"), ext="mmx", tag="vector-alu")
+        assert instantiate(e).rendered_text == "paddq %mm0, %mm1"
 
     def test_deterministic(self):
         e = entry(mnemonic="IMUL", templates=("r64", "r64", "imm8"))
@@ -196,6 +201,32 @@ class TestInstantiation:
     def test_att_no_suffix_when_a_register_fixes_the_width(self):
         e = entry(mnemonic="MOV", templates=("r64", "m64"), tag="memory-load")
         assert instantiate(normalize_syntax(e, ATT_ORDER)).rendered_text == "mov scratch(%rip), %rax"
+
+
+FIXTURE_TEXT = {
+    1: "mov scratch(%rip), %rax",
+    2: "mov %rax, scratch(%rip)",
+    3: "add %rax, %rbx",
+    4: "nop",
+    5: "jmp 1f\n1:",
+    6: "imul $1, %rax, %rbx",
+    7: "paddq %xmm0, %xmm1",
+    8: "ud2",
+    9: InstantiationError,
+    10: "incq scratch(%rip)",
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(FIXTURE_TEXT))
+def test_fixture_corpus_renders_pinned_att_text(corpus_entries, entry_id):
+    # the simulated executor ignores the text, so only this pins what cc assembles
+    e = {e.id: e for e in corpus_entries}[entry_id]
+    expected = FIXTURE_TEXT[entry_id]
+    if expected is InstantiationError:
+        with pytest.raises(InstantiationError, match="avx512"):
+            instantiate(normalize_syntax(e, ATT_ORDER))
+    else:
+        assert instantiate(normalize_syntax(e, ATT_ORDER)).rendered_text == expected
 
 
 def make_executor_with(families, entries, fault_table=None, extensions=frozenset({"base"}), tsx=True):
@@ -260,7 +291,7 @@ class TestSimulatedExecutor:
 class TestNativeSnippetExecutor:
     def run_native(self, e):
         executor = NativeExecutor(backend=None)
-        return executor.execute(instantiate(normalize_syntax(e, ATT_ORDER)))
+        return executor.execute(instantiate(e))
 
     def test_benign_alu_instruction_succeeds(self):
         outcome = self.run_native(entry(templates=("r64", "r64")))
@@ -273,6 +304,10 @@ class TestNativeSnippetExecutor:
     def test_branch_with_label_succeeds(self):
         outcome = self.run_native(entry(mnemonic="JMP", templates=("rel32",), tag="branch"))
         assert outcome.status is ExecStatus.SUCCESS
+
+    def test_mmx_register_form_succeeds(self):
+        e = entry(mnemonic="PADDQ", templates=("mm", "mm"), ext="mmx", tag="vector-alu")
+        assert self.run_native(e).status is ExecStatus.SUCCESS
 
     def test_memory_only_form_assembles_with_suffix(self):
         outcome = self.run_native(entry(mnemonic="INC", templates=("m64",), tag="rmw"))
@@ -290,10 +325,4 @@ class TestNativeSnippetExecutor:
 
     def test_transactional_mode_not_available(self):
         with pytest.raises(CapabilityError):
-            NativeExecutor(backend=None).execute(
-                instantiate(normalize_syntax(entry(), ATT_ORDER)), mode=TRANSACTIONAL
-            )
-
-    def test_intel_order_snippet_rejected(self):
-        with pytest.raises(NormalizationError):
-            NativeExecutor(backend=None).execute(instantiate(entry()))
+            NativeExecutor(backend=None).execute(instantiate(entry()), mode=TRANSACTIONAL)
