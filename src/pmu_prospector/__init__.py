@@ -9,7 +9,6 @@ simulated PMU.
 """
 
 from .backend import (
-    BackendCapabilities,
     CounterBackend,
     CounterSlot,
     NativeMsrBackend,

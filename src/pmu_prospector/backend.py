@@ -52,11 +52,6 @@ class CounterSlot:
 SLOTS = tuple(CounterSlot(i) for i in range(PROGRAMMABLE_SLOTS))
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    supports_transactional_suppression: bool
-
-
 class CounterBackend(ABC):
     """Programming and reading contract shared by all backends."""
 
@@ -67,10 +62,6 @@ class CounterBackend(ABC):
     @abstractmethod
     def read(self, slot: CounterSlot) -> int:
         """Current count of a previously programmed slot."""
-
-    @abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        ...
 
 
 def measure(
@@ -236,7 +227,7 @@ class SimulatedPmu(CounterBackend):
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
         self._noisy = self._stddevs > 0
-        self._capabilities = BackendCapabilities(supports_transactional_suppression=supports_tsx)
+        self.supports_tsx = supports_tsx  # whether the channel may use transactional suppression
 
     @property
     def label(self) -> str:
@@ -257,9 +248,6 @@ class SimulatedPmu(CounterBackend):
         """Column of class_tag in a measure_counts matrix.  Classes no family
         triggers on share the last column."""
         return self._class_index.get(class_tag, len(self._tally) - 1)
-
-    def capabilities(self) -> BackendCapabilities:
-        return self._capabilities
 
     def program(self, slot: CounterSlot, value: PerfEvtSelValue) -> None:
         selector = value.selector
@@ -432,6 +420,12 @@ def _model_int(value: object, what: str) -> int:
     raise ReportParseError(f"sim model: {what} must be an integer, got {value!r}")
 
 
+def _model_strings(value: object, what: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ReportParseError(f"sim model: {what} must be a list of strings, got {value!r}")
+    return frozenset(value)
+
+
 def load_sim_model(path: str) -> SimModel:
     """Load a simulated-PMU description from JSON.
 
@@ -458,7 +452,9 @@ def load_sim_model(path: str) -> SimModel:
                     relevance_mask=_model_int(
                         raw.get("relevance_mask", 0), f"families[{i}].relevance_mask"
                     ),
-                    trigger_classes=frozenset(raw.get("trigger_classes", [])),
+                    trigger_classes=_model_strings(
+                        raw.get("trigger_classes", []), f"families[{i}].trigger_classes"
+                    ),
                     increment=_model_int(raw.get("increment", 1), f"families[{i}].increment"),
                     noise_stddev=float(raw.get("noise_stddev", 0.0)),
                     seed=_model_int(raw.get("seed", 0), f"families[{i}].seed"),
@@ -466,17 +462,22 @@ def load_sim_model(path: str) -> SimModel:
             )
         except KeyError as exc:
             raise ReportParseError(f"sim model {path}: families[{i}] missing {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ReportParseError(f"sim model {path}: families[{i}]: {exc}") from None
+    faults = doc.get("fault_instructions", {})
+    if not isinstance(faults, dict):
+        raise ReportParseError(f"sim model: fault_instructions must be an object, got {faults!r}")
     fault_table = {
         _model_int(key, f"fault_instructions key {key!r}"): str(kind)
-        for key, kind in doc.get("fault_instructions", {}).items()
+        for key, kind in faults.items()
     }
     return SimModel(
         label=str(doc.get("microarchitecture", "sim")),
         families=tuple(families),
         fault_table=fault_table,
-        supported_extensions=frozenset(doc.get("supported_extensions", ["base"])),
+        supported_extensions=_model_strings(
+            doc.get("supported_extensions", ["base"]), "supported_extensions"
+        ),
         supports_tsx=bool(doc.get("supports_tsx", True)),
     )
 
@@ -545,9 +546,6 @@ class NativeMsrBackend(CounterBackend):
         if not self._programmed[slot.index]:
             raise BackendStateError(f"slot {slot.index} read before being programmed")
         return self._read_msr(PMC_BASE_MSR + slot.index)
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(supports_transactional_suppression=_host_supports_rtm())
 
 
 def probe_native_backend(cpu: int = 0) -> tuple[NativeMsrBackend | None, str]:

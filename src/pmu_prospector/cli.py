@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 
 from . import collector, detection, reporting, sidechannel, umask
 from .backend import SimModel, load_sim_model, probe_native_backend
-from .corpus import EXEC_MODES, SIGNAL_HANDLER, NativeExecutor, SimulatedExecutor, load_corpus_file
+from .corpus import NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
 from .events import EventSelector, format_selector, load_catalog_file, parse_selector
 from .seeding import derive_seed
@@ -30,7 +30,7 @@ CONFIG_ENV_VAR = "PMU_PROSPECTOR_CONFIG"
 # keys a config file may set; anything else is a spelling mistake worth failing on
 _CONFIG_KEYS = frozenset(
     {"backend", "sim_model", "corpus", "catalog", "seed", "repetitions",
-     "quiet_threshold", "capture", "suppression", "iterations", "samples"}
+     "quiet_threshold", "suppression", "iterations", "samples"}
 )
 
 
@@ -107,7 +107,6 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     scan_config = collector.ScanConfig(
         repetitions=_setting(args, config, "repetitions", default=5, cast=int),
         quiet_threshold=_setting(args, config, "quiet_threshold", default=1, cast=int),
-        mode=_setting(args, config, "capture", default=SIGNAL_HANDLER),
         any_thread=bool(args.any_thread),
     )
     entries, issues = load_corpus_file(corpus_path)
@@ -232,7 +231,7 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     )
     spec = sidechannel.GadgetSpec(
         iterations=_setting(args, config, "iterations", default=10, cast=int),
-        suppression=_setting(args, config, "suppression", default=SIGNAL_HANDLER),
+        suppression=_setting(args, config, "suppression", default=sidechannel.SIGNAL_HANDLER),
         secret_length=args.length if args.length is not None else min(16, len(secret)),
         attack_kind=args.attack,
         transmit_class=args.transmit_class,
@@ -282,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--cpu", type=int, default=0, help="CPU for the native backend")
     scan.add_argument("--repetitions", type=int)
     scan.add_argument("--quiet-threshold", dest="quiet_threshold", type=int)
-    scan.add_argument("--capture", choices=EXEC_MODES)
     scan.add_argument("--any-thread", dest="any_thread", action="store_true")
     scan.add_argument("--seed", type=int)
     scan.add_argument("--records", help="optional NDJSON stream of every measurement")
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--secret-file", dest="secret_file", required=True)
     channel.add_argument("--length", type=int, help="bytes to recover (default min(16, secret))")
     channel.add_argument("--iterations", type=int)
-    channel.add_argument("--suppression", choices=EXEC_MODES)
+    channel.add_argument("--suppression", choices=sidechannel.EXEC_MODES)
     channel.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
     channel.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
     channel.add_argument("--seed", type=int)

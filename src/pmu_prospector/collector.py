@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
-from .corpus import ExecStatus, InstructionEntry, SIGNAL_HANDLER, Snippet, instantiate
+from .corpus import ExecStatus, InstructionEntry, Snippet, instantiate
 from .errors import InstantiationError, NormalizationError, ReportParseError
 from .events import (
     EVENT_SPACE_SIZE,
@@ -42,7 +42,6 @@ RECORD_BLOCK = 4096  # NDJSON lines per record_sink call; bounds the text held a
 class ScanConfig:
     repetitions: int = 5
     quiet_threshold: int = 1
-    mode: str = SIGNAL_HANDLER
     any_thread: bool = False
 
     def __post_init__(self) -> None:
@@ -86,11 +85,8 @@ def _measure_snippet(executor, snippet: Snippet, codes: Sequence[int],
                      config: ScanConfig) -> Iterator[tuple[int, np.ndarray, object]]:
     """measure() with one run of the snippet per repetition; each batch's
     outcome is the workload's ExecStatus or the BackendError that lost it."""
-    execute = executor.execute
-    mode = config.mode
-
     def run(_rep: int) -> ExecStatus:
-        return execute(snippet, mode).status
+        return executor.execute(snippet).status
 
     return measure(executor.backend, codes, run, config.repetitions, config.any_thread)
 
@@ -275,6 +271,8 @@ def load_report(path: str) -> ScanReport:
         raise ReportParseError(f"report {path} lacks the {_REPORT_FORMAT} format marker")
     try:
         raw_hidden = doc["hidden_events"]
+        if not isinstance(raw_hidden, dict):
+            raise ReportParseError(f"report {path}: hidden_events must be an object")
         hidden: dict[EventSelector, set[int]] = {}
         for key, ids in raw_hidden.items():
             if not isinstance(ids, list) or not all(

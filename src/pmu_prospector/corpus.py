@@ -233,19 +233,13 @@ class ExecOutcome:
     detail: str = ""
 
 
-SIGNAL_HANDLER = "signal-handler"
-TRANSACTIONAL = "transactional"
-EXEC_MODES = (SIGNAL_HANDLER, TRANSACTIONAL)
-
 _SUCCESS = ExecOutcome(ExecStatus.SUCCESS)
 
 
 class SimulatedExecutor:
     """Dispatches class tags into a simulated PMU instead of running code.
 
-    Faulting and unsupported instructions come from the model's tables; a
-    fault is contained by the chosen capture mode either way, so the
-    outcome classification does not depend on the mode.
+    Faulting and unsupported instructions come from the model's tables.
     """
 
     dialect = ATT_ORDER
@@ -262,11 +256,7 @@ class SimulatedExecutor:
         self._fault_table = dict(fault_table or {})
         self._extensions = frozenset(supported_extensions)
 
-    def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
-        if mode not in EXEC_MODES:
-            raise ValueError(f"unknown exception-capture mode {mode!r}")
-        if mode == TRANSACTIONAL and not self.backend.capabilities().supports_transactional_suppression:
-            raise CapabilityError("backend does not support transactional suppression")
+    def execute(self, snippet: Snippet) -> ExecOutcome:
         entry = self._entries.get(snippet.entry_id)
         if entry is None:
             raise CorpusError(f"snippet references unknown corpus id {snippet.entry_id}")
@@ -306,11 +296,12 @@ int main(void) {{
 class NativeExecutor:
     """Pairs a real counter backend with compiled-probe execution.
 
-    Each execute compiles a snippet into a one-shot probe binary
-    and runs it under a watchdog, mapping kill signals to fault kinds.  Slow
-    (one compile per instruction) but honest: the instruction really
-    executes on the host.  Exception capture is per-process rather than
-    per-signal-handler, which contains the same fault set.
+    Each execute compiles the snippet into a one-shot probe binary and runs
+    it under a watchdog, mapping kill signals to fault kinds.  Slow but
+    honest: the instruction really executes on the host.  Nothing is cached:
+    a scan compiles once per repetition on a simulated backend, and once per
+    repetition per 4-selector batch on the MSR backend (81,920 compiles for
+    one instruction at --repetitions 5).
 
     Probe runs include process scaffolding (fork, exec, libc startup) inside
     the measured window, so native deltas carry a large baseline; the scan's
@@ -325,11 +316,7 @@ class NativeExecutor:
         if self._cc is None:
             raise CapabilityError(f"no C compiler {cc!r} on PATH")
 
-    def execute(self, snippet: Snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
-        if mode not in EXEC_MODES:
-            raise ValueError(f"unknown exception-capture mode {mode!r}")
-        if mode == TRANSACTIONAL:
-            raise CapabilityError("transactional suppression is not built into the probe binary")
+    def execute(self, snippet: Snippet) -> ExecOutcome:
         lines = snippet.rendered_text.replace("%", "%%").splitlines()
         body = "\n".join(f'        "{line}\\n\\t"' for line in lines)
         source = _NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE)

@@ -388,16 +388,10 @@ def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> tuple[float, boo
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         return 0.0, False
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=float)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # average rank, 1-based
-        i = j + 1
+    # tie groups in sorted order; each NaN is a group of its own, as it equals nothing
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)  # one past each group's last 0-based sorted position
+    ranks = ((2 * ends - counts + 1) / 2)[inverse]  # average rank, 1-based
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg), True
 

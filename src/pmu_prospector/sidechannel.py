@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import CounterBackend, SimEventFamily, SimulatedPmu, simulation_of
-from .corpus import EXEC_MODES, SIGNAL_HANDLER, TRANSACTIONAL
 from .errors import CapabilityError
 from .events import EventSelector, format_selector, umask_gates
 from .seeding import point_fractions
@@ -33,6 +32,10 @@ MELTDOWN = "meltdown"
 SPECTRE_V1 = "spectre_v1"
 SPECTRE_V2 = "spectre_v2"
 ATTACK_KINDS = (MELTDOWN, SPECTRE_V1, SPECTRE_V2)
+
+SIGNAL_HANDLER = "signal-handler"
+TRANSACTIONAL = "transactional"
+EXEC_MODES = (SIGNAL_HANDLER, TRANSACTIONAL)  # how the gadget suppresses its transient fault
 
 # Reference channel rates in bytes/s, measured with 10 iterations per
 # candidate over the full 256-candidate ring.  Spectre variants pay for
@@ -112,8 +115,7 @@ def _check_runnable(spec: GadgetSpec, backend: CounterBackend) -> SimulatedPmu:
     pmu = simulation_of(backend)
     if pmu is None:
         raise CapabilityError("gadget simulation requires a simulated backend")
-    if (spec.suppression == TRANSACTIONAL
-            and not backend.capabilities().supports_transactional_suppression):
+    if spec.suppression == TRANSACTIONAL and not pmu.supports_tsx:
         raise CapabilityError("backend does not support transactional suppression")
     return pmu
 

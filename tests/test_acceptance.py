@@ -17,7 +17,7 @@ import pytest
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.cli import dispatch
 from pmu_prospector.collector import ScanConfig, ScanReport, full_scan, persist_report
-from pmu_prospector.corpus import SIGNAL_HANDLER, TRANSACTIONAL, SimulatedExecutor, parse_corpus
+from pmu_prospector.corpus import SimulatedExecutor, parse_corpus
 from pmu_prospector.detection import (
     ClassActivity,
     LabeledDataset,
@@ -46,7 +46,9 @@ from pmu_prospector.events import (
 from pmu_prospector.seeding import derive_seed
 from pmu_prospector.sidechannel import (
     MELTDOWN,
+    SIGNAL_HANDLER,
     SPECTRE_V2,
+    TRANSACTIONAL,
     ChannelMetrics,
     GadgetSpec,
     RecoveryResult,

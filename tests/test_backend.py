@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pmu_prospector.backend import (
     PERFEVTSEL_BASE_MSR,
     PMC_BASE_MSR,
     PROGRAMMABLE_SLOTS,
-    BackendCapabilities,
     CounterBackend,
     CounterSlot,
     NativeMsrBackend,
@@ -125,9 +125,8 @@ class TestSimulatedPmu:
             SimulatedPmu([LOAD_FAMILY, LOAD_FAMILY])
 
     def test_capabilities(self):
-        caps = make_backend().capabilities()
-        assert caps.supports_transactional_suppression
-        assert not make_backend(supports_tsx=False).capabilities().supports_transactional_suppression
+        assert make_backend().supports_tsx
+        assert not make_backend(supports_tsx=False).supports_tsx
 
     def test_noise_is_truncated_overcount(self):
         family = SimEventFamily(
@@ -270,9 +269,6 @@ class SelectorEchoBackend(CounterBackend):
     def read(self, slot):
         return self.held[slot.index]
 
-    def capabilities(self):
-        return BackendCapabilities(False)
-
 
 def control(base: int, n: int) -> list[int]:
     """Packed codes of event 0x6C with umasks base .. base + n - 1."""
@@ -353,9 +349,6 @@ class _HiddenModel:
 
     def record_execution(self, class_tag):
         self._inner.record_execution(class_tag)
-
-    def capabilities(self):
-        return self._inner.capabilities()
 
 
 class _Forwarding:
@@ -658,6 +651,19 @@ class TestSimModelLoading:
         with pytest.raises(BackendError):
             load_sim_model(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"families": [{"event_code": 16, "trigger_classes": "memory-load"}]},
+         "families[0].trigger_classes"),
+        ({"supported_extensions": "base"}, "supported_extensions"),
+        ({"fault_instructions": [8]}, "fault_instructions"),
+        ({"families": [{"event_code": 16, "noise_stddev": None}]}, "families[0]"),
+    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise"])
+    def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ReportParseError, match=re.escape(field)):
+            load_sim_model(str(path))
+
 
 class TestNativeBackendUnavailable:
     # a CPU index no machine has, so the device is reliably absent
@@ -682,7 +688,6 @@ class TestNativeBackendDevice:
     def test_program_read_cycle(self):
         backend = NativeMsrBackend(cpu=0)
         try:
-            assert isinstance(backend.capabilities().supports_transactional_suppression, bool)
             with pytest.raises(BackendStateError):
                 backend.read(SLOTS[1])
             backend.program(SLOTS[0], scan_control(EventSelector(0x3C, 0x00)))

@@ -5,8 +5,10 @@ fixtures inside a temporary directory, then inspects the artifacts the
 subcommand leaves behind.
 """
 
+import argparse
 import json
 import os
+import re
 import shlex
 
 import pytest
@@ -127,6 +129,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("sidechannel", '{"families": [{"event_code": 108, "trigger_classes": "memory-load"}]}'),
+        ("sidechannel", '{"supported_extensions": "base"}'),
+        ("sidechannel", '{"fault_instructions": [8]}'),
+        ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
+                   '"total_instructions": 1, "executed_success": 1, "hidden_events": []}'),
+    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "hidden-events-list"])
+    def test_malformed_input_exits_one(self, command, text, tmp_path, capsys, secret_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if command == "report":
+            argv = ["report", "--in", str(bad)]
+        else:
+            argv = ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
+                    "--sim-model", str(bad), "--secret-file", secret_path,
+                    "--out", str(tmp_path / "r.json")]
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     # failure: False for none, True for the scan itself, or what fails before the scan
     @pytest.mark.parametrize("failure", [False, True, "no-compiler", "records"])
     def test_native_backend_closed_after_scan(
@@ -230,6 +254,45 @@ class TestScanCommand:
         via_flags = tmp_path / "flags.json"
         assert dispatch(scan_args(via_flags)) == 0
         assert read_bytes(via_env) == read_bytes(via_flags)
+
+    def test_capture_key_is_unknown(self, tmp_path, capsys, scan_args):
+        config = tmp_path / "prospector.cfg"
+        config.write_text("capture=signal-handler\n")
+        assert dispatch(["--config", str(config), *scan_args(tmp_path / "r.json")]) == 2
+        assert "unknown key 'capture'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, settings, override", [
+    (["detect", "collect", "--selector", "0x016C", "--attack", "meltdown"],
+     {"samples": "50", "seed": "1"}, ("seed", "7")),
+    (["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C"],
+     {"iterations": "3", "suppression": "signal-handler"}, ("suppression", "transactional")),
+], ids=["detect-collect", "sidechannel-run"])
+def test_config_file_stands_in_for_flags(argv, settings, override, tmp_path, model_path,
+                                         secret_path):
+    """A config file writes the same bytes as the equivalent flags, and a
+    flag still beats the config value."""
+    settings = {"sim_model": model_path, **settings}
+    if argv[0] == "sidechannel":
+        argv = [*argv, "--secret-file", secret_path]
+    config = tmp_path / "prospector.cfg"
+    config.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+
+    def flags(values):
+        return [arg for key, value in values.items()
+                for arg in (f"--{key.replace('_', '-')}", value)]
+
+    def run(name, prefix=(), suffix=()):
+        out = tmp_path / name
+        assert dispatch([*prefix, *argv, *suffix, "--out", str(out)]) == 0
+        return read_bytes(out)
+
+    key, value = override
+    via_config = run("config.out", ["--config", str(config)])
+    assert via_config == run("flags.out", suffix=flags(settings))
+    overridden = run("config-and-flag.out", ["--config", str(config)], flags({key: value}))
+    assert overridden == run("flags-only.out", suffix=flags({**settings, key: value}))
+    assert overridden != via_config
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +533,28 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, caps
         assert dispatch(argv) == 0, argv
         got = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
         assert got == expected, argv
+
+
+def test_config_keys_match_readme_and_flags():
+    """The README lists exactly the config keys, and each key is the dest of
+    some subcommand's flag, so no key outlives its flag."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Config files", 1)[1]
+    listed = re.search(r"Recognized keys: (.*?)\.\s", section, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == cli._CONFIG_KEYS
+
+    def flag_dests(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for subparser in action.choices.values():
+                    yield from flag_dests(subparser)
+            elif action.option_strings:
+                yield action.dest
+
+    top = cli.build_parser()
+    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {dest for parser in commands.choices.values() for dest in flag_dests(parser)}
+    assert cli._CONFIG_KEYS <= dests
 
 
 def readme_library_example() -> str:

@@ -33,7 +33,6 @@ from pmu_prospector.collector import (
     selector_texts,
 )
 from pmu_prospector.corpus import (
-    SIGNAL_HANDLER,
     ExecOutcome,
     ExecStatus,
     SimulatedExecutor,
@@ -90,9 +89,6 @@ class _FailingBackend:
     def record_execution(self, class_tag):
         self._inner.record_execution(class_tag)
 
-    def capabilities(self):
-        return self._inner.capabilities()
-
 
 class _FaultingBatchExecutor:
     """Delegates to a simulated executor, except that the workload run with
@@ -104,8 +100,8 @@ class _FaultingBatchExecutor:
         self._calls = 0
         self.backend = inner.backend
 
-    def execute(self, snippet, mode=SIGNAL_HANDLER):
-        outcome = self._inner.execute(snippet, mode)
+    def execute(self, snippet):
+        outcome = self._inner.execute(snippet)
         self._calls += 1
         if self._calls == self._fault_call:
             return ExecOutcome(ExecStatus.FAULT, "sigsegv")
@@ -131,7 +127,6 @@ class TestScanConfig:
         config = ScanConfig()
         assert config.repetitions == 5
         assert config.quiet_threshold == 1
-        assert config.mode == SIGNAL_HANDLER
         assert not config.any_thread
 
 
@@ -168,7 +163,7 @@ class _StubExecutor:
         self.backend = backend
         self._status = status
 
-    def execute(self, snippet, mode: str = SIGNAL_HANDLER) -> ExecOutcome:
+    def execute(self, snippet) -> ExecOutcome:
         return ExecOutcome(self._status)
 
 
@@ -535,3 +530,12 @@ class TestReportPersistence:
     def test_unreadable_path_rejected(self, tmp_path):
         with pytest.raises(ReportParseError, match="cannot read"):
             load_report(str(tmp_path / "absent.json"))
+
+    def test_non_object_hidden_events_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
+            "total_instructions": 1, "executed_success": 1, "hidden_events": [["0x016C", [1]]],
+        }))
+        with pytest.raises(ReportParseError, match="hidden_events must be an object"):
+            load_report(str(path))

@@ -10,16 +10,13 @@ from pmu_prospector.corpus import (
     INTEL_ORDER,
     NativeExecutor,
     OperandKind,
-    SIGNAL_HANDLER,
     SimulatedExecutor,
-    TRANSACTIONAL,
     classify_operand,
     instantiate,
     normalize_syntax,
     parse_corpus,
 )
 from pmu_prospector.errors import (
-    CapabilityError,
     CorpusError,
     InstantiationError,
     NormalizationError,
@@ -229,8 +226,8 @@ def test_fixture_corpus_renders_pinned_att_text(corpus_entries, entry_id):
         assert instantiate(normalize_syntax(e, ATT_ORDER)).rendered_text == expected
 
 
-def make_executor_with(families, entries, fault_table=None, extensions=frozenset({"base"}), tsx=True):
-    backend = SimulatedPmu(families, supports_tsx=tsx)
+def make_executor_with(families, entries, fault_table=None, extensions=frozenset({"base"})):
+    backend = SimulatedPmu(families)
     by_id = {e.id: e for e in entries}
     return SimulatedExecutor(backend, by_id, fault_table=fault_table, supported_extensions=extensions)
 
@@ -269,23 +266,6 @@ class TestSimulatedExecutor:
         with pytest.raises(CorpusError, match="999"):
             executor.execute(orphan)
 
-    def test_transactional_requires_capability(self):
-        e = entry()
-        executor = make_executor_with([self.FAMILY], [e], tsx=False)
-        with pytest.raises(CapabilityError):
-            executor.execute(instantiate(e), mode=TRANSACTIONAL)
-
-    def test_transactional_with_capability_works(self):
-        e = entry()
-        executor = make_executor_with([self.FAMILY], [e], tsx=True)
-        assert executor.execute(instantiate(e), mode=TRANSACTIONAL).status is ExecStatus.SUCCESS
-
-    def test_unknown_mode_rejected(self):
-        e = entry()
-        executor = make_executor_with([self.FAMILY], [e])
-        with pytest.raises(ValueError):
-            executor.execute(instantiate(e), mode="eventually")
-
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestNativeSnippetExecutor:
@@ -322,7 +302,3 @@ class TestNativeSnippetExecutor:
         outcome = self.run_native(entry(mnemonic="FLUBBER", templates=()))
         assert outcome.status is ExecStatus.UNSUPPORTED
         assert outcome.detail
-
-    def test_transactional_mode_not_available(self):
-        with pytest.raises(CapabilityError):
-            NativeExecutor(backend=None).execute(instantiate(entry()), mode=TRANSACTIONAL)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pmu_prospector import detection
-from pmu_prospector.backend import BackendCapabilities, SimEventFamily, SimulatedPmu
+from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.detection import (
     DEFAULT_ATTACKS,
     MAX_EPOCHS,
@@ -122,8 +122,7 @@ class TestCollectSamples:
 
     def test_requires_simulated_backend(self):
         class FakeNative:
-            def capabilities(self):
-                return BackendCapabilities(False)
+            """A backend that exposes no simulated PMU."""
 
         clean, _, _ = scenario_suite("meltdown")
         with pytest.raises(CapabilityError):

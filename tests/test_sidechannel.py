@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from pmu_prospector import sidechannel
-from pmu_prospector.backend import BackendCapabilities, SimEventFamily, SimulatedPmu
-from pmu_prospector.corpus import SIGNAL_HANDLER, TRANSACTIONAL
+from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.errors import CapabilityError
 from pmu_prospector.events import EventSelector
 from pmu_prospector.seeding import point_fraction
@@ -21,8 +20,10 @@ from pmu_prospector.sidechannel import (
     ATTACK_KINDS,
     MELTDOWN,
     MIN_CHANNEL_ACCURACY,
+    SIGNAL_HANDLER,
     SPECTRE_V1,
     SPECTRE_V2,
+    TRANSACTIONAL,
     ChannelMetrics,
     GadgetSpec,
     RecoveryResult,
@@ -148,8 +149,7 @@ class TestRunTrial:
 
     def test_requires_simulated_backend(self):
         class FakeNative:
-            def capabilities(self):
-                return BackendCapabilities(False)
+            """A backend that exposes no simulated PMU."""
 
         with pytest.raises(CapabilityError):
             run_trial(GadgetSpec(), BOUND, 0, 0, FakeNative(), SimVictim(b"A"))
