@@ -441,8 +441,11 @@ def load_sim_model(path: str) -> SimModel:
         raise ReportParseError(f"sim model {path}: invalid JSON at byte {exc.pos}") from exc
     if not isinstance(doc, dict):
         raise ReportParseError(f"sim model {path}: top level must be an object")
+    raw_families = doc.get("families", [])
+    if not isinstance(raw_families, list):
+        raise ReportParseError(f"sim model {path}: families must be a list, got {raw_families!r}")
     families = []
-    for i, raw in enumerate(doc.get("families", [])):
+    for i, raw in enumerate(raw_families):
         if not isinstance(raw, dict):
             raise ReportParseError(f"sim model {path}: families[{i}] must be an object")
         try:

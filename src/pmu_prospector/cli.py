@@ -113,7 +113,7 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     for issue in issues:
         log.warning("%s:%d: %s", corpus_path, issue.line, issue.message)
     catalog = load_catalog_file(catalog_path)
-    with contextlib.ExitStack() as stack:  # closes the records file, then the MSR device
+    with contextlib.ExitStack() as stack:  # closes the records file, the probes, then the MSR device
         if backend_kind == "native":
             native, probe_report = probe_native_backend(cpu=args.cpu)
             if native is None:
@@ -122,6 +122,7 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             stack.callback(native.close)
             print(probe_report)
             executor = NativeExecutor(native)
+            stack.callback(executor.close)
         elif backend_kind == "sim":
             model = _load_model(args, config)
             entry_map = {e.id: e for e in entries}

@@ -296,12 +296,12 @@ int main(void) {{
 class NativeExecutor:
     """Pairs a real counter backend with compiled-probe execution.
 
-    Each execute compiles the snippet into a one-shot probe binary and runs
-    it under a watchdog, mapping kill signals to fault kinds.  Slow but
-    honest: the instruction really executes on the host.  Nothing is cached:
-    a scan compiles once per repetition on a simulated backend, and once per
-    repetition per 4-selector batch on the MSR backend (81,920 compiles for
-    one instruction at --repetitions 5).
+    Each distinct snippet text is compiled once into a probe binary, kept in
+    a temporary directory that the first compile creates and close() removes.
+    Every execute runs the probe in a fresh process under a watchdog, mapping
+    kill signals to fault kinds; a snippet that does not assemble stays
+    UNSUPPORTED without another compile.  Slow but honest: the instruction
+    really executes on the host.
 
     Probe runs include process scaffolding (fork, exec, libc startup) inside
     the measured window, so native deltas carry a large baseline; the scan's
@@ -315,25 +315,52 @@ class NativeExecutor:
         self._cc = shutil.which(cc)
         if self._cc is None:
             raise CapabilityError(f"no C compiler {cc!r} on PATH")
+        self.probe_dir: tempfile.TemporaryDirectory | None = None
+        self._probes: dict[str, str | ExecOutcome] = {}  # binary path, or why it failed
+
+    def close(self) -> None:
+        """Remove the compiled probes; safe to call more than once."""
+        self._probes.clear()
+        if self.probe_dir is not None:
+            self.probe_dir.cleanup()
+            self.probe_dir = None
+
+    def __enter__(self) -> NativeExecutor:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _probe(self, text: str) -> str | ExecOutcome:
+        probe = self._probes.get(text)
+        if probe is not None:
+            return probe
+        if self.probe_dir is None:
+            self.probe_dir = tempfile.TemporaryDirectory(prefix="pmu-probes-")
+        lines = text.replace("%", "%%").splitlines()
+        body = "\n".join(f'        "{line}\\n\\t"' for line in lines)
+        bin_path = os.path.join(self.probe_dir.name, f"probe{len(self._probes)}")
+        c_path = bin_path + ".c"
+        with open(c_path, "w", encoding="utf-8") as fh:
+            fh.write(_NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE))
+        compile_proc = subprocess.run([self._cc, "-O0", "-o", bin_path, c_path],
+                                      capture_output=True, text=True)
+        if compile_proc.returncode == 0:
+            probe = bin_path
+        else:
+            tail = compile_proc.stderr.strip().splitlines()[-1:] or ["?"]
+            probe = ExecOutcome(ExecStatus.UNSUPPORTED, detail=f"assembler: {tail[0]}")
+        self._probes[text] = probe
+        return probe
 
     def execute(self, snippet: Snippet) -> ExecOutcome:
-        lines = snippet.rendered_text.replace("%", "%%").splitlines()
-        body = "\n".join(f'        "{line}\\n\\t"' for line in lines)
-        source = _NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE)
-        with tempfile.TemporaryDirectory() as tmp:
-            c_path = os.path.join(tmp, "probe.c")
-            bin_path = os.path.join(tmp, "probe")
-            with open(c_path, "w", encoding="utf-8") as fh:
-                fh.write(source)
-            compile_proc = subprocess.run([self._cc, "-O0", "-o", bin_path, c_path],
-                                          capture_output=True, text=True)
-            if compile_proc.returncode != 0:
-                tail = compile_proc.stderr.strip().splitlines()[-1:] or ["?"]
-                return ExecOutcome(ExecStatus.UNSUPPORTED, detail=f"assembler: {tail[0]}")
-            try:
-                run_proc = subprocess.run([bin_path], capture_output=True, timeout=PROBE_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                return ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
+        probe = self._probe(snippet.rendered_text)
+        if isinstance(probe, ExecOutcome):
+            return probe
+        try:
+            run_proc = subprocess.run([probe], capture_output=True, timeout=PROBE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
         if run_proc.returncode == 0:
             return _SUCCESS
         if run_proc.returncode < 0:

@@ -664,6 +664,13 @@ class TestSimModelLoading:
         with pytest.raises(ReportParseError, match=re.escape(field)):
             load_sim_model(str(path))
 
+    @pytest.mark.parametrize("families", [5, "memory-load"], ids=["number", "string"])
+    def test_families_must_be_a_list(self, tmp_path, families):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"families": families}))
+        with pytest.raises(ReportParseError, match="families must be a list"):
+            load_sim_model(str(path))
+
 
 class TestNativeBackendUnavailable:
     # a CPU index no machine has, so the device is reliably absent

@@ -10,12 +10,14 @@ import json
 import os
 import re
 import shlex
+import shutil
 
 import pytest
 
 from pmu_prospector import cli
 from pmu_prospector.cli import CONFIG_ENV_VAR, dispatch, parse_config_text
 from pmu_prospector.collector import load_report
+from pmu_prospector.corpus import NativeExecutor, Snippet
 from pmu_prospector.detection import load_dataset_csv, load_model_json
 from pmu_prospector.errors import BackendError, CapabilityError, ConfigError
 from pmu_prospector.events import EventSelector, parse_selector
@@ -133,9 +135,12 @@ class TestExitCodes:
         ("sidechannel", '{"families": [{"event_code": 108, "trigger_classes": "memory-load"}]}'),
         ("sidechannel", '{"supported_extensions": "base"}'),
         ("sidechannel", '{"fault_instructions": [8]}'),
+        ("sidechannel", '{"families": 5}'),
+        ("sidechannel", '{"families": "memory-load"}'),
         ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
                    '"total_instructions": 1, "executed_success": 1, "hidden_events": []}'),
-    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "hidden-events-list"])
+    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "families-number",
+            "families-string", "hidden-events-list"])
     def test_malformed_input_exits_one(self, command, text, tmp_path, capsys, secret_path):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -156,6 +161,9 @@ class TestExitCodes:
     def test_native_backend_closed_after_scan(
         self, tmp_path, capsys, monkeypatch, catalog_path, failure
     ):
+        if failure != "no-compiler" and shutil.which("cc") is None:
+            pytest.skip("needs a C compiler")
+
         class FakeMsrBackend:
             closed = 0
 
@@ -168,9 +176,17 @@ class TestExitCodes:
 
             return fail
 
+        probe_dirs = {}  # holding the executor keeps garbage collection from removing its probes
+
+        def native_executor(native):
+            executor = NativeExecutor(native)
+            executor.execute(Snippet(0, "nop"))  # compiles, so the probe directory exists
+            probe_dirs[executor.probe_dir.name] = executor
+            return executor
+
         backend = FakeMsrBackend()
         monkeypatch.setattr(cli, "probe_native_backend", lambda cpu: (backend, "ready"))
-        monkeypatch.setattr(cli, "NativeExecutor", lambda native: object())
+        monkeypatch.setattr(cli, "NativeExecutor", native_executor)
         if failure is True:
             monkeypatch.setattr(cli.collector, "full_scan", failing(BackendError("MSR write")))
         if failure == "no-compiler":
@@ -184,6 +200,8 @@ class TestExitCodes:
         ])
         assert code == (1 if failure else 0)
         assert backend.closed == 1
+        assert len(probe_dirs) == (failure != "no-compiler")
+        assert not any(os.path.exists(d) for d in probe_dirs)
 
 
 @pytest.fixture()

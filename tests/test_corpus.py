@@ -1,16 +1,21 @@
+import os
 import shutil
+import subprocess
 
 import pytest
 
+from pmu_prospector import corpus
 from pmu_prospector.backend import SLOTS, SimEventFamily, SimulatedPmu
 from pmu_prospector.corpus import (
     ATT_ORDER,
+    ExecOutcome,
     ExecStatus,
     InstructionEntry,
     INTEL_ORDER,
     NativeExecutor,
     OperandKind,
     SimulatedExecutor,
+    Snippet,
     classify_operand,
     instantiate,
     normalize_syntax,
@@ -270,8 +275,22 @@ class TestSimulatedExecutor:
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestNativeSnippetExecutor:
     def run_native(self, e):
-        executor = NativeExecutor(backend=None)
-        return executor.execute(instantiate(e))
+        with NativeExecutor(backend=None) as executor:
+            return executor.execute(instantiate(e))
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        """The argv of every compiler launch; probe runs pass through."""
+        launches = []
+        run = corpus.subprocess.run
+
+        def counted(argv, **kwargs):
+            if "-o" in argv:
+                launches.append(argv)
+            return run(argv, **kwargs)
+
+        monkeypatch.setattr(corpus.subprocess, "run", counted)
+        return launches
 
     def test_benign_alu_instruction_succeeds(self):
         outcome = self.run_native(entry(templates=("r64", "r64")))
@@ -302,3 +321,64 @@ class TestNativeSnippetExecutor:
         outcome = self.run_native(entry(mnemonic="FLUBBER", templates=()))
         assert outcome.status is ExecStatus.UNSUPPORTED
         assert outcome.detail
+
+    def test_same_snippet_compiles_once(self, compiles):
+        snippet = instantiate(entry())
+        with NativeExecutor(backend=None) as executor:
+            assert executor.probe_dir is None  # nothing is created before the first execute
+            outcomes = [executor.execute(snippet) for _ in range(3)]
+        assert [o.status for o in outcomes] == [ExecStatus.SUCCESS] * 3
+        assert len(compiles) == 1
+
+    def test_distinct_snippets_compile_apart(self, compiles):
+        with NativeExecutor(backend=None) as executor:
+            for e in (entry(), entry(mnemonic="SUB")) * 2:
+                assert executor.execute(instantiate(e)).status is ExecStatus.SUCCESS
+        assert len(compiles) == 2
+
+    def test_unassemblable_snippet_compiles_once(self, compiles):
+        snippet = instantiate(entry(mnemonic="FLUBBER", templates=()))
+        with NativeExecutor(backend=None) as executor:
+            outcomes = [executor.execute(snippet) for _ in range(3)]
+        assert outcomes[0].status is ExecStatus.UNSUPPORTED
+        assert outcomes[0].detail.startswith("assembler:")
+        assert outcomes == [outcomes[0]] * 3
+        assert len(compiles) == 1
+
+    def test_cached_ud2_still_faults(self, compiles):
+        snippet = instantiate(entry(mnemonic="UD2", templates=(), tag="illegal-op"))
+        with NativeExecutor(backend=None) as executor:
+            outcomes = [executor.execute(snippet) for _ in range(2)]
+        assert outcomes == [ExecOutcome(ExecStatus.FAULT, fault_kind="illegal-instruction")] * 2
+        assert len(compiles) == 1
+
+    def test_close_removes_probes(self, compiles):
+        executor = NativeExecutor(backend=None)
+        snippet = instantiate(entry())
+        executor.execute(snippet)
+        probe_dir = executor.probe_dir.name
+        assert os.listdir(probe_dir)
+        executor.close()
+        assert not os.path.exists(probe_dir)
+        executor.close()  # a second close is harmless
+        assert executor.execute(snippet).status is ExecStatus.SUCCESS  # compiles afresh
+        executor.close()
+        assert len(compiles) == 2
+
+    def test_looping_probe_is_stopped_by_watchdog_and_reaped(self, monkeypatch):
+        started = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(corpus.subprocess, "Popen", RecordedPopen)
+        with NativeExecutor(backend=None) as executor:
+            outcome = executor.execute(Snippet(0, "2: jmp 2b"))
+        assert outcome == ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
+        assert len(started) == 2  # the compile, then the probe run
+        for proc in started:
+            assert proc.returncode is not None  # waited for
+            with pytest.raises(ProcessLookupError):
+                os.kill(proc.pid, 0)
