@@ -350,6 +350,8 @@ class NativeExecutor:
         else:
             tail = compile_proc.stderr.strip().splitlines()[-1:] or ["?"]
             probe = ExecOutcome(ExecStatus.UNSUPPORTED, detail=f"assembler: {tail[0]}")
+            if compile_proc.returncode < 0:  # the compiler was killed: the next execute tries again
+                return probe
         self._probes[text] = probe
         return probe
 

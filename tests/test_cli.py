@@ -161,14 +161,26 @@ class TestExitCodes:
     def test_native_backend_closed_after_scan(
         self, tmp_path, capsys, monkeypatch, catalog_path, failure
     ):
-        if failure != "no-compiler" and shutil.which("cc") is None:
-            pytest.skip("needs a C compiler")
-
         class FakeMsrBackend:
             closed = 0
 
             def close(self):
                 self.closed += 1
+
+        class FakeExecutor:
+            """Stands in for NativeExecutor: a probe directory that close() removes."""
+
+            made = []
+
+            def __init__(self, native):
+                self.probe_dir = tmp_path / "probes"
+                self.probe_dir.mkdir()
+                self.closed = 0
+                self.made.append(self)
+
+            def close(self):
+                self.closed += 1
+                shutil.rmtree(self.probe_dir)
 
         def failing(exc):
             def fail(*args, **kwargs):
@@ -176,32 +188,53 @@ class TestExitCodes:
 
             return fail
 
-        probe_dirs = {}  # holding the executor keeps garbage collection from removing its probes
-
-        def native_executor(native):
-            executor = NativeExecutor(native)
-            executor.execute(Snippet(0, "nop"))  # compiles, so the probe directory exists
-            probe_dirs[executor.probe_dir.name] = executor
-            return executor
-
         backend = FakeMsrBackend()
         monkeypatch.setattr(cli, "probe_native_backend", lambda cpu: (backend, "ready"))
-        monkeypatch.setattr(cli, "NativeExecutor", native_executor)
+        monkeypatch.setattr(cli, "NativeExecutor", FakeExecutor)
         if failure is True:
             monkeypatch.setattr(cli.collector, "full_scan", failing(BackendError("MSR write")))
         if failure == "no-compiler":
             monkeypatch.setattr(cli, "NativeExecutor", failing(CapabilityError("no C compiler")))
-        records = tmp_path / ("missing-dir" if failure == "records" else "") / "records.ndjson"
+        code = self.native_scan(tmp_path, catalog_path, records_ok=failure != "records")
+        assert code == (1 if failure else 0)
+        assert backend.closed == 1
+        assert [e.closed for e in FakeExecutor.made] == ([] if failure == "no-compiler" else [1])
+        assert not (tmp_path / "probes").exists()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    @pytest.mark.parametrize("records_ok", [True, False], ids=["success", "records"])
+    def test_native_scan_removes_real_probes(
+        self, tmp_path, capsys, monkeypatch, catalog_path, records_ok
+    ):
+        class FakeMsrBackend:
+            def close(self):
+                pass
+
+        kept = []  # holding the executor keeps garbage collection from removing its probes
+
+        def native_executor(native):
+            executor = NativeExecutor(native)
+            executor.execute(Snippet(0, "nop"))  # compiles, so the probe directory exists
+            kept.append((executor, executor.probe_dir.name))
+            return executor
+
+        monkeypatch.setattr(cli, "probe_native_backend", lambda cpu: (FakeMsrBackend(), "ready"))
+        monkeypatch.setattr(cli, "NativeExecutor", native_executor)
+        code = self.native_scan(tmp_path, catalog_path, records_ok=records_ok)
+        assert code == (0 if records_ok else 1)
+        assert len(kept) == 1
+        assert not os.path.exists(kept[0][1])
+
+    @staticmethod
+    def native_scan(tmp_path, catalog_path, records_ok):
+        """scan --backend native over an empty corpus; a missing records dir fails it."""
+        records = tmp_path / ("" if records_ok else "missing-dir") / "records.ndjson"
         corpus = tmp_path / "empty.tsv"
         corpus.write_text("")
-        code = dispatch([
+        return dispatch([
             "scan", "--backend", "native", "--corpus", str(corpus), "--records", str(records),
             "--catalog", catalog_path, "--out", str(tmp_path / "r.json"),
         ])
-        assert code == (1 if failure else 0)
-        assert backend.closed == 1
-        assert len(probe_dirs) == (failure != "no-compiler")
-        assert not any(os.path.exists(d) for d in probe_dirs)
 
 
 @pytest.fixture()

@@ -345,6 +345,20 @@ class TestNativeSnippetExecutor:
         assert outcomes == [outcomes[0]] * 3
         assert len(compiles) == 1
 
+    def test_killed_compiler_is_not_cached(self, monkeypatch):
+        launches = []
+
+        def killed(argv, **kwargs):
+            launches.append(argv)
+            return subprocess.CompletedProcess(argv, -9, "", "")
+
+        monkeypatch.setattr(corpus.subprocess, "run", killed)
+        snippet = instantiate(entry())
+        with NativeExecutor(backend=None) as executor:
+            outcomes = [executor.execute(snippet) for _ in range(2)]
+        assert [o.status for o in outcomes] == [ExecStatus.UNSUPPORTED] * 2
+        assert len(launches) == 2  # a compiler killed by a signal is tried again
+
     def test_cached_ud2_still_faults(self, compiles):
         snippet = instantiate(entry(mnemonic="UD2", templates=(), tag="illegal-op"))
         with NativeExecutor(backend=None) as executor:
