@@ -56,10 +56,8 @@ from .events import (
     EventSelector,
     PerfEvtSelValue,
     decode_msr_value,
-    enumerate_space,
     format_selector,
     load_catalog,
-    pack_selector,
     parse_selector,
     render_msr_value,
     scan_control,

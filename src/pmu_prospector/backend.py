@@ -470,10 +470,19 @@ def load_sim_model(path: str) -> SimModel:
     faults = doc.get("fault_instructions", {})
     if not isinstance(faults, dict):
         raise ReportParseError(f"sim model: fault_instructions must be an object, got {faults!r}")
-    fault_table = {
-        _model_int(key, f"fault_instructions key {key!r}"): str(kind)
-        for key, kind in faults.items()
-    }
+    fault_table = {}
+    for key, kind in faults.items():
+        instruction_id = _model_int(key, f"fault_instructions key {key!r}")
+        if not isinstance(kind, str):
+            raise ReportParseError(
+                f"sim model: fault_instructions[{key!r}] must be a string, got {kind!r}"
+            )
+        fault_table[instruction_id] = kind
+    supports_tsx = doc.get("supports_tsx", True)
+    if not isinstance(supports_tsx, bool):
+        raise ReportParseError(
+            f"sim model: supports_tsx must be true or false, got {supports_tsx!r}"
+        )
     return SimModel(
         label=str(doc.get("microarchitecture", "sim")),
         families=tuple(families),
@@ -481,7 +490,7 @@ def load_sim_model(path: str) -> SimModel:
         supported_extensions=_model_strings(
             doc.get("supported_extensions", ["base"]), "supported_extensions"
         ),
-        supports_tsx=bool(doc.get("supports_tsx", True)),
+        supports_tsx=supports_tsx,
     )
 
 

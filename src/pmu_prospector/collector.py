@@ -71,6 +71,7 @@ class ScanReport:
     catalog_source: str = ""
 
 
+# No src/ caller: benchmarks/ reads it until ROADMAP item 7 deletes it.
 def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
     """Scan control values for the whole space, indexed by packed selector."""
     return [scan_control(unpack_selector(p), any_thread) for p in range(EVENT_SPACE_SIZE)]
@@ -91,6 +92,7 @@ def _measure_snippet(executor, snippet: Snippet, codes: Sequence[int],
     return measure(executor.backend, codes, run, config.repetitions, config.any_thread)
 
 
+# No src/ caller: benchmarks/ reads it until ROADMAP item 8 deletes it.
 def scan_instruction(
     entry: InstructionEntry,
     selectors: Iterable[EventSelector],

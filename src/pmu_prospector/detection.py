@@ -473,9 +473,12 @@ def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> Label
                 if len(row) != 2:
                     raise ReportParseError(f"{path}:{row_no}: expected delta,label")
                 try:
-                    samples.append((int(row[0]), int(row[1])))
+                    delta, label = int(row[0]), int(row[1])
                 except ValueError:
                     raise ReportParseError(f"{path}:{row_no}: non-integer field") from None
+                if label not in (0, 1):
+                    raise ReportParseError(f"{path}:{row_no}: label must be 0 or 1, got {label}")
+                samples.append((delta, label))
     except OSError as exc:
         raise ReportParseError(f"cannot read dataset {path}: {exc}") from exc
     return LabeledDataset(selector, tuple(samples), _split_seed(seed, selector))
@@ -536,12 +539,6 @@ def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsRep
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportParseError(f"model {path} has an invalid field: {exc}") from exc
     return selector, model, metrics
-
-
-def evaluate(dataset: LabeledDataset) -> tuple[LogisticModel, MetricsReport]:
-    """Train on the dataset's training split and score its held-out split."""
-    result = train(dataset)
-    return result.model, compute_metrics(result.model, result.test_samples)
 
 
 def write_screen_csv(

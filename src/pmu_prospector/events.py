@@ -11,7 +11,7 @@ reserved and must be zero.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import CatalogError
@@ -54,11 +54,6 @@ class EventSelector:
         return format_selector(self)
 
 
-def pack_selector(selector: EventSelector) -> int:
-    """Packed 16-bit identity: umask in the high byte, event code in the low byte."""
-    return selector.packed
-
-
 def unpack_selector(packed: int) -> EventSelector:
     if not 0 <= packed < EVENT_SPACE_SIZE:
         raise ValueError(f"packed selector out of range: {packed!r}")
@@ -77,12 +72,6 @@ def parse_selector(text: str) -> EventSelector:
     except ValueError:
         raise ValueError(f"not a hexadecimal selector: {text!r}") from None
     return unpack_selector(packed)
-
-
-def enumerate_space() -> Iterator[EventSelector]:
-    """Yield all 65536 selectors ordered by packed identity ascending."""
-    for packed in range(EVENT_SPACE_SIZE):
-        yield EventSelector(event_code=packed & 0xFF, umask=packed >> 8)
 
 
 @dataclass(frozen=True)
@@ -123,6 +112,7 @@ def render_msr_value(value: PerfEvtSelValue) -> int:
     return raw
 
 
+# No src/ caller: the inverse of render_msr_value, kept for acceptance criterion 02.
 def decode_msr_value(raw: int) -> PerfEvtSelValue:
     """Decode a 64-bit register image; reserved high bits must be clear."""
     if not 0 <= raw < (1 << 64):

@@ -12,19 +12,23 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INT_PART_BOUND = 1 << 127
 
 
 def derive_seed(*parts: int | str) -> int:
     """Derive a 64-bit substream seed from a root seed and stream labels.
 
     Parts may mix integers (seeds, indices) and strings (stream names).
-    The derivation is stable across processes and platforms.
+    Integers must lie in [-2**127, 2**127), the 16 signed bytes hashed per
+    part.  The derivation is stable across processes and platforms.
     """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
             raise TypeError(f"seed part must be int or str, got {type(part).__name__}")
         if isinstance(part, int):
+            if not -_INT_PART_BOUND <= part < _INT_PART_BOUND:
+                raise ValueError(f"integer seed part outside [-2**127, 2**127): {part}")
             h.update(b"i")
             h.update(part.to_bytes(16, "little", signed=True))
         else:
@@ -42,6 +46,7 @@ def mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+# No src/ caller: the scalar reference that tests hold point_fractions to, bit for bit.
 def point_fraction(*parts: int) -> float:
     """Map an integer coordinate tuple to a uniform float in [0, 1).
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CounterBackend, SimEventFamily, SimulatedPmu, simulation_of
+from .backend import CounterBackend, SimulatedPmu, simulation_of
 from .errors import CapabilityError
-from .events import EventSelector, format_selector, umask_gates
+from .events import EventSelector, format_selector
 from .seeding import point_fractions
 
 MELTDOWN = "meltdown"
@@ -232,19 +232,6 @@ def channel_metrics(result: RecoveryResult, true_secret: bytes) -> ChannelMetric
         throughput_bps=n / result.elapsed_seconds,
         error_rate=mismatches / n,
     )
-
-
-def transmit_capable_selectors(
-    families: Iterable[SimEventFamily], transmit_class: str
-) -> list[EventSelector]:
-    """All selectors whose family counts the transmit class, packed order."""
-    out: list[EventSelector] = []
-    for family in families:
-        if transmit_class in family.trigger_classes:
-            for umask in range(256):
-                if umask_gates(umask, family.relevance_mask):
-                    out.append(EventSelector(family.event_code, umask))
-    return sorted(out, key=lambda s: s.packed)
 
 
 def screen_channel_events(

@@ -83,19 +83,6 @@ def infer_relevance_mask(observations: Iterable[RelevanceObservation]) -> Releva
     return RelevanceMask(event_code, best_mask, consistent=False)
 
 
-def relevance_observations(report: ScanReport, event_code: int) -> list[RelevanceObservation]:
-    """Reconstruct the full 256-umask pattern of one event code from a scan.
-
-    The scan covered every umask, so umasks absent from the hidden set were
-    quiet.  Valid only when no documented selector shares the event code,
-    since documented reactions are excluded from hidden_events.
-    """
-    counted = {s.umask for s in report.hidden_events if s.event_code == event_code}
-    return [
-        RelevanceObservation(event_code, umask, umask in counted) for umask in range(256)
-    ]
-
-
 def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:
     """Hidden umasks per event code, both dimensions sorted ascending."""
     grouped: dict[int, set[int]] = {}
@@ -105,16 +92,16 @@ def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:
 
 
 def infer_report_masks(report: ScanReport) -> dict[int, RelevanceMask]:
-    """Relevance mask per hidden event code in a scan report."""
-    return {
-        code: infer_relevance_mask(relevance_observations(report, code))
-        for code in group_hidden_by_event_code(report)
-    }
-
-
-def emit_distribution(report: ScanReport) -> list[tuple[int, int]]:
-    """(event_code, umask) scatter points sorted by code, then umask."""
-    return sorted((s.event_code, s.umask) for s in report.hidden_events)
+    """Relevance mask per hidden event code, umasks outside its hidden set
+    taken as quiet.  Valid only when no documented selector shares the event
+    code, since documented reactions are excluded from hidden_events."""
+    masks: dict[int, RelevanceMask] = {}
+    for code, umasks in group_hidden_by_event_code(report).items():
+        counted = set(umasks)
+        masks[code] = infer_relevance_mask(
+            RelevanceObservation(code, umask, umask in counted) for umask in range(256)
+        )
+    return masks
 
 
 def write_distribution_csv(report: ScanReport, path: str) -> None:
@@ -122,8 +109,9 @@ def write_distribution_csv(report: ScanReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_code", "umask"])
-        for event_code, umask in emit_distribution(report):
-            writer.writerow([f"0x{event_code:02X}", f"0x{umask:02X}"])
+        for event_code, umasks in group_hidden_by_event_code(report).items():
+            for umask in umasks:
+                writer.writerow([f"0x{event_code:02X}", f"0x{umask:02X}"])
 
 
 def write_masks_csv(masks: dict[int, RelevanceMask], path: str) -> None:

@@ -24,10 +24,11 @@ from pmu_prospector.detection import (
     ScenarioKind,
     ScenarioSpec,
     collect_samples,
+    compute_metrics,
     confusion_ratios,
-    evaluate,
     passes_screen,
     rank_auc,
+    train,
 )
 from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
@@ -35,9 +36,7 @@ from pmu_prospector.events import (
     EventSelector,
     PerfEvtSelValue,
     decode_msr_value,
-    enumerate_space,
     format_selector,
-    pack_selector,
     parse_selector,
     render_msr_value,
     umask_gates,
@@ -56,7 +55,6 @@ from pmu_prospector.sidechannel import (
     channel_metrics,
     recover_byte,
     recover_secret,
-    transmit_capable_selectors,
 )
 from pmu_prospector.umask import RelevanceMask, RelevanceObservation, infer_relevance_mask
 
@@ -85,14 +83,14 @@ def criterion(number: int, name: str):
 def test_criterion_01_selector_space_enumeration_and_roundtrip():
     with criterion(1, "65536 unique selectors roundtrip in under a second"):
         start = time.perf_counter()
-        selectors = list(enumerate_space())
+        selectors = [unpack_selector(packed) for packed in range(EVENT_SPACE_SIZE)]
         assert len(selectors) == EVENT_SPACE_SIZE
         assert len(set(selectors)) == EVENT_SPACE_SIZE
         failures = 0
         for selector in selectors:
             if parse_selector(format_selector(selector)) != selector:
                 failures += 1
-            if unpack_selector(pack_selector(selector)) != selector:
+            if unpack_selector(selector.packed) != selector:
                 failures += 1
         elapsed = time.perf_counter() - start
         assert failures == 0
@@ -261,7 +259,8 @@ def test_criterion_06_detector_learns_separable_scenario_and_rejects_noise():
         dataset = _separable_dataset(seed=11)
         bayes = _best_threshold_accuracy(dataset.samples)
         assert bayes >= MIN_BAYES_ACCURACY, f"scenario Bayes accuracy only {bayes:.4f}"
-        model, metrics = evaluate(dataset)
+        result = train(dataset)
+        metrics = compute_metrics(result.model, result.test_samples)
         assert metrics.accuracy >= MIN_TEST_ACCURACY, f"accuracy {metrics.accuracy:.4f}"
         assert passes_screen(metrics)
 
@@ -275,7 +274,8 @@ def test_criterion_06_detector_learns_separable_scenario_and_rejects_noise():
                 tuple((delta, label) for (delta, _), label in zip(dataset.samples, labels)),
                 split_seed=derive_seed(11, "perm-split", i),
             )
-            _, permuted_metrics = evaluate(permuted)
+            trained = train(permuted)
+            permuted_metrics = compute_metrics(trained.model, trained.test_samples)
             if not passes_screen(permuted_metrics):
                 failures += 1
         assert failures >= MIN_PERMUTATION_FAILURES, f"only {failures} permutations failed"
@@ -289,7 +289,11 @@ def test_criterion_07_channel_recovery_exact_then_noise_bounded():
         secret = bytes(range(64))
         backend = SimulatedPmu([CHANNEL_FAMILY])
         victim = SimVictim(secret)
-        capable = transmit_capable_selectors([CHANNEL_FAMILY], "memory-load")
+        capable = [
+            EventSelector(CHANNEL_FAMILY.event_code, umask)
+            for umask in range(256)
+            if umask_gates(umask, CHANNEL_FAMILY.relevance_mask)
+        ]
         assert len(capable) == 128
         spec = GadgetSpec(iterations=1, secret_length=64)
         for selector in capable:

@@ -657,7 +657,10 @@ class TestSimModelLoading:
         ({"supported_extensions": "base"}, "supported_extensions"),
         ({"fault_instructions": [8]}, "fault_instructions"),
         ({"families": [{"event_code": 16, "noise_stddev": None}]}, "families[0]"),
-    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise"])
+        ({"supports_tsx": "false"}, "supports_tsx"),
+        ({"fault_instructions": {"8": None}}, "fault_instructions['8']"),
+    ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise",
+            "tsx-string", "null-fault-kind"])
     def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))

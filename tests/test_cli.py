@@ -114,8 +114,15 @@ class TestExitCodes:
         ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown", "--samples", "1"],
         ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x16C00",
          "--secret-file", "{secret}"],
+        ["scan", "--corpus", "{corpus}", "--catalog", "{catalog}", "--seed", str(1 << 128)],
+        ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown",
+         "--seed", str(1 << 128)],
+        ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
+         "--secret-file", "{secret}", "--seed", str(1 << 128)],
     ], ids=["length-past-secret", "zero-iterations", "zero-repetitions",
-            "negative-samples", "zero-samples", "one-sample", "selector-past-space"])
+            "negative-samples", "zero-samples", "one-sample", "selector-past-space",
+            "scan-seed-past-128-bits", "collect-seed-past-128-bits",
+            "channel-seed-past-128-bits"])
     def test_out_of_range_value_exits_two(
         self, argv, tmp_path, capsys, corpus_path, catalog_path, model_path, secret_path,
         scan_report_path,
@@ -137,10 +144,11 @@ class TestExitCodes:
         ("sidechannel", '{"fault_instructions": [8]}'),
         ("sidechannel", '{"families": 5}'),
         ("sidechannel", '{"families": "memory-load"}'),
+        ("sidechannel", '{"supports_tsx": "false"}'),
         ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
                    '"total_instructions": 1, "executed_success": 1, "hidden_events": []}'),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "families-number",
-            "families-string", "hidden-events-list"])
+            "families-string", "tsx-string", "hidden-events-list"])
     def test_malformed_input_exits_one(self, command, text, tmp_path, capsys, secret_path):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -282,7 +290,7 @@ class TestScanCommand:
             return records
 
         first = run("a")
-        lines = open(first, encoding="utf-8").read().splitlines()
+        lines = read_bytes(first).decode("utf-8").splitlines()
         assert len(lines) == 65536
         assert json.loads(lines[0x016C]) == {
             "delta": 1, "instruction": 1, "outcome": "success", "selector": "0x016C"
@@ -448,6 +456,20 @@ class TestDetectCommands:
         assert result.model == cli_model
         assert compute_metrics(result.model, result.test_samples) == cli_metrics
 
+    def test_train_rejects_a_label_outside_0_1(self, tmp_path, capsys):
+        dataset_path = tmp_path / "dataset.csv"
+        dataset_path.write_text("delta,label\n1,0\n2,0\n3,0\n7,1\n8,1\n9,2\n")
+        model_out = tmp_path / "model.json"
+        code = dispatch([
+            "detect", "train", "--dataset", str(dataset_path),
+            "--selector", "0x016C", "--out", str(model_out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "dataset.csv:7: label must be 0 or 1" in err
+        assert "Traceback" not in err
+        assert not model_out.exists()
+
     def test_screen_flags_and_plot(self, tmp_path, capsys):
         from pmu_prospector.detection import MetricsReport, save_model_json
         from pmu_prospector.detection import LogisticModel
@@ -487,7 +509,7 @@ class TestSidechannelCommands:
         assert code == 0
         assert "error 0.0000" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert doc["recovered_hex"] == open(secret_path, "rb").read().hex()
+        assert doc["recovered_hex"] == read_bytes(secret_path).hex()
         assert doc["error_rate"] == 0.0
 
         again = tmp_path / "again.json"

@@ -13,6 +13,7 @@ import json
 import logging
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -480,14 +481,14 @@ class TestReportPersistence:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         persist_report(report, a)
         persist_report(shuffled, b)
-        first = open(a, "rb").read()
-        assert first == open(b, "rb").read()
+        first = Path(a).read_bytes()
+        assert first == Path(b).read_bytes()
         assert first.endswith(b"\n")
 
     def test_selector_keys_use_packed_text_form(self, tmp_path):
         path = str(tmp_path / "report.json")
         persist_report(sample_report(), path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         assert sorted(doc["hidden_events"]) == ["0x016C", "0x03D3"]
         assert doc["hidden_events"]["0x016C"] == [1, 3]
 

@@ -7,6 +7,7 @@ in-package implementations never grade their own homework.
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from pmu_prospector.detection import (
     collect_samples,
     compute_metrics,
     confusion_ratios,
-    evaluate,
     fit,
     load_dataset_csv,
     load_model_json,
@@ -392,7 +392,8 @@ class TestEndToEnd:
         backend = backend_with(PRIMITIVE_FAMILY)
         dataset = build_dataset(EventSelector(0x5F, 0x01), "meltdown", backend,
                                 samples_per_class=200, seed=5)
-        model, metrics = evaluate(dataset)
+        result = train(dataset)
+        metrics = compute_metrics(result.model, result.test_samples)
         assert (metrics.accuracy, metrics.f1, metrics.auc) == (1.0, 1.0, 1.0)
         assert passes_screen(metrics)
         assert not passes_screen(metrics, ScreenCriteria(exclude_perfect=True))
@@ -401,7 +402,8 @@ class TestEndToEnd:
         family = SimEventFamily(0x60, 0x00, frozenset({"memory-load", "fault-load"}))
         dataset = build_dataset(EventSelector(0x60, 0x01), "meltdown",
                                 backend_with(family), samples_per_class=200, seed=5)
-        model, metrics = evaluate(dataset)
+        result = train(dataset)
+        metrics = compute_metrics(result.model, result.test_samples)
         assert 0.75 < metrics.accuracy < 1.0
         assert 0.85 < metrics.auc < 1.0
         assert passes_screen(metrics)
@@ -410,7 +412,8 @@ class TestEndToEnd:
         family = SimEventFamily(0x61, 0x00, frozenset({"branch"}))
         dataset = build_dataset(EventSelector(0x61, 0x01), "meltdown",
                                 backend_with(family), samples_per_class=200, seed=5)
-        model, metrics = evaluate(dataset)
+        result = train(dataset)
+        metrics = compute_metrics(result.model, result.test_samples)
         assert not passes_screen(metrics)
 
     def test_train_keeps_heldout_samples(self):
@@ -432,7 +435,7 @@ class TestPersistence:
         write_dataset_csv(dataset, path)
         loaded = load_dataset_csv(path, SELECTOR, seed=77)
         assert loaded == dataset  # the split seed build_dataset gives under seed 77
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "delta,label"
         assert lines[1] == "3,0"
 
@@ -447,6 +450,11 @@ class TestPersistence:
             load_dataset_csv(str(bad_int), SELECTOR)
         with pytest.raises(ReportParseError, match="cannot read"):
             load_dataset_csv(str(tmp_path / "absent.csv"), SELECTOR)
+        for label in (2, -1):
+            bad_label = tmp_path / "label.csv"
+            bad_label.write_text(f"delta,label\n1,0\n2,1\n3,{label}\n")
+            with pytest.raises(ReportParseError, match=f"label.csv:4: .* 0 or 1, got {label}"):
+                load_dataset_csv(str(bad_label), SELECTOR)
 
     def test_model_json_roundtrip(self, tmp_path):
         model = LogisticModel(weight=1.25, bias=-0.5, feature_mean=41.2,
@@ -474,7 +482,7 @@ class TestPersistence:
         reports = {selectors[0]: report_with(), selectors[1]: report_with(accuracy=0.5)}
         path = str(tmp_path / "screen.csv")
         write_screen_csv(reports, screen(reports), path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "selector,accuracy,precision,recall,f1,auc,passed"
         assert lines[1] == "0x0110,0.500000,0.950000,0.950000,0.930000,0.990000,false"
         assert lines[2] == "0x0210,0.950000,0.950000,0.950000,0.930000,0.990000,true"

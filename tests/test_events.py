@@ -10,10 +10,8 @@ from pmu_prospector.events import (
     EventSelector,
     PerfEvtSelValue,
     decode_msr_value,
-    enumerate_space,
     format_selector,
     load_catalog,
-    pack_selector,
     parse_selector,
     render_msr_value,
     scan_control,
@@ -44,18 +42,18 @@ sel_values = st.builds(
 
 class TestSelectorPacking:
     def test_pack_puts_umask_in_high_byte(self):
-        assert pack_selector(EventSelector(event_code=0x6C, umask=0x01)) == 0x016C
+        assert EventSelector(event_code=0x6C, umask=0x01).packed == 0x016C
 
     def test_pack_extremes(self):
-        assert pack_selector(EventSelector(0, 0)) == 0x0000
-        assert pack_selector(EventSelector(0xFF, 0xFF)) == 0xFFFF
+        assert EventSelector(0, 0).packed == 0x0000
+        assert EventSelector(0xFF, 0xFF).packed == 0xFFFF
 
     def test_unpack_recovers_both_bytes(self):
         assert unpack_selector(0x016C) == EventSelector(event_code=0x6C, umask=0x01)
 
     @given(selectors)
     def test_roundtrip(self, selector):
-        assert unpack_selector(pack_selector(selector)) == selector
+        assert unpack_selector(selector.packed) == selector
 
     def test_unpack_rejects_out_of_range(self):
         for bad in (-1, EVENT_SPACE_SIZE, 1 << 20):
@@ -83,15 +81,15 @@ class TestSelectorPacking:
 
 class TestEnumeration:
     def test_covers_the_full_space_in_packed_order(self):
-        space = list(enumerate_space())
+        space = [unpack_selector(packed) for packed in range(EVENT_SPACE_SIZE)]
         assert len(space) == 65536
         assert space[0] == EventSelector(event_code=0, umask=0)
         assert space[0x016C] == EventSelector(event_code=0x6C, umask=0x01)
-        assert [pack_selector(s) for s in space[:300]] == list(range(300))
-        assert pack_selector(space[-1]) == 0xFFFF
+        assert [s.packed for s in space[:300]] == list(range(300))
+        assert space[-1].packed == 0xFFFF
 
     def test_all_points_unique(self):
-        assert len(set(enumerate_space())) == EVENT_SPACE_SIZE
+        assert len({unpack_selector(p) for p in range(EVENT_SPACE_SIZE)}) == EVENT_SPACE_SIZE
 
 
 class TestRegisterImage:
@@ -213,7 +211,8 @@ class TestCatalog:
         assert len(catalog) == 200
         # oracle: complement computed by explicit set difference
         documented = set(entries)
-        undocumented = [s for s in enumerate_space() if s not in documented]
+        space = [unpack_selector(packed) for packed in range(EVENT_SPACE_SIZE)]
+        undocumented = [s for s in space if s not in documented]
         assert len(undocumented) == len(set(undocumented))
         assert len(undocumented) == 65536 - 200 == 65336
-        assert sum(1 for s in enumerate_space() if s not in catalog) == 65336
+        assert sum(1 for s in space if s not in catalog) == 65336

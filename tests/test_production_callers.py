@@ -1,0 +1,44 @@
+"""Every public function and class in the package has a caller in the package.
+
+The audit walks the modules' syntax trees and lists the public top-level
+names that no Name or Attribute node in any module references.  Such a name
+serves only tests or outside scripts, so it must be deleted or named below
+with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import pmu_prospector
+
+PACKAGE = Path(pmu_prospector.__file__).resolve().parent
+
+KEPT_WITHOUT_CALLER = {
+    "collector.control_values": "benchmarks/ reads it until ROADMAP item 7 deletes it",
+    "collector.scan_instruction": "benchmarks/ reads it until ROADMAP item 8 deletes it",
+    "events.decode_msr_value": "the subject of acceptance criterion 02",
+    "seeding.point_fraction": "the scalar reference point_fractions is tested against",
+}
+
+
+def unreferenced_public_names() -> set[str]:
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return {f"{module}.{name}" for name, module in defined.items() if name not in referenced}
+
+
+def test_only_the_allowlist_lacks_a_caller_in_the_package():
+    assert unreferenced_public_names() == set(KEPT_WITHOUT_CALLER)

@@ -1,5 +1,7 @@
 """Summary rendering and plot-dataset emission tests."""
 
+from pathlib import Path
+
 import pytest
 
 from pmu_prospector.collector import ScanReport
@@ -70,7 +72,7 @@ class TestMetricsPlot:
         }
         path = str(tmp_path / "metrics.csv")
         write_metrics_plot_csv(reports, path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == [
             "selector,accuracy,f1,auc",
             "0x0110,0.900000,0.900000,0.950000",
@@ -81,14 +83,14 @@ class TestMetricsPlot:
         reports = {EventSelector(0x10, u): metrics() for u in range(256)}
         path = str(tmp_path / "metrics.csv")
         write_metrics_plot_csv(reports, path, sample_size=40, seed=1)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 40
         selectors = [line.split(",")[0] for line in lines[1:]]
         assert selectors == sorted(selectors)
         # same seed, same file
         again = str(tmp_path / "again.csv")
         write_metrics_plot_csv(reports, again, sample_size=40, seed=1)
-        assert open(path, "rb").read() == open(again, "rb").read()
+        assert Path(path).read_bytes() == Path(again).read_bytes()
 
 
 class TestAccuracyPlot:
@@ -99,7 +101,7 @@ class TestAccuracyPlot:
         ]
         path = str(tmp_path / "accuracy.csv")
         write_accuracy_plot_csv(rows, path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == [
             "selector,accuracy",
             "0x0110,0.812500",
@@ -110,5 +112,5 @@ class TestAccuracyPlot:
         rows = [(EventSelector(0x10, u), 0.5) for u in range(200)]
         path = str(tmp_path / "accuracy.csv")
         write_accuracy_plot_csv(rows, path, sample_size=25, seed=9)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 25

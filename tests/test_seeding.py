@@ -27,6 +27,13 @@ def test_derive_seed_rejects_other_types():
         derive_seed(True)
 
 
+def test_derive_seed_rejects_integers_past_16_signed_bytes():
+    assert derive_seed(-(2**127), 2**127 - 1) != derive_seed(2**127 - 1, -(2**127))
+    for part in (2**127, -(2**127) - 1, 2**128):
+        with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\)"):
+            derive_seed(part, "scan")
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_mix64_stays_in_range(value):
     assert 0 <= mix64(value) < 2**64

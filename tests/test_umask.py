@@ -5,6 +5,8 @@ zero or shares a bit with the umask.  Inference sees only counted/quiet
 points and must recover the mask that generated them.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,9 @@ from pmu_prospector.events import EventSelector, umask_gates
 from pmu_prospector.umask import (
     RelevanceMask,
     RelevanceObservation,
-    emit_distribution,
     group_hidden_by_event_code,
     infer_relevance_mask,
     infer_report_masks,
-    relevance_observations,
     write_distribution_csv,
     write_masks_csv,
 )
@@ -186,14 +186,6 @@ def synthetic_report() -> ScanReport:
 
 
 class TestReportAnalysis:
-    def test_observations_reconstruct_quiet_points(self):
-        observations = relevance_observations(synthetic_report(), 0x6C)
-        assert len(observations) == 256
-        assert all(obs.event_code == 0x6C for obs in observations)
-        assert {obs.umask: obs.counted for obs in observations} == {
-            u: bool(u & 0x01) for u in range(256)
-        }
-
     def test_masks_inferred_per_event_code(self):
         masks = infer_report_masks(synthetic_report())
         assert masks == {
@@ -209,8 +201,11 @@ class TestReportAnalysis:
         assert grouped[0x6C] == [u for u in range(256) if u & 0x01]
         assert grouped[0x5E] == list(range(256))
 
-    def test_distribution_points_sorted(self):
-        points = emit_distribution(synthetic_report())
+    def test_distribution_points_sorted(self, tmp_path):
+        path = tmp_path / "distribution.csv"
+        write_distribution_csv(synthetic_report(), str(path))
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        points = [tuple(int(field, 16) for field in row.split(",")) for row in rows]
         assert points == sorted(points)
         assert len(points) == 128 + 128 + 256
         assert points[0] == (0x08, 0x10)
@@ -218,7 +213,7 @@ class TestReportAnalysis:
     def test_distribution_csv(self, tmp_path):
         path = str(tmp_path / "distribution.csv")
         write_distribution_csv(synthetic_report(), path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "event_code,umask"
         assert lines[1] == "0x08,0x10"
         assert len(lines) == 1 + 512
@@ -230,7 +225,7 @@ class TestReportAnalysis:
             0x10: RelevanceMask(0x10, 0x04, consistent=False),
         }
         write_masks_csv(masks, path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == [
             "event_code,relevance_mask,consistent",
             "0x10,0x04,false",
