@@ -75,7 +75,6 @@ from .sidechannel import (
 )
 from .umask import (
     RelevanceMask,
-    RelevanceObservation,
     group_hidden_by_event_code,
     infer_relevance_mask,
 )

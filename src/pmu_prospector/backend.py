@@ -9,6 +9,7 @@ through /dev/cpu/<n>/msr and needs root plus a pinned core.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from abc import ABC, abstractmethod
@@ -154,10 +155,12 @@ class SimEventFamily:
             raise ValueError(f"event_code out of range: {self.event_code!r}")
         if not 0 <= self.relevance_mask <= 0xFF:
             raise ValueError(f"relevance_mask out of range: {self.relevance_mask!r}")
-        if self.increment < 0:
-            raise ValueError("increment must be non-negative")
-        if self.noise_stddev < 0:
-            raise ValueError("noise_stddev must be non-negative")
+        if not 0 <= self.increment < 1 << 63:
+            raise ValueError(f"increment must be in [0, 2**63), got {self.increment!r}")
+        if not 0 <= self.noise_stddev < math.inf:
+            raise ValueError(
+                f"noise_stddev must be finite and non-negative, got {self.noise_stddev!r}"
+            )
         object.__setattr__(self, "trigger_classes", frozenset(self.trigger_classes))
 
 
@@ -420,6 +423,12 @@ def _model_int(value: object, what: str) -> int:
     raise ReportParseError(f"sim model: {what} must be an integer, got {value!r}")
 
 
+def _model_float(value: object, what: str) -> float:
+    if isinstance(value, bool):
+        raise ReportParseError(f"sim model: {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _model_strings(value: object, what: str) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ReportParseError(f"sim model: {what} must be a list of strings, got {value!r}")
@@ -459,7 +468,9 @@ def load_sim_model(path: str) -> SimModel:
                         raw.get("trigger_classes", []), f"families[{i}].trigger_classes"
                     ),
                     increment=_model_int(raw.get("increment", 1), f"families[{i}].increment"),
-                    noise_stddev=float(raw.get("noise_stddev", 0.0)),
+                    noise_stddev=_model_float(
+                        raw.get("noise_stddev", 0.0), f"families[{i}].noise_stddev"
+                    ),
                     seed=_model_int(raw.get("seed", 0), f"families[{i}].seed"),
                 )
             )

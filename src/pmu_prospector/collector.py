@@ -284,10 +284,20 @@ def load_report(path: str) -> ScanReport:
                     f"report {path}: hidden_events[{key!r}] must be a list of integers"
                 )
             hidden[parse_selector(key)] = set(ids)
+        total, executed = doc["total_instructions"], doc["executed_success"]
+        for key, count in (("total_instructions", total), ("executed_success", executed)):
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ReportParseError(
+                    f"report {path}: {key} must be a non-negative integer, got {count!r}"
+                )
+        if executed > total:
+            raise ReportParseError(
+                f"report {path}: executed_success {executed} exceeds total_instructions {total}"
+            )
         return ScanReport(
             microarchitecture_label=str(doc["microarchitecture"]),
-            total_instructions=int(doc["total_instructions"]),
-            executed_success=int(doc["executed_success"]),
+            total_instructions=total,
+            executed_success=executed,
             hidden_events=hidden,
             catalog_source=str(doc.get("catalog_source", "")),
         )

@@ -481,6 +481,8 @@ def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> Label
                 samples.append((delta, label))
     except OSError as exc:
         raise ReportParseError(f"cannot read dataset {path}: {exc}") from exc
+    if not samples:
+        raise ReportParseError(f"{path}: no windows")
     return LabeledDataset(selector, tuple(samples), _split_seed(seed, selector))
 
 

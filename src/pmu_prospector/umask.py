@@ -9,8 +9,10 @@ the observed counted/quiet pattern in closed form.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .collector import ScanReport
 from .events import umask_gates
@@ -19,20 +21,11 @@ _SINGLE_BITS = tuple(1 << bit for bit in range(8))
 
 
 @dataclass(frozen=True)
-class RelevanceObservation:
-    """Whether one (event_code, umask) point counted during a scan."""
-
-    event_code: int
-    umask: int
-    counted: bool
-
-
-@dataclass(frozen=True)
 class RelevanceMask:
     """Inferred umask bits an event code decodes.
 
     consistent=False marks a fallback: no single mask explained every
-    observation, so `mask` is the best single-bit approximation.
+    counted and quiet umask, so `mask` is the best single-bit approximation.
     """
 
     event_code: int
@@ -40,44 +33,27 @@ class RelevanceMask:
     consistent: bool
 
 
-def infer_relevance_mask(observations: Iterable[RelevanceObservation]) -> RelevanceMask:
-    """Infer the relevance mask explaining a counted/quiet umask pattern.
+def infer_relevance_mask(event_code: int, counted: Collection[int]) -> RelevanceMask:
+    """Infer the relevance mask of `event_code` from the umasks that counted;
+    every other umask of the 256 was quiet.
 
     Candidate masks m are scored against the gate "counts iff
     umask AND m != 0" (m = 0 counts always); the consistent one with the
-    most set bits wins.  Duplicate observations of one umask are merged by
-    OR: a point that ever counted is treated as counting.  Each quiet umask
-    rules out m = 0 and its own bits, so the widest candidate is
-    ~OR(quiet umasks); a narrower one could only lose counted points.  With
-    no quiet umask, a counted umask 0 needs m = 0, and otherwise 0xFF wins.
+    most set bits wins.  Each quiet umask rules out m = 0 and its own bits,
+    so the widest candidate is ~OR(quiet umasks); a narrower one could only
+    lose counted points.  With no quiet umask, m = 0 explains everything.
     """
-    observed: dict[int, bool] = {}
-    event_code: int | None = None
-    for obs in observations:
-        if event_code is None:
-            event_code = obs.event_code
-        elif obs.event_code != event_code:
-            raise ValueError(
-                f"mixed event codes in observations: 0x{event_code:02X} and 0x{obs.event_code:02X}"
-            )
-        observed[obs.umask] = observed.get(obs.umask, False) or obs.counted
-    if event_code is None:
-        raise ValueError("at least one observation is required")
-    points = list(observed.items())
-    if all(counted for _, counted in points):
-        return RelevanceMask(event_code, 0 if 0 in observed else 0xFF, consistent=True)
-    quiet = 0
-    for umask, counted in points:
-        if not counted:
-            quiet |= umask
-    mask = ~quiet & 0xFF
-    if mask and all(umask & mask for umask, counted in points if counted):
+    quiet = [umask for umask in range(256) if umask not in counted]
+    if not quiet:
+        return RelevanceMask(event_code, 0, consistent=True)
+    mask = ~reduce(or_, quiet) & 0xFF
+    if mask and all(umask & mask for umask in counted):
         return RelevanceMask(event_code, mask, consistent=True)
     # nothing explains everything; fall back to the single bit that agrees most
     best_mask = _SINGLE_BITS[0]
     best_score = -1
     for mask in _SINGLE_BITS:
-        score = sum(1 for umask, counted in points if umask_gates(umask, mask) == counted)
+        score = sum(1 for umask in range(256) if umask_gates(umask, mask) == (umask in counted))
         if score > best_score:
             best_mask, best_score = mask, score
     return RelevanceMask(event_code, best_mask, consistent=False)
@@ -95,13 +71,10 @@ def infer_report_masks(report: ScanReport) -> dict[int, RelevanceMask]:
     """Relevance mask per hidden event code, umasks outside its hidden set
     taken as quiet.  Valid only when no documented selector shares the event
     code, since documented reactions are excluded from hidden_events."""
-    masks: dict[int, RelevanceMask] = {}
-    for code, umasks in group_hidden_by_event_code(report).items():
-        counted = set(umasks)
-        masks[code] = infer_relevance_mask(
-            RelevanceObservation(code, umask, umask in counted) for umask in range(256)
-        )
-    return masks
+    return {
+        code: infer_relevance_mask(code, set(umasks))
+        for code, umasks in group_hidden_by_event_code(report).items()
+    }
 
 
 def write_distribution_csv(report: ScanReport, path: str) -> None:

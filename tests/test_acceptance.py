@@ -12,8 +12,6 @@ import json
 import random
 import time
 
-import pytest
-
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.cli import dispatch
 from pmu_prospector.collector import ScanConfig, ScanReport, full_scan, persist_report
@@ -56,7 +54,7 @@ from pmu_prospector.sidechannel import (
     recover_byte,
     recover_secret,
 )
-from pmu_prospector.umask import RelevanceMask, RelevanceObservation, infer_relevance_mask
+from pmu_prospector.umask import RelevanceMask, infer_relevance_mask
 
 # pinned budgets and tolerances
 ENUMERATION_BUDGET_SECONDS = 1.0
@@ -167,15 +165,10 @@ def test_criterion_03_randomized_scans_find_exactly_the_planted_events():
 def test_criterion_04_every_relevance_mask_recovered():
     with criterion(4, "all 256 relevance masks recovered from their gate patterns"):
         for mask in range(256):
-            observations = [
-                RelevanceObservation(0x42, umask, umask_gates(umask, mask))
-                for umask in range(256)
-            ]
-            assert infer_relevance_mask(observations) == RelevanceMask(0x42, mask, True)
-        odd_pattern = [
-            RelevanceObservation(0x6C, umask, bool(umask & 0x01)) for umask in range(256)
-        ]
-        assert infer_relevance_mask(odd_pattern) == RelevanceMask(0x6C, 0x01, True)
+            counted = {umask for umask in range(256) if umask_gates(umask, mask)}
+            assert infer_relevance_mask(0x42, counted) == RelevanceMask(0x42, mask, True)
+        odd_pattern = {umask for umask in range(256) if umask & 0x01}
+        assert infer_relevance_mask(0x6C, odd_pattern) == RelevanceMask(0x6C, 0x01, True)
 
 
 def test_criterion_05_metric_formulas_match_independent_oracles():

@@ -659,8 +659,16 @@ class TestSimModelLoading:
         ({"families": [{"event_code": 16, "noise_stddev": None}]}, "families[0]"),
         ({"supports_tsx": "false"}, "supports_tsx"),
         ({"fault_instructions": {"8": None}}, "fault_instructions['8']"),
+        ({"families": [{"event_code": 16, "noise_stddev": math.nan}]},
+         "families[0]: noise_stddev"),
+        ({"families": [{"event_code": 16, "noise_stddev": math.inf}]},
+         "families[0]: noise_stddev"),
+        ({"families": [{"event_code": 16, "noise_stddev": True}]},
+         "families[0].noise_stddev"),
+        ({"families": [{"event_code": 16, "increment": 1 << 63}]}, "families[0]: increment"),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise",
-            "tsx-string", "null-fault-kind"])
+            "tsx-string", "null-fault-kind", "nan-noise", "infinite-noise", "boolean-noise",
+            "increment-past-int64"])
     def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))

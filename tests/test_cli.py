@@ -145,10 +145,17 @@ class TestExitCodes:
         ("sidechannel", '{"families": 5}'),
         ("sidechannel", '{"families": "memory-load"}'),
         ("sidechannel", '{"supports_tsx": "false"}'),
+        ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": NaN}]}'),
+        ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": Infinity}]}'),
+        ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": true}]}'),
+        ("sidechannel", '{"families": [{"event_code": 108, "increment": %d}]}' % 2**70),
         ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
                    '"total_instructions": 1, "executed_success": 1, "hidden_events": []}'),
+        ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
+                   '"total_instructions": 10, "executed_success": 99, "hidden_events": {}}'),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "families-number",
-            "families-string", "tsx-string", "hidden-events-list"])
+            "families-string", "tsx-string", "nan-noise", "infinite-noise", "boolean-noise",
+            "huge-increment", "hidden-events-list", "executed-past-total"])
     def test_malformed_input_exits_one(self, command, text, tmp_path, capsys, secret_path):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -468,6 +475,19 @@ class TestDetectCommands:
         assert code == 1
         assert err.startswith("error:") and "dataset.csv:7: label must be 0 or 1" in err
         assert "Traceback" not in err
+        assert not model_out.exists()
+
+    def test_train_rejects_a_dataset_without_windows(self, tmp_path, capsys):
+        dataset_path = tmp_path / "dataset.csv"
+        dataset_path.write_text("delta,label\n")
+        model_out = tmp_path / "model.json"
+        code = dispatch([
+            "detect", "train", "--dataset", str(dataset_path),
+            "--selector", "0x016C", "--out", str(model_out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "dataset.csv: no windows" in err
         assert not model_out.exists()
 
     def test_screen_flags_and_plot(self, tmp_path, capsys):

@@ -18,11 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmu_prospector.backend import SLOTS, BackendError, SimEventFamily, SimulatedPmu
+from pmu_prospector.backend import BackendError, SimEventFamily, SimulatedPmu
 from pmu_prospector.collector import (
     RECORD_BLOCK,
     ScanConfig,
-    ScanRecord,
     ScanReport,
     control_values,
     full_scan,
@@ -521,6 +520,24 @@ class TestReportPersistence:
             )
             with pytest.raises(ReportParseError):
                 load_report(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_instructions", True),
+        ("total_instructions", 9.7),
+        ("total_instructions", "8"),
+        ("executed_success", -1),
+        ("executed_success", 99),
+    ], ids=["boolean-total", "fractional-total", "string-total", "negative-executed",
+            "executed-past-total"])
+    def test_impossible_counts_rejected(self, tmp_path, field, value):
+        doc = {
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
+            "total_instructions": 10, "executed_success": 8, "hidden_events": {},
+        }
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ReportParseError, match=field):
+            load_report(str(path))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "partial.json"

@@ -450,6 +450,10 @@ class TestPersistence:
             load_dataset_csv(str(bad_int), SELECTOR)
         with pytest.raises(ReportParseError, match="cannot read"):
             load_dataset_csv(str(tmp_path / "absent.csv"), SELECTOR)
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("delta,label\n")
+        with pytest.raises(ReportParseError, match="header.csv: no windows"):
+            load_dataset_csv(str(header_only), SELECTOR)
         for label in (2, -1):
             bad_label = tmp_path / "label.csv"
             bad_label.write_text(f"delta,label\n1,0\n2,1\n3,{label}\n")

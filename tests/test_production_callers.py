@@ -3,7 +3,8 @@
 The audit walks the modules' syntax trees and lists the public top-level
 names that no Name or Attribute node in any module references.  Such a name
 serves only tests or outside scripts, so it must be deleted or named below
-with the reason it stays.
+with the reason it stays.  A second audit keeps the tests from importing
+names they never use, which would otherwise hold such a name in place.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import pmu_prospector
 
 PACKAGE = Path(pmu_prospector.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 KEPT_WITHOUT_CALLER = {
     "collector.control_values": "benchmarks/ reads it until ROADMAP item 7 deletes it",
@@ -42,3 +44,24 @@ def unreferenced_public_names() -> set[str]:
 
 def test_only_the_allowlist_lacks_a_caller_in_the_package():
     assert unreferenced_public_names() == set(KEPT_WITHOUT_CALLER)
+
+
+def unused_test_imports() -> set[str]:
+    unused: set[str] = set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported: set[str] = set()
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused.update(f"{path.name}:{name}" for name in imported - used)
+    return unused
+
+
+def test_every_name_a_test_module_imports_is_used():
+    assert unused_test_imports() == set()
