@@ -9,7 +9,6 @@ through /dev/cpu/<n>/msr and needs root plus a pinned core.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from abc import ABC, abstractmethod
@@ -32,6 +31,9 @@ PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
 VECTOR_BATCH = 4096  # selectors per batch on the simulated path; bounds peak memory
 NOISE_BATCH = 1 << 14  # noisy executions drawn at once; bounds peak memory
+# bound on a family's increment and noise stddev: an int64 count then holds
+# about 2**27 executions of one repetition, and a detection window a few hundred
+MAX_FAMILY_SCALE = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,8 @@ def measure(
 
     Yields (offset, deltas, outcome) per batch.  deltas is an int64 array of
     shape (selectors in the batch, repetitions) whose row j belongs to
-    codes[offset + j]; outcome is what run(repetitions - 1) returned.
+    codes[offset + j]; outcome is what run(repetitions - 1) returned.  A
+    code listed twice raises ValueError.
 
     - On a simulated backend (one that exposes its SimulatedPmu as
       `simulation`, directly or through a delegating proxy) run(rep) executes
@@ -98,10 +101,17 @@ def measure(
       to a BackendError yields the exception as its outcome and an empty
       deltas array; the next batch is still measured.
     """
+    _check_distinct(codes)
     pmu = simulation_of(backend)
     if pmu is not None:
         return pmu.measure(codes, run, repetitions)
     return _measure_scalar(backend, codes, run, repetitions, any_thread)
+
+
+def _check_distinct(codes: Sequence[int]) -> None:
+    """ValueError for a code listed twice; a range (a full scan) cannot repeat."""
+    if not isinstance(codes, range) and len(set(codes)) < len(codes):
+        raise ValueError("a measurement lists a selector twice")
 
 
 def simulation_of(backend: CounterBackend) -> SimulatedPmu | None:
@@ -155,12 +165,10 @@ class SimEventFamily:
             raise ValueError(f"event_code out of range: {self.event_code!r}")
         if not 0 <= self.relevance_mask <= 0xFF:
             raise ValueError(f"relevance_mask out of range: {self.relevance_mask!r}")
-        if not 0 <= self.increment < 1 << 63:
-            raise ValueError(f"increment must be in [0, 2**63), got {self.increment!r}")
-        if not 0 <= self.noise_stddev < math.inf:
-            raise ValueError(
-                f"noise_stddev must be finite and non-negative, got {self.noise_stddev!r}"
-            )
+        if not 0 <= self.increment <= MAX_FAMILY_SCALE:
+            raise ValueError(f"increment must be in [0, 2**32], got {self.increment!r}")
+        if not 0 <= self.noise_stddev <= MAX_FAMILY_SCALE:
+            raise ValueError(f"noise_stddev must be in [0, 2**32], got {self.noise_stddev!r}")
         object.__setattr__(self, "trigger_classes", frozenset(self.trigger_classes))
 
 
@@ -308,6 +316,7 @@ class SimulatedPmu(CounterBackend):
         and claims the same noise epochs.  The counts join the running
         tally, so a slot programmed before the call counts them too.
         """
+        _check_distinct(codes)
         classes = np.asarray(classes, np.int64)
         if classes.ndim != 2 or classes.shape[1] != len(self._tally):
             raise ValueError(
@@ -334,7 +343,7 @@ class SimulatedPmu(CounterBackend):
             deltas = np.where(armed[:, None], counts[rows], 0)
             noisy = np.flatnonzero(armed & self._noisy[rows])
             if len(noisy):
-                epochs = self._claim_epochs(batch[noisy], base + noisy, repetitions)
+                epochs = self._claim_epochs(batch[noisy], repetitions)
                 deltas[noisy] += self._overcounts(
                     np.repeat(rows[noisy], repetitions),
                     np.repeat(batch[noisy], repetitions),
@@ -343,27 +352,12 @@ class SimulatedPmu(CounterBackend):
                 ).reshape(epochs.shape)
             yield base, deltas
 
-    def _claim_epochs(self, codes: np.ndarray, positions: np.ndarray, repetitions: int):
-        """Claim the noise epochs of codes (listed at positions of a measured
-        code list) for `repetitions` repetitions each.
-
-        Row i holds the epochs of codes[i], claimed in the order the scalar
-        loop of backend.measure programs them: four positions at a time,
-        repetition by repetition.  That order shows only for a code listed
-        twice among four neighbouring positions; any other code simply gets
-        its next `repetitions` epochs.
-        """
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, (packed, position) in enumerate(zip(codes.tolist(), positions.tolist())):
-            groups.setdefault((position // PROGRAMMABLE_SLOTS, packed), []).append(i)
-        first = [0] * len(codes)  # row i's first epoch, then every stride[i]-th
-        stride = [0] * len(codes)
-        for (_, packed), rows in groups.items():
-            claimed = self._epochs.get(packed, 0)
-            self._epochs[packed] = claimed + len(rows) * repetitions
-            for rank, i in enumerate(rows):
-                first[i], stride[i] = claimed + rank, len(rows)
-        return np.array(first)[:, None] + np.array(stride)[:, None] * np.arange(repetitions)
+    def _claim_epochs(self, codes: np.ndarray, repetitions: int) -> np.ndarray:
+        """Claim each code's next `repetitions` noise epochs, one row per code."""
+        codes = codes.tolist()
+        first = [self._epochs.get(packed, 0) for packed in codes]
+        self._epochs.update((packed, epoch + repetitions) for packed, epoch in zip(codes, first))
+        return np.array(first)[:, None] + np.arange(repetitions)
 
     def _overcounts(self, rows, packed, epochs, sizes) -> np.ndarray:
         """Summed over-count of executions [0, sizes) of each noise epoch,

@@ -125,10 +125,8 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             stack.callback(executor.close)
         elif backend_kind == "sim":
             model = _load_model(args, config)
-            entry_map = {e.id: e for e in entries}
             executor = SimulatedExecutor(
                 model.make_backend(seed),
-                entry_map,
                 fault_table=model.fault_table,
                 supported_extensions=model.supported_extensions,
             )
@@ -139,7 +137,6 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             records_fh = stack.enter_context(open(args.records, "w", encoding="utf-8"))
             sink = collector.ndjson_record_sink(records_fh)
         report = collector.full_scan(entries, catalog, executor, scan_config, record_sink=sink)
-    report.catalog_source = os.path.basename(catalog.source)
     collector.persist_report(report, args.out)
     print(
         f"scanned {report.total_instructions} instructions "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -218,7 +219,7 @@ def full_scan(
         hidden_events={
             unpack_selector(packed): ids for packed, ids in sorted(hidden.items())
         },
-        catalog_source="",
+        catalog_source=os.path.basename(catalog.source),
     )
 
 
@@ -294,12 +295,16 @@ def load_report(path: str) -> ScanReport:
             raise ReportParseError(
                 f"report {path}: executed_success {executed} exceeds total_instructions {total}"
             )
+        label, source = doc["microarchitecture"], doc.get("catalog_source", "")
+        for key, text in (("microarchitecture", label), ("catalog_source", source)):
+            if not isinstance(text, str):
+                raise ReportParseError(f"report {path}: {key} must be a string, got {text!r}")
         return ScanReport(
-            microarchitecture_label=str(doc["microarchitecture"]),
+            microarchitecture_label=label,
             total_instructions=total,
             executed_success=executed,
             hidden_events=hidden,
-            catalog_source=str(doc.get("catalog_source", "")),
+            catalog_source=source,
         )
     except ReportParseError:
         raise

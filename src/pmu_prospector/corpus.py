@@ -174,7 +174,7 @@ DEFAULT_POOL = RegisterPool(
 class Snippet:
     """A rendered, executable instruction instance in AT&T syntax."""
 
-    entry_id: int
+    entry: InstructionEntry  # in att order
     rendered_text: str
 
 
@@ -216,7 +216,7 @@ def instantiate(entry: InstructionEntry) -> Snippet:
     text = f"{mnemonic} {', '.join(operands)}" if operands else mnemonic
     if "1f" in operands:
         text += "\n1:"
-    return Snippet(entry_id=entry.id, rendered_text=text)
+    return Snippet(entry, text)
 
 
 class ExecStatus(enum.Enum):
@@ -247,19 +247,15 @@ class SimulatedExecutor:
     def __init__(
         self,
         backend: SimulatedPmu,
-        entries: Mapping[int, InstructionEntry],
         fault_table: Mapping[int, str] | None = None,
         supported_extensions: frozenset[str] = frozenset({"base"}),
     ):
         self.backend = backend
-        self._entries = dict(entries)
         self._fault_table = dict(fault_table or {})
         self._extensions = frozenset(supported_extensions)
 
     def execute(self, snippet: Snippet) -> ExecOutcome:
-        entry = self._entries.get(snippet.entry_id)
-        if entry is None:
-            raise CorpusError(f"snippet references unknown corpus id {snippet.entry_id}")
+        entry = snippet.entry
         if entry.extension not in self._extensions:
             return ExecOutcome(ExecStatus.UNSUPPORTED,
                                detail=f"extension {entry.extension!r} not modeled")

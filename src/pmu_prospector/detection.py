@@ -28,6 +28,7 @@ LEARNING_RATE = 0.1
 MAX_EPOCHS = 2000
 GRAD_TOLERANCE = 1e-6
 TRAIN_FRACTION = 0.7
+THRESHOLD = 0.5  # a window is called an attack at this probability or above
 # a usable detector clears all three bars strictly
 MIN_ACCURACY = 0.8
 MIN_F1 = 0.8
@@ -264,7 +265,6 @@ class LogisticModel:
     bias: float
     feature_mean: float
     feature_stddev: float
-    threshold: float = 0.5
 
     def predict_proba(self, deltas) -> np.ndarray:
         z = (np.asarray(deltas, dtype=float) - self.feature_mean) / self.feature_stddev
@@ -397,13 +397,13 @@ def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> tuple[float, boo
 
 
 def compute_metrics(model: LogisticModel, samples: Sequence[Sample]) -> MetricsReport:
-    """Evaluate a model on labeled samples at its decision threshold."""
+    """Evaluate a model on labeled samples, calling an attack at THRESHOLD."""
     if not samples:
         raise DegenerateDataError("cannot evaluate on an empty sample set")
     deltas = [s[0] for s in samples]
     labels = np.asarray([s[1] for s in samples])
     probs = model.predict_proba(deltas)
-    predictions = probs >= model.threshold
+    predictions = probs >= THRESHOLD
     actual = labels == 1
     tp = int(np.sum(predictions & actual))
     fp = int(np.sum(predictions & ~actual))
@@ -495,7 +495,7 @@ def save_model_json(
         "bias": model.bias,
         "feature_mean": model.feature_mean,
         "feature_stddev": model.feature_stddev,
-        "threshold": model.threshold,
+        "threshold": THRESHOLD,
         "metrics": {
             "tp": metrics.tp,
             "fp": metrics.fp,
@@ -529,7 +529,6 @@ def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsRep
             bias=float(doc["bias"]),
             feature_mean=float(doc["feature_mean"]),
             feature_stddev=float(doc["feature_stddev"]),
-            threshold=float(doc.get("threshold", 0.5)),
         )
         m = doc["metrics"]
         metrics = MetricsReport(

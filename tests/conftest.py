@@ -57,7 +57,6 @@ def make_executor(sim_model, corpus_entries):
     def factory(seed: int = 0) -> SimulatedExecutor:
         return SimulatedExecutor(
             sim_model.make_backend(seed),
-            {e.id: e for e in corpus_entries},
             fault_table=sim_model.fault_table,
             supported_extensions=sim_model.supported_extensions,
         )

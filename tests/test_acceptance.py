@@ -143,9 +143,7 @@ def test_criterion_03_randomized_scans_find_exactly_the_planted_events():
                 )
                 for code in codes
             ]
-            executor = SimulatedExecutor(
-                SimulatedPmu(families, seed=config_seed), {e.id: e for e in entries}
-            )
+            executor = SimulatedExecutor(SimulatedPmu(families, seed=config_seed))
             report = full_scan(entries, EventCatalog(), executor, ScanConfig(repetitions=1))
             truth = {
                 EventSelector(family.event_code, umask)

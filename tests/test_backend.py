@@ -384,7 +384,7 @@ code_strategy = st.builds(
     st.sampled_from(EQUIVALENCE_CODES),
     st.sampled_from(EQUIVALENCE_UMASKS),
 )
-codes_strategy = st.lists(code_strategy, min_size=1, max_size=11).filter(
+codes_strategy = st.lists(code_strategy, min_size=1, max_size=11, unique=True).filter(
     lambda codes: len(codes) % PROGRAMMABLE_SLOTS
 )
 
@@ -455,7 +455,7 @@ class TestMeasureCounts:
     @settings(max_examples=100, deadline=None)
     @given(
         families=families_strategy,
-        codes=st.lists(code_strategy, min_size=1, max_size=11),
+        codes=st.lists(code_strategy, min_size=1, max_size=11, unique=True),
         plan=st.lists(
             st.lists(st.tuples(st.sampled_from(EQUIVALENCE_TAGS), st.integers(0, 5)), max_size=3),
             max_size=4,
@@ -501,6 +501,18 @@ class TestMeasureCounts:
             backend.measure_counts([0x016C], np.zeros((3, 5), np.int64))
         with pytest.raises(ValueError, match="shape"):
             backend.measure_counts([0x016C], np.zeros(2, np.int64))
+
+
+@pytest.mark.parametrize("path", ["scalar", "simulated", "counts"])
+def test_repeated_selector_rejected(path):
+    pmu = make_backend()
+    codes = [0x016C, 0x026C, 0x016C]
+    with pytest.raises(ValueError, match="twice"):
+        if path == "counts":
+            pmu.measure_counts(codes, count_matrix(pmu, [[("memory-load", 1)]]))
+        else:
+            backend = _HiddenModel(pmu) if path == "scalar" else pmu
+            list(measure(backend, codes, lambda rep: None, 1))
 
 
 NOISY = SimEventFamily(0x5E, 0x00, frozenset({"alu"}), increment=0, noise_stddev=1.5, seed=13)
@@ -666,14 +678,24 @@ class TestSimModelLoading:
         ({"families": [{"event_code": 16, "noise_stddev": True}]},
          "families[0].noise_stddev"),
         ({"families": [{"event_code": 16, "increment": 1 << 63}]}, "families[0]: increment"),
+        ({"families": [{"event_code": 16, "increment": 1 << 62}]}, "families[0]: increment"),
+        ({"families": [{"event_code": 16, "noise_stddev": 1e300}]}, "families[0]: noise_stddev"),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise",
             "tsx-string", "null-fault-kind", "nan-noise", "infinite-noise", "boolean-noise",
-            "increment-past-int64"])
+            "increment-past-int64", "increment-past-2**32", "huge-noise"])
     def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ReportParseError, match=re.escape(field)):
             load_sim_model(str(path))
+
+    def test_scale_bound_is_inclusive(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"families": [
+            {"event_code": 16, "increment": 1 << 32, "noise_stddev": 2.0**32}
+        ]}))
+        (family,) = load_sim_model(str(path)).families
+        assert (family.increment, family.noise_stddev) == (1 << 32, 2.0**32)
 
     @pytest.mark.parametrize("families", [5, "memory-load"], ids=["number", "string"])
     def test_families_must_be_a_list(self, tmp_path, families):

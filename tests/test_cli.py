@@ -17,7 +17,7 @@ import pytest
 from pmu_prospector import cli
 from pmu_prospector.cli import CONFIG_ENV_VAR, dispatch, parse_config_text
 from pmu_prospector.collector import load_report
-from pmu_prospector.corpus import NativeExecutor, Snippet
+from pmu_prospector.corpus import InstructionEntry, NativeExecutor, instantiate
 from pmu_prospector.detection import load_dataset_csv, load_model_json
 from pmu_prospector.errors import BackendError, CapabilityError, ConfigError
 from pmu_prospector.events import EventSelector, parse_selector
@@ -149,13 +149,21 @@ class TestExitCodes:
         ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": Infinity}]}'),
         ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": true}]}'),
         ("sidechannel", '{"families": [{"event_code": 108, "increment": %d}]}' % 2**70),
+        ("sidechannel", '{"families": [{"event_code": 108, "increment": %d}]}' % 2**62),
+        ("sidechannel", '{"families": [{"event_code": 108, "noise_stddev": 1e300}]}'),
         ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
                    '"total_instructions": 1, "executed_success": 1, "hidden_events": []}'),
         ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
                    '"total_instructions": 10, "executed_success": 99, "hidden_events": {}}'),
+        ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": null, '
+                   '"total_instructions": 1, "executed_success": 1, "hidden_events": {}}'),
+        ("report", '{"format": "pmu-prospector-scan-v1", "microarchitecture": "x", '
+                   '"catalog_source": 5, "total_instructions": 1, "executed_success": 1, '
+                   '"hidden_events": {}}'),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "families-number",
             "families-string", "tsx-string", "nan-noise", "infinite-noise", "boolean-noise",
-            "huge-increment", "hidden-events-list", "executed-past-total"])
+            "huge-increment", "increment-past-2**32", "huge-noise", "hidden-events-list",
+            "executed-past-total", "null-microarchitecture", "numeric-catalog-source"])
     def test_malformed_input_exits_one(self, command, text, tmp_path, capsys, secret_path):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -229,7 +237,8 @@ class TestExitCodes:
 
         def native_executor(native):
             executor = NativeExecutor(native)
-            executor.execute(Snippet(0, "nop"))  # compiles, so the probe directory exists
+            # compiles, so the probe directory exists
+            executor.execute(instantiate(InstructionEntry(0, "NOP", (), "base", "alu")))
             kept.append((executor, executor.probe_dir.name))
             return executor
 

@@ -67,7 +67,7 @@ LOAD_ONLY = mini_entries("1\tMOV\tr64,m64\tbase\tmemory-load\n")
 
 def mini_executor(families, entries, seed=0):
     backend = SimulatedPmu(families, seed=seed, label="mini")
-    return SimulatedExecutor(backend, {e.id: e for e in entries})
+    return SimulatedExecutor(backend)
 
 
 class _FailingBackend:
@@ -111,7 +111,7 @@ class _FaultingBatchExecutor:
 def failing_executor(fail_packed):
     family = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
     backend = _FailingBackend(SimulatedPmu([family], label="mini"), fail_packed)
-    return SimulatedExecutor(backend, {e.id: e for e in LOAD_ONLY})
+    return SimulatedExecutor(backend)
 
 
 class TestScanConfig:
@@ -273,6 +273,9 @@ class TestFullScan:
         assert fixture_report.microarchitecture_label == "sim-skylake-desk"
         assert fixture_report.total_instructions == 10
         assert fixture_report.executed_success == 8
+
+    def test_report_names_the_catalog_file(self, fixture_report):
+        assert fixture_report.catalog_source == "catalog.csv"
 
     def test_documented_selectors_never_reported(self, fixture_report, catalog):
         assert all(s not in catalog for s in fixture_report.hidden_events)
@@ -548,6 +551,30 @@ class TestReportPersistence:
     def test_unreadable_path_rejected(self, tmp_path):
         with pytest.raises(ReportParseError, match="cannot read"):
             load_report(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("microarchitecture", None),
+        ("microarchitecture", 7),
+        ("catalog_source", 5),
+        ("catalog_source", None),
+    ], ids=["null-label", "numeric-label", "numeric-source", "null-source"])
+    def test_non_string_labels_rejected(self, tmp_path, field, value):
+        doc = {
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
+            "total_instructions": 1, "executed_success": 1, "hidden_events": {},
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ReportParseError, match=f"{field} must be a string"):
+            load_report(str(path))
+
+    def test_catalog_source_is_optional(self, tmp_path):
+        path = tmp_path / "nosource.json"
+        path.write_text(json.dumps({
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
+            "total_instructions": 1, "executed_success": 1, "hidden_events": {},
+        }))
+        assert load_report(str(path)).catalog_source == ""
 
     def test_non_object_hidden_events_rejected(self, tmp_path):
         path = tmp_path / "list.json"

@@ -21,11 +21,7 @@ from pmu_prospector.corpus import (
     normalize_syntax,
     parse_corpus,
 )
-from pmu_prospector.errors import (
-    CorpusError,
-    InstantiationError,
-    NormalizationError,
-)
+from pmu_prospector.errors import InstantiationError, NormalizationError
 from pmu_prospector.events import EventSelector, scan_control
 
 
@@ -231,10 +227,10 @@ def test_fixture_corpus_renders_pinned_att_text(corpus_entries, entry_id):
         assert instantiate(normalize_syntax(e, ATT_ORDER)).rendered_text == expected
 
 
-def make_executor_with(families, entries, fault_table=None, extensions=frozenset({"base"})):
-    backend = SimulatedPmu(families)
-    by_id = {e.id: e for e in entries}
-    return SimulatedExecutor(backend, by_id, fault_table=fault_table, supported_extensions=extensions)
+def make_executor_with(families, fault_table=None, extensions=frozenset({"base"})):
+    return SimulatedExecutor(
+        SimulatedPmu(families), fault_table=fault_table, supported_extensions=extensions
+    )
 
 
 class TestSimulatedExecutor:
@@ -242,7 +238,7 @@ class TestSimulatedExecutor:
 
     def test_success_dispatches_class_tag(self):
         e = entry()
-        executor = make_executor_with([self.FAMILY], [e])
+        executor = make_executor_with([self.FAMILY])
         executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
         outcome = executor.execute(instantiate(e))
         assert outcome.status is ExecStatus.SUCCESS
@@ -250,7 +246,7 @@ class TestSimulatedExecutor:
 
     def test_fault_table_blocks_dispatch(self):
         e = entry(mnemonic="UD2", templates=(), tag="alu")
-        executor = make_executor_with([self.FAMILY], [e], fault_table={1: "illegal-instruction"})
+        executor = make_executor_with([self.FAMILY], fault_table={1: "illegal-instruction"})
         executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
         outcome = executor.execute(instantiate(e))
         assert outcome.status is ExecStatus.FAULT
@@ -259,17 +255,11 @@ class TestSimulatedExecutor:
 
     def test_unsupported_extension_blocks_dispatch(self):
         e = entry(ext="sse2")
-        executor = make_executor_with([self.FAMILY], [e], extensions=frozenset({"base"}))
+        executor = make_executor_with([self.FAMILY], extensions=frozenset({"base"}))
         executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
         outcome = executor.execute(instantiate(e))  # the register pool holds sse2
         assert outcome.status is ExecStatus.UNSUPPORTED
         assert executor.backend.read(SLOTS[0]) == 0
-
-    def test_unknown_snippet_id_fails(self):
-        executor = make_executor_with([self.FAMILY], [entry()])
-        orphan = instantiate(entry(id=999))
-        with pytest.raises(CorpusError, match="999"):
-            executor.execute(orphan)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
@@ -389,7 +379,7 @@ class TestNativeSnippetExecutor:
 
         monkeypatch.setattr(corpus.subprocess, "Popen", RecordedPopen)
         with NativeExecutor(backend=None) as executor:
-            outcome = executor.execute(Snippet(0, "2: jmp 2b"))
+            outcome = executor.execute(Snippet(entry(mnemonic="JMP", templates=()), "2: jmp 2b"))
         assert outcome == ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
         assert len(started) == 2  # the compile, then the probe run
         for proc in started:

@@ -5,6 +5,7 @@ loss, and the rank AUC against the brute-force all-pairs statistic, so the
 in-package implementations never grade their own homework.
 """
 
+import json
 import math
 import random
 from pathlib import Path
@@ -20,6 +21,7 @@ from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.detection import (
     DEFAULT_ATTACKS,
     MAX_EPOCHS,
+    THRESHOLD,
     TRAIN_FRACTION,
     VICTIM_PROFILE,
     ClassActivity,
@@ -202,7 +204,7 @@ class TestFit:
         deltas = list(range(10)) + list(range(100, 110))
         labels = [0] * 10 + [1] * 10
         model, _ = fit(deltas, labels)
-        assert (model.predict_proba(deltas) >= model.threshold).astype(int).tolist() == labels
+        assert (model.predict_proba(deltas) >= THRESHOLD).astype(int).tolist() == labels
         assert model.weight > 0
 
     def test_constant_feature_falls_back_to_unit_scale(self):
@@ -333,14 +335,6 @@ class TestMetrics:
         report = compute_metrics(model, samples)
         assert report.tp + report.fp + report.fn + report.tn == len(samples)
 
-    def test_compute_metrics_threshold_override(self):
-        # the decision threshold is the model's own, not a fixed 0.5
-        samples = [(-1, 0), (1, 1)]
-        strict = compute_metrics(LogisticModel(1.0, 0.0, 0.0, 1.0, threshold=0.99), samples)
-        assert strict.tp == 0 and strict.tn == 2 - strict.fp - strict.fn
-        lax = compute_metrics(LogisticModel(1.0, 0.0, 0.0, 1.0, threshold=0.01), samples)
-        assert lax.tp == 1 and lax.fp == 1
-
     def test_compute_metrics_empty_rejected(self):
         model = LogisticModel(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(DegenerateDataError):
@@ -461,11 +455,11 @@ class TestPersistence:
                 load_dataset_csv(str(bad_label), SELECTOR)
 
     def test_model_json_roundtrip(self, tmp_path):
-        model = LogisticModel(weight=1.25, bias=-0.5, feature_mean=41.2,
-                              feature_stddev=7.75, threshold=0.6)
+        model = LogisticModel(weight=1.25, bias=-0.5, feature_mean=41.2, feature_stddev=7.75)
         metrics = report_with(auc=0.9875, accuracy=0.925)
         path = str(tmp_path / "model.json")
         save_model_json(SELECTOR, model, metrics, path)
+        assert json.loads(Path(path).read_text(encoding="utf-8"))["threshold"] == 0.5
         selector, loaded_model, loaded_metrics = load_model_json(path)
         assert selector == SELECTOR
         assert loaded_model == model
