@@ -24,7 +24,7 @@ from .errors import (
     SlotRangeError,
 )
 from .events import PerfEvtSelValue, render_msr_value, scan_control, unpack_selector
-from .seeding import derive_seed, point_fractions, point_hashes
+from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 
 PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
@@ -417,6 +417,13 @@ def _model_int(value: object, what: str) -> int:
     raise ReportParseError(f"sim model: {what} must be an integer, got {value!r}")
 
 
+def _model_seed(value: object, what: str) -> int:
+    seed = _model_int(value, what)
+    if not -_INT_PART_BOUND <= seed < _INT_PART_BOUND:  # derive_seed's range
+        raise ReportParseError(f"sim model: {what} must be in [-2**127, 2**127), got {seed}")
+    return seed
+
+
 def _model_float(value: object, what: str) -> float:
     if isinstance(value, bool):
         raise ReportParseError(f"sim model: {what} must be a number, got {value!r}")
@@ -465,7 +472,7 @@ def load_sim_model(path: str) -> SimModel:
                     noise_stddev=_model_float(
                         raw.get("noise_stddev", 0.0), f"families[{i}].noise_stddev"
                     ),
-                    seed=_model_int(raw.get("seed", 0), f"families[{i}].seed"),
+                    seed=_model_seed(raw.get("seed", 0), f"families[{i}].seed"),
                 )
             )
         except KeyError as exc:
@@ -488,8 +495,11 @@ def load_sim_model(path: str) -> SimModel:
         raise ReportParseError(
             f"sim model: supports_tsx must be true or false, got {supports_tsx!r}"
         )
+    label = doc.get("microarchitecture", "sim")
+    if not isinstance(label, str):
+        raise ReportParseError(f"sim model: microarchitecture must be a string, got {label!r}")
     return SimModel(
-        label=str(doc.get("microarchitecture", "sim")),
+        label=label,
         families=tuple(families),
         fault_table=fault_table,
         supported_extensions=_model_strings(

@@ -253,8 +253,9 @@ def train_test_split(dataset: LabeledDataset) -> tuple[list[Sample], list[Sample
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
     # clamped away from exact 0/1 so probabilities stay in the open interval
-    p = 1.0 / (1.0 + np.exp(-np.clip(scores, -60.0, 60.0)))
-    return np.clip(p, 1e-12, 1.0 - 1e-12)
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+    p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(scores, -60.0), 60.0)))
+    return np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -279,6 +280,12 @@ def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, in
     after MAX_EPOCHS epochs.  Standardization parameters are estimated from
     the fitted data, so fit on the training split only.  The procedure has
     no random state: the same samples always give the same model.
+
+    Windows with the same delta share a score, so each epoch evaluates the
+    sigmoid once per distinct delta and weights it by that delta's window
+    count; both gradient components come from one matrix product.  The
+    arithmetic is that of a sum over every window, in a different
+    summation order, so weight and bias can differ from it in the last bits.
     """
     x = np.asarray(deltas, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -293,15 +300,18 @@ def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, in
     stddev = float(x.std())
     if stddev == 0.0:
         stddev = 1.0  # constant feature: fall back to a pure shift
-    z = (x - mean) / stddev
+    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    positives = np.bincount(inverse, weights=y)
+    z = (values - mean) / stddev
+    # grad = (m @ sigmoid(weight * z + bias) - target) / n, as [grad_w, grad_b]
+    m = np.stack([counts * z, counts])
+    target = np.array([positives @ z, positives.sum()])
     weight = 0.0
     bias = 0.0
     epochs = 0
     inv_n = 1.0 / x.size
     for epochs in range(1, MAX_EPOCHS + 1):
-        error = _sigmoid(weight * z + bias) - y
-        grad_w = float(error @ z) * inv_n
-        grad_b = float(error.sum()) * inv_n
+        grad_w, grad_b = ((m @ _sigmoid(weight * z + bias) - target) * inv_n).tolist()
         if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
             break
         weight -= LEARNING_RATE * grad_w

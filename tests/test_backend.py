@@ -680,9 +680,14 @@ class TestSimModelLoading:
         ({"families": [{"event_code": 16, "increment": 1 << 63}]}, "families[0]: increment"),
         ({"families": [{"event_code": 16, "increment": 1 << 62}]}, "families[0]: increment"),
         ({"families": [{"event_code": 16, "noise_stddev": 1e300}]}, "families[0]: noise_stddev"),
+        ({"microarchitecture": None}, "microarchitecture"),
+        ({"microarchitecture": 5}, "microarchitecture"),
+        ({"families": [{"event_code": 16, "seed": 1 << 127}]}, "families[0].seed"),
+        ({"families": [{"event_code": 16, "seed": -(1 << 127) - 1}]}, "families[0].seed"),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise",
             "tsx-string", "null-fault-kind", "nan-noise", "infinite-noise", "boolean-noise",
-            "increment-past-int64", "increment-past-2**32", "huge-noise"])
+            "increment-past-int64", "increment-past-2**32", "huge-noise", "null-microarchitecture",
+            "numeric-microarchitecture", "seed-at-2**127", "seed-below-minus-2**127"])
     def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -696,6 +701,15 @@ class TestSimModelLoading:
         ]}))
         (family,) = load_sim_model(str(path)).families
         assert (family.increment, family.noise_stddev) == (1 << 32, 2.0**32)
+
+    def test_seed_bounds_are_derive_seeds(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"families": [
+            {"event_code": 16, "seed": -(1 << 127)}, {"event_code": 17, "seed": (1 << 127) - 1}
+        ]}))
+        model = load_sim_model(str(path))
+        assert [f.seed for f in model.families] == [-(1 << 127), (1 << 127) - 1]
+        model.make_backend(0)  # both seeds derive
 
     @pytest.mark.parametrize("families", [5, "memory-load"], ids=["number", "string"])
     def test_families_must_be_a_list(self, tmp_path, families):

@@ -274,6 +274,29 @@ def scan_args(corpus_path, catalog_path, model_path):
 
 
 class TestScanCommand:
+    @pytest.mark.parametrize("field, value", [
+        ("microarchitecture", None),
+        ("families[0].seed", 2**200),
+        ("families[0].seed", -(2**127) - 1),
+    ], ids=["null-microarchitecture", "seed-past-2**127", "seed-below-minus-2**127"])
+    def test_malformed_sim_model_field_exits_one_naming_it(
+        self, tmp_path, capsys, model_path, scan_args, field, value
+    ):
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if field == "microarchitecture":
+            doc[field] = value
+        else:
+            doc["families"][0]["seed"] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        argv = [str(bad) if arg == model_path else arg for arg in scan_args(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_scan_writes_report(self, tmp_path, capsys, scan_args):
         out = tmp_path / "report.json"
         assert dispatch(scan_args(out)) == 0

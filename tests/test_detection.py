@@ -20,6 +20,8 @@ from pmu_prospector import detection
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.detection import (
     DEFAULT_ATTACKS,
+    GRAD_TOLERANCE,
+    LEARNING_RATE,
     MAX_EPOCHS,
     THRESHOLD,
     TRAIN_FRACTION,
@@ -48,7 +50,7 @@ from pmu_prospector.detection import (
     write_screen_csv,
 )
 from pmu_prospector.errors import CapabilityError, DegenerateDataError, ReportParseError
-from pmu_prospector.events import EventSelector
+from pmu_prospector.events import EventSelector, parse_selector
 from pmu_prospector.seeding import derive_seed
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x00, frozenset({"memory-load"}))
@@ -252,6 +254,79 @@ class TestFit:
         probs = model.predict_proba([-1e9, 0, 1000, 1e9])
         assert np.all(probs > 0.0)
         assert np.all(probs < 1.0)
+
+    def test_probabilities_clamp_exactly(self):
+        # scores clamp to [-60, 60], so exp cannot overflow, then
+        # probabilities clamp to [1e-12, 1 - 1e-12]
+        model = LogisticModel(weight=1.0, bias=0.0, feature_mean=0.0, feature_stddev=1.0)
+        with np.errstate(all="raise"):
+            assert model.predict_proba([-1e9, 1e9]).tolist() == [1e-12, 1.0 - 1e-12]
+
+
+def per_window_fit(deltas, labels):
+    """Reference oracle: the gradient summed over every window, one sigmoid
+    per window, as fit computed it before it grouped windows by delta."""
+    x = np.asarray(deltas, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    mean = float(x.mean())
+    stddev = float(x.std()) or 1.0
+    z = (x - mean) / stddev
+    weight = bias = 0.0
+    inv_n = 1.0 / x.size
+    for epochs in range(1, MAX_EPOCHS + 1):
+        scores = np.clip(weight * z + bias, -60.0, 60.0)
+        error = np.clip(1.0 / (1.0 + np.exp(-scores)), 1e-12, 1.0 - 1e-12) - y
+        grad_w = float(error @ z) * inv_n
+        grad_b = float(error.sum()) * inv_n
+        if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
+            break
+        weight -= LEARNING_RATE * grad_w
+        bias -= LEARNING_RATE * grad_b
+    return LogisticModel(weight, bias, mean, stddev), epochs
+
+
+class TestFitMatchesPerWindowOracle:
+    """fit sums the gradient over distinct deltas; the per-window sum gives
+    the same epochs and test metrics, and weights equal to rounding."""
+
+    @staticmethod
+    def assert_fits_agree(train_samples, test_samples):
+        deltas = [s[0] for s in train_samples]
+        labels = [s[1] for s in train_samples]
+        model, epochs = fit(deltas, labels)
+        expected, expected_epochs = per_window_fit(deltas, labels)
+        assert epochs == expected_epochs
+        assert (model.feature_mean, model.feature_stddev) == (
+            expected.feature_mean, expected.feature_stddev)
+        assert abs(model.weight - expected.weight) <= 1e-12
+        assert abs(model.bias - expected.bias) <= 1e-12
+        assert compute_metrics(model, test_samples) == compute_metrics(expected, test_samples)
+        return model, epochs
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("attack", ["meltdown", "spectre_v2"])
+    @pytest.mark.parametrize("selector", ["0x016C", "0x015E", "0x01D3"])
+    def test_fixture_datasets(self, sim_model, selector, attack, seed):
+        dataset = build_dataset(parse_selector(selector), attack, sim_model.make_backend(seed),
+                                samples_per_class=200, seed=seed)
+        train_samples, test_samples = train_test_split(dataset)
+        assert len({s[0] for s in train_samples}) < len(train_samples)  # deltas repeat
+        self.assert_fits_agree(train_samples, test_samples)
+
+    def test_quiet_selector_single_value(self, sim_model):
+        # 0x026C shares no umask bit with the 0x6C family: every window reads 0
+        dataset = build_dataset(parse_selector("0x026C"), "meltdown", sim_model.make_backend(3),
+                                samples_per_class=200, seed=3)
+        train_samples, test_samples = train_test_split(dataset)
+        assert {s[0] for s in dataset.samples} == {0}
+        model, _ = self.assert_fits_agree(train_samples, test_samples)
+        assert model.feature_stddev == 1.0
+
+    def test_separable_to_epoch_cap_with_clamped_scores(self):
+        samples = [(0, 0), (1, 0), (1000, 1), (1001, 1)]
+        # the +-1e9 test windows score past the +-60 clamp
+        _, epochs = self.assert_fits_agree(samples, samples + [(-10**9, 0), (10**9, 1)])
+        assert epochs == MAX_EPOCHS
 
 
 class TestMetrics:
