@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import sys
@@ -201,9 +202,16 @@ def cmd_detect(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         return 0
     # screen
     reports: dict[EventSelector, detection.MetricsReport] = {}
+    sources: dict[EventSelector, str] = {}
     for path in args.models:
         selector, _, metrics = detection.load_model_json(path)
+        if selector in sources:
+            raise ConfigError(
+                f"--models gives two detectors for {format_selector(selector)}: "
+                f"{sources[selector]} and {path}"
+            )
         reports[selector] = metrics
+        sources[selector] = path
     criteria = detection.ScreenCriteria(
         exclude_perfect=args.exclude_perfect, exclude_f1_band=args.exclude_f1_band
     )
@@ -262,6 +270,7 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmu-prospector",
@@ -350,10 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    """Parse arguments and run one subcommand, mapping errors to exit codes."""
-    parser = build_parser()
+    """Parse arguments and run one subcommand, mapping errors to exit codes.
+
+    The parser is built on the first call and reused by every later call in
+    the process; each parse still returns a fresh Namespace.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     logging.basicConfig(

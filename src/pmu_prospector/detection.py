@@ -251,6 +251,10 @@ def train_test_split(dataset: LabeledDataset) -> tuple[list[Sample], list[Sample
     return train, test
 
 
+# while every |weight * z + bias| stays below this, neither clamp of _sigmoid binds
+_CLAMP_FREE_BOUND = 25.0
+
+
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
     # clamped away from exact 0/1 so probabilities stay in the open interval
     # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
@@ -286,6 +290,13 @@ def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, in
     count; both gradient components come from one matrix product.  The
     arithmetic is that of a sum over every window, in a different
     summation order, so weight and bias can differ from it in the last bits.
+
+    While abs(weight) * max|z| + abs(bias) < _CLAMP_FREE_BOUND (25), no score
+    reaches _sigmoid's +-60 clamp and no probability its [1e-12, 1 - 1e-12]
+    clamp (those bind only past about +-27.6), so the epoch computes the
+    unclamped sigmoid in place in one preallocated buffer and the gradient
+    in Python floats.  Negation and rounding are symmetric, so this is
+    bit for bit the clamped epoch; past the bound the epoch calls _sigmoid.
     """
     x = np.asarray(deltas, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -303,15 +314,29 @@ def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, in
     values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     positives = np.bincount(inverse, weights=y)
     z = (values - mean) / stddev
-    # grad = (m @ sigmoid(weight * z + bias) - target) / n, as [grad_w, grad_b]
+    # [grad_w, grad_b] = (m @ sigmoid(weight * z + bias) - [target_w, target_b]) / n
     m = np.stack([counts * z, counts])
-    target = np.array([positives @ z, positives.sum()])
+    target_w = float(positives @ z)
+    target_b = float(positives.sum())
+    zmax = float(np.abs(z).max())
+    buf = np.empty_like(z)
     weight = 0.0
     bias = 0.0
     epochs = 0
     inv_n = 1.0 / x.size
     for epochs in range(1, MAX_EPOCHS + 1):
-        grad_w, grad_b = ((m @ _sigmoid(weight * z + bias) - target) * inv_n).tolist()
+        if abs(weight) * zmax + abs(bias) < _CLAMP_FREE_BOUND:
+            # 1 / (1 + exp(-(weight * z + bias))), with no clamp that could bind
+            np.multiply(z, -weight, out=buf)
+            np.subtract(buf, bias, out=buf)
+            np.exp(buf, out=buf)
+            np.add(buf, 1.0, out=buf)
+            p = np.divide(1.0, buf, out=buf)
+        else:
+            p = _sigmoid(weight * z + bias)
+        sum_w, sum_b = (m @ p).tolist()
+        grad_w = (sum_w - target_w) * inv_n
+        grad_b = (sum_b - target_b) * inv_n
         if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
             break
         weight -= LEARNING_RATE * grad_w

@@ -522,6 +522,21 @@ class TestDetectCommands:
         assert err.startswith("error:") and "dataset.csv: no windows" in err
         assert not model_out.exists()
 
+    def test_screen_rejects_two_detectors_for_one_selector(self, tmp_path, capsys):
+        from pmu_prospector.detection import LogisticModel, MetricsReport, save_model_json
+
+        metrics = MetricsReport(9, 1, 1, 9, 0.9, 0.9, 0.9, 0.9, 0.95)
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        for path in (first, second):
+            save_model_json(EventSelector(0x6C, 0x01), LogisticModel(1.0, 0.0, 0.0, 1.0),
+                            metrics, path)
+        out = tmp_path / "screen.csv"
+        code = dispatch(["detect", "screen", "--models", first, second, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: --models gives two detectors for 0x016C: {first} and {second}\n"
+        assert not out.exists()
+
     def test_screen_flags_and_plot(self, tmp_path, capsys):
         from pmu_prospector.detection import MetricsReport, save_model_json
         from pmu_prospector.detection import LogisticModel
@@ -548,6 +563,46 @@ class TestDetectCommands:
         assert lines[1].endswith("false")  # the saturated detector is excluded
         assert lines[2].endswith("true")
         assert plot.read_text().splitlines()[0] == "selector,accuracy,f1,auc"
+
+
+def test_one_parser_serves_every_dispatch(tmp_path, model_path, capsys):
+    from pmu_prospector.detection import LogisticModel, MetricsReport, save_model_json
+
+    cli.build_parser.cache_clear()
+    assert dispatch(["report", "--in", "r.json", "--frobnicate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --frobnicate" in err
+    assert dispatch(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pmu-prospector") and err == ""
+
+    dataset, trained = tmp_path / "dataset.csv", tmp_path / "trained.json"
+    assert dispatch([
+        "detect", "collect", "--selector", "0x016C", "--attack", "meltdown",
+        "--sim-model", model_path, "--samples", "100", "--seed", "7", "--out", str(dataset),
+    ]) == 0
+    assert capsys.readouterr().out.startswith("collected 200 windows for 0x016C")
+    assert dispatch([
+        "detect", "train", "--dataset", str(dataset), "--selector", "0x016C",
+        "--seed", "7", "--out", str(trained),
+    ]) == 0
+    assert capsys.readouterr().out.startswith("0x016C: trained ")
+    perfect = str(tmp_path / "perfect.json")
+    save_model_json(EventSelector(0x6C, 0x03), LogisticModel(1.0, 0.0, 0.0, 1.0),
+                    MetricsReport(10, 0, 0, 10, 1.0, 1.0, 1.0, 1.0, 1.0), perfect)
+    models = ["detect", "screen", "--models", str(trained), perfect]
+    assert dispatch([*models, "--exclude-perfect", "--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().out.startswith("0 of 2 detectors pass")
+    # a plain screen after --exclude-perfect keeps the perfect detector
+    assert dispatch([*models, "--out", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().out.startswith("1 of 2 detectors pass")
+    assert cli.build_parser.cache_info().misses == 1
+
+    parser = cli.build_parser()
+    parser.parse_args([*models, "--exclude-perfect", "--out", "a.csv"])
+    second = parser.parse_args(["report", "--in", "r.json"])
+    assert vars(second) == {"config": None, "verbose": False, "command": "report",
+                            "input": "r.json", "handler": cli.cmd_report}
 
 
 class TestSidechannelCommands:

@@ -285,15 +285,43 @@ def per_window_fit(deltas, labels):
     return LogisticModel(weight, bias, mean, stddev), epochs
 
 
+def grouped_fit(deltas, labels):
+    """Reference oracle: the gradient over distinct deltas through the
+    clamped sigmoid in every epoch, as fit computed it before its
+    clamp-free epoch."""
+    x = np.asarray(deltas, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    mean = float(x.mean())
+    stddev = float(x.std()) or 1.0
+    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    positives = np.bincount(inverse, weights=y)
+    z = (values - mean) / stddev
+    m = np.stack([counts * z, counts])
+    target = np.array([positives @ z, positives.sum()])
+    weight = bias = 0.0
+    inv_n = 1.0 / x.size
+    for epochs in range(1, MAX_EPOCHS + 1):
+        scores = np.clip(weight * z + bias, -60.0, 60.0)
+        prob = np.clip(1.0 / (1.0 + np.exp(-scores)), 1e-12, 1.0 - 1e-12)
+        grad_w, grad_b = ((m @ prob - target) * inv_n).tolist()
+        if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
+            break
+        weight -= LEARNING_RATE * grad_w
+        bias -= LEARNING_RATE * grad_b
+    return LogisticModel(weight, bias, mean, stddev), epochs
+
+
 class TestFitMatchesPerWindowOracle:
     """fit sums the gradient over distinct deltas; the per-window sum gives
-    the same epochs and test metrics, and weights equal to rounding."""
+    the same epochs and test metrics, and weights equal to rounding.  The
+    clamped grouped fit gives the same model bit for bit."""
 
     @staticmethod
     def assert_fits_agree(train_samples, test_samples):
         deltas = [s[0] for s in train_samples]
         labels = [s[1] for s in train_samples]
         model, epochs = fit(deltas, labels)
+        assert (model, epochs) == grouped_fit(deltas, labels)  # exact float equality
         expected, expected_epochs = per_window_fit(deltas, labels)
         assert epochs == expected_epochs
         assert (model.feature_mean, model.feature_stddev) == (
@@ -327,6 +355,17 @@ class TestFitMatchesPerWindowOracle:
         # the +-1e9 test windows score past the +-60 clamp
         _, epochs = self.assert_fits_agree(samples, samples + [(-10**9, 0), (10**9, 1)])
         assert epochs == MAX_EPOCHS
+
+    def test_outlier_split_runs_past_the_clamp_free_bound(self):
+        samples = [(d, 0) for d in [0] * 50 + [1] * 50]
+        samples += [(d, 1) for d in [2] * 50 + [3] * 49 + [400]]
+        with np.errstate(all="raise"):
+            model, epochs = self.assert_fits_agree(samples, samples)
+        assert epochs == MAX_EPOCHS
+        deltas = np.array([d for d, _ in samples], dtype=float)
+        zmax = np.abs(deltas - model.feature_mean).max() / model.feature_stddev
+        # the last epochs score past the bound of 25, so they ran through _sigmoid
+        assert abs(model.weight) * zmax + abs(model.bias) > 25
 
 
 class TestMetrics:
@@ -484,6 +523,17 @@ class TestEndToEnd:
         result = train(dataset)
         metrics = compute_metrics(result.model, result.test_samples)
         assert not passes_screen(metrics)
+
+    def test_exploit_benchmark_grid_epoch_total(self, sim_model):
+        # the grid of the exploit benchmark workload at seed 11: the lowest
+        # hidden selector of each fixture family against every attack
+        epochs = sum(
+            train(build_dataset(parse_selector(selector), attack, sim_model.make_backend(11),
+                                samples_per_class=200, seed=11)).epochs
+            for selector in ("0x005E", "0x016C", "0x03D3", "0x1008")
+            for attack in DEFAULT_ATTACKS
+        )
+        assert epochs == 15_301
 
     def test_train_keeps_heldout_samples(self):
         dataset = build_dataset(EventSelector(0x5F, 0x01), "meltdown",
