@@ -368,10 +368,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds a handler only once per process, so the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         config = _load_config(args.config)
         return args.handler(args, config)

@@ -4,7 +4,7 @@ The corpus is a TSV derived from machine-readable ISA documentation: one
 instruction form per line with an operand-kind template and a behaviour
 class tag.  Templates are instantiated against a fixed register pool and a
 scratch buffer, producing AT&T-syntax snippets an executor can run: the
-native executor compiles and runs them, the simulated executor dispatches
+native executor assembles and runs them, the simulated executor dispatches
 the class tag into the simulated PMU instead of executing machine code.
 """
 
@@ -275,32 +275,32 @@ _SIGNAL_KINDS = {
 }
 
 _NATIVE_TEMPLATE = """\
-static unsigned char scratch[{scratch_size}] __attribute__((aligned(64))) = {{1}};
-int main(void) {{
-    __asm__ volatile(
-        "mov $1, %%rax\\n\\t"
-        "mov $1, %%rbx\\n\\t"
-        "mov $1, %%rcx\\n\\t"
-        "mov $1, %%rdx\\n\\t"
+    .section .note.GNU-stack,"",@progbits
+    .data
+    .balign 64
+scratch: .byte 1; .zero {scratch_rest}
+    .text
+    .globl _start
+_start:
+    mov $1, %rax; mov $1, %rbx; mov $1, %rcx; mov $1, %rdx
 {body}
-        ::: "rax", "rbx", "rcx", "rdx", "cc", "memory");
-    return (int)scratch[0] * 0;
-}}
+    mov $231, %eax; xor %edi, %edi; syscall  # exit_group(0)
 """
 
 
 class NativeExecutor:
     """Pairs a real counter backend with compiled-probe execution.
 
-    Each distinct snippet text is compiled once into a probe binary, kept in
-    a temporary directory that the first compile creates and close() removes.
-    Every execute runs the probe in a fresh process under a watchdog, mapping
-    kill signals to fault kinds; a snippet that does not assemble stays
-    UNSUPPORTED without another compile.  Slow but honest: the instruction
-    really executes on the host.
+    Each distinct snippet text is assembled once into a static probe binary
+    with a bare _start and no libc, kept in a temporary directory that the
+    first compile creates and close() removes.  Every execute runs the probe
+    in a fresh process under a watchdog, mapping kill signals to fault kinds;
+    a snippet that does not assemble stays UNSUPPORTED without another
+    compile.  Slow but honest: the instruction really executes on the host.
 
-    Probe runs include process scaffolding (fork, exec, libc startup) inside
-    the measured window, so native deltas carry a large baseline; the scan's
+    The measured window still holds fork and exec of the probe, a static
+    binary of a few pages with no dynamic loader and no libc start-up, so
+    native deltas carry a baseline that is small but not zero; the scan's
     median-over-repetitions absorbs the jitter but not the baseline.
     """
 
@@ -333,13 +333,11 @@ class NativeExecutor:
             return probe
         if self.probe_dir is None:
             self.probe_dir = tempfile.TemporaryDirectory(prefix="pmu-probes-")
-        lines = text.replace("%", "%%").splitlines()
-        body = "\n".join(f'        "{line}\\n\\t"' for line in lines)
         bin_path = os.path.join(self.probe_dir.name, f"probe{len(self._probes)}")
-        c_path = bin_path + ".c"
-        with open(c_path, "w", encoding="utf-8") as fh:
-            fh.write(_NATIVE_TEMPLATE.format(body=body, scratch_size=SCRATCH_SIZE))
-        compile_proc = subprocess.run([self._cc, "-O0", "-o", bin_path, c_path],
+        src_path = bin_path + ".s"
+        with open(src_path, "w", encoding="utf-8") as fh:
+            fh.write(_NATIVE_TEMPLATE.format(body=text, scratch_rest=SCRATCH_SIZE - 1))
+        compile_proc = subprocess.run([self._cc, "-static", "-nostdlib", "-o", bin_path, src_path],
                                       capture_output=True, text=True)
         if compile_proc.returncode == 0:
             probe = bin_path

@@ -7,6 +7,7 @@ subcommand leaves behind.
 
 import argparse
 import json
+import logging
 import os
 import re
 import shlex
@@ -412,6 +413,18 @@ class TestReportCommand:
         assert "microarchitecture" in out
         assert "sim-skylake-desk" in out
         assert "702" in out
+
+    def test_verbose_applies_to_every_dispatch_in_a_process(self, scan_report_path):
+        root = logging.getLogger()
+        saved = root.level
+        try:
+            levels = []
+            for flags in ([], ["--verbose"], []):
+                assert dispatch([*flags, "report", "--in", scan_report_path]) == 0
+                levels.append(root.level)
+        finally:
+            root.setLevel(saved)
+        assert levels == [logging.WARNING, logging.INFO, logging.WARNING]
 
 
 class TestAnalyzeUmaskCommand:

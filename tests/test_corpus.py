@@ -1,5 +1,6 @@
 import os
 import shutil
+import struct
 import subprocess
 
 import pytest
@@ -306,6 +307,29 @@ class TestNativeSnippetExecutor:
         outcome = self.run_native(entry(mnemonic="UD2", templates=(), tag="illegal-op"))
         assert outcome.status is ExecStatus.FAULT
         assert outcome.fault_kind == "illegal-instruction"
+
+    @pytest.mark.parametrize("text, kind", [
+        ("int3", "trap"),
+        ("mov 0, %rax", "segmentation-fault"),
+        ("xor %ecx, %ecx\ndiv %rcx", "fp-exception"),
+        # alignment checking on, then an 8-byte load one byte into scratch
+        ("pushf\norl $0x40000, (%rsp)\npopf\nmov scratch+1(%rip), %rax", "bus-error"),
+    ])
+    def test_fault_classes_map_to_their_kinds(self, text, kind):
+        with NativeExecutor(backend=None) as executor:
+            outcome = executor.execute(Snippet(entry(templates=()), text))
+        assert outcome == ExecOutcome(ExecStatus.FAULT, fault_kind=kind)
+
+    def test_probe_has_no_loader_and_no_libc(self):
+        with NativeExecutor(backend=None) as executor:
+            assert executor.execute(instantiate(entry())).status is ExecStatus.SUCCESS
+            with open(os.path.join(executor.probe_dir.name, "probe0"), "rb") as fh:
+                image = fh.read()
+        assert image[:5] == b"\x7fELF\x02"  # 64-bit ELF
+        phoff, = struct.unpack_from("<Q", image, 32)
+        phentsize, phnum = struct.unpack_from("<HH", image, 54)
+        types = {struct.unpack_from("<I", image, phoff + i * phentsize)[0] for i in range(phnum)}
+        assert types and not types & {2, 3}  # no PT_DYNAMIC, no PT_INTERP
 
     def test_unknown_mnemonic_is_unsupported(self):
         outcome = self.run_native(entry(mnemonic="FLUBBER", templates=()))
