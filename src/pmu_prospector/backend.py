@@ -8,7 +8,6 @@ through /dev/cpu/<n>/msr and needs root plus a pinned core.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from abc import ABC, abstractmethod
@@ -24,6 +23,7 @@ from .errors import (
     SlotRangeError,
 )
 from .events import PerfEvtSelValue, render_msr_value, scan_control, unpack_selector
+from .inputs import read_json
 from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 
 PROGRAMMABLE_SLOTS = 4
@@ -161,10 +161,11 @@ class SimEventFamily:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each message opens with its field's name, which load_sim_model reports
         if not 0 <= self.event_code <= 0xFF:
-            raise ValueError(f"event_code out of range: {self.event_code!r}")
+            raise ValueError(f"event_code must be in [0, 0xFF], got {self.event_code!r}")
         if not 0 <= self.relevance_mask <= 0xFF:
-            raise ValueError(f"relevance_mask out of range: {self.relevance_mask!r}")
+            raise ValueError(f"relevance_mask must be in [0, 0xFF], got {self.relevance_mask!r}")
         if not 0 <= self.increment <= MAX_FAMILY_SCALE:
             raise ValueError(f"increment must be in [0, 2**32], got {self.increment!r}")
         if not 0 <= self.noise_stddev <= MAX_FAMILY_SCALE:
@@ -404,108 +405,33 @@ class SimModel:
         )
 
 
-def _model_int(value: object, what: str) -> int:
-    if isinstance(value, bool):
-        raise ReportParseError(f"sim model: {what} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 0)
-        except ValueError:
-            pass
-    raise ReportParseError(f"sim model: {what} must be an integer, got {value!r}")
-
-
-def _model_seed(value: object, what: str) -> int:
-    seed = _model_int(value, what)
-    if not -_INT_PART_BOUND <= seed < _INT_PART_BOUND:  # derive_seed's range
-        raise ReportParseError(f"sim model: {what} must be in [-2**127, 2**127), got {seed}")
-    return seed
-
-
-def _model_float(value: object, what: str) -> float:
-    if isinstance(value, bool):
-        raise ReportParseError(f"sim model: {what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _model_strings(value: object, what: str) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ReportParseError(f"sim model: {what} must be a list of strings, got {value!r}")
-    return frozenset(value)
-
-
 def load_sim_model(path: str) -> SimModel:
-    """Load a simulated-PMU description from JSON.
-
-    Integer fields accept plain numbers or "0x.." strings.  Fault table keys
-    are instruction ids mapped to fault kinds.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise BackendError(f"cannot read sim model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReportParseError(f"sim model {path}: invalid JSON at byte {exc.pos}") from exc
-    if not isinstance(doc, dict):
-        raise ReportParseError(f"sim model {path}: top level must be an object")
-    raw_families = doc.get("families", [])
-    if not isinstance(raw_families, list):
-        raise ReportParseError(f"sim model {path}: families must be a list, got {raw_families!r}")
+    """Load a simulated-PMU description (README, "Input files") from JSON."""
+    doc = read_json(path, "sim model", unreadable=BackendError).object(optional={
+        "microarchitecture": "sim", "families": [], "fault_instructions": {},
+        "supported_extensions": ["base"], "supports_tsx": True})
     families = []
-    for i, raw in enumerate(raw_families):
-        if not isinstance(raw, dict):
-            raise ReportParseError(f"sim model {path}: families[{i}] must be an object")
+    for raw in doc["families"].items():
+        family = raw.object(("event_code",), {"relevance_mask": 0, "trigger_classes": [],
+                                              "increment": 1, "noise_stddev": 0, "seed": 0})
         try:
-            families.append(
-                SimEventFamily(
-                    event_code=_model_int(raw["event_code"], f"families[{i}].event_code"),
-                    relevance_mask=_model_int(
-                        raw.get("relevance_mask", 0), f"families[{i}].relevance_mask"
-                    ),
-                    trigger_classes=_model_strings(
-                        raw.get("trigger_classes", []), f"families[{i}].trigger_classes"
-                    ),
-                    increment=_model_int(raw.get("increment", 1), f"families[{i}].increment"),
-                    noise_stddev=_model_float(
-                        raw.get("noise_stddev", 0.0), f"families[{i}].noise_stddev"
-                    ),
-                    seed=_model_seed(raw.get("seed", 0), f"families[{i}].seed"),
-                )
-            )
-        except KeyError as exc:
-            raise ReportParseError(f"sim model {path}: families[{i}] missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ReportParseError(f"sim model {path}: families[{i}]: {exc}") from None
-    faults = doc.get("fault_instructions", {})
-    if not isinstance(faults, dict):
-        raise ReportParseError(f"sim model: fault_instructions must be an object, got {faults!r}")
-    fault_table = {}
-    for key, kind in faults.items():
-        instruction_id = _model_int(key, f"fault_instructions key {key!r}")
-        if not isinstance(kind, str):
-            raise ReportParseError(
-                f"sim model: fault_instructions[{key!r}] must be a string, got {kind!r}"
-            )
-        fault_table[instruction_id] = kind
-    supports_tsx = doc.get("supports_tsx", True)
-    if not isinstance(supports_tsx, bool):
-        raise ReportParseError(
-            f"sim model: supports_tsx must be true or false, got {supports_tsx!r}"
-        )
-    label = doc.get("microarchitecture", "sim")
-    if not isinstance(label, str):
-        raise ReportParseError(f"sim model: microarchitecture must be a string, got {label!r}")
+            families.append(SimEventFamily(
+                event_code=family["event_code"].integer(text=True),
+                relevance_mask=family["relevance_mask"].integer(text=True),
+                trigger_classes=frozenset(family["trigger_classes"].list_of(str)),
+                increment=family["increment"].integer(text=True),
+                noise_stddev=family["noise_stddev"].number(),
+                seed=family["seed"].integer(-_INT_PART_BOUND, _INT_PART_BOUND - 1, text=True),
+            ))
+        except ValueError as exc:  # a range SimEventFamily checks; the message opens with the field
+            raise ReportParseError(f"{raw.source}: {raw.path}.{exc}") from None
+    faults = doc["fault_instructions"].entries()
     return SimModel(
-        label=label,
+        label=doc["microarchitecture"].string(),
         families=tuple(families),
-        fault_table=fault_table,
-        supported_extensions=_model_strings(
-            doc.get("supported_extensions", ["base"]), "supported_extensions"
-        ),
-        supports_tsx=supports_tsx,
+        fault_table={key.integer(text=True): kind.string() for key, kind in faults},
+        supported_extensions=frozenset(doc["supported_extensions"].list_of(str)),
+        supports_tsx=doc["supports_tsx"].boolean(),
     )
 
 

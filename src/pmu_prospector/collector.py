@@ -29,10 +29,10 @@ from .events import (
     EventSelector,
     PerfEvtSelValue,
     format_selector,
-    parse_selector,
     scan_control,
     unpack_selector,
 )
+from .inputs import read_json
 
 log = logging.getLogger(__name__)
 
@@ -261,52 +261,17 @@ def persist_report(report: ScanReport, path: str) -> None:
 
 def load_report(path: str) -> ScanReport:
     """Load a persisted scan report, round-tripping persist_report exactly."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ReportParseError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReportParseError(
-            f"report {path} is not well-formed JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != _REPORT_FORMAT:
+    doc = read_json(path, "report")
+    if not isinstance(doc.value, dict) or doc.value.get("format") != _REPORT_FORMAT:
         raise ReportParseError(f"report {path} lacks the {_REPORT_FORMAT} format marker")
-    try:
-        raw_hidden = doc["hidden_events"]
-        if not isinstance(raw_hidden, dict):
-            raise ReportParseError(f"report {path}: hidden_events must be an object")
-        hidden: dict[EventSelector, set[int]] = {}
-        for key, ids in raw_hidden.items():
-            if not isinstance(ids, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in ids
-            ):
-                raise ReportParseError(
-                    f"report {path}: hidden_events[{key!r}] must be a list of integers"
-                )
-            hidden[parse_selector(key)] = set(ids)
-        total, executed = doc["total_instructions"], doc["executed_success"]
-        for key, count in (("total_instructions", total), ("executed_success", executed)):
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ReportParseError(
-                    f"report {path}: {key} must be a non-negative integer, got {count!r}"
-                )
-        if executed > total:
-            raise ReportParseError(
-                f"report {path}: executed_success {executed} exceeds total_instructions {total}"
-            )
-        label, source = doc["microarchitecture"], doc.get("catalog_source", "")
-        for key, text in (("microarchitecture", label), ("catalog_source", source)):
-            if not isinstance(text, str):
-                raise ReportParseError(f"report {path}: {key} must be a string, got {text!r}")
-        return ScanReport(
-            microarchitecture_label=label,
-            total_instructions=total,
-            executed_success=executed,
-            hidden_events=hidden,
-            catalog_source=source,
-        )
-    except ReportParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportParseError(f"report {path} has an invalid field: {exc}") from exc
+    fields = doc.object(("format", "microarchitecture", "total_instructions", "executed_success",
+                         "hidden_events"), {"catalog_source": ""})
+    total = fields["total_instructions"].integer(low=0)
+    hidden = fields["hidden_events"].entries()
+    return ScanReport(
+        microarchitecture_label=fields["microarchitecture"].string(),
+        total_instructions=total,
+        executed_success=fields["executed_success"].integer(0, total),
+        hidden_events={key.selector(): set(ids.list_of(int)) for key, ids in hidden},
+        catalog_source=fields["catalog_source"].string(),
+    )

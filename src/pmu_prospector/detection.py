@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ import numpy as np
 
 from .backend import CounterBackend, simulation_of
 from .errors import CapabilityError, DegenerateDataError, ReportParseError
-from .events import EventSelector, format_selector, parse_selector
+from .events import EventSelector, format_selector
+from .inputs import Field, read_json
 from .seeding import derive_seed
 
 Sample = tuple[int, int]  # (count delta, label)
@@ -459,7 +461,8 @@ class ScreenCriteria:
     exclude_f1_band: bool = False      # drop events with F1 in the open band (0.9, 1)
 
 
-_PERFECTABLE = ("accuracy", "precision", "recall", "f1", "auc")
+_COUNTS = ("tp", "fp", "fn", "tn")
+_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
 
 
 def passes_screen(report: MetricsReport, criteria: ScreenCriteria = ScreenCriteria()) -> bool:
@@ -468,7 +471,7 @@ def passes_screen(report: MetricsReport, criteria: ScreenCriteria = ScreenCriter
     if not (report.accuracy > MIN_ACCURACY and report.f1 > MIN_F1 and report.auc > MIN_AUC):
         return False
     if criteria.exclude_perfect and any(
-        getattr(report, name) == 1.0 for name in _PERFECTABLE
+        getattr(report, name) == 1.0 for name in _METRICS
     ):
         return False
     if criteria.exclude_f1_band and 0.9 < report.f1 < 1.0:
@@ -499,22 +502,24 @@ def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> Label
     """A dataset written by write_dataset_csv, with the split seed that
     build_dataset gives it under the run seed."""
     samples: list[Sample] = []
+    deltas: dict[str, int] = {}  # a cell's text -> its value: windows repeat a few values
+    labels: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for row_no, row in enumerate(reader, start=1):
+            for row_no, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].strip().lower() == "delta":
                     continue
                 if len(row) != 2:
                     raise ReportParseError(f"{path}:{row_no}: expected delta,label")
-                try:
-                    delta, label = int(row[0]), int(row[1])
-                except ValueError:
-                    raise ReportParseError(f"{path}:{row_no}: non-integer field") from None
-                if label not in (0, 1):
-                    raise ReportParseError(f"{path}:{row_no}: label must be 0 or 1, got {label}")
-                samples.append((delta, label))
-    except OSError as exc:
+                delta, label = row
+                if delta not in deltas:
+                    deltas[delta] = Field(delta, f"{path}:{row_no}", "delta").integer(
+                        -(1 << 63), (1 << 63) - 1, text=True)  # an int64, as measured
+                if label not in labels:
+                    labels[label] = Field(label, f"{path}:{row_no}", "label").integer(
+                        0, 1, text=True)
+                samples.append((deltas[delta], labels[label]))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ReportParseError(f"cannot read dataset {path}: {exc}") from exc
     if not samples:
         raise ReportParseError(f"{path}: no windows")
@@ -550,31 +555,23 @@ def save_model_json(
 
 
 def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsReport]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ReportParseError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReportParseError(f"model {path}: invalid JSON at byte {exc.pos}") from exc
-    try:
-        selector = parse_selector(doc["selector"])
-        model = LogisticModel(
-            weight=float(doc["weight"]),
-            bias=float(doc["bias"]),
-            feature_mean=float(doc["feature_mean"]),
-            feature_stddev=float(doc["feature_stddev"]),
-        )
-        m = doc["metrics"]
-        metrics = MetricsReport(
-            tp=int(m["tp"]), fp=int(m["fp"]), fn=int(m["fn"]), tn=int(m["tn"]),
-            accuracy=float(m["accuracy"]), precision=float(m["precision"]),
-            recall=float(m["recall"]), f1=float(m["f1"]), auc=float(m["auc"]),
-            undefined=frozenset(m.get("undefined", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportParseError(f"model {path} has an invalid field: {exc}") from exc
-    return selector, model, metrics
+    """A detector written by save_model_json: the fields README's "Input files" gives."""
+    doc = read_json(path, "model").object(
+        ("selector", "weight", "bias", "feature_mean", "feature_stddev", "metrics"),
+        {"threshold": THRESHOLD},
+    )
+    doc["threshold"].number(0, 1)  # read for its check: the decision threshold is THRESHOLD
+    m = doc["metrics"].object((*_COUNTS, *_METRICS), {"undefined": []})
+    model = LogisticModel(
+        *(doc[name].number() for name in ("weight", "bias", "feature_mean")),
+        feature_stddev=doc["feature_stddev"].number(low=math.ulp(0.0)),  # a divisor
+    )
+    metrics = MetricsReport(
+        *(m[name].integer(low=0) for name in _COUNTS),
+        *(m[name].number(0, 1) for name in _METRICS),
+        undefined=frozenset(m["undefined"].list_of(str, _METRICS)),
+    )
+    return doc["selector"].selector(), model, metrics
 
 
 def write_screen_csv(

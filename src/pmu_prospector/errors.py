@@ -42,7 +42,8 @@ class InstantiationError(ProspectorError):
 
 
 class ReportParseError(ProspectorError):
-    """A persisted scan report is not valid or not well-formed."""
+    """An input file (sim model, scan report, detector or dataset) cannot be
+    read or is not well-formed; the message names the offending field."""
 
 
 class DegenerateDataError(ProspectorError):

@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import os
-import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +32,14 @@ from pmu_prospector.errors import (
 )
 from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control, unpack_selector
 from pmu_prospector.seeding import derive_seed, point_fraction
+
+DATA = Path(__file__).resolve().parent / "data"
+SIM_MODEL = json.loads((DATA / "sim_model.json").read_text(encoding="utf-8"))
+
+
+def data(name: str) -> str:
+    return str(DATA / name)
+
 
 LOAD_FAMILY = SimEventFamily(
     event_code=0x6C, relevance_mask=0x01, trigger_classes=frozenset({"memory-load"})
@@ -663,36 +671,79 @@ class TestSimModelLoading:
         with pytest.raises(BackendError):
             load_sim_model(str(tmp_path / "nope.json"))
 
-    @pytest.mark.parametrize("doc, field", [
-        ({"families": [{"event_code": 16, "trigger_classes": "memory-load"}]},
+    # (path, value, the field the error names): the first rows are whole
+    # documents, the rest put a wrong type, or the first value past a bound,
+    # into each field of tests/data/sim_model.json
+    @pytest.mark.parametrize("path, value, field", [
+        ((), {"families": [{"event_code": 16, "trigger_classes": "memory-load"}]},
          "families[0].trigger_classes"),
-        ({"supported_extensions": "base"}, "supported_extensions"),
-        ({"fault_instructions": [8]}, "fault_instructions"),
-        ({"families": [{"event_code": 16, "noise_stddev": None}]}, "families[0]"),
-        ({"supports_tsx": "false"}, "supports_tsx"),
-        ({"fault_instructions": {"8": None}}, "fault_instructions['8']"),
-        ({"families": [{"event_code": 16, "noise_stddev": math.nan}]},
-         "families[0]: noise_stddev"),
-        ({"families": [{"event_code": 16, "noise_stddev": math.inf}]},
-         "families[0]: noise_stddev"),
-        ({"families": [{"event_code": 16, "noise_stddev": True}]},
+        ((), {"supported_extensions": "base"}, "supported_extensions"),
+        ((), {"fault_instructions": [8]}, "fault_instructions"),
+        ((), {"families": [{"event_code": 16, "noise_stddev": None}]}, "families[0]"),
+        ((), {"supports_tsx": "false"}, "supports_tsx"),
+        ((), {"fault_instructions": {"8": None}}, "fault_instructions['8']"),
+        ((), {"families": [{"event_code": 16, "noise_stddev": math.nan}]},
          "families[0].noise_stddev"),
-        ({"families": [{"event_code": 16, "increment": 1 << 63}]}, "families[0]: increment"),
-        ({"families": [{"event_code": 16, "increment": 1 << 62}]}, "families[0]: increment"),
-        ({"families": [{"event_code": 16, "noise_stddev": 1e300}]}, "families[0]: noise_stddev"),
-        ({"microarchitecture": None}, "microarchitecture"),
-        ({"microarchitecture": 5}, "microarchitecture"),
-        ({"families": [{"event_code": 16, "seed": 1 << 127}]}, "families[0].seed"),
-        ({"families": [{"event_code": 16, "seed": -(1 << 127) - 1}]}, "families[0].seed"),
+        ((), {"families": [{"event_code": 16, "noise_stddev": math.inf}]},
+         "families[0].noise_stddev"),
+        ((), {"families": [{"event_code": 16, "noise_stddev": True}]},
+         "families[0].noise_stddev"),
+        ((), {"families": [{"event_code": 16, "increment": 1 << 63}]}, "families[0].increment"),
+        ((), {"families": [{"event_code": 16, "increment": 1 << 62}]}, "families[0].increment"),
+        ((), {"families": [{"event_code": 16, "noise_stddev": 1e300}]},
+         "families[0].noise_stddev"),
+        ((), {"microarchitecture": None}, "microarchitecture"),
+        ((), {"microarchitecture": 5}, "microarchitecture"),
+        ((), {"families": [{"event_code": 16, "seed": 1 << 127}]}, "families[0].seed"),
+        ((), {"families": [{"event_code": 16, "seed": -(1 << 127) - 1}]}, "families[0].seed"),
+        ((), [], "top level"),
+        (("microarchitectur",), "sim", "microarchitectur: unknown"),
+        (("microarchitecture",), ["sim"], "microarchitecture"),
+        (("supports_tsx",), 1, "supports_tsx"),
+        (("supported_extensions",), ["base", 2], "supported_extensions"),
+        (("fault_instructions",), {"eight": "illegal-instruction"},
+         "fault_instructions key 'eight'"),
+        (("fault_instructions",), {"8_0": "illegal-instruction"}, "fault_instructions key '8_0'"),
+        (("fault_instructions", "8"), 1, "fault_instructions['8']"),
+        (("families",), {}, "families must be a list"),
+        (("families", 1), "0xD3", "families[1] must be an object"),
+        (("families", 1, "incremnet"), 2, "families[1].incremnet: unknown"),
+        (("families", 1, "event_code"), ..., "families[1].event_code: missing"),
+        (("families", 1, "event_code"), 211.0, "families[1].event_code"),
+        (("families", 1, "event_code"), "0xD3G", "families[1].event_code"),
+        (("families", 1, "event_code"), -1, "families[1].event_code"),
+        (("families", 1, "event_code"), "0x100", "families[1].event_code"),
+        (("families", 1, "relevance_mask"), [3], "families[1].relevance_mask"),
+        (("families", 1, "relevance_mask"), "-0x01", "families[1].relevance_mask"),
+        (("families", 1, "relevance_mask"), 256, "families[1].relevance_mask"),
+        (("families", 1, "trigger_classes"), ["memory-load", None], "families[1].trigger_classes"),
+        (("families", 1, "increment"), "2.0", "families[1].increment"),
+        (("families", 1, "increment"), -1, "families[1].increment"),
+        (("families", 1, "increment"), (1 << 32) + 1, "families[1].increment"),
+        (("families", 1, "noise_stddev"), "0.5", "families[1].noise_stddev"),
+        (("families", 1, "noise_stddev"), -5e-324, "families[1].noise_stddev"),
+        (("families", 1, "noise_stddev"), math.nextafter(2.0**32, math.inf),
+         "families[1].noise_stddev"),
+        (("families", 1, "seed"), 11.0, "families[1].seed"),
+        (("families", 1, "seed"), 1 << 127, "families[1].seed"),
+        (("families", 1, "seed"), -(1 << 127) - 1, "families[1].seed"),
     ], ids=["trigger-classes-string", "extensions-string", "faults-list", "null-noise",
             "tsx-string", "null-fault-kind", "nan-noise", "infinite-noise", "boolean-noise",
             "increment-past-int64", "increment-past-2**32", "huge-noise", "null-microarchitecture",
-            "numeric-microarchitecture", "seed-at-2**127", "seed-below-minus-2**127"])
-    def test_wrongly_typed_field_names_it(self, tmp_path, doc, field):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ReportParseError, match=re.escape(field)):
-            load_sim_model(str(path))
+            "numeric-microarchitecture", "seed-at-2**127", "seed-below-minus-2**127",
+            "top-level-list", "misspelt-key", "microarchitecture-list", "tsx-number",
+            "extension-number", "fault-id-word", "fault-id-underscore", "fault-kind-number",
+            "families-object", "family-string", "misspelt-family-key", "no-event-code",
+            "event-code-float", "event-code-bad-hex", "event-code-below-0", "event-code-past-0xFF",
+            "mask-list", "mask-below-0", "mask-past-0xFF", "trigger-class-null",
+            "increment-text-float", "increment-below-0", "increment-past-2**32-at-1",
+            "noise-string", "noise-below-0", "noise-past-2**32", "seed-float",
+            "seed-at-2**127-at-1", "seed-below-minus-2**127-at-1"])
+    def test_wrongly_typed_field_names_it(self, rejects, path, value, field):
+        scan = ["scan", "--corpus", data("corpus.tsv"), "--catalog", data("catalog.csv"),
+                "--repetitions", "1"]
+        rejects(load_sim_model, lambda file: [*scan, "--sim-model", file, "--out", file + ".out"],
+                SIM_MODEL, path, value, field)
 
     def test_scale_bound_is_inclusive(self, tmp_path):
         path = tmp_path / "model.json"

@@ -451,6 +451,10 @@ class TestRenderRecords:
         assert text.splitlines(keepends=True) == expected
 
 
+def report_cli(file: str) -> list[str]:
+    return ["report", "--in", file]
+
+
 def sample_report() -> ScanReport:
     return ScanReport(
         microarchitecture_label="sim-skylake-desk",
@@ -506,23 +510,14 @@ class TestReportPersistence:
         with pytest.raises(ReportParseError, match="format marker"):
             load_report(str(path))
 
-    def test_non_integer_ids_rejected(self, tmp_path):
+    def test_non_integer_ids_rejected(self, rejects):
+        doc = {
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x", "catalog_source": "",
+            "total_instructions": 1, "executed_success": 1, "hidden_events": {},
+        }
         for bad_ids in (["1"], [True], 3):
-            path = tmp_path / "bad.json"
-            path.write_text(
-                json.dumps(
-                    {
-                        "format": "pmu-prospector-scan-v1",
-                        "microarchitecture": "x",
-                        "catalog_source": "",
-                        "total_instructions": 1,
-                        "executed_success": 1,
-                        "hidden_events": {"0x016C": bad_ids},
-                    }
-                )
-            )
-            with pytest.raises(ReportParseError):
-                load_report(str(path))
+            rejects(load_report, report_cli, doc, ("hidden_events", "0x016C"), bad_ids,
+                    "hidden_events['0x016C']")
 
     @pytest.mark.parametrize("field, value", [
         ("total_instructions", True),
@@ -532,15 +527,12 @@ class TestReportPersistence:
         ("executed_success", 99),
     ], ids=["boolean-total", "fractional-total", "string-total", "negative-executed",
             "executed-past-total"])
-    def test_impossible_counts_rejected(self, tmp_path, field, value):
+    def test_impossible_counts_rejected(self, rejects, field, value):
         doc = {
             "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
             "total_instructions": 10, "executed_success": 8, "hidden_events": {},
         }
-        path = tmp_path / "counts.json"
-        path.write_text(json.dumps({**doc, field: value}))
-        with pytest.raises(ReportParseError, match=field):
-            load_report(str(path))
+        rejects(load_report, report_cli, doc, (field,), value, field)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "partial.json"
@@ -558,15 +550,44 @@ class TestReportPersistence:
         ("catalog_source", 5),
         ("catalog_source", None),
     ], ids=["null-label", "numeric-label", "numeric-source", "null-source"])
-    def test_non_string_labels_rejected(self, tmp_path, field, value):
+    def test_non_string_labels_rejected(self, rejects, field, value):
         doc = {
             "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
             "total_instructions": 1, "executed_success": 1, "hidden_events": {},
         }
-        path = tmp_path / "labels.json"
-        path.write_text(json.dumps({**doc, field: value}))
-        with pytest.raises(ReportParseError, match=f"{field} must be a string"):
-            load_report(str(path))
+        rejects(load_report, report_cli, doc, (field,), value, f"{field} must be a string")
+
+    # (path, value, the field the error names) over the report persist_report
+    # writes for sample_report(): a wrong type in each field, and the first
+    # value past each bound
+    @pytest.mark.parametrize("path, value, field", [
+        ((), b'{"format": "pmu-prospector-scan-v1", "microarchitecture": "\xff"}', "invalid JSON"),
+        ((), '{"format": ' + "9" * 5000 + "}", "invalid JSON"),
+        ((), [], "format marker"),
+        (("format",), "pmu-prospector-scan-v2", "format marker"),
+        (("coverage",), {}, "coverage: unknown"),
+        (("microarchitecture",), ..., "microarchitecture: missing"),
+        (("microarchitecture",), ["sim-skylake-desk"], "microarchitecture must be a string"),
+        (("catalog_source",), {}, "catalog_source must be a string"),
+        (("total_instructions",), 10.0, "total_instructions"),
+        (("total_instructions",), -1, "total_instructions"),
+        (("executed_success",), "8", "executed_success"),
+        (("executed_success",), -1, "executed_success"),
+        (("executed_success",), 11, "executed_success must be in [0, 10]"),
+        (("hidden_events",), [], "hidden_events must be an object"),
+        (("hidden_events", "0xZZ6C"), [1], "hidden_events key '0xZZ6C'"),
+        (("hidden_events", "-0x1"), [1], "hidden_events key '-0x1'"),
+        (("hidden_events", "0x10000"), [1], "hidden_events key '0x10000'"),
+        (("hidden_events", "0x016C"), [1, 3.0], "hidden_events['0x016C'] must be a list"),
+    ], ids=["not-utf-8", "number-too-long", "top-level-list", "other-format", "unknown-key",
+            "no-label", "label-list", "source-object", "total-float", "total-below-0",
+            "executed-string", "executed-below-0", "executed-past-total", "hidden-list",
+            "selector-not-hex", "selector-below-0", "selector-past-0xFFFF", "id-float"])
+    def test_wrongly_typed_field_names_it(self, tmp_path, rejects, path, value, field):
+        written = str(tmp_path / "report.json")
+        persist_report(sample_report(), written)
+        doc = json.loads(Path(written).read_text(encoding="utf-8"))
+        rejects(load_report, report_cli, doc, path, value, field)
 
     def test_catalog_source_is_optional(self, tmp_path):
         path = tmp_path / "nosource.json"

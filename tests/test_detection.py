@@ -461,6 +461,15 @@ class TestMetrics:
         assert report.auc == 0.0
 
 
+def trained_detector(tmp_path) -> dict:
+    """The detector.json that training on two overlapping classes writes."""
+    samples = tuple((d, 0) for d in range(20)) + tuple((d, 1) for d in range(12, 32))
+    result = train(LabeledDataset(SELECTOR, samples, split_seed=3))
+    path = str(tmp_path / "detector.json")
+    save_model_json(SELECTOR, result.model, compute_metrics(result.model, result.test_samples), path)
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def report_with(accuracy=0.95, f1=0.93, auc=0.99, **overrides):
     fields = dict(tp=90, fp=5, fn=5, tn=90, accuracy=accuracy, precision=0.95,
                   recall=0.95, f1=f1, auc=auc)
@@ -595,10 +604,84 @@ class TestPersistence:
         broken.write_text("{")
         with pytest.raises(ReportParseError, match="invalid JSON"):
             load_model_json(str(broken))
-        partial = tmp_path / "partial.json"
-        partial.write_text('{"selector": "0x016C"}')
-        with pytest.raises(ReportParseError, match="invalid field"):
-            load_model_json(str(partial))
+
+    # (path, value, the field the error names) over a trained detector.json:
+    # a wrong type in each field, and the first value past each bound
+    @pytest.mark.parametrize("path, value, field", [
+        ((), '{"selector": "0x016C"}', "invalid field"),
+        ((), [], "top level must be an object"),
+        (("comment",), "x", "comment: unknown"),
+        (("selector",), 364, "selector must be a string"),
+        (("selector",), "0xZZ", "selector must be a selector"),
+        (("selector",), "0x10000", "selector must be a selector"),
+        (("weight",), ..., "weight: missing"),
+        (("weight",), "1.0", "weight must be a finite number"),
+        (("bias",), math.nan, "bias must be a finite number"),
+        (("feature_mean",), math.inf, "feature_mean must be a finite number"),
+        (("feature_mean",), 10**400, "feature_mean must be a finite number"),
+        (("feature_stddev",), True, "feature_stddev must be a finite number"),
+        (("feature_stddev",), 0.0, "feature_stddev must be in [5e-324, inf]"),
+        (("threshold",), "0.5", "threshold must be a finite number"),
+        (("threshold",), -5e-324, "threshold must be in [0, 1]"),
+        (("threshold",), math.nextafter(1.0, 2.0), "threshold must be in [0, 1]"),
+        (("metrics",), [], "metrics must be an object"),
+        (("metrics", "mcc"), 0.5, "metrics.mcc: unknown"),
+        (("metrics", "tp"), ..., "metrics.tp: missing"),
+        (("metrics", "tp"), True, "metrics.tp"),
+        (("metrics", "tp"), 1.9, "metrics.tp"),
+        (("metrics", "tp"), -1, "metrics.tp must be in [0, inf]"),
+        (("metrics", "fp"), "1", "metrics.fp"),
+        (("metrics", "fn"), -1, "metrics.fn must be in [0, inf]"),
+        (("metrics", "tn"), 2.0, "metrics.tn"),
+        (("metrics", "accuracy"), "nan", "metrics.accuracy must be a finite number"),
+        (("metrics", "accuracy"), "0.99", "metrics.accuracy must be a finite number"),
+        (("metrics", "accuracy"), math.nan, "metrics.accuracy must be a finite number"),
+        (("metrics", "accuracy"), -5e-324, "metrics.accuracy must be in [0, 1]"),
+        (("metrics", "accuracy"), math.nextafter(1.0, 2.0), "metrics.accuracy must be in [0, 1]"),
+        (("metrics", "precision"), None, "metrics.precision must be a finite number"),
+        (("metrics", "recall"), 1.5, "metrics.recall must be in [0, 1]"),
+        (("metrics", "f1"), 7.0, "metrics.f1 must be in [0, 1]"),
+        (("metrics", "auc"), -0.5, "metrics.auc must be in [0, 1]"),
+        (("metrics", "undefined"), "auc", "metrics.undefined must be a list drawn from"),
+        (("metrics", "undefined"), ["mcc"], "metrics.undefined must be a list drawn from"),
+        (("metrics", "undefined"), [1], "metrics.undefined must be a list drawn from"),
+    ], ids=["only-selector", "top-level-list", "unknown-key", "selector-number",
+            "selector-not-hex", "selector-past-0xFFFF", "no-weight", "weight-string", "nan-bias",
+            "infinite-mean", "mean-past-float", "boolean-stddev", "zero-stddev",
+            "threshold-string", "threshold-below-0", "threshold-past-1", "metrics-list",
+            "unknown-metric", "no-tp", "boolean-tp", "fractional-tp", "tp-below-0", "string-fp",
+            "fn-below-0", "float-tn", "nan-string-accuracy", "string-accuracy", "nan-accuracy",
+            "accuracy-below-0", "accuracy-past-1", "null-precision", "recall-past-1",
+            "f1-past-1", "auc-below-0", "undefined-string", "undefined-unknown-name",
+            "undefined-number"])
+    def test_wrongly_typed_field_names_it(self, tmp_path, rejects, path, value, field):
+        rejects(load_model_json, lambda file: ["detect", "screen", "--models", file,
+                                               "--out", file + ".csv"],
+                trained_detector(tmp_path), path, value, field)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1_000,1\n", "input:2: non-integer delta: '1_000'"),
+        ("3,0\n1180591620717411303424,1\n", "input:3: delta must be in"),
+        (f"{1 << 63},1\n", "input:2: delta must be in"),
+        (f"{-(1 << 63) - 1},1\n", "input:2: delta must be in"),
+        ("0x1G,0\n", "input:2: non-integer delta"),
+        ("3,0\n4,2\n", "input:3: label must be 0 or 1, got 2"),
+        ("3,-1\n", "input:2: label must be 0 or 1, got -1"),
+        ("3,1.0\n", "input:2: non-integer label: '1.0'"),
+        ("3,\n", "input:2: non-integer label: ''"),
+    ], ids=["underscore-delta", "delta-2**70", "delta-past-int64", "delta-below-int64",
+            "delta-bad-hex", "label-2", "label-minus-1", "label-float", "label-empty"])
+    def test_malformed_cells_name_their_row(self, tmp_path, rejects, rows, message):
+        rejects(lambda file: load_dataset_csv(file, SELECTOR),
+                lambda file: ["detect", "train", "--dataset", file, "--selector", "0x016C",
+                              "--out", file + ".json"],
+                None, (), "delta,label\n" + rows, message)
+
+    def test_dataset_csv_int64_bounds_load(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text(f"delta,label\n{(1 << 63) - 1},1\n{-(1 << 63)},0\n 0x10 ,1\n")
+        assert load_dataset_csv(str(path), SELECTOR).samples == (
+            ((1 << 63) - 1, 1), (-(1 << 63), 0), (16, 1))
 
     def test_screen_csv_layout(self, tmp_path):
         selectors = [EventSelector(0x10, 0x02), EventSelector(0x10, 0x01)]

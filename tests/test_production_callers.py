@@ -4,7 +4,9 @@ The audit walks the modules' syntax trees and lists the public top-level
 names that no Name or Attribute node in any module references.  Such a name
 serves only tests or outside scripts, so it must be deleted or named below
 with the reason it stays.  A second audit keeps the tests from importing
-names they never use, which would otherwise hold such a name in place.
+names they never use, which would otherwise hold such a name in place.  A
+third keeps JSON parsing in the reader module, inputs, so that no loader
+grows its own field checks again.
 """
 
 import ast
@@ -65,3 +67,25 @@ def unused_test_imports() -> set[str]:
 
 def test_every_name_a_test_module_imports_is_used():
     assert unused_test_imports() == set()
+
+
+def json_parsing_modules() -> set[str]:
+    """Modules of the package that name json.load or json.loads, by attribute
+    or by import."""
+    found: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "json" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"load", "loads"}:
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_reader_module_parses_json():
+    assert json_parsing_modules() == {"inputs"}
