@@ -410,7 +410,7 @@ def load_sim_model(path: str) -> SimModel:
     doc = read_json(path, "sim model", unreadable=BackendError).object(optional={
         "microarchitecture": "sim", "families": [], "fault_instructions": {},
         "supported_extensions": ["base"], "supports_tsx": True})
-    families = []
+    families, first_of = [], {}  # event code -> the family that gives it
     for raw in doc["families"].items():
         family = raw.object(("event_code",), {"relevance_mask": 0, "trigger_classes": [],
                                               "increment": 1, "noise_stddev": 0, "seed": 0})
@@ -425,11 +425,15 @@ def load_sim_model(path: str) -> SimModel:
             ))
         except ValueError as exc:  # a range SimEventFamily checks; the message opens with the field
             raise ReportParseError(f"{raw.source}: {raw.path}.{exc}") from None
-    faults = doc["fault_instructions"].entries()
+        first = first_of.setdefault(families[-1].event_code, raw.path)
+        if first != raw.path:
+            raise ReportParseError(f"{raw.source}: {raw.path}.event_code "
+                                   f"0x{families[-1].event_code:02X} repeats {first}.event_code")
     return SimModel(
         label=doc["microarchitecture"].string(),
         families=tuple(families),
-        fault_table={key.integer(text=True): kind.string() for key, kind in faults},
+        fault_table=doc["fault_instructions"].mapping(
+            lambda key: key.integer(text=True), lambda kind: kind.string()),
         supported_extensions=frozenset(doc["supported_extensions"].list_of(str)),
         supports_tsx=doc["supports_tsx"].boolean(),
     )

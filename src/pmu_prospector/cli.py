@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Callable, Mapping
 
-from . import collector, detection, reporting, sidechannel, umask
+from . import collector, detection, outputs, reporting, sidechannel, umask
 from .backend import SimModel, load_sim_model, probe_native_backend
 from .corpus import NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
@@ -60,7 +60,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read(), path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -255,10 +255,8 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     # screen
     report = collector.load_report(args.report)
     rows = sidechannel.screen_channel_events(report.hidden_events, spec, backend, victim)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("selector,accuracy\n")
-        for selector, accuracy in rows:
-            fh.write(f"{format_selector(selector)},{accuracy:.6f}\n")
+    outputs.write_csv(args.out, ["selector", "accuracy"],
+                      ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in rows))
     if args.plot_out:
         reporting.write_accuracy_plot_csv(
             rows, args.plot_out, sample_size=args.plot_sample, seed=seed

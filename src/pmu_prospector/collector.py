@@ -5,14 +5,13 @@ selector space (inner loop, packed order) through backend.measure: a
 simulated PMU runs each instruction once per repetition and computes every
 selector's delta at once, while a real one is programmed four selectors at
 a time across the programmable slots, so one workload run measures four
-candidates.  A selector is readable for an instruction when the median
+candidates.  A selector is readable for an instruction when the lower median
 delta over the repetitions reaches the quiet threshold; readable selectors
 absent from the documented catalog are the hidden events.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -33,6 +32,7 @@ from .events import (
     unpack_selector,
 )
 from .inputs import read_json
+from .outputs import write_json
 
 log = logging.getLogger(__name__)
 
@@ -254,9 +254,7 @@ def persist_report(report: ScanReport, path: str) -> None:
             for selector, ids in report.hidden_events.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_report(path: str) -> ScanReport:
@@ -267,11 +265,11 @@ def load_report(path: str) -> ScanReport:
     fields = doc.object(("format", "microarchitecture", "total_instructions", "executed_success",
                          "hidden_events"), {"catalog_source": ""})
     total = fields["total_instructions"].integer(low=0)
-    hidden = fields["hidden_events"].entries()
     return ScanReport(
         microarchitecture_label=fields["microarchitecture"].string(),
         total_instructions=total,
         executed_success=fields["executed_success"].integer(0, total),
-        hidden_events={key.selector(): set(ids.list_of(int)) for key, ids in hidden},
+        hidden_events=fields["hidden_events"].mapping(
+            lambda key: key.selector(), lambda ids: set(ids.list_of(int))),
         catalog_source=fields["catalog_source"].string(),
     )

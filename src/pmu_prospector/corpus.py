@@ -124,7 +124,7 @@ def load_corpus_file(path: str) -> tuple[list[InstructionEntry], list[CorpusIssu
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_corpus(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
 

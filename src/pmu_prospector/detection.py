@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
@@ -22,6 +21,7 @@ from .backend import CounterBackend, simulation_of
 from .errors import CapabilityError, DegenerateDataError, ReportParseError
 from .events import EventSelector, format_selector
 from .inputs import Field, read_json
+from .outputs import write_csv, write_json
 from .seeding import derive_seed
 
 Sample = tuple[int, int]  # (count delta, label)
@@ -491,11 +491,7 @@ def screen(
 
 
 def write_dataset_csv(dataset: LabeledDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "label"])
-        for delta, label in dataset.samples:
-            writer.writerow([delta, label])
+    write_csv(path, ["delta", "label"], dataset.samples)
 
 
 def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> LabeledDataset:
@@ -537,21 +533,11 @@ def save_model_json(
         "feature_stddev": model.feature_stddev,
         "threshold": THRESHOLD,
         "metrics": {
-            "tp": metrics.tp,
-            "fp": metrics.fp,
-            "fn": metrics.fn,
-            "tn": metrics.tn,
-            "accuracy": metrics.accuracy,
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "f1": metrics.f1,
-            "auc": metrics.auc,
+            **{name: getattr(metrics, name) for name in (*_COUNTS, *_METRICS)},
             "undefined": sorted(metrics.undefined),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsReport]:
@@ -580,19 +566,11 @@ def write_screen_csv(
     path: str,
 ) -> None:
     passed_set = set(passed)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selector", "accuracy", "precision", "recall", "f1", "auc", "passed"])
-        for selector in sorted(reports, key=lambda s: s.packed):
-            rep = reports[selector]
-            writer.writerow(
-                [
-                    format_selector(selector),
-                    f"{rep.accuracy:.6f}",
-                    f"{rep.precision:.6f}",
-                    f"{rep.recall:.6f}",
-                    f"{rep.f1:.6f}",
-                    f"{rep.auc:.6f}",
-                    str(selector in passed_set).lower(),
-                ]
-            )
+    write_csv(path, ["selector", *_METRICS, "passed"], (
+        [
+            format_selector(selector),
+            *(f"{getattr(rep, name):.6f}" for name in _METRICS),
+            str(selector in passed_set).lower(),
+        ]
+        for selector, rep in sorted(reports.items(), key=lambda item: item[0].packed)
+    ))

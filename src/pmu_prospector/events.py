@@ -212,5 +212,5 @@ def load_catalog_file(path: str) -> EventCatalog:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return load_catalog(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc

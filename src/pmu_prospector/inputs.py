@@ -9,7 +9,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Collection, Mapping
+from collections.abc import Callable, Collection, Mapping
 
 from .errors import ProspectorError, ReportParseError
 from .events import EventSelector, parse_selector
@@ -91,12 +91,18 @@ class Field:
         self._need(type(self.value) is list, "a list")
         return [Field(item, self.source, f"{self.path}[{i}]") for i, item in enumerate(self.value)]
 
-    def entries(self) -> list[tuple[Field, Field]]:
-        """(key, value) of each member of an object whose keys are data."""
+    def mapping(self, key: Callable[[Field], object], value: Callable[[Field], object]) -> dict:
+        """{key(k): value(v)} over an object whose keys are data; two keys that
+        read as one, such as "0x016C" and "0x16c", are an error."""
         self._need(type(self.value) is dict, "an object")
-        return [(Field(key, self.source, f"{self.path} key {key!r}"),
-                 Field(item, self.source, f"{self.path}[{key!r}]"))
-                for key, item in self.value.items()]
+        result, spelling = {}, {}
+        for text, item in self.value.items():
+            parsed = key(Field(text, self.source, f"{self.path} key {text!r}"))
+            if spelling.setdefault(parsed, text) != text:  # a JSON object's texts are distinct
+                raise ReportParseError(f"{self.source}: {self.path} keys {spelling[parsed]!r} "
+                                       f"and {text!r} name the same entry")
+            result[parsed] = value(Field(item, self.source, f"{self.path}[{text!r}]"))
+        return result
 
     def object(self, required: Collection[str] = (), optional: Mapping[str, object] = {}
                ) -> dict[str, Field]:

@@ -8,7 +8,6 @@ by packed selector, so the emitted file is reproducible.
 
 from __future__ import annotations
 
-import csv
 import random
 from collections.abc import Mapping, Sequence
 from typing import TypeVar
@@ -16,6 +15,7 @@ from typing import TypeVar
 from .collector import ScanReport
 from .detection import MetricsReport
 from .events import EventSelector, format_selector
+from .outputs import write_csv
 from .seeding import derive_seed
 
 T = TypeVar("T")
@@ -54,21 +54,18 @@ def write_metrics_plot_csv(
     seed: int = 0,
 ) -> None:
     """Scatter dataset of per-event detection metrics."""
-    rows = sample_rows(sorted(reports, key=lambda s: s.packed), sample_size, seed, "metrics")
-    rows.sort(key=lambda s: s.packed)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selector", "accuracy", "f1", "auc"])
-        for selector in rows:
-            rep = reports[selector]
-            writer.writerow(
-                [
-                    format_selector(selector),
-                    f"{rep.accuracy:.6f}",
-                    f"{rep.f1:.6f}",
-                    f"{rep.auc:.6f}",
-                ]
-            )
+    by_selector = sorted(reports.items(), key=lambda item: item[0].packed)
+    rows = sample_rows(by_selector, sample_size, seed, "metrics")
+    rows.sort(key=lambda item: item[0].packed)
+    write_csv(path, ["selector", "accuracy", "f1", "auc"], (
+        [
+            format_selector(selector),
+            f"{rep.accuracy:.6f}",
+            f"{rep.f1:.6f}",
+            f"{rep.auc:.6f}",
+        ]
+        for selector, rep in rows
+    ))
 
 
 def write_accuracy_plot_csv(
@@ -80,8 +77,5 @@ def write_accuracy_plot_csv(
     """Scatter dataset of per-event channel accuracies."""
     sampled = sample_rows(list(rows), sample_size, seed, "channel-accuracy")
     sampled.sort(key=lambda item: item[0].packed)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selector", "accuracy"])
-        for selector, accuracy in sampled:
-            writer.writerow([format_selector(selector), f"{accuracy:.6f}"])
+    write_csv(path, ["selector", "accuracy"],
+              ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in sampled))

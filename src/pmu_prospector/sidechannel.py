@@ -17,7 +17,6 @@ comes from a cost model calibrated to measured channel rates.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from .backend import CounterBackend, SimulatedPmu, simulation_of
 from .errors import CapabilityError
 from .events import EventSelector, format_selector
+from .outputs import write_json
 from .seeding import point_fractions
 
 MELTDOWN = "meltdown"
@@ -283,6 +283,4 @@ def write_result_json(
         "error_rate": round(metrics.error_rate, 6),
         "elapsed_seconds": round(result.elapsed_seconds, 9),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -8,7 +8,6 @@ the observed counted/quiet pattern in closed form.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import reduce
@@ -16,6 +15,7 @@ from operator import or_
 
 from .collector import ScanReport
 from .events import umask_gates
+from .outputs import write_csv
 
 _SINGLE_BITS = tuple(1 << bit for bit in range(8))
 
@@ -79,18 +79,14 @@ def infer_report_masks(report: ScanReport) -> dict[int, RelevanceMask]:
 
 def write_distribution_csv(report: ScanReport, path: str) -> None:
     """Scatter dataset of the hidden-event distribution, for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_code", "umask"])
-        for event_code, umasks in group_hidden_by_event_code(report).items():
-            for umask in umasks:
-                writer.writerow([f"0x{event_code:02X}", f"0x{umask:02X}"])
+    write_csv(path, ["event_code", "umask"], (
+        [f"0x{event_code:02X}", f"0x{umask:02X}"]
+        for event_code, umasks in group_hidden_by_event_code(report).items() for umask in umasks
+    ))
 
 
 def write_masks_csv(masks: dict[int, RelevanceMask], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_code", "relevance_mask", "consistent"])
-        for code in sorted(masks):
-            mask = masks[code]
-            writer.writerow([f"0x{code:02X}", f"0x{mask.mask:02X}", str(mask.consistent).lower()])
+    write_csv(path, ["event_code", "relevance_mask", "consistent"], (
+        [f"0x{code:02X}", f"0x{mask.mask:02X}", str(mask.consistent).lower()]
+        for code, mask in sorted(masks.items())
+    ))

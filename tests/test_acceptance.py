@@ -358,7 +358,7 @@ PINNED_OUTPUT_DIGESTS = {
     "analysis/relevance_masks.csv": "4c6d2c743042663e09d1c4f6d45dca387cbb2544b379a6815841cfa007ea06bf",
     "dataset.csv": "7799551f1a32ad3a3e8c8e2ce668b1ae3da9e2914cfe7c6ac3cf07030630aee8",
     "recovery.json": "dcfba18c69a75d14077588c418cbb4833d7b05db874b759f5e3ed771160a4202",
-    "channel.csv": "9b6d498f18f7300d2b63a00893b7dd619bc5ab1420ef84357702365d54050329",
+    "channel.csv": "266aa3c40d84797585027da5648ba7a46b80f131465224b52b29cf2fd10bd1cb",
     "channel-plot.csv": "266aa3c40d84797585027da5648ba7a46b80f131465224b52b29cf2fd10bd1cb",
 }
 

@@ -705,6 +705,8 @@ class TestSimModelLoading:
          "fault_instructions key 'eight'"),
         (("fault_instructions",), {"8_0": "illegal-instruction"}, "fault_instructions key '8_0'"),
         (("fault_instructions", "8"), 1, "fault_instructions['8']"),
+        (("fault_instructions", "0x8"), "segmentation-fault",
+         "fault_instructions keys '8' and '0x8' name the same entry"),
         (("families",), {}, "families must be a list"),
         (("families", 1), "0xD3", "families[1] must be an object"),
         (("families", 1, "incremnet"), 2, "families[1].incremnet: unknown"),
@@ -713,6 +715,8 @@ class TestSimModelLoading:
         (("families", 1, "event_code"), "0xD3G", "families[1].event_code"),
         (("families", 1, "event_code"), -1, "families[1].event_code"),
         (("families", 1, "event_code"), "0x100", "families[1].event_code"),
+        (("families", 1, "event_code"), "0x6C",
+         "families[1].event_code 0x6C repeats families[0].event_code"),
         (("families", 1, "relevance_mask"), [3], "families[1].relevance_mask"),
         (("families", 1, "relevance_mask"), "-0x01", "families[1].relevance_mask"),
         (("families", 1, "relevance_mask"), 256, "families[1].relevance_mask"),
@@ -733,9 +737,9 @@ class TestSimModelLoading:
             "numeric-microarchitecture", "seed-at-2**127", "seed-below-minus-2**127",
             "top-level-list", "misspelt-key", "microarchitecture-list", "tsx-number",
             "extension-number", "fault-id-word", "fault-id-underscore", "fault-kind-number",
-            "families-object", "family-string", "misspelt-family-key", "no-event-code",
-            "event-code-float", "event-code-bad-hex", "event-code-below-0", "event-code-past-0xFF",
-            "mask-list", "mask-below-0", "mask-past-0xFF", "trigger-class-null",
+            "fault-id-twice", "families-object", "family-string", "misspelt-family-key",
+            "no-event-code", "event-code-float", "event-code-bad-hex", "event-code-below-0",
+            "event-code-past-0xFF", "event-code-twice", "mask-list", "mask-below-0", "mask-past-0xFF", "trigger-class-null",
             "increment-text-float", "increment-below-0", "increment-past-2**32-at-1",
             "noise-string", "noise-below-0", "noise-past-2**32", "seed-float",
             "seed-at-2**127-at-1", "seed-below-minus-2**127-at-1"])

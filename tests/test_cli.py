@@ -84,6 +84,22 @@ class TestExitCodes:
                          "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    # a file holding byte 0xFF is named in the error; a config fault exits 2 like any other
+    @pytest.mark.parametrize("which, code", [("corpus", 1), ("catalog", 1), ("config", 2)])
+    def test_non_utf8_file_is_named(self, which, code, tmp_path, capsys,
+                                    corpus_path, catalog_path, model_path):
+        bad = tmp_path / f"bad-{which}"
+        bad.write_bytes(b"# \xff\n")
+        files = {"corpus": corpus_path, "catalog": catalog_path, which: str(bad)}
+        config = ["--config", files["config"]] if "config" in files else []
+        out = tmp_path / "r.json"
+        assert dispatch([*config, "scan", "--corpus", files["corpus"],
+                         "--catalog", files["catalog"], "--sim-model", model_path,
+                         "--repetitions", "1", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {which} {bad}: 'utf-8' codec")
+        assert not out.exists()
+
     def test_unknown_backend_exits_two(self, tmp_path, capsys, corpus_path, catalog_path):
         config = tmp_path / "cfg"
         config.write_text("backend=quantum\n")

@@ -579,10 +579,13 @@ class TestReportPersistence:
         (("hidden_events", "-0x1"), [1], "hidden_events key '-0x1'"),
         (("hidden_events", "0x10000"), [1], "hidden_events key '0x10000'"),
         (("hidden_events", "0x016C"), [1, 3.0], "hidden_events['0x016C'] must be a list"),
+        (("hidden_events", "0x16c"), [2],
+         "hidden_events keys '0x016C' and '0x16c' name the same entry"),
     ], ids=["not-utf-8", "number-too-long", "top-level-list", "other-format", "unknown-key",
             "no-label", "label-list", "source-object", "total-float", "total-below-0",
             "executed-string", "executed-below-0", "executed-past-total", "hidden-list",
-            "selector-not-hex", "selector-below-0", "selector-past-0xFFFF", "id-float"])
+            "selector-not-hex", "selector-below-0", "selector-past-0xFFFF", "id-float",
+            "selector-twice"])
     def test_wrongly_typed_field_names_it(self, tmp_path, rejects, path, value, field):
         written = str(tmp_path / "report.json")
         persist_report(sample_report(), written)

@@ -6,7 +6,8 @@ serves only tests or outside scripts, so it must be deleted or named below
 with the reason it stays.  A second audit keeps the tests from importing
 names they never use, which would otherwise hold such a name in place.  A
 third keeps JSON parsing in the reader module, inputs, so that no loader
-grows its own field checks again.
+grows its own field checks again, and a fourth keeps JSON and CSV rendering
+in the writer module, outputs, so that every output file has one format.
 """
 
 import ast
@@ -69,23 +70,28 @@ def test_every_name_a_test_module_imports_is_used():
     assert unused_test_imports() == set()
 
 
-def json_parsing_modules() -> set[str]:
-    """Modules of the package that name json.load or json.loads, by attribute
-    or by import."""
+def modules_naming(module: str, names: set[str]) -> set[str]:
+    """Modules of the package that name one of module's names, by attribute
+    (json.load) or by import (from json import load)."""
     found: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                names = {node.attr} if node.value.id == "json" else set()
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
-                names = {alias.name for alias in node.names}
+                named = {node.attr} if node.value.id == module else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == module:
+                named = {alias.name for alias in node.names}
             else:
                 continue
-            if names & {"load", "loads"}:
+            if named & names:
                 found.add(path.stem)
     return found
 
 
 def test_only_the_reader_module_parses_json():
-    assert json_parsing_modules() == {"inputs"}
+    assert modules_naming("json", {"load", "loads"}) == {"inputs"}
+
+
+def test_only_the_writer_module_renders_output():
+    assert modules_naming("json", {"dump", "dumps"}) | modules_naming("csv", {"writer"}) == {
+        "outputs"}
