@@ -12,6 +12,7 @@ absent from the documented catalog are the hidden events.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -119,16 +120,18 @@ def scan_instruction(
     return records
 
 
-def selector_texts() -> list[str]:
-    """format_selector text of every selector, indexed by packed selector."""
+@functools.cache
+def selector_texts() -> tuple[str, ...]:
+    """format_selector text of every selector, indexed by packed selector;
+    the tuple is built once per process."""
     digits = [f"{i:02X}" for i in range(256)]
-    return ["0x" + umask + code for umask in digits for code in digits]
+    return tuple("0x" + umask + code for umask in digits for code in digits)
 
 
 def render_records(
     instruction_id: int,
     texts: Sequence[str],
-    deltas: Sequence[int],
+    deltas: Sequence[int] | np.ndarray,
     outcomes: Sequence[str],
     start: int,
     stop: int,
@@ -140,14 +143,36 @@ def render_records(
     "instruction": instruction_id, "delta": delta, "outcome": outcome},
     sort_keys=True) followed by a newline, for integer ids and deltas and
     the ExecStatus values, none of which need JSON escaping.
+
+    A line is quiet when its delta is 0 and its outcome is the range's first
+    one; most lines of a scan are.  Each run of quiet lines is rendered with
+    one str.join over its selector texts and every other line on its own, so
+    the text is byte-identical to rendering each line by itself.
     """
-    return "".join([
-        f'{{"delta": {delta}, "instruction": {instruction_id}, '
-        f'"outcome": "{outcome}", "selector": "{text}"}}\n'
-        for text, delta, outcome in zip(
-            texts[start:stop], deltas[start:stop], outcomes[start:stop]
-        )
-    ])
+    texts, deltas, outcomes = texts[start:stop], deltas[start:stop], outcomes[start:stop]
+    if not texts:
+        return ""
+    first = outcomes[0]
+    odd = np.asarray(deltas) != 0
+    if outcomes.count(first) != len(outcomes):  # a lost or faulting batch
+        odd |= np.array([outcome != first for outcome in outcomes])
+
+    def head(delta: int, outcome: str) -> str:
+        return (f'{{"delta": {delta}, "instruction": {instruction_id}, '
+                f'"outcome": "{outcome}", "selector": "')
+
+    quiet = head(0, first)
+    sep = '"}\n' + quiet
+    parts = []
+    run = 0  # first index of the current run of quiet lines
+    for i in np.flatnonzero(odd).tolist():
+        if run < i:
+            parts.append(quiet + sep.join(texts[run:i]) + '"}\n')
+        parts.append(head(int(deltas[i]), outcomes[i]) + texts[i] + '"}\n')
+        run = i + 1
+    if run < len(texts):
+        parts.append(quiet + sep.join(texts[run:]) + '"}\n')
+    return "".join(parts)
 
 
 def full_scan(
@@ -207,10 +232,9 @@ def full_scan(
             outcomes = [ExecStatus.BACKEND_ERROR.value] * EVENT_SPACE_SIZE  # lost batches keep it
             for start, stop, outcome in measured:
                 outcomes[start:stop] = [outcome.value] * (stop - start)
-            values = medians.tolist()
             for start in range(0, EVENT_SPACE_SIZE, RECORD_BLOCK):
                 record_sink(render_records(
-                    entry.id, texts, values, outcomes, start, start + RECORD_BLOCK
+                    entry.id, texts, medians, outcomes, start, start + RECORD_BLOCK
                 ))
     return ScanReport(
         microarchitecture_label=_backend_label(executor),

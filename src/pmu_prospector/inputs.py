@@ -18,11 +18,21 @@ _INTEGER_TEXT = re.compile(r"\s*[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)\s*").fullmatch
 
 
 def read_json(path: str, what: str, unreadable: type[ProspectorError] = ReportParseError) -> Field:
-    """The JSON file at path, named `what path`; one that cannot be opened raises `unreadable`."""
+    """The JSON file at path, named `what path`; one that cannot be opened raises
+    `unreadable`, and an object that repeats a member name raises ReportParseError."""
     source = f"{what} {path}"
+
+    def distinct_members(pairs: list[tuple[str, object]]) -> dict:
+        members: dict[str, object] = {}
+        for key, value in pairs:
+            if key in members:  # json.load would keep the last value silently
+                raise ReportParseError(f"{source}: member {key!r} is repeated")
+            members[key] = value
+        return members
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return Field(json.load(fh), source)
+            return Field(json.load(fh, object_pairs_hook=distinct_members), source)
     except OSError as exc:
         raise unreadable(f"cannot read {source}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, not JSON, or a number too long to convert

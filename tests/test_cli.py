@@ -442,6 +442,20 @@ class TestReportCommand:
             root.setLevel(saved)
         assert levels == [logging.WARNING, logging.INFO, logging.WARNING]
 
+    @pytest.mark.parametrize("members, repeated", [
+        ('"executed_success": 1, "executed_success": 5, "hidden_events": {}',
+         "executed_success"),
+        ('"executed_success": 1, "hidden_events": {"0x016C": [1], "0x016C": [2]}', "0x016C"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_member_exits_one_naming_it(self, members, repeated, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"format": "pmu-prospector-scan-v1", "microarchitecture": "sim", '
+                        f'"total_instructions": 10, {members}}}')
+        assert dispatch(["report", "--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: report {path}: member {repeated!r} is repeated\n"
+
 
 class TestAnalyzeUmaskCommand:
     def test_emits_distribution_and_masks(self, scan_report_path, tmp_path, capsys):

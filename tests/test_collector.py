@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -413,14 +414,64 @@ class TestRecordSink:
         stream = "".join(blocks)
         assert stream.count("\n") == len(scanned) * EVENT_SPACE_SIZE
         selectors = re.findall(r'"selector": "(0x[0-9A-F]{4})"', stream)
-        assert selectors == selector_texts() * len(scanned)
+        assert selectors == list(selector_texts()) * len(scanned)
+
+
+def per_line_render(instruction_id, texts, deltas, outcomes, start, stop):
+    """Reference oracle: one f-string per line, as render_records built
+    each line before it joined runs of quiet lines."""
+    return "".join([
+        f'{{"delta": {delta}, "instruction": {instruction_id}, '
+        f'"outcome": "{outcome}", "selector": "{text}"}}\n'
+        for text, delta, outcome in zip(
+            texts[start:stop], deltas[start:stop], outcomes[start:stop]
+        )
+    ])
+
+
+@st.composite
+def sparse_blocks(draw):
+    """Aligned texts, deltas and outcomes as a scan renders them: deltas
+    mostly 0 and outcomes mostly one ExecStatus, plus a start and stop that
+    may give an empty range, run past the end or cover a full block."""
+    n = draw(st.one_of(st.just(RECORD_BLOCK), st.integers(min_value=0, max_value=64)))
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    nonzero = draw(st.dictionaries(index, st.integers(min_value=1, max_value=2**63 - 1),
+                                   max_size=12))
+    others = draw(st.dictionaries(index, st.sampled_from(ExecStatus), max_size=12))
+    common = draw(st.sampled_from(ExecStatus))
+    base = draw(st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - n))
+    texts = selector_texts()[base : base + n]
+    deltas = [nonzero.get(i, 0) for i in range(n)]
+    outcomes = [others.get(i, common).value for i in range(n)]
+    if draw(st.booleans()):
+        start, stop = 0, RECORD_BLOCK
+    else:
+        start = draw(st.integers(min_value=0, max_value=n + 2))
+        stop = draw(st.integers(min_value=0, max_value=n + 8))
+    return texts, deltas, outcomes, start, stop
 
 
 class TestRenderRecords:
     def test_selector_texts_follow_packed_order(self):
-        assert selector_texts() == [
+        assert list(selector_texts()) == [
             format_selector(unpack_selector(p)) for p in range(EVENT_SPACE_SIZE)
         ]
+        assert selector_texts() is selector_texts()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instruction_id=st.integers(min_value=-(2**70), max_value=2**70),
+        block=sparse_blocks(),
+        as_array=st.booleans(),
+    )
+    def test_equals_per_line_render(self, instruction_id, block, as_array):
+        texts, deltas, outcomes, start, stop = block
+        given_deltas = np.array(deltas, np.int64) if as_array else deltas
+        text = render_records(instruction_id, texts, given_deltas, outcomes, start, stop)
+        expected = per_line_render(instruction_id, texts, deltas, outcomes, start, stop)
+        # lists, so a failure names the first differing line instead of diffing the block
+        assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
     @settings(max_examples=200, deadline=None)
     @given(
