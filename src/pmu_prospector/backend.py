@@ -29,7 +29,9 @@ from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
-VECTOR_BATCH = 4096  # selectors per batch on the simulated path; bounds peak memory
+# on the simulated path: armed selectors computed (and their noise drawn) at
+# once, and selectors per yielded batch; bounds peak memory
+VECTOR_BATCH = 4096
 NOISE_BATCH = 1 << 14  # noisy executions drawn at once; bounds peak memory
 # bound on a family's increment and noise stddev: an int64 count then holds
 # about 2**27 executions of one repetition, and a detection window a few hundred
@@ -88,12 +90,14 @@ def measure(
     - On a simulated backend (one that exposes its SimulatedPmu as
       `simulation`, directly or through a delegating proxy) run(rep) executes
       once per repetition, and the PMU's running class tally taken around it
-      gives that repetition's class counts.  Every selector's deltas are then
-      computed in numpy from its family's umask gate and increment, in
-      batches of VECTOR_BATCH selectors, and so is the noise: each
-      repetition is the next noise epoch of the selector, the one that
-      programming it would claim (see SimulatedPmu).  Slots programmed
-      before the call count its executions too.
+      gives that repetition's class counts.  Only the armed selectors, whose
+      family's umask gate is open, are then computed in numpy from their
+      family's increment, VECTOR_BATCH armed selectors at a time, and so is
+      their noise, one draw per chunk: each repetition is the next noise
+      epoch of the selector, the one that programming it would claim (see
+      SimulatedPmu).  Every other delta is 0.  The yielded batches hold at
+      most VECTOR_BATCH selectors.  Slots programmed before the call count
+      its executions too.
     - Any other backend gets the scalar loop: codes are rendered with
       scan_control four at a time, one per slot; each repetition programs
       every slot of the batch (which resets its count), runs the workload
@@ -186,10 +190,14 @@ class SimulatedPmu(CounterBackend):
     """Deterministic in-process PMU model.
 
     record_execution adds to a running tally of executions per class.  Each
-    family is one row of a table (umask gate, increment per trigger class);
-    a slot counts its row's increments over the tally's growth since it was
-    programmed, and measure() and measure_counts() apply the table to every
-    selector at once.
+    family is one row of a table (increment per trigger class), and a
+    65,536-entry row table maps each packed selector to its family's row, or
+    to the quiet row (no increment, no noise) where no family owns the event
+    code or its umask gate is shut.  A slot counts its row's increments over
+    the tally's growth since it was programmed.  measure() and
+    measure_counts() compute only the armed selectors, those off the quiet
+    row, VECTOR_BATCH at a time with one noise draw per chunk, and give
+    every other selector 0.
 
     A noisy family over-counts every execution a selector of it counts
     through.  Execution k of noise epoch e of packed selector p over-counts
@@ -225,19 +233,22 @@ class SimulatedPmu(CounterBackend):
         self._class_index = {tag: i for i, tag in enumerate(classes)}
         self._tally = [0] * (len(classes) + 1)
         self._quiet_row = len(families)
-        self._family_index = np.full(256, self._quiet_row, np.intp)
-        self._gates = np.zeros((len(families) + 1, 256), bool)
+        # the row of every selector: its family's where the umask gate is
+        # open, else the quiet row; laid out [umask, event code], so that
+        # the raveled table is indexed by packed selector
+        rows = np.full((256, 256), self._quiet_row, np.int16)
         self._stddevs = np.zeros(len(families) + 1)
         self._keys = np.zeros(len(families) + 1, np.uint64)
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
         umasks = np.arange(256)
         for k, family in enumerate(families):
-            self._family_index[family.event_code] = k
-            self._gates[k] = (family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)
+            rows[(family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0),
+                 family.event_code] = k
             self._stddevs[k] = family.noise_stddev
             self._keys[k] = derive_seed(seed, family.seed)
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
+        self._rows = rows.ravel()
         self._noisy = self._stddevs > 0
         self.supports_tsx = supports_tsx  # whether the channel may use transactional suppression
 
@@ -263,9 +274,7 @@ class SimulatedPmu(CounterBackend):
 
     def program(self, slot: CounterSlot, value: PerfEvtSelValue) -> None:
         selector = value.selector
-        row = int(self._family_index[selector.event_code])
-        if not self._gates[row, selector.umask]:
-            row = self._quiet_row
+        row = int(self._rows[selector.packed])
         state = self._slots[slot.index]
         state.row = row
         state.start = self._tally.copy()
@@ -329,29 +338,43 @@ class SimulatedPmu(CounterBackend):
         return np.concatenate([np.empty((0, len(classes)), np.int64), *batches])
 
     def _deltas(self, codes: Sequence[int], classes: np.ndarray):
-        """(offset, deltas) per batch of VECTOR_BATCH codes, for repetitions
-        with the given class counts."""
+        """(offset, deltas) per batch of at most VECTOR_BATCH codes, for
+        repetitions with the given class counts.
+
+        Only the armed codes (a family owns the event code and its umask gate
+        is open) can count.  They are computed VECTOR_BATCH at a time, with
+        one noise draw for each chunk's noisy codes, and set into zero-filled
+        batches; a batch never crosses the end of a chunk other than the last.
+        """
         repetitions = len(classes)
         executions = classes.sum(axis=1)
         counts = self._increments @ classes.T  # per family row and repetition
         if isinstance(codes, range):  # np.asarray would convert a range element by element
             codes = np.arange(codes.start, codes.stop, codes.step)
         codes = np.asarray(codes, np.int64)
-        for base in range(0, len(codes), VECTOR_BATCH):
-            batch = codes[base : base + VECTOR_BATCH]
-            rows = self._family_index[batch & 0xFF]
-            armed = self._gates[rows, batch >> 8]
-            deltas = np.where(armed[:, None], counts[rows], 0)
-            noisy = np.flatnonzero(armed & self._noisy[rows])
-            if len(noisy):
-                epochs = self._claim_epochs(batch[noisy], repetitions)
-                deltas[noisy] += self._overcounts(
-                    np.repeat(rows[noisy], repetitions),
-                    np.repeat(batch[noisy], repetitions),
+        rows = self._rows[codes]
+        armed = np.flatnonzero(rows != self._quiet_row)
+        done = 0  # the codes before this one are yielded
+        for low in range(0, len(armed) + 1, VECTOR_BATCH):  # the last chunk may be empty
+            part = armed[low : low + VECTOR_BATCH]
+            part_rows = rows[part]
+            values = counts[part_rows]
+            noisy = self._noisy[part_rows]
+            if noisy.any():
+                epochs = self._claim_epochs(codes[part[noisy]], repetitions)
+                values[noisy] += self._overcounts(
+                    np.repeat(part_rows[noisy], repetitions),
+                    np.repeat(codes[part[noisy]], repetitions),
                     epochs.ravel(),
-                    np.tile(executions, len(noisy)),
+                    np.tile(executions, len(epochs)),
                 ).reshape(epochs.shape)
-            yield base, deltas
+            end = len(codes) if low + VECTOR_BATCH > len(armed) else int(part[-1]) + 1
+            for base in range(done, end, VECTOR_BATCH):
+                deltas = np.zeros((min(VECTOR_BATCH, end - base), repetitions), np.int64)
+                first, last = np.searchsorted(part, [base, base + len(deltas)]).tolist()
+                deltas[part[first:last] - base] = values[first:last]
+                yield base, deltas
+            done = end
 
     def _claim_epochs(self, codes: np.ndarray, repetitions: int) -> np.ndarray:
         """Claim each code's next `repetitions` noise epochs, one row per code."""

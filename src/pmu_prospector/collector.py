@@ -2,10 +2,10 @@
 
 The scan walks the instruction corpus (outer loop) and the 65536-point
 selector space (inner loop, packed order) through backend.measure: a
-simulated PMU runs each instruction once per repetition and computes every
-selector's delta at once, while a real one is programmed four selectors at
-a time across the programmable slots, so one workload run measures four
-candidates.  A selector is readable for an instruction when the lower median
+simulated PMU runs each instruction once per repetition and computes the
+deltas of its armed selectors at once (every other delta is 0), while a
+real one is programmed four selectors at a time across the programmable
+slots, so one workload run measures four candidates.  A selector is readable for an instruction when the lower median
 delta over the repetitions reaches the quiet threshold; readable selectors
 absent from the documented catalog are the hidden events.
 """
@@ -80,8 +80,15 @@ def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
 
 
 def _lower_medians(deltas: np.ndarray) -> np.ndarray:
-    # lower middle element per row; keeps medians integral for even repetition counts
-    return np.sort(deltas, axis=1)[:, (deltas.shape[1] - 1) // 2]
+    # lower middle element per row; keeps medians integral for even repetition
+    # counts.  Only rows whose repetitions differ are sorted: a row that
+    # repeats one value, as every quiet selector's does, has that median.
+    medians = deltas[:, 0].copy()
+    varied = np.zeros(len(deltas), bool)
+    for column in deltas.T[1:]:  # column by column: far cheaper than any(axis=1)
+        varied |= column != medians
+    medians[varied] = np.sort(deltas[varied], axis=1)[:, (deltas.shape[1] - 1) // 2]
+    return medians
 
 
 def _measure_snippet(executor, snippet: Snippet, codes: Sequence[int],

@@ -14,8 +14,7 @@ from collections.abc import Iterable, Sequence
 
 def write_json(path: str, doc: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

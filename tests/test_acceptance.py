@@ -12,6 +12,8 @@ import json
 import random
 import time
 
+import pytest
+
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.cli import dispatch
 from pmu_prospector.collector import ScanConfig, ScanReport, full_scan, persist_report
@@ -445,3 +447,32 @@ def test_criterion_09_cli_runs_are_byte_identical(
         # sanity: the pipeline produced real content, not empty files
         recovery = json.loads(outputs["recovery.json"][0])
         assert recovery["error_rate"] == 0.0
+
+
+# SHA-256 of the fixture scan's outputs at an even repetition count and at the
+# CLI default, where the noisy 0x5E family's lower medians take a middle
+# element of several draws (criterion 09 pins --repetitions 1).
+PINNED_SCAN_DIGESTS = {
+    2: {
+        "report.json": "e771d37679be20d1c2ef35b34c77acd5a5e2cd8f704db5c71be832088019c520",
+        "records.ndjson": "1d8b70b5d296f9eb62049d4cd545da32cf2cf42254be152e24ef44d6dd77c326",
+    },
+    5: {
+        "report.json": "64b9c0c9d1ae764542d83aea1f4ede0921516094b0b1e51775a4e0cd064ffaca",
+        "records.ndjson": "6207ded8a3afe74a2a61e4604b663b54e6b0e337b6cbb0243a1a4d247ef07375",
+    },
+}
+
+
+@pytest.mark.parametrize("repetitions", sorted(PINNED_SCAN_DIGESTS))
+def test_noisy_lower_medians_are_byte_identical(
+    repetitions, tmp_path, corpus_path, catalog_path, model_path
+):
+    assert dispatch([
+        "scan", "--corpus", corpus_path, "--catalog", catalog_path,
+        "--sim-model", model_path, "--repetitions", str(repetitions), "--seed", "7",
+        "--records", str(tmp_path / "records.ndjson"), "--out", str(tmp_path / "report.json"),
+    ]) == 0
+    for name, digest in PINNED_SCAN_DIGESTS[repetitions].items():
+        with open(tmp_path / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, f"{name} changed"

@@ -568,6 +568,45 @@ class TestCounterBasedNoise:
             assert measured() == whole
         assert whole[2] == [0] * len(sizes) and whole[0] != whole[1]
 
+    def test_armed_chunks_do_not_change_the_counts(self, monkeypatch):
+        # 17 noiseless families open for every umask, plus the noisy 0x5E and
+        # a noisy 0x6C gated on bit 0: 4,736 armed selectors, more than one
+        # chunk at the default VECTOR_BATCH
+        families = [NOISY, SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}),
+                                          noise_stddev=0.7, seed=2)]
+        families += [SimEventFamily(code, 0x00, frozenset({"alu"}), increment=code)
+                     for code in range(0x10, 0x21)]
+        plan = [[("alu", 2), ("memory-load", rep)] for rep in range(3)]
+        space = range(1 << 16)
+
+        def measured(batch):
+            """Deltas and claimed epochs of measure_counts, then of measure."""
+            monkeypatch.setattr(backend_module, "VECTOR_BATCH", batch)
+            pmu = SimulatedPmu(families, seed=5)
+            counts = pmu.measure_counts(space, count_matrix(pmu, plan))
+            epochs = dict(pmu._epochs)
+
+            def run(rep):
+                for tag, times in plan[rep]:
+                    for _ in range(times):
+                        pmu.record_execution(tag)
+
+            batches, offset = [], 0
+            for base, deltas, _ in measure(pmu, space, run, len(plan)):
+                assert base == offset and 0 < len(deltas) <= batch
+                batches.append(deltas)
+                offset += len(deltas)
+            return counts, epochs, np.concatenate(batches), dict(pmu._epochs)
+
+        whole = measured(1 << 16)
+        assert np.count_nonzero(whole[0].any(axis=1)) > 4096  # a few noisy ones draw only 0
+        for batch in (1, 3, 7, 705, backend_module.VECTOR_BATCH):
+            counts, epochs, streamed, then = measured(batch)
+            assert np.array_equal(counts, whole[0]) and epochs == whole[1]
+            assert np.array_equal(streamed, whole[2]) and then == whole[3]
+        assert len(whole[1]) == 256 + 128 and set(whole[1].values()) == {len(plan)}
+        assert len(np.unique(whole[2][0x5E::256], axis=0)) > 1  # the noise is there
+
     @pytest.mark.parametrize("stddev", [0.5, 1.5, 3.0])
     def test_overcount_is_a_truncated_rounded_gaussian(self, stddev):
         family = SimEventFamily(0x5E, 0x00, frozenset(), increment=0, noise_stddev=stddev)

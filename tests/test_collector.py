@@ -23,6 +23,7 @@ from pmu_prospector.backend import BackendError, SimEventFamily, SimulatedPmu
 from pmu_prospector.collector import (
     RECORD_BLOCK,
     ScanConfig,
+    _lower_medians,
     ScanReport,
     control_values,
     full_scan,
@@ -415,6 +416,32 @@ class TestRecordSink:
         assert stream.count("\n") == len(scanned) * EVENT_SPACE_SIZE
         selectors = re.findall(r'"selector": "(0x[0-9A-F]{4})"', stream)
         assert selectors == list(selector_texts()) * len(scanned)
+
+
+@st.composite
+def delta_arrays(draw):
+    """int64 (rows, repetitions) arrays for 1 to 6 repetitions: rows of
+    arbitrary values, and rows that repeat one value except in one column."""
+    repetitions = draw(st.integers(min_value=1, max_value=6))
+    values = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+    one_differs = st.tuples(values, values, st.integers(0, repetitions - 1)).map(
+        lambda t: [t[1] if column == t[2] else t[0] for column in range(repetitions)]
+    )
+    any_row = st.lists(values, min_size=repetitions, max_size=repetitions)
+    rows = draw(st.lists(st.one_of(one_differs, any_row), max_size=12))
+    return np.array(rows, np.int64).reshape(len(rows), repetitions)
+
+
+class TestLowerMedians:
+    @settings(max_examples=300, deadline=None)
+    @given(deltas=delta_arrays())
+    def test_equals_the_middle_of_the_sorted_row(self, deltas):
+        given_deltas = deltas.copy()
+        medians = _lower_medians(deltas)
+        lower = (deltas.shape[1] - 1) // 2
+        assert medians.dtype == np.int64
+        assert medians.tolist() == np.sort(deltas, axis=1)[:, lower].tolist()
+        assert np.array_equal(deltas, given_deltas)  # the input is left as it was
 
 
 def per_line_render(instruction_id, texts, deltas, outcomes, start, stop):
