@@ -30,7 +30,7 @@ PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
 # on the simulated path: armed selectors computed (and their noise drawn) at
-# once, and selectors per yielded batch; bounds peak memory
+# once, and the most rows a yielded batch holds; bounds peak memory
 VECTOR_BATCH = 4096
 NOISE_BATCH = 1 << 14  # noisy executions drawn at once; bounds peak memory
 # bound on a family's increment and noise stddev: an int64 count then holds
@@ -75,17 +75,20 @@ def measure(
     run: Callable[[int], object],
     repetitions: int,
     any_thread: bool = False,
-) -> Iterator[tuple[int, np.ndarray, object]]:
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, object]]:
     """The one measurement loop: per-repetition deltas of packed selectors.
 
     run(rep) executes the workload of repetition rep.  It must produce the
     same class trace and outcome every time it is called for a given rep,
     because the two paths below call it a different number of times.
 
-    Yields (offset, deltas, outcome) per batch.  deltas is an int64 array of
-    shape (selectors in the batch, repetitions) whose row j belongs to
-    codes[offset + j]; outcome is what run(repetitions - 1) returned.  A
-    code listed twice raises ValueError.
+    Yields (start, stop, index, deltas, outcome) per batch.  The batch
+    covers the positions codes[start:stop], and the spans of the batches
+    tile codes in order.  index is an ascending int64 array of positions in
+    [start, stop), and deltas an int64 array of shape (len(index),
+    repetitions) whose row j belongs to codes[index[j]]; every other
+    position of the span measured 0 in every repetition.  outcome is what
+    run(repetitions - 1) returned.  A code listed twice raises ValueError.
 
     - On a simulated backend (one that exposes its SimulatedPmu as
       `simulation`, directly or through a delegating proxy) run(rep) executes
@@ -95,15 +98,16 @@ def measure(
       family's increment, VECTOR_BATCH armed selectors at a time, and so is
       their noise, one draw per chunk: each repetition is the next noise
       epoch of the selector, the one that programming it would claim (see
-      SimulatedPmu).  Every other delta is 0.  The yielded batches hold at
-      most VECTOR_BATCH selectors.  Slots programmed before the call count
-      its executions too.
+      SimulatedPmu).  Each chunk is one batch, whose index lists its armed
+      positions; the last batch's span runs to the end of codes.  Slots
+      programmed before the call count its executions too.
     - Any other backend gets the scalar loop: codes are rendered with
       scan_control four at a time, one per slot; each repetition programs
       every slot of the batch (which resets its count), runs the workload
-      and reads every slot, so each read is already a delta.  A batch lost
-      to a BackendError yields the exception as its outcome and an empty
-      deltas array; the next batch is still measured.
+      and reads every slot, so each read is already a delta.  index is the
+      whole span.  A batch lost to a BackendError yields the exception as
+      its outcome and an empty index and deltas, its span naming the lost
+      positions; the next batch is still measured.
     """
     _check_distinct(codes)
     pmu = simulation_of(backend)
@@ -133,6 +137,7 @@ def _measure_scalar(backend, codes, run, repetitions, any_thread):
             (slot, scan_control(unpack_selector(code), any_thread))
             for slot, code in zip(SLOTS, codes[base : base + PROGRAMMABLE_SLOTS])
         )
+        stop = base + len(programs)
         reads: list[int] = []
         outcome = None
         try:
@@ -142,9 +147,10 @@ def _measure_scalar(backend, codes, run, repetitions, any_thread):
                 outcome = run(rep)
                 reads.extend(read(slot) for slot, _ in programs)
         except BackendError as exc:
-            yield base, np.empty((0, repetitions), np.int64), exc
+            yield base, stop, np.empty(0, np.int64), np.empty((0, repetitions), np.int64), exc
         else:
-            yield base, np.array(reads, np.int64).reshape(repetitions, len(programs)).T, outcome
+            deltas = np.array(reads, np.int64).reshape(repetitions, len(programs)).T
+            yield base, stop, np.arange(base, stop), deltas, outcome
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,8 @@ class SimulatedPmu(CounterBackend):
     the tally's growth since it was programmed.  measure() and
     measure_counts() compute only the armed selectors, those off the quiet
     row, VECTOR_BATCH at a time with one noise draw per chunk, and give
-    every other selector 0.
+    every other selector 0.  The armed packed selectors are kept sorted, so
+    a step-1 range of codes finds its armed ones with one binary search.
 
     A noisy family over-counts every execution a selector of it counts
     through.  Execution k of noise epoch e of packed selector p over-counts
@@ -249,6 +256,7 @@ class SimulatedPmu(CounterBackend):
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
         self._rows = rows.ravel()
+        self._armed = np.flatnonzero(self._rows != self._quiet_row)  # ascending packed
         self._noisy = self._stddevs > 0
         self.supports_tsx = supports_tsx  # whether the channel may use transactional suppression
 
@@ -313,8 +321,8 @@ class SimulatedPmu(CounterBackend):
             outcome = run(rep)
             snapshots += tally
         classes = np.diff(np.array(snapshots, np.int64).reshape(repetitions + 1, -1), axis=0)
-        for base, deltas in self._deltas(codes, classes):
-            yield base, deltas, outcome
+        for start, stop, index, deltas in self._deltas(codes, classes):
+            yield start, stop, index, deltas, outcome
 
     def measure_counts(self, codes: Sequence[int], classes: np.ndarray) -> np.ndarray:
         """Per-repetition deltas of packed selectors over a workload given as
@@ -324,7 +332,8 @@ class SimulatedPmu(CounterBackend):
         tag in repetition rep.  Returns the int64 (len(codes), repetitions)
         deltas that measure() would give for a run recording those classes,
         and claims the same noise epochs.  The counts join the running
-        tally, so a slot programmed before the call counts them too.
+        tally, so a slot programmed before the call counts them too.  The
+        armed codes' deltas are scattered into one zero-filled matrix.
         """
         _check_distinct(codes)
         classes = np.asarray(classes, np.int64)
@@ -334,47 +343,54 @@ class SimulatedPmu(CounterBackend):
                 f"got {classes.shape}"
             )
         self._tally[:] = (classes.sum(axis=0) + self._tally).tolist()
-        batches = [deltas for _, deltas in self._deltas(codes, classes)]
-        return np.concatenate([np.empty((0, len(classes)), np.int64), *batches])
+        out = np.zeros((len(codes), len(classes)), np.int64)
+        for _, _, index, deltas in self._deltas(codes, classes):
+            out[index] = deltas
+        return out
 
     def _deltas(self, codes: Sequence[int], classes: np.ndarray):
-        """(offset, deltas) per batch of at most VECTOR_BATCH codes, for
-        repetitions with the given class counts.
+        """(start, stop, index, deltas) per chunk of at most VECTOR_BATCH
+        armed codes, for repetitions with the given class counts.
 
         Only the armed codes (a family owns the event code and its umask gate
-        is open) can count.  They are computed VECTOR_BATCH at a time, with
-        one noise draw for each chunk's noisy codes, and set into zero-filled
-        batches; a batch never crosses the end of a chunk other than the last.
+        is open) can count.  index holds their positions in codes, and row j
+        of deltas belongs to codes[index[j]], with one noise draw for the
+        chunk's noisy codes.  The spans [start, stop) tile codes: each ends
+        after its chunk's last armed code, and the last one at the end of
+        codes; with no armed code there is one span of no rows.
         """
         repetitions = len(classes)
         executions = classes.sum(axis=1)
         counts = self._increments @ classes.T  # per family row and repetition
-        if isinstance(codes, range):  # np.asarray would convert a range element by element
-            codes = np.arange(codes.start, codes.stop, codes.step)
-        codes = np.asarray(codes, np.int64)
-        rows = self._rows[codes]
-        armed = np.flatnonzero(rows != self._quiet_row)
-        done = 0  # the codes before this one are yielded
-        for low in range(0, len(armed) + 1, VECTOR_BATCH):  # the last chunk may be empty
-            part = armed[low : low + VECTOR_BATCH]
-            part_rows = rows[part]
+        if isinstance(codes, range) and codes.step == 1:
+            first, last = np.searchsorted(self._armed, [codes.start, codes.stop]).tolist()
+            packed = self._armed[first:last]
+            positions = packed - codes.start
+        else:
+            if isinstance(codes, range):  # np.asarray would convert a range element by element
+                codes = np.arange(codes.start, codes.stop, codes.step)
+            codes = np.asarray(codes, np.int64)
+            positions = np.flatnonzero(self._rows[codes] != self._quiet_row)
+            packed = codes[positions]
+        rows = self._rows[packed]
+        start = 0
+        for low in range(0, max(len(packed), 1), VECTOR_BATCH):  # one chunk if none is armed
+            index = positions[low : low + VECTOR_BATCH]
+            part = packed[low : low + VECTOR_BATCH]
+            part_rows = rows[low : low + VECTOR_BATCH]
             values = counts[part_rows]
             noisy = self._noisy[part_rows]
             if noisy.any():
-                epochs = self._claim_epochs(codes[part[noisy]], repetitions)
+                epochs = self._claim_epochs(part[noisy], repetitions)
                 values[noisy] += self._overcounts(
                     np.repeat(part_rows[noisy], repetitions),
-                    np.repeat(codes[part[noisy]], repetitions),
+                    np.repeat(part[noisy], repetitions),
                     epochs.ravel(),
                     np.tile(executions, len(epochs)),
                 ).reshape(epochs.shape)
-            end = len(codes) if low + VECTOR_BATCH > len(armed) else int(part[-1]) + 1
-            for base in range(done, end, VECTOR_BATCH):
-                deltas = np.zeros((min(VECTOR_BATCH, end - base), repetitions), np.int64)
-                first, last = np.searchsorted(part, [base, base + len(deltas)]).tolist()
-                deltas[part[first:last] - base] = values[first:last]
-                yield base, deltas
-            done = end
+            stop = len(codes) if low + VECTOR_BATCH >= len(packed) else int(index[-1]) + 1
+            yield start, stop, index, values
+            start = stop
 
     def _claim_epochs(self, codes: np.ndarray, repetitions: int) -> np.ndarray:
         """Claim each code's next `repetitions` noise epochs, one row per code."""

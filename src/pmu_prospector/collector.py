@@ -2,12 +2,15 @@
 
 The scan walks the instruction corpus (outer loop) and the 65536-point
 selector space (inner loop, packed order) through backend.measure: a
-simulated PMU runs each instruction once per repetition and computes the
-deltas of its armed selectors at once (every other delta is 0), while a
-real one is programmed four selectors at a time across the programmable
-slots, so one workload run measures four candidates.  A selector is readable for an instruction when the lower median
-delta over the repetitions reaches the quiet threshold; readable selectors
-absent from the documented catalog are the hidden events.
+simulated PMU runs each instruction once per repetition and yields the
+deltas of its armed selectors only (every other delta is 0), while a real
+one is programmed four selectors at a time across the programmable slots,
+so one workload run measures four candidates.  A selector is readable for
+an instruction when the lower median delta over the repetitions reaches
+the quiet threshold; readable selectors absent from the documented catalog
+are the hidden events.  Since the threshold is at least 1, only the rows a
+batch yields are searched, and the dense medians of the whole space are
+built only for the NDJSON records.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import PROGRAMMABLE_SLOTS, BackendError, measure
+from .backend import BackendError, measure
 from .corpus import ExecStatus, InstructionEntry, Snippet, instantiate
 from .errors import InstantiationError, NormalizationError, ReportParseError
 from .events import (
@@ -91,8 +94,9 @@ def _lower_medians(deltas: np.ndarray) -> np.ndarray:
     return medians
 
 
-def _measure_snippet(executor, snippet: Snippet, codes: Sequence[int],
-                     config: ScanConfig) -> Iterator[tuple[int, np.ndarray, object]]:
+def _measure_snippet(
+    executor, snippet: Snippet, codes: Sequence[int], config: ScanConfig
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, object]]:
     """measure() with one run of the snippet per repetition; each batch's
     outcome is the workload's ExecStatus or the BackendError that lost it."""
     def run(_rep: int) -> ExecStatus:
@@ -118,11 +122,12 @@ def scan_instruction(
     selectors = list(selectors)
     codes = [s.packed for s in selectors]
     records: list[ScanRecord] = []
-    for base, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
+    for start, stop, index, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
         if isinstance(outcome, BackendError):
             raise outcome
-        medians = _lower_medians(deltas).tolist()
-        for selector, median in zip(selectors[base : base + len(medians)], medians):
+        medians = np.zeros(stop - start, np.int64)
+        medians[index - start] = _lower_medians(deltas)
+        for selector, median in zip(selectors[start:stop], medians.tolist()):
             records.append(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
     return records
 
@@ -219,22 +224,28 @@ def full_scan(
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue
-        medians = np.zeros(EVENT_SPACE_SIZE, np.int64)
+        medians = np.zeros(EVENT_SPACE_SIZE, np.int64) if record_sink is not None else None
         measured: list[tuple[int, int, ExecStatus]] = []  # start, stop, outcome per batch
-        for base, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
+        for start, stop, index, deltas, outcome in _measure_snippet(
+            executor, snippet, codes, config
+        ):
             if isinstance(outcome, BackendError):
                 log.warning(
                     "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
-                    base, base + PROGRAMMABLE_SLOTS - 1, entry.id, outcome,
+                    codes[start], codes[stop - 1], entry.id, outcome,
                 )
                 continue
-            stop = base + len(deltas)
-            medians[base:stop] = _lower_medians(deltas)
-            measured.append((base, stop, outcome))
+            measured.append((start, stop, outcome))
+            # a position outside index measured 0, whose median never reaches
+            # the threshold (ScanConfig keeps it at least 1); codes is the
+            # space in packed order, so codes[index] is index itself
+            batch = _lower_medians(deltas)
+            for packed in index[(batch >= threshold) & ~documented[index]].tolist():
+                hidden.setdefault(packed, set()).add(entry.id)
+            if medians is not None:
+                medians[index] = batch
         if measured and all(outcome is ExecStatus.SUCCESS for _, _, outcome in measured):
             executed_success += 1
-        for packed in np.flatnonzero((medians >= threshold) & ~documented).tolist():
-            hidden.setdefault(packed, set()).add(entry.id)
         if record_sink is not None:
             outcomes = [ExecStatus.BACKEND_ERROR.value] * EVENT_SPACE_SIZE  # lost batches keep it
             for start, stop, outcome in measured:

@@ -283,6 +283,17 @@ def control(base: int, n: int) -> list[int]:
     return [((base + j) << 8) | 0x6C for j in range(n)]
 
 
+def densified(batches):
+    """(start, deltas, outcome) per measure() batch, its rows scattered back
+    to one per position of its span; a lost batch keeps its empty deltas."""
+    for start, stop, index, deltas, outcome in batches:
+        if not isinstance(outcome, BackendError):
+            full = np.zeros((stop - start, deltas.shape[1]), np.int64)
+            full[index - start] = deltas
+            deltas = full
+        yield start, deltas, outcome
+
+
 class TestMeasure:
     def test_one_delta_per_repetition(self):
         backend = make_backend()
@@ -294,14 +305,14 @@ class TestMeasure:
                 backend.record_execution("memory-load")
             return "ran"
 
-        ((base, deltas, outcome),) = measure(backend, control(0x01, 1), run, 3)
+        ((base, deltas, outcome),) = densified(measure(backend, control(0x01, 1), run, 3))
         assert deltas.dtype == np.int64 and deltas.shape == (1, 3)
         assert (base, deltas.tolist(), outcome) == (0, [[1, 2, 3]], "ran")
         assert seen == [0, 1, 2]
 
     def test_four_values_per_batch_one_per_slot(self):
         codes = control(0x10, 9)
-        batches = list(measure(SelectorEchoBackend(), codes, lambda rep: None, 2))
+        batches = list(densified(measure(SelectorEchoBackend(), codes, lambda rep: None, 2)))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         for base, deltas, _ in batches:
             assert deltas.dtype == np.int64
@@ -311,7 +322,7 @@ class TestMeasure:
     def test_backend_error_loses_only_its_batch(self):
         codes = control(0x10, 9)
         backend = SelectorEchoBackend(refuse=codes[5])
-        batches = list(measure(backend, codes, lambda rep: "ran", 1))
+        batches = list(densified(measure(backend, codes, lambda rep: "ran", 1)))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         (_, first, ok_first), (_, lost, error), (_, last, ok_last) = batches
         assert isinstance(error, BackendError) and lost.tolist() == []
@@ -326,7 +337,7 @@ class TestMeasure:
         def run(rep):
             backend.record_execution("memory-load")
 
-        ((_, deltas, _),) = measure(backend, [0x016C], run, 3)
+        ((_, deltas, _),) = densified(measure(backend, [0x016C], run, 3))
         assert deltas.tolist() == [[1, 1, 1]]
         assert backend.read(SLOTS[0]) == 3
 
@@ -407,7 +418,7 @@ def measured(backend, codes, plan, repetitions):
         return f"outcome-{rep}-{len(plan[rep])}"
 
     deltas, outcomes = [], []
-    for _, batch, outcome in measure(backend, codes, run, repetitions):
+    for _, batch, outcome in densified(measure(backend, codes, run, repetitions)):
         assert batch.dtype == np.int64 and batch.shape[1] == repetitions
         deltas += batch.tolist()
         outcomes += [outcome] * len(batch)
@@ -450,6 +461,39 @@ class TestMeasurePathsAgree:
             proxied.read(SLOTS[0])
 
 
+@pytest.mark.parametrize("path", ["simulated", "scalar"])
+@pytest.mark.parametrize(
+    "families, codes, batch, simulated_batches",
+    [
+        ([], range(0x0100, 0x0140), 4096, 1),  # no armed selector
+        ([LOAD_FAMILY], range(0x0100, 0x0300), 4096, 1),  # quiet after 0x016C
+        ([LOAD_FAMILY], control(0x00, 12)[::-1], 1, 6),  # a chunk per armed code
+    ],
+    ids=["none-armed", "quiet-tail", "batch-of-one"],
+)
+def test_spans_tile_the_codes(monkeypatch, path, families, codes, batch, simulated_batches):
+    monkeypatch.setattr(backend_module, "VECTOR_BATCH", batch)
+    pmu = SimulatedPmu(families)
+    backend = pmu if path == "simulated" else _HiddenModel(pmu)
+
+    def run(rep):
+        backend.record_execution("memory-load")
+        return "ran"
+
+    batches = list(measure(backend, codes, run, 2))
+    offset = 0
+    for start, stop, index, deltas, outcome in batches:
+        assert start == offset < stop and outcome == "ran"
+        assert index.dtype == np.int64 and deltas.shape == (len(index), 2)
+        assert np.all(np.diff(index) > 0) and np.all((start <= index) & (index < stop))
+        offset = stop
+    assert offset == len(codes)
+    if path == "simulated":
+        assert len(batches) == simulated_batches
+    hits = [codes[i] for _, _, index, deltas, _ in batches for i in index[deltas.any(axis=1)]]
+    assert hits == [code for code in codes if families and (code >> 8) & 1 and code & 0xFF == 0x6C]
+
+
 def count_matrix(pmu, plan):
     """measure_counts matrix of a plan: per repetition, (class, executions)."""
     classes = np.zeros((len(plan), pmu.column_count), np.int64)
@@ -481,7 +525,8 @@ class TestMeasureCounts:
 
         for _ in range(2):  # the second round shows that epochs advanced alike
             fast = by_matrix.measure_counts(codes, count_matrix(by_matrix, plan))
-            slow = [row for _, batch, _ in measure(by_run, codes, run, len(plan)) for row in batch]
+            slow = [row for _, batch, _ in densified(measure(by_run, codes, run, len(plan)))
+                    for row in batch]
             assert fast.dtype == np.int64 and fast.shape == (len(codes), len(plan))
             assert fast.tolist() == [row.tolist() for row in slow]
         # both joined the running tally and hold the same next epochs
@@ -591,12 +636,12 @@ class TestCounterBasedNoise:
                     for _ in range(times):
                         pmu.record_execution(tag)
 
-            batches, offset = [], 0
-            for base, deltas, _ in measure(pmu, space, run, len(plan)):
-                assert base == offset and 0 < len(deltas) <= batch
-                batches.append(deltas)
-                offset += len(deltas)
-            return counts, epochs, np.concatenate(batches), dict(pmu._epochs)
+            batches, offset = list(measure(pmu, space, run, len(plan))), 0
+            for start, stop, index, _, _ in batches:
+                assert start == offset and 0 < len(index) <= batch
+                offset = stop
+            streamed = np.concatenate([deltas for _, deltas, _ in densified(batches)])
+            return counts, epochs, streamed, dict(pmu._epochs)
 
         whole = measured(1 << 16)
         assert np.count_nonzero(whole[0].any(axis=1)) > 4096  # a few noisy ones draw only 0

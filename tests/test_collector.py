@@ -327,7 +327,28 @@ class TestFullScan:
             )
         assert EventSelector(0x6C, 0x01) not in report.hidden_events
         assert len(report.hidden_events) == 127
-        assert "0x016C" in caplog.text
+        # the warning names the lost batch's span, the four selectors of its slots
+        assert "selectors 0x016C..0x016F for id 1" in caplog.text
+
+    @pytest.mark.parametrize("repetitions", [1, 2, 5])
+    def test_same_report_with_and_without_records(
+        self, make_executor, corpus_entries, catalog, repetitions
+    ):
+        # the fixture's 0x5E family is noisy, so its medians vary with the
+        # repetitions; the records hold the dense medians of every selector
+        config = ScanConfig(repetitions=repetitions)
+        blocks: list[str] = []
+        recorded = full_scan(corpus_entries, catalog, make_executor(seed=4), config,
+                             record_sink=blocks.append)
+        assert full_scan(corpus_entries, catalog, make_executor(seed=4), config) == recorded
+        loud: dict[EventSelector, set[int]] = {}
+        nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "0x(..)(..)"'
+        for delta, entry_id, umask, code in re.findall(nonzero, "".join(blocks)):
+            selector = EventSelector(int(code, 16), int(umask, 16))
+            if int(delta) >= config.quiet_threshold and selector not in catalog:
+                loud.setdefault(selector, set()).add(int(entry_id))
+        assert loud == recorded.hidden_events
+        assert {s.event_code for s in loud} == {0x08, 0x5E, 0x6C, 0xD3}
 
 
 class TestRecordSink:
