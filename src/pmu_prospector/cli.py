@@ -21,7 +21,13 @@ from . import collector, detection, outputs, reporting, sidechannel, umask
 from .backend import SimModel, load_sim_model, probe_native_backend
 from .corpus import NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
-from .events import EventSelector, format_selector, load_catalog_file, parse_selector
+from .events import (
+    EventSelector,
+    format_selector,
+    load_catalog_file,
+    parse_selector,
+    unpack_selector,
+)
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -254,7 +260,9 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         return 0
     # screen
     report = collector.load_report(args.report)
-    rows = sidechannel.screen_channel_events(report.hidden_events, spec, backend, victim)
+    rows = sidechannel.screen_channel_events(
+        map(unpack_selector, report.hidden_events), spec, backend, victim
+    )
     outputs.write_csv(args.out, ["selector", "accuracy"],
                       ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in rows))
     if args.plot_out:

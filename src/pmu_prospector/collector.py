@@ -30,12 +30,13 @@ from .events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
     EventSelector,
+    PackedSelector,
     PerfEvtSelValue,
-    format_selector,
+    parse_packed,
     scan_control,
     unpack_selector,
 )
-from .inputs import read_json
+from .inputs import Field, read_json
 from .outputs import write_json
 
 log = logging.getLogger(__name__)
@@ -67,12 +68,18 @@ class ScanRecord:
 
 @dataclass
 class ScanReport:
-    """Scan result: which undocumented selectors react to which instructions."""
+    """Scan result: which undocumented selectors react to which instructions.
+
+    hidden_events maps each hidden selector, as its packed value
+    umask * 256 + event_code, to the ids of the instructions it counted;
+    full_scan gives it in packed order.  load_report gives each key as a
+    PackedSelector, so key.packed reads it as EventSelector.packed would.
+    """
 
     microarchitecture_label: str
     total_instructions: int
     executed_success: int
-    hidden_events: dict[EventSelector, set[int]] = field(default_factory=dict)
+    hidden_events: dict[int, set[int]] = field(default_factory=dict)
     catalog_source: str = ""
 
 
@@ -258,9 +265,7 @@ def full_scan(
         microarchitecture_label=_backend_label(executor),
         total_instructions=total,
         executed_success=executed_success,
-        hidden_events={
-            unpack_selector(packed): ids for packed, ids in sorted(hidden.items())
-        },
+        hidden_events=dict(sorted(hidden.items())),
         catalog_source=os.path.basename(catalog.source),
     )
 
@@ -292,8 +297,7 @@ def persist_report(report: ScanReport, path: str) -> None:
         "total_instructions": report.total_instructions,
         "executed_success": report.executed_success,
         "hidden_events": {
-            format_selector(selector): sorted(ids)
-            for selector, ids in report.hidden_events.items()
+            f"0x{packed:04X}": sorted(ids) for packed, ids in report.hidden_events.items()
         },
     }
     write_json(path, doc)
@@ -311,7 +315,29 @@ def load_report(path: str) -> ScanReport:
         microarchitecture_label=fields["microarchitecture"].string(),
         total_instructions=total,
         executed_success=fields["executed_success"].integer(0, total),
-        hidden_events=fields["hidden_events"].mapping(
-            lambda key: key.selector(), lambda ids: set(ids.list_of(int))),
+        hidden_events=_hidden_events(fields["hidden_events"]),
         catalog_source=fields["catalog_source"].string(),
     )
+
+
+def _hidden_events(hidden: Field) -> dict[int, set[int]]:
+    """A report's hidden_events object, read in one loop: each key a
+    parse_packed spelling of a selector, each value a list of int ids.  Two
+    keys that spell one selector, such as "0x016C" and "0x16c", are an
+    error.  A Field is made only for a malformed member, to raise its error."""
+    members = hidden.members()
+    events: dict[int, set[int]] = {}
+    for text, ids in members.items():
+        try:
+            packed = PackedSelector(parse_packed(text))
+        except ValueError:  # Field.selector rejects the same texts
+            Field(text, hidden.source, f"{hidden.path} key {text!r}").selector()
+            raise
+        if packed in events:  # a JSON object's key texts are distinct
+            first = next(key for key in members if parse_packed(key) == packed)
+            raise ReportParseError(f"{hidden.source}: {hidden.path} keys {first!r} "
+                                   f"and {text!r} name the same entry")
+        if type(ids) is not list or not all(type(i) is int for i in ids):  # a bool is not one
+            Field(ids, hidden.source, f"{hidden.path}[{text!r}]").list_of(int)  # raises
+        events[packed] = set(ids)
+    return events

@@ -31,6 +31,8 @@ _SHIFT_COUNTER_MASK = 24
 
 
 def _check_byte(name: str, value: int) -> None:
+    if type(value) is int and 0 <= value <= 0xFF:  # the common case, decided at once
+        return
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 0xFF:
         raise ValueError(f"{name} must be an integer in [0, 255], got {value!r}")
 
@@ -64,14 +66,34 @@ def format_selector(selector: EventSelector) -> str:
     return f"0x{selector.umask:02X}{selector.event_code:02X}"
 
 
-def parse_selector(text: str) -> EventSelector:
-    """Parse the "0xUUEE" form produced by format_selector."""
-    t = text.strip()
+def parse_packed(text: str) -> int:
+    """The packed selector of the "0xUUEE" form produced by format_selector;
+    any hexadecimal spelling of it is accepted, such as " 0x16c "."""
     try:
-        packed = int(t, 16)
+        packed = int(text.strip(), 16)
     except ValueError:
         raise ValueError(f"not a hexadecimal selector: {text!r}") from None
-    return unpack_selector(packed)
+    if not 0 <= packed < EVENT_SPACE_SIZE:
+        raise ValueError(f"packed selector out of range: {packed!r}")
+    return packed
+
+
+def parse_selector(text: str) -> EventSelector:
+    """Parse the "0xUUEE" form produced by format_selector."""
+    return unpack_selector(parse_packed(text))
+
+
+# No src/ caller reads .packed: benchmarks/ reads it on load_report's keys
+# until ROADMAP item 7 makes it read the ints.
+class PackedSelector(int):
+    """A packed selector as an int whose packed property is the int itself,
+    so code written against EventSelector keys reads it unchanged."""
+
+    __slots__ = ()
+
+    @property
+    def packed(self) -> int:
+        return int(self)
 
 
 @dataclass(frozen=True)

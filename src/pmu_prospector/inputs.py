@@ -101,12 +101,15 @@ class Field:
         self._need(type(self.value) is list, "a list")
         return [Field(item, self.source, f"{self.path}[{i}]") for i, item in enumerate(self.value)]
 
+    def members(self) -> dict:
+        """An object's members as parsed, for a reader that checks each one itself."""
+        return self._need(type(self.value) is dict, "an object")
+
     def mapping(self, key: Callable[[Field], object], value: Callable[[Field], object]) -> dict:
         """{key(k): value(v)} over an object whose keys are data; two keys that
         read as one, such as "0x016C" and "0x16c", are an error."""
-        self._need(type(self.value) is dict, "an object")
         result, spelling = {}, {}
-        for text, item in self.value.items():
+        for text, item in self.members().items():
             parsed = key(Field(text, self.source, f"{self.path} key {text!r}"))
             if spelling.setdefault(parsed, text) != text:  # a JSON object's texts are distinct
                 raise ReportParseError(f"{self.source}: {self.path} keys {spelling[parsed]!r} "

@@ -62,8 +62,8 @@ def infer_relevance_mask(event_code: int, counted: Collection[int]) -> Relevance
 def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:
     """Hidden umasks per event code, both dimensions sorted ascending."""
     grouped: dict[int, set[int]] = {}
-    for selector in report.hidden_events:
-        grouped.setdefault(selector.event_code, set()).add(selector.umask)
+    for packed in report.hidden_events:
+        grouped.setdefault(packed & 0xFF, set()).add(packed >> 8)
     return {code: sorted(grouped[code]) for code in sorted(grouped)}
 
 

@@ -148,7 +148,7 @@ def test_criterion_03_randomized_scans_find_exactly_the_planted_events():
             executor = SimulatedExecutor(SimulatedPmu(families, seed=config_seed))
             report = full_scan(entries, EventCatalog(), executor, ScanConfig(repetitions=1))
             truth = {
-                EventSelector(family.event_code, umask)
+                umask << 8 | family.event_code
                 for family in families
                 for umask in range(256)
                 if umask_gates(umask, family.relevance_mask)
@@ -413,11 +413,7 @@ def test_criterion_09_cli_runs_are_byte_identical(
                 microarchitecture_label="sim-skylake-desk",
                 total_instructions=10,
                 executed_success=8,
-                hidden_events={
-                    EventSelector(0x08, 0x01): {5},
-                    EventSelector(0x5E, 0x01): {3},
-                    EventSelector(0x6C, 0x01): {1},
-                },
+                hidden_events={0x0108: {5}, 0x015E: {3}, 0x016C: {1}},
             )
             persist_report(small_report, str(base / "small-report.json"))
             stdout += run(["sidechannel", "screen", "--report", str(base / "small-report.json"),

@@ -689,9 +689,9 @@ class TestSidechannelCommands:
             total_instructions=10,
             executed_success=8,
             hidden_events={
-                EventSelector(0x08, 0x01): {5},   # gated off: never counts
-                EventSelector(0x5E, 0x01): {3},   # counts the scaffold class
-                EventSelector(0x6C, 0x01): {1},   # counts the transmit class
+                0x0108: {5},   # gated off: never counts
+                0x015E: {3},   # counts the scaffold class
+                0x016C: {1},   # counts the transmit class
             },
         )
         report_path = tmp_path / "small-report.json"

@@ -49,12 +49,10 @@ from pmu_prospector.events import (
     unpack_selector,
 )
 
-HIDDEN_6C = frozenset(EventSelector(0x6C, u) for u in range(256) if u & 0x01)
-HIDDEN_D3 = frozenset(
-    EventSelector(0xD3, u) for u in range(256) if u & 0x03
-) - {EventSelector(0xD3, 0x01), EventSelector(0xD3, 0x02)}
-HIDDEN_08 = frozenset(EventSelector(0x08, u) for u in range(256) if u & 0x10)
-HIDDEN_5E = frozenset(EventSelector(0x5E, u) for u in range(256))
+HIDDEN_6C = frozenset(u << 8 | 0x6C for u in range(256) if u & 0x01)
+HIDDEN_D3 = frozenset(u << 8 | 0xD3 for u in range(256) if u & 0x03) - {0x01D3, 0x02D3}
+HIDDEN_08 = frozenset(u << 8 | 0x08 for u in range(256) if u & 0x10)
+HIDDEN_5E = frozenset(u << 8 | 0x5E for u in range(256))
 
 
 def mini_entries(text: str):
@@ -259,16 +257,16 @@ class TestFullScan:
         assert len(fixture_report.hidden_events) == 128 + 190 + 128 + 256
 
     def test_reacting_instruction_ids(self, fixture_report):
-        for selector, ids in fixture_report.hidden_events.items():
-            if selector.event_code == 0x6C:
+        for packed, ids in fixture_report.hidden_events.items():
+            if packed & 0xFF == 0x6C:
                 assert ids == {1}
-            elif selector.event_code == 0xD3:
+            elif packed & 0xFF == 0xD3:
                 assert ids == {1, 2}
-            elif selector.event_code == 0x08:
+            elif packed & 0xFF == 0x08:
                 assert ids == {5}
             else:
                 # over-counting family: the true triggers plus occasional noise
-                assert selector.event_code == 0x5E
+                assert packed & 0xFF == 0x5E
                 assert ids >= {3, 6}
 
     def test_report_header_fields(self, fixture_report):
@@ -280,7 +278,7 @@ class TestFullScan:
         assert fixture_report.catalog_source == "catalog.csv"
 
     def test_documented_selectors_never_reported(self, fixture_report, catalog):
-        assert all(s not in catalog for s in fixture_report.hidden_events)
+        assert all(unpack_selector(p) not in catalog for p in fixture_report.hidden_events)
 
     def test_unsupported_instruction_logged_but_counted(
         self, make_executor, corpus_entries, catalog, caplog
@@ -313,9 +311,9 @@ class TestFullScan:
             return set(report.hidden_events)
 
         by_threshold = {t: hidden_at(t) for t in (1, 2, 3, 4)}
-        assert {s.event_code for s in by_threshold[1]} == {0x10, 0x20, 0x30}
-        assert {s.event_code for s in by_threshold[2]} == {0x20, 0x30}
-        assert {s.event_code for s in by_threshold[3]} == {0x30}
+        assert {p & 0xFF for p in by_threshold[1]} == {0x10, 0x20, 0x30}
+        assert {p & 0xFF for p in by_threshold[2]} == {0x20, 0x30}
+        assert {p & 0xFF for p in by_threshold[3]} == {0x30}
         assert by_threshold[4] == set()
         # raising the threshold never adds selectors
         assert by_threshold[4] <= by_threshold[3] <= by_threshold[2] <= by_threshold[1]
@@ -325,7 +323,7 @@ class TestFullScan:
             report = full_scan(
                 LOAD_ONLY, EventCatalog(), failing_executor(0x016C), ScanConfig(repetitions=1)
             )
-        assert EventSelector(0x6C, 0x01) not in report.hidden_events
+        assert 0x016C not in report.hidden_events
         assert len(report.hidden_events) == 127
         # the warning names the lost batch's span, the four selectors of its slots
         assert "selectors 0x016C..0x016F for id 1" in caplog.text
@@ -341,14 +339,14 @@ class TestFullScan:
         recorded = full_scan(corpus_entries, catalog, make_executor(seed=4), config,
                              record_sink=blocks.append)
         assert full_scan(corpus_entries, catalog, make_executor(seed=4), config) == recorded
-        loud: dict[EventSelector, set[int]] = {}
-        nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "0x(..)(..)"'
-        for delta, entry_id, umask, code in re.findall(nonzero, "".join(blocks)):
-            selector = EventSelector(int(code, 16), int(umask, 16))
-            if int(delta) >= config.quiet_threshold and selector not in catalog:
-                loud.setdefault(selector, set()).add(int(entry_id))
+        loud: dict[int, set[int]] = {}
+        nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "(0x....)"'
+        for delta, entry_id, text in re.findall(nonzero, "".join(blocks)):
+            packed = int(text, 16)
+            if int(delta) >= config.quiet_threshold and unpack_selector(packed) not in catalog:
+                loud.setdefault(packed, set()).add(int(entry_id))
         assert loud == recorded.hidden_events
-        assert {s.event_code for s in loud} == {0x08, 0x5E, 0x6C, 0xD3}
+        assert {p & 0xFF for p in loud} == {0x08, 0x5E, 0x6C, 0xD3}
 
 
 class TestRecordSink:
@@ -559,10 +557,7 @@ def sample_report() -> ScanReport:
         microarchitecture_label="sim-skylake-desk",
         total_instructions=10,
         executed_success=8,
-        hidden_events={
-            EventSelector(0x6C, 0x01): {1, 3},
-            EventSelector(0xD3, 0x03): {2},
-        },
+        hidden_events={0x016C: {1, 3}, 0x03D3: {2}},
         catalog_source="catalog.csv",
     )
 
@@ -596,6 +591,32 @@ class TestReportPersistence:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         assert sorted(doc["hidden_events"]) == ["0x016C", "0x03D3"]
         assert doc["hidden_events"]["0x016C"] == [1, 3]
+
+    @pytest.mark.parametrize("key, ids", [("0x16c", [1]), (" 0x016C ", [1]), ("0x016C", [])],
+                             ids=["lower-case-short", "spaced", "no-ids"])
+    def test_any_hexadecimal_key_and_an_empty_id_list_load(self, tmp_path, key, ids):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "format": "pmu-prospector-scan-v1", "microarchitecture": "x",
+            "total_instructions": 1, "executed_success": 1, "hidden_events": {key: ids},
+        }))
+        assert load_report(str(path)).hidden_events == {0x016C: set(ids)}
+
+    def test_loaded_keys_read_packed_like_selectors(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        persist_report(sample_report(), path)
+        assert [(key, key.packed) for key in load_report(path).hidden_events] == [
+            (0x016C, 0x016C), (0x03D3, 0x03D3)]
+
+    def test_fixture_report_rewrites_byte_identical(self, tmp_path, make_executor,
+                                                    corpus_entries, catalog):
+        report = full_scan(corpus_entries, catalog, make_executor(seed=5),
+                           ScanConfig(repetitions=3))
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        persist_report(report, first)
+        persist_report(load_report(first), second)
+        assert len(report.hidden_events) == 702
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -19,6 +19,10 @@ from pmu_prospector.events import (
     unpack_selector,
 )
 
+class _Byte(int):
+    """An int subclass: the byte check accepts it like an int."""
+
+
 selectors = st.builds(
     EventSelector,
     event_code=st.integers(0, 255),
@@ -65,6 +69,18 @@ class TestSelectorPacking:
             EventSelector(event_code=256, umask=0)
         with pytest.raises(ValueError):
             EventSelector(event_code=0, umask=-1)
+
+    @pytest.mark.parametrize("value", [
+        0, 1, 0x6C, 255, 256, -1, 1 << 70, True, False, 1.0, 0.0, "1", None, _Byte(7), _Byte(300),
+    ])
+    def test_byte_check_keeps_its_accept_set(self, value):
+        # the check before the fast path for an exact int in [0, 255]
+        accepted = isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 0xFF
+        if accepted:
+            assert EventSelector(event_code=value, umask=0).event_code == value
+        else:
+            with pytest.raises(ValueError, match="event_code must be an integer in"):
+                EventSelector(event_code=value, umask=0)
 
     def test_format_and_parse(self):
         selector = EventSelector(event_code=0x6C, umask=0x01)

@@ -26,7 +26,7 @@ class TestSummary:
             microarchitecture_label="sim-skylake-desk",
             total_instructions=10,
             executed_success=8,
-            hidden_events={EventSelector(0x6C, 0x01): {1}},
+            hidden_events={0x016C: {1}},
         )
         text = render_summary(report)
         head, body = text.splitlines()

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmu_prospector.collector import ScanReport
-from pmu_prospector.events import EventSelector, umask_gates
+from pmu_prospector.events import umask_gates
 from pmu_prospector.umask import (
     RelevanceMask,
     group_hidden_by_event_code,
@@ -108,13 +108,13 @@ class TestInference:
 
 
 def synthetic_report() -> ScanReport:
-    hidden: dict[EventSelector, set[int]] = {}
+    hidden: dict[int, set[int]] = {}
     for umask in range(256):
         if umask & 0x01:
-            hidden[EventSelector(0x6C, umask)] = {1}
+            hidden[umask << 8 | 0x6C] = {1}
         if umask & 0x10:
-            hidden[EventSelector(0x08, umask)] = {5}
-        hidden[EventSelector(0x5E, umask)] = {3, 6}
+            hidden[umask << 8 | 0x08] = {5}
+        hidden[umask << 8 | 0x5E] = {3, 6}
     return ScanReport(
         microarchitecture_label="sim",
         total_instructions=10,
