@@ -11,10 +11,12 @@ the class tag into the simulated PMU instead of executing machine code.
 from __future__ import annotations
 
 import enum
+import os
+import select
 import shutil
 import subprocess
 import tempfile
-import os
+import weakref
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -32,6 +34,7 @@ ATT_ORDER = "att-order"
 
 SCRATCH_SIZE = 4096
 PROBE_TIMEOUT_S = 2.0  # watchdog on one compiled probe run
+RESIDENT_PROBES = 16  # probe processes kept running at once
 
 
 class OperandKind(enum.Enum):
@@ -274,18 +277,89 @@ _SIGNAL_KINDS = {
     11: "segmentation-fault",   # SIGSEGV
 }
 
+
+# A resident probe: _start installs one handler for the _SIGNAL_KINDS signals
+# on an alternate stack, then runs the snippet once per byte read from stdin,
+# each time from a fresh _start's state, and answers one byte on stdout: 0,
+# or the number of the signal the snippet raised.  The handler rewrites the
+# interrupted context (ucontext_t's gregs REG_RSP, REG_RIP and REG_EFL at
+# offsets 160, 168 and 176) to resume at the answer, so a fault is reported
+# and the probe stays alive.
 _NATIVE_TEMPLATE = """\
     .section .note.GNU-stack,"",@progbits
     .data
     .balign 64
 scratch: .byte 1; .zero {scratch_rest}
+.Lsigaction: .quad .Lhandler, 0x0C000004, .Lrestorer, 0  # SA_SIGINFO|SA_RESTORER|SA_ONSTACK, no mask
+.Lsigaltstack: .quad .Lsigstack, 0, 65536  # ss_sp, ss_flags, ss_size
+    .bss
+    .balign 64
+.Lsigstack: .zero 65536
+.Lsaved_rsp: .zero 8
+.Lstatus: .zero 1
     .text
     .globl _start
 _start:
-    mov $1, %rax; mov $1, %rbx; mov $1, %rcx; mov $1, %rdx
+    mov %rsp, .Lsaved_rsp(%rip)
+    mov $131, %eax; lea .Lsigaltstack(%rip), %rdi; xor %esi, %esi; syscall  # sigaltstack
+    .irp signo, {signals}
+    mov $13, %eax; mov $\\signo, %edi; lea .Lsigaction(%rip), %rsi; xor %edx, %edx; mov $8, %r10d
+    syscall  # rt_sigaction
+    .endr
+.Lnext:
+    xor %eax, %eax; xor %edi, %edi; lea .Lstatus(%rip), %rsi; mov $1, %edx; syscall  # read(0, status, 1)
+    test %rax, %rax; jle .Lexit
+    mov .Lsaved_rsp(%rip), %rsp
+    push $0x202; popf
+    movq $1, scratch(%rip)
+    .irp offset, 8, 16, 24, 32, 40, 48, 56
+    movq $0, scratch+\\offset(%rip)
+    .endr
+    movb $0, .Lstatus(%rip)
+    mov $1, %eax; mov $1, %ebx; mov $1, %ecx; mov $1, %edx
+    xor %esi, %esi; xor %edi, %edi; xor %ebp, %ebp
+    .irp reg, r8, r9, r10, r11, r12, r13, r14, r15
+    xor %\\reg, %\\reg
+    .endr
 {body}
+.Lanswer:
+    mov $1, %eax; mov $1, %edi; lea .Lstatus(%rip), %rsi; mov $1, %edx; syscall  # write(1, status, 1)
+    jmp .Lnext
+.Lexit:
     mov $231, %eax; xor %edi, %edi; syscall  # exit_group(0)
+.Lhandler:  # (signo, info, ucontext): report signo, resume at .Lanswer
+    mov %dil, .Lstatus(%rip)
+    mov .Lsaved_rsp(%rip), %rax; mov %rax, 160(%rdx)
+    lea .Lanswer(%rip), %rax; mov %rax, 168(%rdx)
+    movq $0x202, 176(%rdx)
+    ret
+.Lrestorer:
+    mov $15, %eax; syscall  # rt_sigreturn
 """
+
+
+def _outcome(signo: int) -> ExecOutcome:
+    """The outcome of a run that raised signal signo, 0 for none."""
+    if not signo:
+        return _SUCCESS
+    return ExecOutcome(ExecStatus.FAULT, fault_kind=_SIGNAL_KINDS.get(signo, f"signal-{signo}"))
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """End a probe's input, which makes it exit; kill it if it has not
+    exited within the watchdog; reap it."""
+    proc.stdin.close()
+    try:
+        proc.wait(PROBE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
+def _stop_probes(resident: dict[str, subprocess.Popen]) -> None:
+    while resident:
+        _stop(resident.popitem()[1])
 
 
 class NativeExecutor:
@@ -293,15 +367,28 @@ class NativeExecutor:
 
     Each distinct snippet text is assembled once into a static probe binary
     with a bare _start and no libc, kept in a temporary directory that the
-    first compile creates and close() removes.  Every execute runs the probe
-    in a fresh process under a watchdog, mapping kill signals to fault kinds;
-    a snippet that does not assemble stays UNSUPPORTED without another
-    compile.  Slow but honest: the instruction really executes on the host.
+    first compile creates and close() removes; a snippet that does not
+    assemble stays UNSUPPORTED without another compile.  A probe process
+    starts on its first execute and stays resident: one execute writes it
+    one byte and waits up to PROBE_TIMEOUT_S for its one-byte answer.  The
+    probe catches the _SIGNAL_KINDS signals itself and answers with the
+    signal, so a faulting snippet starts no new process.  A probe that dies
+    (a signal it cannot catch, or an exit) is classified by its exit status
+    and started again on its next execute; one that does not answer in time
+    is killed as a watchdog-timeout.  At most RESIDENT_PROBES stay alive,
+    the least recently used stopped first, and close(), or the executor's
+    finalizer at garbage collection or interpreter exit, stops and reaps
+    every one.  The instruction really executes on the host.
 
-    The measured window still holds fork and exec of the probe, a static
-    binary of a few pages with no dynamic loader and no libc start-up, so
-    native deltas carry a baseline that is small but not zero; the scan's
-    median-over-repetitions absorbs the jitter but not the baseline.
+    Each run starts from a fresh _start's state: the initial stack pointer,
+    RFLAGS 0x202, rax-rdx 1 and the other general registers 0, and
+    scratch's first 64-byte line back to 1, 0, ....  Vector and x87
+    registers, and the rest of scratch, carry over from the run before.
+    The measured window holds no fork or exec, but still holds the two pipe
+    syscalls of the handshake (the probe's read returning, its write of the
+    answer) and the reset sequence, so native deltas carry a small baseline;
+    the scan's median-over-repetitions absorbs the jitter but not the
+    baseline.
     """
 
     dialect = ATT_ORDER
@@ -313,9 +400,13 @@ class NativeExecutor:
             raise CapabilityError(f"no C compiler {cc!r} on PATH")
         self.probe_dir: tempfile.TemporaryDirectory | None = None
         self._probes: dict[str, str | ExecOutcome] = {}  # binary path, or why it failed
+        self._resident: dict[str, subprocess.Popen] = {}  # by binary, least recently used first
+        weakref.finalize(self, _stop_probes, self._resident)
 
     def close(self) -> None:
-        """Remove the compiled probes; safe to call more than once."""
+        """Stop every probe and remove the compiled binaries; safe to call
+        more than once."""
+        _stop_probes(self._resident)
         self._probes.clear()
         if self.probe_dir is not None:
             self.probe_dir.cleanup()
@@ -336,7 +427,8 @@ class NativeExecutor:
         bin_path = os.path.join(self.probe_dir.name, f"probe{len(self._probes)}")
         src_path = bin_path + ".s"
         with open(src_path, "w", encoding="utf-8") as fh:
-            fh.write(_NATIVE_TEMPLATE.format(body=text, scratch_rest=SCRATCH_SIZE - 1))
+            fh.write(_NATIVE_TEMPLATE.format(body=text, scratch_rest=SCRATCH_SIZE - 1,
+                                             signals=", ".join(map(str, _SIGNAL_KINDS))))
         compile_proc = subprocess.run([self._cc, "-static", "-nostdlib", "-o", bin_path, src_path],
                                       capture_output=True, text=True)
         if compile_proc.returncode == 0:
@@ -349,18 +441,35 @@ class NativeExecutor:
         self._probes[text] = probe
         return probe
 
+    def _running(self, binary: str) -> subprocess.Popen:
+        """The resident process of a probe binary, started if need be, now
+        the most recently used."""
+        proc = self._resident.pop(binary, None)
+        if proc is None:
+            if len(self._resident) >= RESIDENT_PROBES:
+                _stop(self._resident.pop(next(iter(self._resident))))
+            proc = subprocess.Popen([binary], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                    bufsize=0)
+        self._resident[binary] = proc
+        return proc
+
     def execute(self, snippet: Snippet) -> ExecOutcome:
         probe = self._probe(snippet.rendered_text)
         if isinstance(probe, ExecOutcome):
             return probe
+        proc = self._running(probe)
         try:
-            run_proc = subprocess.run([probe], capture_output=True, timeout=PROBE_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
+            proc.stdin.write(b"\0")
+        except BrokenPipeError:  # it died since its last answer: the read below sees EOF
+            pass
+        if not select.select([proc.stdout], [], [], PROBE_TIMEOUT_S)[0]:
+            proc.kill()
+            _stop(self._resident.pop(probe))
             return ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
-        if run_proc.returncode == 0:
-            return _SUCCESS
-        if run_proc.returncode < 0:
-            signo = -run_proc.returncode
-            return ExecOutcome(ExecStatus.FAULT,
-                               fault_kind=_SIGNAL_KINDS.get(signo, f"signal-{signo}"))
-        return ExecOutcome(ExecStatus.FAULT, fault_kind=f"exit-{run_proc.returncode}")
+        answer = proc.stdout.read(1)
+        if answer:
+            return _outcome(answer[0])
+        _stop(self._resident.pop(probe))  # it died: its exit status says how
+        if proc.returncode > 0:
+            return ExecOutcome(ExecStatus.FAULT, fault_kind=f"exit-{proc.returncode}")
+        return _outcome(-proc.returncode)

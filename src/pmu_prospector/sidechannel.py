@@ -248,7 +248,9 @@ def screen_channel_events(
 
     Chunks of max(1, SCREEN_CELLS // (256 * spec.iterations)) selectors, in
     packed order, share one recover_byte call per position, which bounds
-    peak memory.  Noise epochs are per selector, so chunking changes no
+    peak memory.  After each position a chunk drops the selectors that
+    already have too many mismatches to pass, and stops once none is left.
+    Noise epochs are per selector, so chunking and dropping change no
     accuracy.
     """
     selectors = sorted(selectors, key=lambda s: s.packed)
@@ -260,8 +262,13 @@ def screen_channel_events(
         for position in _positions(spec, victim):
             decoded, _ = recover_byte(spec, position, bound, backend, victim)
             mismatches += decoded != victim.secret[position]
-        accuracies = (1.0 - mismatches / spec.secret_length).tolist()
-        kept += [(s, a) for s, a in zip(bound, accuracies) if a >= MIN_CHANNEL_ACCURACY]
+            passing = 1.0 - mismatches / spec.secret_length >= MIN_CHANNEL_ACCURACY
+            if not passing.all():
+                bound = [s for s, ok in zip(bound, passing.tolist()) if ok]
+                mismatches = mismatches[passing]
+                if not bound:
+                    break
+        kept += zip(bound, (1.0 - mismatches / spec.secret_length).tolist())
     return kept
 
 

@@ -18,6 +18,9 @@ from .events import umask_gates
 from .outputs import write_csv
 
 _SINGLE_BITS = tuple(1 << bit for bit in range(8))
+# per single bit, the set of umasks its gate opens for: bit u is umask u
+_SINGLE_BIT_GATES = tuple(sum(1 << umask for umask in range(256) if umask_gates(umask, mask))
+                          for mask in _SINGLE_BITS)
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,13 @@ def infer_relevance_mask(event_code: int, counted: Collection[int]) -> Relevance
     mask = ~reduce(or_, quiet) & 0xFF
     if mask and all(umask & mask for umask in counted):
         return RelevanceMask(event_code, mask, consistent=True)
-    # nothing explains everything; fall back to the single bit that agrees most
-    best_mask = _SINGLE_BITS[0]
-    best_score = -1
-    for mask in _SINGLE_BITS:
-        score = sum(1 for umask in range(256) if umask_gates(umask, mask) == (umask in counted))
-        if score > best_score:
-            best_mask, best_score = mask, score
-    return RelevanceMask(event_code, best_mask, consistent=False)
+    # nothing explains everything; fall back to the single bit that agrees
+    # with the most umasks, the lowest on a tie.  A bit agrees with a umask
+    # where its gate opens and the umask counted, or stays shut and it was
+    # quiet: where the bit's gate set and the quiet set differ.
+    quiet_set = sum(1 << umask for umask in quiet)
+    scores = [(quiet_set ^ opens).bit_count() for opens in _SINGLE_BIT_GATES]
+    return RelevanceMask(event_code, _SINGLE_BITS[scores.index(max(scores))], consistent=False)
 
 
 def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:

@@ -2,6 +2,7 @@ import os
 import shutil
 import struct
 import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from pmu_prospector.corpus import (
     INTEL_ORDER,
     NativeExecutor,
     OperandKind,
+    RESIDENT_PROBES,
     SimulatedExecutor,
     Snippet,
     classify_operand,
@@ -263,11 +265,35 @@ class TestSimulatedExecutor:
         assert executor.backend.read(SLOTS[0]) == 0
 
 
+def probe_processes(started):
+    """The probe processes among the started ones: every one but the compiler's."""
+    return [proc for proc in started if "-o" not in proc.args]
+
+
+def assert_reaped(proc):
+    assert proc.returncode is not None  # waited for
+    with pytest.raises(ProcessLookupError):
+        os.kill(proc.pid, 0)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestNativeSnippetExecutor:
     def run_native(self, e):
         with NativeExecutor(backend=None) as executor:
             return executor.execute(instantiate(e))
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        """Every process started through Popen, the compiler's included."""
+        processes = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                processes.append(self)
+
+        monkeypatch.setattr(corpus.subprocess, "Popen", RecordedPopen)
+        return processes
 
     @pytest.fixture()
     def compiles(self, monkeypatch):
@@ -310,15 +336,47 @@ class TestNativeSnippetExecutor:
 
     @pytest.mark.parametrize("text, kind", [
         ("int3", "trap"),
+        ("pushf\norl $0x100, (%rsp)\npopf\nnop", "trap"),  # single-stepping on
         ("mov 0, %rax", "segmentation-fault"),
         ("xor %ecx, %ecx\ndiv %rcx", "fp-exception"),
         # alignment checking on, then an 8-byte load one byte into scratch
         ("pushf\norl $0x40000, (%rsp)\npopf\nmov scratch+1(%rip), %rax", "bus-error"),
+        ("ud2", "illegal-instruction"),
+        ("mov $0, %rsp\nud2", "illegal-instruction"),  # the handler needs no stack of the snippet's
     ])
-    def test_fault_classes_map_to_their_kinds(self, text, kind):
+    def test_fault_classes_map_to_their_kinds(self, started, text, kind):
         with NativeExecutor(backend=None) as executor:
-            outcome = executor.execute(Snippet(entry(templates=()), text))
-        assert outcome == ExecOutcome(ExecStatus.FAULT, fault_kind=kind)
+            outcomes = [executor.execute(Snippet(entry(templates=()), text)) for _ in range(2)]
+        assert outcomes == [ExecOutcome(ExecStatus.FAULT, fault_kind=kind)] * 2
+        assert len(probe_processes(started)) == 1  # the probe survived its fault
+
+    @pytest.mark.parametrize("text", [
+        "incq scratch(%rip)\ncmpq $2, scratch(%rip)\nje 1f\nud2\n1:",
+        "inc %r15\ncmp $1, %r15\nje 1f\nud2\n1:",
+        "dec %rbx\njz 1f\nud2\n1:",
+        # faults if the direction flag survived the run before, which sets it
+        "pushf\ntestl $0x400, (%rsp)\njz 1f\nud2\n1:\nstd",
+    ], ids=["scratch", "r15", "rbx", "direction-flag"])
+    def test_every_run_starts_from_a_fresh_state(self, started, text):
+        with NativeExecutor(backend=None) as executor:
+            outcomes = [executor.execute(Snippet(entry(templates=()), text)) for _ in range(3)]
+        assert outcomes == [ExecOutcome(ExecStatus.SUCCESS)] * 3
+        assert len(probe_processes(started)) == 1
+
+    @pytest.mark.parametrize("text, kind", [
+        ("mov $60, %eax\nmov $3, %edi\nsyscall", "exit-3"),  # exit(3)
+        # kill(getpid(), SIGABRT), a signal the probe leaves to its default action
+        ("mov $39, %eax\nsyscall\nmov %eax, %edi\nmov $6, %esi\nmov $62, %eax\nsyscall",
+         "signal-6"),
+    ])
+    def test_dead_probe_is_classified_and_started_again(self, started, text, kind):
+        with NativeExecutor(backend=None) as executor:
+            outcomes = [executor.execute(Snippet(entry(templates=()), text)) for _ in range(2)]
+        assert outcomes == [ExecOutcome(ExecStatus.FAULT, fault_kind=kind)] * 2
+        probes = probe_processes(started)
+        assert len(probes) == 2
+        for proc in probes:
+            assert_reaped(proc)
 
     def test_probe_has_no_loader_and_no_libc(self):
         with NativeExecutor(backend=None) as executor:
@@ -393,20 +451,65 @@ class TestNativeSnippetExecutor:
         executor.close()
         assert len(compiles) == 2
 
-    def test_looping_probe_is_stopped_by_watchdog_and_reaped(self, monkeypatch):
-        started = []
-
-        class RecordedPopen(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(corpus.subprocess, "Popen", RecordedPopen)
+    def test_looping_probe_is_stopped_by_watchdog_and_reaped(self, started):
         with NativeExecutor(backend=None) as executor:
             outcome = executor.execute(Snippet(entry(mnemonic="JMP", templates=()), "2: jmp 2b"))
         assert outcome == ExecOutcome(ExecStatus.FAULT, fault_kind="watchdog-timeout")
         assert len(started) == 2  # the compile, then the probe run
         for proc in started:
-            assert proc.returncode is not None  # waited for
+            assert_reaped(proc)
+
+    def test_resident_probe_has_the_executors_cpu_affinity(self, started):
+        # the MSR backend pins the process, and a counter counts only its own CPU
+        saved = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(saved)})
+            with NativeExecutor(backend=None) as executor:
+                assert executor.execute(instantiate(entry())).status is ExecStatus.SUCCESS
+                probe, = probe_processes(started)
+                assert os.sched_getaffinity(probe.pid) == os.sched_getaffinity(0) == {min(saved)}
+        finally:
+            os.sched_setaffinity(0, saved)
+
+    def test_close_reaps_every_probe(self, started):
+        executor = NativeExecutor(backend=None)
+        for text in ("nop", "ud2", "int3"):
+            executor.execute(Snippet(entry(templates=()), text))
+        probes = probe_processes(started)
+        assert len(probes) == 3 and all(proc.poll() is None for proc in probes)
+        executor.close()
+        for proc in probes:
+            assert_reaped(proc)
+
+    def test_interpreter_exit_without_close_reaps_every_probe(self):
+        child = (
+            "from pmu_prospector import corpus\n"
+            "executor = corpus.NativeExecutor(backend=None)\n"
+            "entry = corpus.InstructionEntry(1, 'NOP', (), 'base', 'nop')\n"
+            "for text in ('nop', 'ud2'):\n"
+            "    executor.execute(corpus.Snippet(entry, text))\n"
+            "print(*(proc.pid for proc in executor._resident.values()))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(corpus.__file__))}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
             with pytest.raises(ProcessLookupError):
-                os.kill(proc.pid, 0)
+                os.kill(pid, 0)
+
+    def test_at_most_resident_probes_stay_alive(self, started):
+        snippets = [Snippet(entry(templates=()), f"mov ${k}, %rax")
+                    for k in range(RESIDENT_PROBES + 1)]
+        with NativeExecutor(backend=None) as executor:
+            for snippet in snippets:
+                assert executor.execute(snippet).status is ExecStatus.SUCCESS
+            probes = probe_processes(started)
+            assert len(probes) == RESIDENT_PROBES + 1
+            assert [proc.poll() is None for proc in probes] == [False] + [True] * RESIDENT_PROBES
+            assert_reaped(probes[0])  # the least recently used was stopped
+            assert executor.execute(snippets[0]).status is ExecStatus.SUCCESS  # and starts again
+            probes = probe_processes(started)
+            assert sum(proc.poll() is None for proc in probes) == RESIDENT_PROBES
+            assert probes[1].poll() is not None and probes[-1].poll() is None

@@ -344,6 +344,50 @@ class TestSelectorScreening:
         assert every == reference(0.0)
         assert {accuracy for _, accuracy in every} == {0.0, 1.0 - 2 / 3, 1.0}
 
+    # every umask of the noisy 0x5E family, of the two load counters and of
+    # 0x08, which the gadget never triggers, in packed order
+    SCREENED = sorted((EventSelector(code, umask) for code in (0x08, 0x5E, 0x6C, 0xD3)
+                       for umask in range(256)), key=lambda s: s.packed)
+
+    SPEC = GadgetSpec(iterations=2)
+
+    @pytest.fixture(scope="class")
+    def every_cell(self, sim_model, secret_path):
+        """The screen without its early stop, under false fires: the victim,
+        the (selector, accuracy) rows at or above the bar from decoding each
+        selector at every position, and the number of (selector, position)
+        cells the early stop decodes."""
+        victim = SimVictim(Path(secret_path).read_bytes(), false_fire_prob=0.02, noise_seed=6)
+        length = self.SPEC.secret_length
+        backend = sim_model.make_backend(3)
+        decoded = np.stack([recover_byte(self.SPEC, position, self.SCREENED, backend, victim)[0]
+                            for position in range(length)], axis=1)
+        mismatches = np.cumsum(decoded != np.frombuffer(victim.secret[:length], np.uint8), axis=1)
+        failing = 1.0 - mismatches / length < MIN_CHANNEL_ACCURACY
+        accuracies = (1.0 - mismatches[:, -1] / length).tolist()
+        rows = [(s, a) for s, a in zip(self.SCREENED, accuracies) if a >= MIN_CHANNEL_ACCURACY]
+        cells = sum(int(f.argmax()) + 1 if f.any() else length for f in failing)
+        return victim, rows, cells
+
+    def test_early_stop_gives_the_rows_of_decoding_every_cell(self, sim_model, every_cell):
+        victim, rows, _ = every_cell
+        kept = screen_channel_events(self.SCREENED, self.SPEC, sim_model.make_backend(3), victim)
+        assert kept == rows
+        assert {s.event_code for s, _ in kept} == {0x6C, 0xD3}
+        assert {accuracy for _, accuracy in kept} == {0.9375}  # a false fire costs one byte
+
+    def test_early_stop_decodes_fewer_cells(self, sim_model, every_cell, monkeypatch):
+        victim, _, cells = every_cell
+        decoded = []
+
+        def counting_recover_byte(spec, position, selectors, *args):
+            decoded.append(len(selectors))
+            return recover_byte(spec, position, selectors, *args)
+
+        monkeypatch.setattr(sidechannel, "recover_byte", counting_recover_byte)
+        screen_channel_events(self.SCREENED, self.SPEC, sim_model.make_backend(3), victim)
+        assert sum(decoded) == cells < len(self.SCREENED) * self.SPEC.secret_length
+
 
 class TestResultJson:
     def test_layout_and_determinism(self, tmp_path):
