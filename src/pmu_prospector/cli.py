@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Subcommands cover the whole pipeline: scan, analyze-umask, detect,
-sidechannel and report.  Exit codes: 0 success, 1 runtime failure, 2 usage
-or configuration errors.  Defaults may come from a key=value config file
-named by --config or the PMU_PROSPECTOR_CONFIG environment variable; flags
-always win over config values.
+sidechannel and report.  Every setting is one flag, with its default and
+choices declared on the parser.  Exit codes: 0 success, 1 runtime failure,
+2 usage errors.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ import contextlib
 import functools
 import logging
 import os
+import re
 import sys
-from collections.abc import Callable, Mapping
 
 from . import collector, detection, outputs, reporting, sidechannel, umask
-from .backend import SimModel, load_sim_model, probe_native_backend
+from .backend import load_sim_model, probe_native_backend
 from .corpus import NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
 from .events import (
@@ -32,67 +31,21 @@ from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
 
-CONFIG_ENV_VAR = "PMU_PROSPECTOR_CONFIG"
 
-# keys a config file may set; anything else is a spelling mistake worth failing on
-_CONFIG_KEYS = frozenset(
-    {"backend", "sim_model", "corpus", "catalog", "seed", "repetitions",
-     "quiet_threshold", "suppression", "iterations", "samples"}
-)
-
-
-def parse_config_text(text: str, source: str) -> dict[str, str]:
-    """Parse key=value lines; blank lines and # comments are ignored."""
-    values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ConfigError(f"{source}:{line_no}: expected key=value, got {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
-        values[key] = value.strip().strip('"')
-    return values
+def _int_flag(text: str) -> int:
+    """Decimal digits with an optional leading minus: int() alone also takes
+    "1_0", " 3" and "+2"."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _setting(args: argparse.Namespace, config: Mapping[str, str], name: str,
-             default=None, cast: Callable = str):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        raw = config[name]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config value {name}={raw!r} is not a valid {cast.__name__}") from None
-    return default
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise ConfigError(f"{flag} is required (flag or config file)")
-    return value
-
-
-def _load_model(args: argparse.Namespace, config: Mapping[str, str]) -> SimModel:
-    path = _require(_setting(args, config, "sim_model"), "--sim-model")
-    return load_sim_model(path)
+def _float_flag(text: str) -> float:
+    """float() without the "_" separators and surrounding whitespace it forgives."""
+    if "_" not in text and text == text.strip():
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
 def _read_secret(path: str) -> bytes:
@@ -106,22 +59,14 @@ def _read_secret(path: str) -> bytes:
     return secret
 
 
-def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    corpus_path = _require(_setting(args, config, "corpus"), "--corpus")
-    catalog_path = _require(_setting(args, config, "catalog"), "--catalog")
-    backend_kind = _setting(args, config, "backend", default="sim")
-    seed = _setting(args, config, "seed", default=0, cast=int)
-    scan_config = collector.ScanConfig(
-        repetitions=_setting(args, config, "repetitions", default=5, cast=int),
-        quiet_threshold=_setting(args, config, "quiet_threshold", default=1, cast=int),
-        any_thread=bool(args.any_thread),
-    )
-    entries, issues = load_corpus_file(corpus_path)
+def cmd_scan(args: argparse.Namespace) -> int:
+    scan_config = collector.ScanConfig(args.repetitions, args.quiet_threshold, args.any_thread)
+    entries, issues = load_corpus_file(args.corpus)
     for issue in issues:
-        log.warning("%s:%d: %s", corpus_path, issue.line, issue.message)
-    catalog = load_catalog_file(catalog_path)
+        log.warning("%s:%d: %s", args.corpus, issue.line, issue.message)
+    catalog = load_catalog_file(args.catalog)
     with contextlib.ExitStack() as stack:  # closes the records file, the probes, then the MSR device
-        if backend_kind == "native":
+        if args.backend == "native":
             native, probe_report = probe_native_backend(cpu=args.cpu)
             if native is None:
                 print(probe_report, file=sys.stderr)
@@ -130,15 +75,15 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             print(probe_report)
             executor = NativeExecutor(native)
             stack.callback(executor.close)
-        elif backend_kind == "sim":
-            model = _load_model(args, config)
+        elif args.sim_model is None:
+            raise ConfigError("--sim-model is required for the sim backend")
+        else:
+            model = load_sim_model(args.sim_model)
             executor = SimulatedExecutor(
-                model.make_backend(seed),
+                model.make_backend(args.seed),
                 fault_table=model.fault_table,
                 supported_extensions=model.supported_extensions,
             )
-        else:
-            raise ConfigError(f"unknown backend {backend_kind!r} (choose sim or native)")
         sink = None
         if args.records:
             records_fh = stack.enter_context(open(args.records, "w", encoding="utf-8"))
@@ -153,13 +98,13 @@ def cmd_scan(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, config: Mapping[str, str]) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     report = collector.load_report(args.input)
     print(reporting.render_summary(report))
     return 0
 
 
-def cmd_analyze_umask(args: argparse.Namespace, config: Mapping[str, str]) -> int:
+def cmd_analyze_umask(args: argparse.Namespace) -> int:
     report = collector.load_report(args.report)
     os.makedirs(args.out, exist_ok=True)
     distribution_path = os.path.join(args.out, "umask_distribution.csv")
@@ -175,19 +120,11 @@ def cmd_analyze_umask(args: argparse.Namespace, config: Mapping[str, str]) -> in
     return 0
 
 
-def cmd_detect(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    seed = _setting(args, config, "seed", default=0, cast=int)
+def cmd_detect(args: argparse.Namespace) -> int:
     if args.detect_command == "collect":
         selector = parse_selector(args.selector)
-        model = _load_model(args, config)
-        backend = model.make_backend(seed)
-        dataset = detection.build_dataset(
-            selector,
-            args.attack,
-            backend,
-            samples_per_class=_setting(args, config, "samples", default=2000, cast=int),
-            seed=seed,
-        )
+        backend = load_sim_model(args.sim_model).make_backend(args.seed)
+        dataset = detection.build_dataset(selector, args.attack, backend, args.samples, args.seed)
         detection.write_dataset_csv(dataset, args.out)
         print(
             f"collected {len(dataset.samples)} windows for {format_selector(selector)} "
@@ -196,7 +133,7 @@ def cmd_detect(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         return 0
     if args.detect_command == "train":
         selector = parse_selector(args.selector)
-        dataset = detection.load_dataset_csv(args.dataset, selector, seed)
+        dataset = detection.load_dataset_csv(args.dataset, selector, args.seed)
         result = detection.train(dataset)
         metrics = detection.compute_metrics(result.model, result.test_samples)
         detection.save_model_json(selector, result.model, metrics, args.out)
@@ -224,26 +161,22 @@ def cmd_detect(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     passed = detection.screen(reports, criteria)
     detection.write_screen_csv(reports, passed, args.out)
     if args.plot_out:
-        reporting.write_metrics_plot_csv(
-            reports, args.plot_out, sample_size=args.plot_sample, seed=seed
-        )
+        reporting.write_metrics_plot_csv(reports, args.plot_out, args.plot_sample, args.seed)
     print(f"{len(passed)} of {len(reports)} detectors pass the screen -> {args.out}")
     return 0
 
 
-def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    seed = _setting(args, config, "seed", default=0, cast=int)
-    model = _load_model(args, config)
-    backend = model.make_backend(seed)
+def cmd_sidechannel(args: argparse.Namespace) -> int:
+    backend = load_sim_model(args.sim_model).make_backend(args.seed)
     secret = _read_secret(args.secret_file)
     victim = sidechannel.SimVictim(
         secret=secret,
         false_fire_prob=args.false_fire,
-        noise_seed=derive_seed(seed, "channel-noise"),
+        noise_seed=derive_seed(args.seed, "channel-noise"),
     )
     spec = sidechannel.GadgetSpec(
-        iterations=_setting(args, config, "iterations", default=10, cast=int),
-        suppression=_setting(args, config, "suppression", default=sidechannel.SIGNAL_HANDLER),
+        iterations=args.iterations,
+        suppression=args.suppression,
         secret_length=args.length if args.length is not None else min(16, len(secret)),
         attack_kind=args.attack,
         transmit_class=args.transmit_class,
@@ -266,9 +199,7 @@ def cmd_sidechannel(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     outputs.write_csv(args.out, ["selector", "accuracy"],
                       ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in rows))
     if args.plot_out:
-        reporting.write_accuracy_plot_csv(
-            rows, args.plot_out, sample_size=args.plot_sample, seed=seed
-        )
+        reporting.write_accuracy_plot_csv(rows, args.plot_out, args.plot_sample, args.seed)
     print(
         f"{len(rows)} of {len(report.hidden_events)} hidden events "
         f"carry the channel at >={sidechannel.MIN_CHANNEL_ACCURACY:.0%} accuracy -> {args.out}"
@@ -282,20 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pmu-prospector",
         description="Discover undocumented PMU events and put them to work.",
     )
-    parser.add_argument("--config", help=f"key=value config file (default: ${CONFIG_ENV_VAR})")
     parser.add_argument("--verbose", action="store_true", help="log progress details")
     sub = parser.add_subparsers(dest="command", required=True)
+    dflt = " (default: %(default)s)"
+    seeded = argparse.ArgumentParser(add_help=False)  # --seed, on every command that draws
+    seeded.add_argument("--seed", type=_int_flag, default=0, help="root seed of every draw" + dflt)
 
-    scan = sub.add_parser("scan", help="scan the selector space against a corpus")
-    scan.add_argument("--corpus", help="instruction corpus TSV")
-    scan.add_argument("--catalog", help="documented-event CSV")
-    scan.add_argument("--backend", choices=["sim", "native"])
-    scan.add_argument("--sim-model", dest="sim_model", help="simulated PMU JSON model")
-    scan.add_argument("--cpu", type=int, default=0, help="CPU for the native backend")
-    scan.add_argument("--repetitions", type=int)
-    scan.add_argument("--quiet-threshold", dest="quiet_threshold", type=int)
+    scan = sub.add_parser("scan", parents=[seeded], help="scan the selector space against a corpus")
+    scan.add_argument("--corpus", required=True, help="instruction corpus TSV")
+    scan.add_argument("--catalog", required=True, help="documented-event CSV")
+    scan.add_argument("--backend", choices=["sim", "native"], default="sim", help="backend" + dflt)
+    scan.add_argument("--sim-model", dest="sim_model", help="simulated PMU JSON model (sim only)")
+    scan.add_argument("--cpu", type=_int_flag, default=0, help="CPU for the native backend" + dflt)
+    scan.add_argument("--repetitions", type=_int_flag, default=collector.ScanConfig.repetitions,
+                      help="runs per selector, lower median kept" + dflt)
+    scan.add_argument("--quiet-threshold", dest="quiet_threshold", type=_int_flag,
+                      default=collector.ScanConfig.quiet_threshold,
+                      help="smallest delta that counts as a reaction" + dflt)
     scan.add_argument("--any-thread", dest="any_thread", action="store_true")
-    scan.add_argument("--seed", type=int)
     scan.add_argument("--records", help="optional NDJSON stream of every measurement")
     scan.add_argument("--out", required=True, help="scan report JSON")
     scan.set_defaults(handler=cmd_scan)
@@ -307,43 +242,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="train and screen attack detectors")
     detect_sub = detect.add_subparsers(dest="detect_command", required=True)
-    collect = detect_sub.add_parser("collect", help="synthesize labeled count windows")
+    collect = detect_sub.add_parser("collect", parents=[seeded],
+                                    help="synthesize labeled count windows")
     collect.add_argument("--selector", required=True, help='packed selector, e.g. "0x016C"')
     collect.add_argument("--attack", required=True, choices=sorted(detection.DEFAULT_ATTACKS))
-    collect.add_argument("--sim-model", dest="sim_model")
-    collect.add_argument("--samples", type=int, help="windows per class")
-    collect.add_argument("--seed", type=int)
+    collect.add_argument("--sim-model", dest="sim_model", required=True)
+    collect.add_argument("--samples", type=_int_flag, default=2000, help="windows per class" + dflt)
     collect.add_argument("--out", required=True, help="dataset CSV")
     collect.set_defaults(handler=cmd_detect)
-    train = detect_sub.add_parser("train", help="fit the logistic detector on a dataset")
+    train = detect_sub.add_parser("train", parents=[seeded],
+                                  help="fit the logistic detector on a dataset")
     train.add_argument("--dataset", required=True, help="dataset CSV from detect collect")
     train.add_argument("--selector", required=True)
-    train.add_argument("--seed", type=int)
     train.add_argument("--out", required=True, help="model JSON")
     train.set_defaults(handler=cmd_detect)
-    screen = detect_sub.add_parser("screen", help="filter trained detectors by metrics")
+    screen = detect_sub.add_parser("screen", parents=[seeded],
+                                   help="filter trained detectors by metrics")
     screen.add_argument("--models", nargs="+", required=True, help="model JSON files")
     screen.add_argument("--exclude-perfect", action="store_true",
                         help="drop detectors with any metric exactly 1.0")
     screen.add_argument("--exclude-f1-band", action="store_true",
                         help="drop detectors with F1 in (0.9, 1.0)")
     screen.add_argument("--plot-out", help="optional metrics scatter CSV")
-    screen.add_argument("--plot-sample", type=int, default=400)
-    screen.add_argument("--seed", type=int)
+    screen.add_argument("--plot-sample", type=_int_flag, default=400, help="plotted rows" + dflt)
     screen.add_argument("--out", required=True, help="screening CSV")
     screen.set_defaults(handler=cmd_detect)
 
     side = sub.add_parser("sidechannel", help="run the count-based covert channel")
     side_sub = side.add_subparsers(dest="sidechannel_command", required=True)
-    channel = argparse.ArgumentParser(add_help=False)  # the options run and screen share
-    channel.add_argument("--sim-model", dest="sim_model")
+    channel = argparse.ArgumentParser(add_help=False, parents=[seeded])  # shared by run and screen
+    gadget = sidechannel.GadgetSpec  # its field defaults are the flags' defaults
+    channel.add_argument("--sim-model", dest="sim_model", required=True)
     channel.add_argument("--secret-file", dest="secret_file", required=True)
-    channel.add_argument("--length", type=int, help="bytes to recover (default min(16, secret))")
-    channel.add_argument("--iterations", type=int)
-    channel.add_argument("--suppression", choices=sidechannel.EXEC_MODES)
-    channel.add_argument("--transmit-class", dest="transmit_class", default="memory-load")
-    channel.add_argument("--false-fire", dest="false_fire", type=float, default=0.0)
-    channel.add_argument("--seed", type=int)
+    channel.add_argument("--length", type=_int_flag,
+                         help="bytes to recover (default min(16, secret))")
+    channel.add_argument("--iterations", type=_int_flag, default=gadget.iterations,
+                         help="trials per candidate byte" + dflt)
+    channel.add_argument("--suppression", choices=sidechannel.EXEC_MODES,
+                         default=gadget.suppression, help="fault suppression" + dflt)
+    channel.add_argument("--transmit-class", dest="transmit_class",
+                         default=gadget.transmit_class, help="transmit class" + dflt)
+    channel.add_argument("--false-fire", dest="false_fire", type=_float_flag, default=0.0,
+                         help="chance a wrong candidate still fires" + dflt)
     channel.set_defaults(handler=cmd_sidechannel)
     run = side_sub.add_parser("run", parents=[channel], help="recover a secret through one event")
     run.add_argument("--attack", required=True, choices=list(sidechannel.ATTACK_KINDS))
@@ -353,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="find hidden events that carry the channel")
     cscreen.add_argument("--report", required=True, help="scan report JSON")
     cscreen.add_argument("--attack", default=sidechannel.MELTDOWN,
-                         choices=list(sidechannel.ATTACK_KINDS))
+                         choices=list(sidechannel.ATTACK_KINDS), help="attack" + dflt)
     cscreen.add_argument("--plot-out", help="optional accuracy scatter CSV")
-    cscreen.add_argument("--plot-sample", type=int, default=100)
+    cscreen.add_argument("--plot-sample", type=_int_flag, default=100, help="plotted rows" + dflt)
     cscreen.add_argument("--out", required=True, help="screening CSV")
 
     report = sub.add_parser("report", help="summarize a scan report")
@@ -378,8 +318,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

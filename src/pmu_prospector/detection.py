@@ -211,7 +211,7 @@ def build_dataset(
     selector: EventSelector,
     attack_name: str,
     backend: CounterBackend,
-    samples_per_class: int = 2000,
+    samples_per_class: int,
     seed: int = 0,
 ) -> LabeledDataset:
     """Balanced dataset for one (selector, attack) pair.

@@ -51,4 +51,4 @@ class DegenerateDataError(ProspectorError):
 
 
 class ConfigError(ProspectorError):
-    """A configuration file or value cannot be parsed."""
+    """A usage error: a flag's value, or the input a flag names, cannot be used."""

@@ -1,11 +1,10 @@
-"""Command-line behavior: config handling, exit codes, full pipeline runs.
+"""Command-line behavior: flag parsing, exit codes, full pipeline runs.
 
 Every happy-path test drives the real dispatch() against the shared data
 fixtures inside a temporary directory, then inspects the artifacts the
 subcommand leaves behind.
 """
 
-import argparse
 import json
 import logging
 import os
@@ -16,35 +15,30 @@ import shutil
 import pytest
 
 from pmu_prospector import cli
-from pmu_prospector.cli import CONFIG_ENV_VAR, dispatch, parse_config_text
+from pmu_prospector.cli import dispatch
 from pmu_prospector.collector import load_report
 from pmu_prospector.corpus import InstructionEntry, NativeExecutor, instantiate
 from pmu_prospector.detection import load_dataset_csv, load_model_json
-from pmu_prospector.errors import BackendError, CapabilityError, ConfigError
+from pmu_prospector.errors import BackendError, CapabilityError
 from pmu_prospector.events import EventSelector, parse_selector
+
+
+# each of these flags, after the other arguments its command requires
+SCAN = ["scan", "--corpus", "corpus.tsv", "--catalog", "catalog.csv"]
+CHANNEL = ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
+           "--sim-model", "model.json", "--secret-file", "secret.bin"]
+FLAG_COMMANDS = {
+    "--repetitions": SCAN, "--quiet-threshold": SCAN, "--seed": SCAN, "--cpu": SCAN,
+    "--samples": ["detect", "collect", "--selector", "0x016C", "--attack", "meltdown",
+                  "--sim-model", "model.json"],
+    "--plot-sample": ["detect", "screen", "--models", "model.json"],
+    "--iterations": CHANNEL, "--length": CHANNEL, "--false-fire": CHANNEL,
+}
 
 
 def read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-class TestConfigParsing:
-    def test_key_value_lines(self):
-        text = "# defaults\n\nseed = 7\ncorpus=\"a.tsv\"\n"
-        assert parse_config_text(text, "test.cfg") == {"seed": "7", "corpus": "a.tsv"}
-
-    def test_unknown_key_reports_location(self):
-        with pytest.raises(ConfigError, match=r"test\.cfg:2: unknown key 'sead'"):
-            parse_config_text("seed=1\nsead=2\n", "test.cfg")
-
-    def test_missing_separator_rejected(self):
-        with pytest.raises(ConfigError, match=r"test\.cfg:1: expected key=value"):
-            parse_config_text("just-words\n", "test.cfg")
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("=value\n", "test.cfg")
 
 
 class TestExitCodes:
@@ -58,42 +52,39 @@ class TestExitCodes:
     def test_missing_subcommand_exits_two(self, capsys):
         assert dispatch([]) == 2
 
-    def test_missing_required_setting_exits_two(self, tmp_path, capsys):
-        code = dispatch(["scan", "--out", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "--corpus is required" in capsys.readouterr().err
+    def test_missing_required_setting_exits_two(self, tmp_path, capsys, corpus_path,
+                                                 catalog_path, secret_path):
+        # scan needs --sim-model only on the sim backend, since the native one reads no model
+        required = "the following arguments are required:"
+        cases = [
+            (["scan"], f"{required} --corpus, --catalog"),
+            (["scan", "--corpus", corpus_path, "--catalog", catalog_path],
+             "error: --sim-model is required for the sim backend"),
+            (["detect", "collect", "--selector", "0x016C", "--attack", "meltdown"],
+             f"{required} --sim-model"),
+            (["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
+              "--secret-file", secret_path], f"{required} --sim-model"),
+        ]
+        out = tmp_path / "out"
+        for argv, message in cases:
+            assert dispatch([*argv, "--out", str(out)]) == 2, argv
+            assert message in capsys.readouterr().err, argv
+            assert not out.exists()
 
     def test_runtime_error_exits_one(self, tmp_path, capsys):
         code = dispatch(["report", "--in", str(tmp_path / "missing.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_config_value_exits_two(self, tmp_path, capsys, corpus_path, catalog_path, model_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("seed=not-a-number\n")
-        code = dispatch([
-            "--config", str(config), "scan", "--corpus", corpus_path,
-            "--catalog", catalog_path, "--sim-model", model_path,
-            "--out", str(tmp_path / "r.json"),
-        ])
-        assert code == 2
-        assert "not a valid int" in capsys.readouterr().err
-
-    def test_unreadable_config_exits_two(self, tmp_path, capsys):
-        code = dispatch(["--config", str(tmp_path / "absent.cfg"), "scan",
-                         "--out", str(tmp_path / "r.json")])
-        assert code == 2
-
-    # a file holding byte 0xFF is named in the error; a config fault exits 2 like any other
-    @pytest.mark.parametrize("which, code", [("corpus", 1), ("catalog", 1), ("config", 2)])
+    # a file holding byte 0xFF is named in the error
+    @pytest.mark.parametrize("which, code", [("corpus", 1), ("catalog", 1)])
     def test_non_utf8_file_is_named(self, which, code, tmp_path, capsys,
                                     corpus_path, catalog_path, model_path):
         bad = tmp_path / f"bad-{which}"
         bad.write_bytes(b"# \xff\n")
         files = {"corpus": corpus_path, "catalog": catalog_path, which: str(bad)}
-        config = ["--config", files["config"]] if "config" in files else []
         out = tmp_path / "r.json"
-        assert dispatch([*config, "scan", "--corpus", files["corpus"],
+        assert dispatch(["scan", "--corpus", files["corpus"],
                          "--catalog", files["catalog"], "--sim-model", model_path,
                          "--repetitions", "1", "--out", str(out)]) == code
         err = capsys.readouterr().err
@@ -101,14 +92,52 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unknown_backend_exits_two(self, tmp_path, capsys, corpus_path, catalog_path):
-        config = tmp_path / "cfg"
-        config.write_text("backend=quantum\n")
         code = dispatch([
-            "--config", str(config), "scan", "--corpus", corpus_path,
+            "scan", "--backend", "quantum", "--corpus", corpus_path,
             "--catalog", catalog_path, "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
-        assert "unknown backend" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
+
+    # int() alone takes "1_0" as 10, and float() takes "0_0"; argparse names the flag
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param(flag, value, id=f"{flag[2:]}-{name}")
+          for flag in FLAG_COMMANDS if flag != "--false-fire"
+          for value, name in [("1_0", "underscore"), (" 3", "leading-space"),
+                              ("3 ", "trailing-space"), ("+2", "plus-sign"),
+                              ("\u0663", "arabic-indic-digit")]),
+        *(pytest.param("--false-fire", value, id=f"false-fire-{name}")
+          for value, name in [("0_0", "underscore"), ("0.0_1", "fraction-underscore"),
+                              (" 0.5", "leading-space"), ("0.5\n", "trailing-newline")]),
+    ])
+    def test_flag_value_is_read_strictly(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch([*FLAG_COMMANDS[flag], flag, value, "--out", str(out)]) == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, defaults", [
+        (["scan"], {"--backend": "sim", "--repetitions": "5", "--quiet-threshold": "1",
+                    "--seed": "0", "--cpu": "0"}),
+        (["detect", "collect"], {"--samples": "2000", "--seed": "0"}),
+        (["detect", "train"], {"--seed": "0"}),
+        (["detect", "screen"], {"--plot-sample": "400", "--seed": "0"}),
+        (["sidechannel", "run"], {"--iterations": "10", "--suppression": "signal-handler",
+                                  "--transmit-class": "memory-load", "--false-fire": "0.0",
+                                  "--seed": "0"}),
+        (["sidechannel", "screen"], {"--iterations": "10", "--suppression": "signal-handler",
+                                     "--attack": "meltdown", "--plot-sample": "100",
+                                     "--seed": "0"}),
+    ], ids=["scan", "detect-collect", "detect-train", "detect-screen", "sidechannel-run",
+            "sidechannel-screen"])
+    def test_help_shows_every_default(self, sub, defaults, capsys):
+        assert dispatch([*sub, "--help"]) == 0
+        options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        # one entry per option, each starting at a two-space indent
+        entries = {entry.split()[0]: " ".join(entry.split())
+                   for entry in re.split(r"\n  (?=--)", options)}
+        for flag, default in defaults.items():
+            assert entries[flag].endswith(f"(default: {default})"), entries[flag]
 
     def test_native_probe_failure_exits_one(self, tmp_path, capsys, corpus_path, catalog_path):
         # a CPU index that cannot exist makes the native probe fail fast
@@ -353,63 +382,6 @@ class TestScanCommand:
         }
         assert read_bytes(first) == read_bytes(run("b"))
 
-    def test_config_file_supplies_defaults_and_flags_win(
-        self, tmp_path, corpus_path, catalog_path, model_path, scan_args, monkeypatch
-    ):
-        config = tmp_path / "prospector.cfg"
-        config.write_text(
-            f"corpus={corpus_path}\ncatalog={catalog_path}\n"
-            f"sim_model={model_path}\nrepetitions=1\nseed=1\n"
-        )
-        via_env = tmp_path / "env.json"
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-        # --seed 7 must override the config's seed=1
-        assert dispatch(["scan", "--seed", "7", "--out", str(via_env)]) == 0
-        monkeypatch.delenv(CONFIG_ENV_VAR)
-        via_flags = tmp_path / "flags.json"
-        assert dispatch(scan_args(via_flags)) == 0
-        assert read_bytes(via_env) == read_bytes(via_flags)
-
-    def test_capture_key_is_unknown(self, tmp_path, capsys, scan_args):
-        config = tmp_path / "prospector.cfg"
-        config.write_text("capture=signal-handler\n")
-        assert dispatch(["--config", str(config), *scan_args(tmp_path / "r.json")]) == 2
-        assert "unknown key 'capture'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, settings, override", [
-    (["detect", "collect", "--selector", "0x016C", "--attack", "meltdown"],
-     {"samples": "50", "seed": "1"}, ("seed", "7")),
-    (["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C"],
-     {"iterations": "3", "suppression": "signal-handler"}, ("suppression", "transactional")),
-], ids=["detect-collect", "sidechannel-run"])
-def test_config_file_stands_in_for_flags(argv, settings, override, tmp_path, model_path,
-                                         secret_path):
-    """A config file writes the same bytes as the equivalent flags, and a
-    flag still beats the config value."""
-    settings = {"sim_model": model_path, **settings}
-    if argv[0] == "sidechannel":
-        argv = [*argv, "--secret-file", secret_path]
-    config = tmp_path / "prospector.cfg"
-    config.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
-
-    def flags(values):
-        return [arg for key, value in values.items()
-                for arg in (f"--{key.replace('_', '-')}", value)]
-
-    def run(name, prefix=(), suffix=()):
-        out = tmp_path / name
-        assert dispatch([*prefix, *argv, *suffix, "--out", str(out)]) == 0
-        return read_bytes(out)
-
-    key, value = override
-    via_config = run("config.out", ["--config", str(config)])
-    assert via_config == run("flags.out", suffix=flags(settings))
-    overridden = run("config-and-flag.out", ["--config", str(config)], flags({key: value}))
-    assert overridden == run("flags-only.out", suffix=flags({**settings, key: value}))
-    assert overridden != via_config
-
-
 @pytest.fixture(scope="module")
 def scan_report_path(tmp_path_factory, corpus_path, catalog_path, model_path):
     out = tmp_path_factory.mktemp("scan") / "report.json"
@@ -644,7 +616,7 @@ def test_one_parser_serves_every_dispatch(tmp_path, model_path, capsys):
     parser = cli.build_parser()
     parser.parse_args([*models, "--exclude-perfect", "--out", "a.csv"])
     second = parser.parse_args(["report", "--in", "r.json"])
-    assert vars(second) == {"config": None, "verbose": False, "command": "report",
+    assert vars(second) == {"verbose": False, "command": "report",
                             "input": "r.json", "handler": cli.cmd_report}
 
 
@@ -756,28 +728,6 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, caps
         assert dispatch(argv) == 0, argv
         got = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
         assert got == expected, argv
-
-
-def test_config_keys_match_readme_and_flags():
-    """The README lists exactly the config keys, and each key is the dest of
-    some subcommand's flag, so no key outlives its flag."""
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        section = fh.read().split("### Config files", 1)[1]
-    listed = re.search(r"Recognized keys: (.*?)\.\s", section, re.S).group(1)
-    assert set(re.findall(r"`(\w+)`", listed)) == cli._CONFIG_KEYS
-
-    def flag_dests(parser):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for subparser in action.choices.values():
-                    yield from flag_dests(subparser)
-            elif action.option_strings:
-                yield action.dest
-
-    top = cli.build_parser()
-    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {dest for parser in commands.choices.values() for dest in flag_dests(parser)}
-    assert cli._CONFIG_KEYS <= dests
 
 
 def readme_library_example() -> str:
