@@ -29,9 +29,9 @@ from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 PROGRAMMABLE_SLOTS = 4
 PERFEVTSEL_BASE_MSR = 0x186
 PMC_BASE_MSR = 0xC1
-# on the simulated path: armed selectors computed (and their noise drawn) at
-# once, and the most rows a yielded batch holds; bounds peak memory
-VECTOR_BATCH = 4096
+# on the simulated path: the most (armed selector, repetition) cells computed,
+# and their noise drawn, at once, but at least one selector; bounds peak memory
+VECTOR_CELLS = 1 << 13
 NOISE_BATCH = 1 << 14  # noisy executions drawn at once; bounds peak memory
 # bound on a family's increment and noise stddev: an int64 count then holds
 # about 2**27 executions of one repetition, and a detection window a few hundred
@@ -95,9 +95,9 @@ def measure(
       once per repetition, and the PMU's running class tally taken around it
       gives that repetition's class counts.  Only the armed selectors, whose
       family's umask gate is open, are then computed in numpy from their
-      family's increment, VECTOR_BATCH armed selectors at a time, and so is
-      their noise, one draw per chunk: each repetition is the next noise
-      epoch of the selector, the one that programming it would claim (see
+      family's increment, a VECTOR_CELLS chunk at a time, and so is their
+      noise, one draw per chunk: each repetition is the next noise epoch of
+      the selector, the one that programming it would claim (see
       SimulatedPmu).  Each chunk is one batch, whose index lists its armed
       positions; the last batch's span runs to the end of codes.  Slots
       programmed before the call count its executions too.
@@ -202,9 +202,10 @@ class SimulatedPmu(CounterBackend):
     code or its umask gate is shut.  A slot counts its row's increments over
     the tally's growth since it was programmed.  measure() and
     measure_counts() compute only the armed selectors, those off the quiet
-    row, VECTOR_BATCH at a time with one noise draw per chunk, and give
-    every other selector 0.  The armed packed selectors are kept sorted, so
-    a step-1 range of codes finds its armed ones with one binary search.
+    row, a VECTOR_CELLS chunk at a time with one noise draw per chunk, and
+    give every other selector 0.  The armed packed selectors are kept
+    sorted, so a step-1 range of codes finds its armed ones with one binary
+    search.
 
     A noisy family over-counts every execution a selector of it counts
     through.  Execution k of noise epoch e of packed selector p over-counts
@@ -272,12 +273,12 @@ class SimulatedPmu(CounterBackend):
 
     @property
     def column_count(self) -> int:
-        """Class columns of a measure_counts matrix."""
+        """Class columns of the class counts measure_counts takes."""
         return len(self._tally)
 
     def column(self, class_tag: str) -> int:
-        """Column of class_tag in a measure_counts matrix.  Classes no family
-        triggers on share the last column."""
+        """Column of class_tag in measure_counts' class counts.  Classes no
+        family triggers on share the last column."""
         return self._class_index.get(class_tag, len(self._tally) - 1)
 
     def program(self, slot: CounterSlot, value: PerfEvtSelValue) -> None:
@@ -324,16 +325,15 @@ class SimulatedPmu(CounterBackend):
         for start, stop, index, deltas in self._deltas(codes, classes):
             yield start, stop, index, deltas, outcome
 
-    def measure_counts(self, codes: Sequence[int], classes: np.ndarray) -> np.ndarray:
-        """Per-repetition deltas of packed selectors over a workload given as
-        class counts instead of a run callback.
+    def measure_counts(
+        self, codes: Sequence[int], classes: np.ndarray
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """measure() over a workload given as class counts instead of a run
+        callback: its batches without the outcome, and the same noise epochs.
 
         classes[rep, column(tag)] is how often the workload executes class
-        tag in repetition rep.  Returns the int64 (len(codes), repetitions)
-        deltas that measure() would give for a run recording those classes,
-        and claims the same noise epochs.  The counts join the running
-        tally, so a slot programmed before the call counts them too.  The
-        armed codes' deltas are scattered into one zero-filled matrix.
+        tag in repetition rep.  The call checks them and adds them to the
+        running tally at once, so a slot programmed before it counts them.
         """
         _check_distinct(codes)
         classes = np.asarray(classes, np.int64)
@@ -343,14 +343,11 @@ class SimulatedPmu(CounterBackend):
                 f"got {classes.shape}"
             )
         self._tally[:] = (classes.sum(axis=0) + self._tally).tolist()
-        out = np.zeros((len(codes), len(classes)), np.int64)
-        for _, _, index, deltas in self._deltas(codes, classes):
-            out[index] = deltas
-        return out
+        return self._deltas(codes, classes)
 
     def _deltas(self, codes: Sequence[int], classes: np.ndarray):
-        """(start, stop, index, deltas) per chunk of at most VECTOR_BATCH
-        armed codes, for repetitions with the given class counts.
+        """(start, stop, index, deltas) per VECTOR_CELLS chunk of armed
+        codes, for repetitions with the given class counts.
 
         Only the armed codes (a family owns the event code and its umask gate
         is open) can count.  index holds their positions in codes, and row j
@@ -373,11 +370,12 @@ class SimulatedPmu(CounterBackend):
             positions = np.flatnonzero(self._rows[codes] != self._quiet_row)
             packed = codes[positions]
         rows = self._rows[packed]
+        chunk = max(1, VECTOR_CELLS // max(repetitions, 1))
         start = 0
-        for low in range(0, max(len(packed), 1), VECTOR_BATCH):  # one chunk if none is armed
-            index = positions[low : low + VECTOR_BATCH]
-            part = packed[low : low + VECTOR_BATCH]
-            part_rows = rows[low : low + VECTOR_BATCH]
+        for low in range(0, max(len(packed), 1), chunk):  # one chunk if none is armed
+            index = positions[low : low + chunk]
+            part = packed[low : low + chunk]
+            part_rows = rows[low : low + chunk]
             values = counts[part_rows]
             noisy = self._noisy[part_rows]
             if noisy.any():
@@ -388,7 +386,7 @@ class SimulatedPmu(CounterBackend):
                     epochs.ravel(),
                     np.tile(executions, len(epochs)),
                 ).reshape(epochs.shape)
-            stop = len(codes) if low + VECTOR_BATCH >= len(packed) else int(index[-1]) + 1
+            stop = len(codes) if low + chunk >= len(packed) else int(index[-1]) + 1
             yield start, stop, index, values
             start = stop
 

@@ -40,6 +40,14 @@ def _int_flag(text: str) -> int:
     return int(text)
 
 
+def _count_flag(text: str) -> int:
+    """An _int_flag that is not negative, checked before any work."""
+    value = _int_flag(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _float_flag(text: str) -> float:
     """float() without the "_" separators and surrounding whitespace it forgives."""
     if "_" not in text and text == text.strip():
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--exclude-f1-band", action="store_true",
                         help="drop detectors with F1 in (0.9, 1.0)")
     screen.add_argument("--plot-out", help="optional metrics scatter CSV")
-    screen.add_argument("--plot-sample", type=_int_flag, default=400, help="plotted rows" + dflt)
+    screen.add_argument("--plot-sample", type=_count_flag, default=400, help="plotted rows" + dflt)
     screen.add_argument("--out", required=True, help="screening CSV")
     screen.set_defaults(handler=cmd_detect)
 
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     cscreen.add_argument("--attack", default=sidechannel.MELTDOWN,
                          choices=list(sidechannel.ATTACK_KINDS), help="attack" + dflt)
     cscreen.add_argument("--plot-out", help="optional accuracy scatter CSV")
-    cscreen.add_argument("--plot-sample", type=_int_flag, default=100, help="plotted rows" + dflt)
+    cscreen.add_argument("--plot-sample", type=_count_flag, default=100, help="plotted rows" + dflt)
     cscreen.add_argument("--out", required=True, help="screening CSV")
 
     report = sub.add_parser("report", help="summarize a scan report")

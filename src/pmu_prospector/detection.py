@@ -196,8 +196,9 @@ def collect_samples(
     classes = np.zeros((n, pmu.column_count), np.int64)
     for j, (tag, _) in enumerate(activity):
         classes[:, pmu.column(tag)] += executed[:, j]
-    (deltas,) = pmu.measure_counts((selector.packed,), classes)
-    return [(delta, label) for delta in deltas.tolist()]
+    ((_, _, index, deltas),) = pmu.measure_counts((selector.packed,), classes)
+    counts = deltas[0] if len(index) else np.zeros(n, np.int64)  # an unarmed selector reads 0
+    return [(delta, label) for delta in counts.tolist()]
 
 
 @dataclass(frozen=True)

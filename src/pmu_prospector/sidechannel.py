@@ -7,9 +7,8 @@ candidate fired.  Iterating all 256 candidates and taking the argmax of the
 accumulated scores decodes one secret byte.
 
 recover_byte is the one decode, through any number of bound selectors at
-once: recover_secret binds one, and the channel screen binds at most
-SCREEN_CELLS (selector, trial) cells per call, since a measurement's noise
-temporaries, and so a run's peak memory, grow with its noisy cells.
+once: recover_secret binds one, and the channel screen every selector still
+in the running.
 
 The victim here is simulated, so trials are deterministic and elapsed time
 comes from a cost model calibrated to measured channel rates.
@@ -52,7 +51,6 @@ _REFERENCE_RATES: dict[tuple[str, str], float] = {
 _REFERENCE_TRIALS_PER_BYTE = 256 * 10
 
 MIN_CHANNEL_ACCURACY = 0.8
-SCREEN_CELLS = 1 << 13  # (selector, trial) cells of one screen measurement, at least one selector
 
 
 def trial_cost_seconds(attack_kind: str, suppression: str) -> float:
@@ -163,8 +161,9 @@ def recover_byte(
     # trial i is iteration i % iterations of candidate i // iterations
     fires = _fire_table(spec, victim, position, *np.divmod(np.arange(256 * iterations), iterations))
     codes = [s.packed for s in selectors]
-    deltas = pmu.measure_counts(codes, _gadget_classes(spec, pmu, fires))
-    scores = deltas.reshape(len(codes), 256, iterations).sum(axis=2)
+    scores = np.zeros((len(codes), 256), np.int64)
+    for _, _, index, deltas in pmu.measure_counts(codes, _gadget_classes(spec, pmu, fires)):
+        scores[index] = deltas.reshape(len(index), 256, iterations).sum(axis=2)
     return scores.argmax(axis=1), scores  # argmax keeps the first maximum
 
 
@@ -246,30 +245,22 @@ def screen_channel_events(
     secret, as channel_metrics gives it; selectors below
     MIN_CHANNEL_ACCURACY are dropped.  Results stay in packed order.
 
-    Chunks of max(1, SCREEN_CELLS // (256 * spec.iterations)) selectors, in
-    packed order, share one recover_byte call per position, which bounds
-    peak memory.  After each position a chunk drops the selectors that
-    already have too many mismatches to pass, and stops once none is left.
-    Noise epochs are per selector, so chunking and dropping change no
-    accuracy.
+    Each byte position is one recover_byte call over the live selectors.
+    After it, the selectors that already have too many mismatches to pass
+    are dropped, and the screen stops once none is left.  Noise epochs are
+    per selector, so dropping changes no accuracy.
     """
-    selectors = sorted(selectors, key=lambda s: s.packed)
-    chunk = max(1, SCREEN_CELLS // (256 * spec.iterations))
-    kept: list[tuple[EventSelector, float]] = []
-    for start in range(0, len(selectors), chunk):
-        bound = selectors[start : start + chunk]
-        mismatches = np.zeros(len(bound), np.int64)
-        for position in _positions(spec, victim):
-            decoded, _ = recover_byte(spec, position, bound, backend, victim)
-            mismatches += decoded != victim.secret[position]
-            passing = 1.0 - mismatches / spec.secret_length >= MIN_CHANNEL_ACCURACY
-            if not passing.all():
-                bound = [s for s, ok in zip(bound, passing.tolist()) if ok]
-                mismatches = mismatches[passing]
-                if not bound:
-                    break
-        kept += zip(bound, (1.0 - mismatches / spec.secret_length).tolist())
-    return kept
+    live = sorted(selectors, key=lambda s: s.packed)
+    mismatches = np.zeros(len(live), np.int64)
+    for position in _positions(spec, victim):
+        if not live:
+            break
+        decoded, _ = recover_byte(spec, position, live, backend, victim)
+        mismatches += decoded != victim.secret[position]
+        passing = 1.0 - mismatches / spec.secret_length >= MIN_CHANNEL_ACCURACY
+        live = [s for s, ok in zip(live, passing.tolist()) if ok]
+        mismatches = mismatches[passing]
+    return list(zip(live, (1.0 - mismatches / spec.secret_length).tolist()))
 
 
 def write_result_json(

@@ -463,16 +463,16 @@ class TestMeasurePathsAgree:
 
 @pytest.mark.parametrize("path", ["simulated", "scalar"])
 @pytest.mark.parametrize(
-    "families, codes, batch, simulated_batches",
+    "families, codes, cells, simulated_batches",
     [
-        ([], range(0x0100, 0x0140), 4096, 1),  # no armed selector
-        ([LOAD_FAMILY], range(0x0100, 0x0300), 4096, 1),  # quiet after 0x016C
+        ([], range(0x0100, 0x0140), 1 << 13, 1),  # no armed selector
+        ([LOAD_FAMILY], range(0x0100, 0x0300), 1 << 13, 1),  # quiet after 0x016C
         ([LOAD_FAMILY], control(0x00, 12)[::-1], 1, 6),  # a chunk per armed code
     ],
     ids=["none-armed", "quiet-tail", "batch-of-one"],
 )
-def test_spans_tile_the_codes(monkeypatch, path, families, codes, batch, simulated_batches):
-    monkeypatch.setattr(backend_module, "VECTOR_BATCH", batch)
+def test_spans_tile_the_codes(monkeypatch, path, families, codes, cells, simulated_batches):
+    monkeypatch.setattr(backend_module, "VECTOR_CELLS", cells)
     pmu = SimulatedPmu(families)
     backend = pmu if path == "simulated" else _HiddenModel(pmu)
 
@@ -495,12 +495,18 @@ def test_spans_tile_the_codes(monkeypatch, path, families, codes, batch, simulat
 
 
 def count_matrix(pmu, plan):
-    """measure_counts matrix of a plan: per repetition, (class, executions)."""
+    """measure_counts class counts of a plan: per repetition, (class, executions)."""
     classes = np.zeros((len(plan), pmu.column_count), np.int64)
     for rep, runs in enumerate(plan):
         for tag, times in runs:
             classes[rep, pmu.column(tag)] += times
     return classes
+
+
+def counted(pmu, codes, classes):
+    """measure_counts' batches densified into one (len(codes), repetitions) matrix."""
+    batches = (batch + (None,) for batch in pmu.measure_counts(codes, classes))
+    return np.concatenate([deltas for _, deltas, _ in densified(batches)])
 
 
 class TestMeasureCounts:
@@ -524,7 +530,7 @@ class TestMeasureCounts:
                     by_run.record_execution(tag)
 
         for _ in range(2):  # the second round shows that epochs advanced alike
-            fast = by_matrix.measure_counts(codes, count_matrix(by_matrix, plan))
+            fast = counted(by_matrix, codes, count_matrix(by_matrix, plan))
             slow = [row for _, batch, _ in densified(measure(by_run, codes, run, len(plan)))
                     for row in batch]
             assert fast.dtype == np.int64 and fast.shape == (len(codes), len(plan))
@@ -539,7 +545,7 @@ class TestMeasureCounts:
         backend = make_backend()
         backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
         classes = count_matrix(backend, [[("memory-load", 2)], [("alu", 1)], [("memory-load", 1)]])
-        assert backend.measure_counts([0x016C, 0x026C], classes).tolist() == [[2, 0, 1], [0, 0, 0]]
+        assert counted(backend, [0x016C, 0x026C], classes).tolist() == [[2, 0, 1], [0, 0, 0]]
         assert backend.read(SLOTS[0]) == 3
 
     def test_untriggered_classes_share_the_last_column(self):
@@ -572,7 +578,7 @@ NOISY = SimEventFamily(0x5E, 0x00, frozenset({"alu"}), increment=0, noise_stddev
 
 
 def one_execution_per_epoch(pmu, codes, epochs):
-    return pmu.measure_counts(codes, count_matrix(pmu, [[("alu", 1)]] * epochs))
+    return counted(pmu, codes, count_matrix(pmu, [[("alu", 1)]] * epochs))
 
 
 class TestCounterBasedNoise:
@@ -605,7 +611,7 @@ class TestCounterBasedNoise:
         def measured():
             pmu = SimulatedPmu([NOISY], seed=4)
             plan = [[("alu", n)] for n in sizes]
-            return pmu.measure_counts([0x015E, 0x0A5E, 0x016C], count_matrix(pmu, plan)).tolist()
+            return counted(pmu, [0x015E, 0x0A5E, 0x016C], count_matrix(pmu, plan)).tolist()
 
         whole = measured()
         for batch in (1, 3, 7, 16):  # batches that split epochs anywhere
@@ -616,7 +622,8 @@ class TestCounterBasedNoise:
     def test_armed_chunks_do_not_change_the_counts(self, monkeypatch):
         # 17 noiseless families open for every umask, plus the noisy 0x5E and
         # a noisy 0x6C gated on bit 0: 4,736 armed selectors, more than one
-        # chunk at the default VECTOR_BATCH
+        # chunk at the default VECTOR_CELLS
+        default = backend_module.VECTOR_CELLS
         families = [NOISY, SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}),
                                           noise_stddev=0.7, seed=2)]
         families += [SimEventFamily(code, 0x00, frozenset({"alu"}), increment=code)
@@ -624,11 +631,12 @@ class TestCounterBasedNoise:
         plan = [[("alu", 2), ("memory-load", rep)] for rep in range(3)]
         space = range(1 << 16)
 
-        def measured(batch):
+        def measured(cells):
             """Deltas and claimed epochs of measure_counts, then of measure."""
-            monkeypatch.setattr(backend_module, "VECTOR_BATCH", batch)
+            monkeypatch.setattr(backend_module, "VECTOR_CELLS", cells)
+            rows = max(1, cells // len(plan))
             pmu = SimulatedPmu(families, seed=5)
-            counts = pmu.measure_counts(space, count_matrix(pmu, plan))
+            counts = counted(pmu, space, count_matrix(pmu, plan))
             epochs = dict(pmu._epochs)
 
             def run(rep):
@@ -638,15 +646,15 @@ class TestCounterBasedNoise:
 
             batches, offset = list(measure(pmu, space, run, len(plan))), 0
             for start, stop, index, _, _ in batches:
-                assert start == offset and 0 < len(index) <= batch
+                assert start == offset and 0 < len(index) <= rows
                 offset = stop
             streamed = np.concatenate([deltas for _, deltas, _ in densified(batches)])
             return counts, epochs, streamed, dict(pmu._epochs)
 
-        whole = measured(1 << 16)
+        whole = measured(len(plan) << 16)
         assert np.count_nonzero(whole[0].any(axis=1)) > 4096  # a few noisy ones draw only 0
-        for batch in (1, 3, 7, 705, backend_module.VECTOR_BATCH):
-            counts, epochs, streamed, then = measured(batch)
+        for cells in (1, 3, 7, 705 * len(plan), default):  # 1, 1, 2, 705 and 2,730 rows
+            counts, epochs, streamed, then = measured(cells)
             assert np.array_equal(counts, whole[0]) and epochs == whole[1]
             assert np.array_equal(streamed, whole[2]) and then == whole[3]
         assert len(whole[1]) == 256 + 128 and set(whole[1].values()) == {len(plan)}
@@ -695,7 +703,7 @@ class TestCounterBasedNoise:
             pmu = SimulatedPmu(families, seed=9)
             out = np.zeros((1 << 16, repetitions), np.int64)
             for piece in pieces:
-                out[piece] = pmu.measure_counts(piece, count_matrix(pmu, plan))
+                out[piece] = counted(pmu, piece, count_matrix(pmu, plan))
             return out
 
         space = np.arange(1 << 16)

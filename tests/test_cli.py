@@ -116,6 +116,34 @@ class TestExitCodes:
         assert f"argument {flag}: invalid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "sidechannel"])
+    def test_negative_plot_sample_exits_before_any_output(self, command, tmp_path, capsys,
+                                                           model_path, secret_path):
+        from pmu_prospector.collector import ScanReport, persist_report
+        from pmu_prospector.detection import LogisticModel, MetricsReport, save_model_json
+
+        inputs = tmp_path / "inputs.json"
+        if command == "detect":
+            save_model_json(EventSelector(0x6C, 0x01), LogisticModel(1.0, 0.0, 0.0, 1.0),
+                            MetricsReport(9, 1, 1, 9, 0.9, 0.9, 0.9, 0.85, 0.95), str(inputs))
+            argv = ["detect", "screen", "--models", str(inputs)]
+        else:
+            persist_report(ScanReport(microarchitecture_label="sim-skylake-desk",
+                                      total_instructions=1, executed_success=1,
+                                      hidden_events={0x016C: {1}}), str(inputs))
+            argv = ["sidechannel", "screen", "--report", str(inputs), "--sim-model", model_path,
+                    "--secret-file", secret_path, "--length", "1", "--iterations", "1"]
+        out, plot = tmp_path / "out.csv", tmp_path / "plot.csv"
+        assert dispatch([*argv, "--plot-out", str(plot), "--plot-sample", "-5",
+                         "--out", str(out)]) == 2
+        assert "argument --plot-sample: invalid non-negative int value: '-5'" in (
+            capsys.readouterr().err)
+        assert not out.exists() and not plot.exists()
+        assert dispatch([*argv, "--plot-out", str(plot), "--plot-sample", "0",
+                         "--out", str(out)]) == 0
+        assert out.exists() and plot.read_text().splitlines() == [
+            "selector,accuracy,f1,auc" if command == "detect" else "selector,accuracy"]
+
     @pytest.mark.parametrize("sub, defaults", [
         (["scan"], {"--backend": "sim", "--repetitions": "5", "--quiet-threshold": "1",
                     "--seed": "0", "--cpu": "0"}),

@@ -7,11 +7,13 @@ noise floor.  All tests drive the deterministic simulated backend.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pmu_prospector import backend as backend_module
 from pmu_prospector import sidechannel
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.errors import CapabilityError
@@ -57,7 +59,8 @@ def run_trial(spec, selector, guess, position, backend, victim, iteration=0) -> 
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
-    return int(pmu.measure_counts([selector.packed], _gadget_classes(spec, pmu, fires))[0, 0])
+    ((_, _, index, deltas),) = pmu.measure_counts([selector.packed], _gadget_classes(spec, pmu, fires))
+    return int(deltas[0, 0]) if len(index) else 0
 
 
 class TestTrialCosts:
@@ -310,14 +313,17 @@ class TestSelectorScreening:
         template = GadgetSpec(secret_length=4, attack_kind=SPECTRE_V1)
         assert screen_channel_events([BOUND], template, backend, below_bar) == []
 
-    @pytest.mark.parametrize("cells", [1, 3 * 256 * 3, 1 << 20],
-                             ids=["one-per-chunk", "ragged-last-chunk", "one-chunk"])
+    # cells of one measurement chunk, at 3 iterations of 256 candidates a row
+    @pytest.mark.parametrize("cells", [1, 3 * 256 * 3, 4 * 256 * 3, 1 << 20],
+                             ids=["one-per-chunk", "ragged-last-chunk",
+                                  "early-stops-in-one-chunk", "one-chunk"])
     def test_screen_matches_per_selector_recovery_for_any_chunking(
         self, sim_model, monkeypatch, cells
     ):
         # 29 noisy 0x5E selectors, a 0x6C and a 0xD3 load counter and a quiet
-        # selector, listed out of packed order: 32 selectors, so 3 per chunk
-        # leaves a ragged last chunk
+        # selector, listed out of packed order: 32 selectors of which 31 are
+        # armed, so 3 per chunk leaves a ragged last chunk.  The four left
+        # after position 0 share one chunk of 4, and two of them stop there.
         candidates = [EventSelector(0xC0, 0x00), EventSelector(0xD3, 0x02),
                       EventSelector(0x6C, 0x01)]
         candidates += [EventSelector(0x5E, umask) for umask in range(0, 256, 9)]
@@ -334,8 +340,17 @@ class TestSelectorScreening:
                     rows.append((selector, accuracy))
             return rows
 
-        monkeypatch.setattr(sidechannel, "SCREEN_CELLS", cells)
+        decoded = []
+
+        def counting_recover_byte(spec, position, selectors, *args):
+            decoded.append((position, len(selectors)))
+            return recover_byte(spec, position, selectors, *args)
+
+        monkeypatch.setattr(backend_module, "VECTOR_CELLS", cells)
+        monkeypatch.setattr(sidechannel, "recover_byte", counting_recover_byte)
         kept = screen_channel_events(candidates, spec, sim_model.make_backend(3), victim)
+        # one call per position: 28 stop at position 0 and 2 at position 1
+        assert decoded == [(0, 32), (1, 4), (2, 2)]
         assert kept == reference(MIN_CHANNEL_ACCURACY)
         assert kept == [(EventSelector(0x6C, 0x01), 1.0), (EventSelector(0xD3, 0x02), 1.0)]
         # every accuracy, the noisy selectors' partial ones included
@@ -387,6 +402,24 @@ class TestSelectorScreening:
         monkeypatch.setattr(sidechannel, "recover_byte", counting_recover_byte)
         screen_channel_events(self.SCREENED, self.SPEC, sim_model.make_backend(3), victim)
         assert sum(decoded) == cells < len(self.SCREENED) * self.SPEC.secret_length
+
+    def test_peak_memory_does_not_grow_with_the_selectors(self, sim_model):
+        # 16,384 trials per selector: a dense delta matrix for 256 selectors
+        # would be 33 MB, eight times the one for 32
+        spec = GadgetSpec(iterations=64, secret_length=1)
+
+        def peak(selectors):
+            backend = sim_model.make_backend(3)
+            tracemalloc.start()
+            try:
+                screen_channel_events(selectors, spec, backend, SimVictim(b"P"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        noisy = [EventSelector(0x5E, umask) for umask in range(256)]
+        few, many = peak(noisy[:32]), peak(noisy)
+        assert many < 1.5 * few
 
 
 class TestResultJson:
