@@ -53,7 +53,6 @@ from .detection import (
 from .errors import ProspectorError
 from .events import (
     EventCatalog,
-    EventSelector,
     PerfEvtSelValue,
     decode_msr_value,
     format_selector,

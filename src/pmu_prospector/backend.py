@@ -88,7 +88,8 @@ def measure(
     [start, stop), and deltas an int64 array of shape (len(index),
     repetitions) whose row j belongs to codes[index[j]]; every other
     position of the span measured 0 in every repetition.  outcome is what
-    run(repetitions - 1) returned.  A code listed twice raises ValueError.
+    run(repetitions - 1) returned.  A code outside the event space or listed
+    twice raises ValueError.
 
     - On a simulated backend (one that exposes its SimulatedPmu as
       `simulation`, directly or through a delegating proxy) run(rep) executes
@@ -109,16 +110,23 @@ def measure(
       its outcome and an empty index and deltas, its span naming the lost
       positions; the next batch is still measured.
     """
-    _check_distinct(codes)
+    _check_codes(codes)
     pmu = simulation_of(backend)
     if pmu is not None:
         return pmu.measure(codes, run, repetitions)
     return _measure_scalar(backend, codes, run, repetitions, any_thread)
 
 
-def _check_distinct(codes: Sequence[int]) -> None:
-    """ValueError for a code listed twice; a range (a full scan) cannot repeat."""
-    if not isinstance(codes, range) and len(set(codes)) < len(codes):
+def _check_codes(codes: Sequence[int]) -> None:
+    """ValueError for a code outside the event space or listed twice; a range
+    (a full scan) cannot repeat, so only its ends are checked, without
+    walking it as min and max would."""
+    if not len(codes):
+        return
+    ranged = isinstance(codes, range)
+    for end in (codes[0], codes[-1]) if ranged else (min(codes), max(codes)):
+        unpack_selector(end)  # raises outside the event space
+    if not ranged and len(set(codes)) < len(codes):
         raise ValueError("a measurement lists a selector twice")
 
 
@@ -184,12 +192,12 @@ class SimEventFamily:
 
 
 class _SimSlot:
-    __slots__ = ("row", "start", "packed", "epoch")
+    __slots__ = ("row", "start", "selector", "epoch")
 
     def __init__(self) -> None:
         self.row: int | None = None  # None until programmed
         self.start: list[int] = []  # the class tally when programmed
-        self.packed = self.epoch = 0
+        self.selector = self.epoch = 0
 
 
 class SimulatedPmu(CounterBackend):
@@ -282,15 +290,14 @@ class SimulatedPmu(CounterBackend):
         return self._class_index.get(class_tag, len(self._tally) - 1)
 
     def program(self, slot: CounterSlot, value: PerfEvtSelValue) -> None:
-        selector = value.selector
-        row = int(self._rows[selector.packed])
+        row = int(self._rows[value.selector])
         state = self._slots[slot.index]
         state.row = row
         state.start = self._tally.copy()
-        state.packed = selector.packed
+        state.selector = value.selector
         if self._noisy[row]:
-            state.epoch = self._epochs.get(state.packed, 0)
-            self._epochs[state.packed] = state.epoch + 1
+            state.epoch = self._epochs.get(state.selector, 0)
+            self._epochs[state.selector] = state.epoch + 1
 
     def read(self, slot: CounterSlot) -> int:
         state = self._slots[slot.index]
@@ -301,7 +308,7 @@ class SimulatedPmu(CounterBackend):
         count = int(self._increments[row] @ executed)
         if self._noisy[row]:
             (overcount,) = self._overcounts(
-                np.array([row]), np.array([state.packed]), np.array([state.epoch]),
+                np.array([row]), np.array([state.selector]), np.array([state.epoch]),
                 np.array([executed.sum()]),
             )
             count += int(overcount)
@@ -335,7 +342,7 @@ class SimulatedPmu(CounterBackend):
         tag in repetition rep.  The call checks them and adds them to the
         running tally at once, so a slot programmed before it counts them.
         """
-        _check_distinct(codes)
+        _check_codes(codes)
         classes = np.asarray(classes, np.int64)
         if classes.ndim != 2 or classes.shape[1] != len(self._tally):
             raise ValueError(

@@ -20,13 +20,7 @@ from . import collector, detection, outputs, reporting, sidechannel, umask
 from .backend import load_sim_model, probe_native_backend
 from .corpus import NativeExecutor, SimulatedExecutor, load_corpus_file
 from .errors import ConfigError, ProspectorError
-from .events import (
-    EventSelector,
-    format_selector,
-    load_catalog_file,
-    parse_selector,
-    unpack_selector,
-)
+from .events import format_selector, load_catalog_file, parse_selector
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -152,8 +146,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
         return 0
     # screen
-    reports: dict[EventSelector, detection.MetricsReport] = {}
-    sources: dict[EventSelector, str] = {}
+    reports: dict[int, detection.MetricsReport] = {}
+    sources: dict[int, str] = {}
     for path in args.models:
         selector, _, metrics = detection.load_model_json(path)
         if selector in sources:
@@ -201,9 +195,7 @@ def cmd_sidechannel(args: argparse.Namespace) -> int:
         return 0
     # screen
     report = collector.load_report(args.report)
-    rows = sidechannel.screen_channel_events(
-        map(unpack_selector, report.hidden_events), spec, backend, victim
-    )
+    rows = sidechannel.screen_channel_events(report.hidden_events, spec, backend, victim)
     outputs.write_csv(args.out, ["selector", "accuracy"],
                       ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in rows))
     if args.plot_out:

@@ -29,10 +29,8 @@ from .errors import InstantiationError, NormalizationError, ReportParseError
 from .events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
-    EventSelector,
-    PackedSelector,
     PerfEvtSelValue,
-    parse_packed,
+    parse_selector,
     scan_control,
     unpack_selector,
 )
@@ -59,7 +57,7 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    selector: EventSelector
+    selector: int
     instruction_id: int
     delta: int
     outcome: ExecStatus
@@ -73,7 +71,7 @@ class ScanReport:
     hidden_events maps each hidden selector, as its packed value
     umask * 256 + event_code, to the ids of the instructions it counted;
     full_scan gives it in packed order.  load_report gives each key as a
-    PackedSelector, so key.packed reads it as EventSelector.packed would.
+    PackedSelector, whose .packed benchmarks/ reads.
     """
 
     microarchitecture_label: str
@@ -115,34 +113,33 @@ def _measure_snippet(
 # No src/ caller: benchmarks/ reads it until ROADMAP item 8 deletes it.
 def scan_instruction(
     entry: InstructionEntry,
-    selectors: Iterable[EventSelector],
+    selectors: Iterable[int],
     executor,
     config: ScanConfig = ScanConfig(),
 ) -> list[ScanRecord]:
     """Measure one instruction against the given selectors.
 
-    Selectors are visited in the given order; the recorded delta is the
+    Packed selectors are visited in the given order; the recorded delta is the
     lower median across repetitions and the outcome that of the batch's
     workload run.  A batch lost to the backend raises its BackendError.
     """
     snippet = instantiate(entry)
-    selectors = list(selectors)
-    codes = [s.packed for s in selectors]
+    codes = list(selectors)
     records: list[ScanRecord] = []
     for start, stop, index, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
         if isinstance(outcome, BackendError):
             raise outcome
         medians = np.zeros(stop - start, np.int64)
         medians[index - start] = _lower_medians(deltas)
-        for selector, median in zip(selectors[start:stop], medians.tolist()):
+        for selector, median in zip(codes[start:stop], medians.tolist()):
             records.append(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
     return records
 
 
 @functools.cache
 def selector_texts() -> tuple[str, ...]:
-    """format_selector text of every selector, indexed by packed selector;
-    the tuple is built once per process."""
+    """format_selector(p) for every packed selector p, at index p; the tuple
+    is built once per process."""
     digits = [f"{i:02X}" for i in range(256)]
     return tuple("0x" + umask + code for umask in digits for code in digits)
 
@@ -218,7 +215,7 @@ def full_scan(
     """
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
-    documented[[s.packed for s in catalog.entries]] = True
+    documented[list(catalog.entries)] = True
     texts = selector_texts() if record_sink is not None else None
     hidden: dict[int, set[int]] = {}
     total = 0
@@ -322,19 +319,19 @@ def load_report(path: str) -> ScanReport:
 
 def _hidden_events(hidden: Field) -> dict[int, set[int]]:
     """A report's hidden_events object, read in one loop: each key a
-    parse_packed spelling of a selector, each value a list of int ids.  Two
+    parse_selector spelling of a selector, each value a list of int ids.  Two
     keys that spell one selector, such as "0x016C" and "0x16c", are an
     error.  A Field is made only for a malformed member, to raise its error."""
     members = hidden.members()
     events: dict[int, set[int]] = {}
     for text, ids in members.items():
         try:
-            packed = PackedSelector(parse_packed(text))
+            packed = parse_selector(text)
         except ValueError:  # Field.selector rejects the same texts
             Field(text, hidden.source, f"{hidden.path} key {text!r}").selector()
             raise
         if packed in events:  # a JSON object's key texts are distinct
-            first = next(key for key in members if parse_packed(key) == packed)
+            first = next(key for key in members if parse_selector(key) == packed)
             raise ReportParseError(f"{hidden.source}: {hidden.path} keys {first!r} "
                                    f"and {text!r} name the same entry")
         if type(ids) is not list or not all(type(i) is int for i in ids):  # a bool is not one

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backend import CounterBackend, simulation_of
 from .errors import CapabilityError, DegenerateDataError, ReportParseError
-from .events import EventSelector, format_selector
+from .events import format_selector
 from .inputs import Field, read_json
 from .outputs import write_csv, write_json
 from .seeding import derive_seed
@@ -164,7 +164,7 @@ def scenario_suite(attack_name: str) -> tuple[ScenarioSpec, ScenarioSpec, Scenar
 
 
 def collect_samples(
-    selector: EventSelector,
+    selector: int,
     scenario: ScenarioSpec,
     n: int,
     backend: CounterBackend,
@@ -182,7 +182,7 @@ def collect_samples(
         raise CapabilityError("scenario synthesis requires a simulated backend")
     rng = random.Random(
         derive_seed(
-            seed, "collect", scenario.kind.value, scenario.attack_name or "", selector.packed
+            seed, "collect", scenario.kind.value, scenario.attack_name or "", selector
         )
     )
     label = 1 if scenario.kind is ScenarioKind.ATTACK else 0
@@ -196,20 +196,20 @@ def collect_samples(
     classes = np.zeros((n, pmu.column_count), np.int64)
     for j, (tag, _) in enumerate(activity):
         classes[:, pmu.column(tag)] += executed[:, j]
-    ((_, _, index, deltas),) = pmu.measure_counts((selector.packed,), classes)
+    ((_, _, index, deltas),) = pmu.measure_counts((selector,), classes)
     counts = deltas[0] if len(index) else np.zeros(n, np.int64)  # an unarmed selector reads 0
     return [(delta, label) for delta in counts.tolist()]
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    selector: EventSelector
+    selector: int
     samples: tuple[Sample, ...]
     split_seed: int = 0
 
 
 def build_dataset(
-    selector: EventSelector,
+    selector: int,
     attack_name: str,
     backend: CounterBackend,
     samples_per_class: int,
@@ -234,9 +234,9 @@ def build_dataset(
     )
 
 
-def _split_seed(seed: int, selector: EventSelector) -> int:
+def _split_seed(seed: int, selector: int) -> int:
     """Seed of the train/test split of a selector's dataset under a run seed."""
-    return derive_seed(seed, "split", selector.packed)
+    return derive_seed(seed, "split", selector)
 
 
 def train_test_split(dataset: LabeledDataset) -> tuple[list[Sample], list[Sample]]:
@@ -481,21 +481,18 @@ def passes_screen(report: MetricsReport, criteria: ScreenCriteria = ScreenCriter
 
 
 def screen(
-    reports: Mapping[EventSelector, MetricsReport],
+    reports: Mapping[int, MetricsReport],
     criteria: ScreenCriteria = ScreenCriteria(),
-) -> list[EventSelector]:
+) -> list[int]:
     """Selectors whose metrics clear the screen, in packed order."""
-    return sorted(
-        (sel for sel, rep in reports.items() if passes_screen(rep, criteria)),
-        key=lambda sel: sel.packed,
-    )
+    return sorted(sel for sel, rep in reports.items() if passes_screen(rep, criteria))
 
 
 def write_dataset_csv(dataset: LabeledDataset, path: str) -> None:
     write_csv(path, ["delta", "label"], dataset.samples)
 
 
-def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> LabeledDataset:
+def load_dataset_csv(path: str, selector: int, seed: int = 0) -> LabeledDataset:
     """A dataset written by write_dataset_csv, with the split seed that
     build_dataset gives it under the run seed."""
     samples: list[Sample] = []
@@ -524,7 +521,7 @@ def load_dataset_csv(path: str, selector: EventSelector, seed: int = 0) -> Label
 
 
 def save_model_json(
-    selector: EventSelector, model: LogisticModel, metrics: MetricsReport, path: str
+    selector: int, model: LogisticModel, metrics: MetricsReport, path: str
 ) -> None:
     doc = {
         "selector": format_selector(selector),
@@ -541,7 +538,7 @@ def save_model_json(
     write_json(path, doc)
 
 
-def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsReport]:
+def load_model_json(path: str) -> tuple[int, LogisticModel, MetricsReport]:
     """A detector written by save_model_json: the fields README's "Input files" gives."""
     doc = read_json(path, "model").object(
         ("selector", "weight", "bias", "feature_mean", "feature_stddev", "metrics"),
@@ -562,8 +559,8 @@ def load_model_json(path: str) -> tuple[EventSelector, LogisticModel, MetricsRep
 
 
 def write_screen_csv(
-    reports: Mapping[EventSelector, MetricsReport],
-    passed: Iterable[EventSelector],
+    reports: Mapping[int, MetricsReport],
+    passed: Iterable[int],
     path: str,
 ) -> None:
     passed_set = set(passed)
@@ -573,5 +570,5 @@ def write_screen_csv(
             *(f"{getattr(rep, name):.6f}" for name in _METRICS),
             str(selector in passed_set).lower(),
         ]
-        for selector, rep in sorted(reports.items(), key=lambda item: item[0].packed)
+        for selector, rep in sorted(reports.items())
     ))

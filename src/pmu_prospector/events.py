@@ -1,16 +1,18 @@
 """Event-selection register model and 16-bit event-space enumeration.
 
 A performance event is addressed by the pair (event_code, umask), each one
-byte wide.  The full space therefore has 65536 points, identified by the
-packed value umask * 256 + event_code and written "0xUUEE" (umask high byte,
-event code low byte).  Selection registers are programmed with a 64-bit
-image whose low 32 bits carry the pair plus control flags; bits 63:32 are
-reserved and must be zero.
+byte wide.  The full space therefore has 65536 points.  Every stage holds a
+point as its packed int umask * 256 + event_code, written "0xUUEE" (umask
+high byte, event code low byte); this module is the one that knows that
+layout.  Selection registers are programmed with a 64-bit image whose low
+32 bits carry the packed selector in bits 15:0 plus control flags; bits
+63:32 are reserved and must be zero.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -30,64 +32,18 @@ _BIT_INVERT = 23
 _SHIFT_COUNTER_MASK = 24
 
 
-def _check_byte(name: str, value: int) -> None:
-    if type(value) is int and 0 <= value <= 0xFF:  # the common case, decided at once
+def _check_int(name: str, value: int, size: int = 0x100) -> None:
+    if type(value) is int and 0 <= value < size:  # the common case, decided at once
         return
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 0xFF:
-        raise ValueError(f"{name} must be an integer in [0, 255], got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < size:
+        raise ValueError(f"{name} must be an integer in [0, {size - 1}], got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
-class EventSelector:
-    """One point of the event space: an (event_code, umask) byte pair."""
-
-    event_code: int
-    umask: int
-
-    def __post_init__(self) -> None:
-        _check_byte("event_code", self.event_code)
-        _check_byte("umask", self.umask)
-
-    @property
-    def packed(self) -> int:
-        return (self.umask << 8) | self.event_code
-
-    def __str__(self) -> str:
-        return format_selector(self)
-
-
-def unpack_selector(packed: int) -> EventSelector:
-    if not 0 <= packed < EVENT_SPACE_SIZE:
-        raise ValueError(f"packed selector out of range: {packed!r}")
-    return EventSelector(event_code=packed & 0xFF, umask=packed >> 8)
-
-
-def format_selector(selector: EventSelector) -> str:
-    return f"0x{selector.umask:02X}{selector.event_code:02X}"
-
-
-def parse_packed(text: str) -> int:
-    """The packed selector of the "0xUUEE" form produced by format_selector;
-    any hexadecimal spelling of it is accepted, such as " 0x16c "."""
-    try:
-        packed = int(text.strip(), 16)
-    except ValueError:
-        raise ValueError(f"not a hexadecimal selector: {text!r}") from None
-    if not 0 <= packed < EVENT_SPACE_SIZE:
-        raise ValueError(f"packed selector out of range: {packed!r}")
-    return packed
-
-
-def parse_selector(text: str) -> EventSelector:
-    """Parse the "0xUUEE" form produced by format_selector."""
-    return unpack_selector(parse_packed(text))
-
-
-# No src/ caller reads .packed: benchmarks/ reads it on load_report's keys
-# until ROADMAP item 7 makes it read the ints.
+# No src/ caller reads .packed: benchmarks/ and criterion 01 read it until
+# ROADMAP item 7 makes them read the ints.
 class PackedSelector(int):
-    """A packed selector as an int whose packed property is the int itself,
-    so code written against EventSelector keys reads it unchanged."""
+    """A packed selector, as unpack_selector and parse_selector give it: an
+    int whose packed property is the int itself."""
 
     __slots__ = ()
 
@@ -96,15 +52,37 @@ class PackedSelector(int):
         return int(self)
 
 
+def unpack_selector(packed: int) -> PackedSelector:
+    """packed as a PackedSelector; ValueError outside the event space, and
+    TypeError for a value that is not an integer, such as 1.5."""
+    if not 0 <= packed < EVENT_SPACE_SIZE:
+        raise ValueError(f"packed selector out of range: {packed!r}")
+    return PackedSelector(operator.index(packed))
+
+
+def format_selector(selector: int) -> str:
+    return f"0x{selector:04X}"
+
+
+def parse_selector(text: str) -> PackedSelector:
+    """The packed selector of the "0xUUEE" form produced by format_selector;
+    any hexadecimal spelling of it is accepted, such as " 0x16c "."""
+    try:
+        packed = int(text.strip(), 16)
+    except ValueError:
+        raise ValueError(f"not a hexadecimal selector: {text!r}") from None
+    return unpack_selector(packed)
+
+
 @dataclass(frozen=True)
 class PerfEvtSelValue:
     """Decoded image of one event-selection register.
 
-    counter_mask occupies bits 31:24; all flags are single bits.  The image
-    never uses bits 63:32.
+    selector is the packed selector, bits 15:0, and counter_mask occupies
+    bits 31:24; all flags are single bits.  The image never uses bits 63:32.
     """
 
-    selector: EventSelector
+    selector: int
     usr: bool = False
     os: bool = False
     edge: bool = False
@@ -116,12 +94,13 @@ class PerfEvtSelValue:
     counter_mask: int = 0
 
     def __post_init__(self) -> None:
-        _check_byte("counter_mask", self.counter_mask)
+        _check_int("selector", self.selector, EVENT_SPACE_SIZE)
+        _check_int("counter_mask", self.counter_mask)
 
 
 def render_msr_value(value: PerfEvtSelValue) -> int:
     """Encode a selection value into its 64-bit register image."""
-    raw = value.selector.event_code | (value.selector.umask << 8)
+    raw = value.selector
     raw |= value.usr << _BIT_USR
     raw |= value.os << _BIT_OS
     raw |= value.edge << _BIT_EDGE
@@ -142,7 +121,7 @@ def decode_msr_value(raw: int) -> PerfEvtSelValue:
     if raw >> 32:
         raise ValueError(f"reserved bits 63:32 set in register image 0x{raw:016X}")
     return PerfEvtSelValue(
-        selector=EventSelector(event_code=raw & 0xFF, umask=(raw >> 8) & 0xFF),
+        selector=PackedSelector(raw & 0xFFFF),
         usr=bool(raw & (1 << _BIT_USR)),
         os=bool(raw & (1 << _BIT_OS)),
         edge=bool(raw & (1 << _BIT_EDGE)),
@@ -155,7 +134,7 @@ def decode_msr_value(raw: int) -> PerfEvtSelValue:
     )
 
 
-def scan_control(selector: EventSelector, any_thread: bool = False) -> PerfEvtSelValue:
+def scan_control(selector: int, any_thread: bool = False) -> PerfEvtSelValue:
     """Default control value used while probing: count in user and kernel
     mode with the counter enabled, everything else off."""
     return PerfEvtSelValue(
@@ -169,22 +148,22 @@ def umask_gates(umask: int, relevance_mask: int) -> bool:
     A family with relevance_mask 0 ignores the umask and counts regardless;
     otherwise at least one relevant bit must be set in the umask.
     """
-    _check_byte("umask", umask)
-    _check_byte("relevance_mask", relevance_mask)
+    _check_int("umask", umask)
+    _check_int("relevance_mask", relevance_mask)
     return relevance_mask == 0 or (umask & relevance_mask) != 0
 
 
 @dataclass(frozen=True)
 class EventCatalog:
-    """Documented events of one microarchitecture, keyed by selector."""
+    """Documented events of one microarchitecture, keyed by packed selector."""
 
-    entries: dict[EventSelector, str] = field(default_factory=dict)
+    entries: dict[int, str] = field(default_factory=dict)
     source: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, selector: EventSelector) -> bool:
+    def __contains__(self, selector: int) -> bool:
         return selector in self.entries
 
 
@@ -208,7 +187,7 @@ def load_catalog(lines: Iterable[str], source: str = "") -> EventCatalog:
     A header row is recognised and skipped.  Duplicate (event_code, umask)
     keys make the catalog ambiguous and fail the load.
     """
-    entries: dict[EventSelector, str] = {}
+    entries: dict[int, str] = {}
     reader = csv.reader(lines)
     for row_no, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -220,10 +199,8 @@ def load_catalog(lines: Iterable[str], source: str = "") -> EventCatalog:
             continue
         if len(row) != 3:
             raise CatalogError(f"{where}: expected 3 columns, got {len(row)}")
-        selector = EventSelector(
-            event_code=_parse_hex_byte("event_code", row[0], where),
-            umask=_parse_hex_byte("umask", row[1], where),
-        )
+        event_code = _parse_hex_byte("event_code", row[0], where)
+        selector = _parse_hex_byte("umask", row[1], where) << 8 | event_code
         if selector in entries:
             raise CatalogError(f"{where}: duplicate catalog key {format_selector(selector)}")
         entries[selector] = row[2].strip()

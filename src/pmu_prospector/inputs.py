@@ -12,7 +12,7 @@ import sys
 from collections.abc import Callable, Collection, Mapping
 
 from .errors import ProspectorError, ReportParseError
-from .events import EventSelector, parse_selector
+from .events import PackedSelector, parse_selector
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)\s*").fullmatch
 
@@ -91,7 +91,7 @@ class Field:
         return self._need(False, f"a list drawn from {', '.join(allowed)}" if allowed
                           else f"a list of {noun}")
 
-    def selector(self) -> EventSelector:
+    def selector(self) -> PackedSelector:
         try:
             return parse_selector(self.string())
         except ValueError:

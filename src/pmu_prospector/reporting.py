@@ -14,7 +14,7 @@ from typing import TypeVar
 
 from .collector import ScanReport
 from .detection import MetricsReport
-from .events import EventSelector, format_selector
+from .events import format_selector
 from .outputs import write_csv
 from .seeding import derive_seed
 
@@ -48,15 +48,11 @@ def sample_rows(rows: Sequence[T], sample_size: int, seed: int, stream: str) -> 
 
 
 def write_metrics_plot_csv(
-    reports: Mapping[EventSelector, MetricsReport],
-    path: str,
-    sample_size: int = 400,
-    seed: int = 0,
+    reports: Mapping[int, MetricsReport], path: str, sample_size: int, seed: int
 ) -> None:
     """Scatter dataset of per-event detection metrics."""
-    by_selector = sorted(reports.items(), key=lambda item: item[0].packed)
-    rows = sample_rows(by_selector, sample_size, seed, "metrics")
-    rows.sort(key=lambda item: item[0].packed)
+    rows = sample_rows(sorted(reports.items()), sample_size, seed, "metrics")
+    rows.sort()
     write_csv(path, ["selector", "accuracy", "f1", "auc"], (
         [
             format_selector(selector),
@@ -69,13 +65,10 @@ def write_metrics_plot_csv(
 
 
 def write_accuracy_plot_csv(
-    rows: Sequence[tuple[EventSelector, float]],
-    path: str,
-    sample_size: int = 100,
-    seed: int = 0,
+    rows: Sequence[tuple[int, float]], path: str, sample_size: int, seed: int
 ) -> None:
     """Scatter dataset of per-event channel accuracies."""
-    sampled = sample_rows(list(rows), sample_size, seed, "channel-accuracy")
-    sampled.sort(key=lambda item: item[0].packed)
+    sampled = sample_rows(rows, sample_size, seed, "channel-accuracy")
+    sampled.sort()
     write_csv(path, ["selector", "accuracy"],
               ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in sampled))

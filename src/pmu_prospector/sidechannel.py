@@ -23,7 +23,7 @@ import numpy as np
 
 from .backend import CounterBackend, SimulatedPmu, simulation_of
 from .errors import CapabilityError
-from .events import EventSelector, format_selector
+from .events import format_selector
 from .outputs import write_json
 from .seeding import point_fractions
 
@@ -143,7 +143,7 @@ def _gadget_classes(spec: GadgetSpec, pmu: SimulatedPmu, fires: np.ndarray) -> n
 
 
 def recover_byte(
-    spec: GadgetSpec, position: int, selectors: Sequence[EventSelector],
+    spec: GadgetSpec, position: int, selectors: Sequence[int],
     backend: CounterBackend, victim: SimVictim,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode one secret byte through each of the given bound selectors.
@@ -160,9 +160,8 @@ def recover_byte(
     iterations = spec.iterations
     # trial i is iteration i % iterations of candidate i // iterations
     fires = _fire_table(spec, victim, position, *np.divmod(np.arange(256 * iterations), iterations))
-    codes = [s.packed for s in selectors]
-    scores = np.zeros((len(codes), 256), np.int64)
-    for _, _, index, deltas in pmu.measure_counts(codes, _gadget_classes(spec, pmu, fires)):
+    scores = np.zeros((len(selectors), 256), np.int64)
+    for _, _, index, deltas in pmu.measure_counts(selectors, _gadget_classes(spec, pmu, fires)):
         scores[index] = deltas.reshape(len(index), 256, iterations).sum(axis=2)
     return scores.argmax(axis=1), scores  # argmax keeps the first maximum
 
@@ -193,7 +192,7 @@ def _positions(spec: GadgetSpec, victim: SimVictim) -> range:
 
 
 def recover_secret(
-    spec: GadgetSpec, selector: EventSelector, backend: CounterBackend, victim: SimVictim
+    spec: GadgetSpec, selector: int, backend: CounterBackend, victim: SimVictim
 ) -> RecoveryResult:
     """Recover the first secret_length bytes of the victim's secret via selector.
 
@@ -234,11 +233,11 @@ def channel_metrics(result: RecoveryResult, true_secret: bytes) -> ChannelMetric
 
 
 def screen_channel_events(
-    selectors: Iterable[EventSelector],
+    selectors: Iterable[int],
     spec: GadgetSpec,
     backend: CounterBackend,
     victim: SimVictim,
-) -> list[tuple[EventSelector, float]]:
+) -> list[tuple[int, float]]:
     """Try the channel through each selector and keep the usable ones.
 
     Accuracy is 1 - mismatches / secret_length against the victim's own
@@ -250,7 +249,7 @@ def screen_channel_events(
     are dropped, and the screen stops once none is left.  Noise epochs are
     per selector, so dropping changes no accuracy.
     """
-    live = sorted(selectors, key=lambda s: s.packed)
+    live = sorted(selectors)
     mismatches = np.zeros(len(live), np.int64)
     for position in _positions(spec, victim):
         if not live:
@@ -264,7 +263,7 @@ def screen_channel_events(
 
 
 def write_result_json(
-    selector: EventSelector,
+    selector: int,
     spec: GadgetSpec,
     result: RecoveryResult,
     metrics: ChannelMetrics,

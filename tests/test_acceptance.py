@@ -33,7 +33,6 @@ from pmu_prospector.detection import (
 from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
-    EventSelector,
     PerfEvtSelValue,
     decode_msr_value,
     format_selector,
@@ -223,7 +222,7 @@ def _separable_dataset(seed: int) -> LabeledDataset:
     # victim load traffic 30+-8 per window; the attack adds 24+-8 more, which
     # keeps a thin overlap so the detection task is hard but not impossible.
     # The negative half is clean and no-attack windows, as in build_dataset.
-    selector = EventSelector(0x6C, 0x01)
+    selector = unpack_selector(0x016C)
     backend = SimulatedPmu([SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))], seed=0)
     victim = {"memory-load": ClassActivity(30, 8)}
     scenarios = (
@@ -283,7 +282,7 @@ def test_criterion_07_channel_recovery_exact_then_noise_bounded():
         backend = SimulatedPmu([CHANNEL_FAMILY])
         victim = SimVictim(secret)
         capable = [
-            EventSelector(CHANNEL_FAMILY.event_code, umask)
+            unpack_selector(umask << 8 | CHANNEL_FAMILY.event_code)
             for umask in range(256)
             if umask_gates(umask, CHANNEL_FAMILY.relevance_mask)
         ]
@@ -319,7 +318,7 @@ def test_criterion_08_throughput_ratios_and_metric_formulas():
     with criterion(8, "modeled channel rates hold their measured ratios"):
         backend = SimulatedPmu([CHANNEL_FAMILY])
         secret = b"0123456789abcdef"
-        selector = EventSelector(0x6C, 0x80)
+        selector = unpack_selector(0x806C)
 
         def throughput(kind, suppression):
             spec = GadgetSpec(attack_kind=kind, suppression=suppression)

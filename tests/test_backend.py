@@ -30,7 +30,7 @@ from pmu_prospector.errors import (
     ReportParseError,
     SlotRangeError,
 )
-from pmu_prospector.events import EventSelector, PerfEvtSelValue, scan_control, unpack_selector
+from pmu_prospector.events import EVENT_SPACE_SIZE, PerfEvtSelValue, scan_control, unpack_selector
 from pmu_prospector.seeding import derive_seed, point_fraction
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -69,7 +69,7 @@ class TestSlots:
 class TestSimulatedPmu:
     def test_program_resets_count(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x3C, 0x00)))
+        backend.program(SLOTS[0], scan_control(0x003C))
         assert backend.read(SLOTS[0]) == 0
 
     def test_read_before_program_fails(self):
@@ -79,20 +79,20 @@ class TestSimulatedPmu:
 
     def test_gated_family_counts_trigger_class(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        backend.program(SLOTS[0], scan_control(0x016C))
         backend.record_execution("memory-load")
         backend.record_execution("memory-load")
         assert backend.read(SLOTS[0]) == 2
 
     def test_non_trigger_class_does_not_count(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        backend.program(SLOTS[0], scan_control(0x016C))
         backend.record_execution("alu")
         assert backend.read(SLOTS[0]) == 0
 
     def test_closed_umask_gate_stays_quiet(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x02)))
+        backend.program(SLOTS[0], scan_control(0x026C))
         backend.record_execution("memory-load")
         assert backend.read(SLOTS[0]) == 0
 
@@ -100,19 +100,19 @@ class TestSimulatedPmu:
         family = SimEventFamily(0x10, 0x00, frozenset({"alu"}), increment=5)
         backend = make_backend(family)
         for umask in (0x00, 0x40, 0xFF):
-            backend.program(SLOTS[0], scan_control(EventSelector(0x10, umask)))
+            backend.program(SLOTS[0], scan_control(umask << 8 | 0x10))
             backend.record_execution("alu")
             assert backend.read(SLOTS[0]) == 5
 
     def test_unknown_event_code_stays_quiet(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x99, 0xFF)))
+        backend.program(SLOTS[0], scan_control(0xFF99))
         backend.record_execution("memory-load")
         assert backend.read(SLOTS[0]) == 0
 
     def test_reprogramming_rearms_and_resets(self):
         backend = make_backend()
-        value = scan_control(EventSelector(0x6C, 0x01))
+        value = scan_control(0x016C)
         backend.program(SLOTS[0], value)
         backend.record_execution("memory-load")
         assert backend.read(SLOTS[0]) == 1
@@ -121,9 +121,9 @@ class TestSimulatedPmu:
 
     def test_slots_are_isolated(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        backend.program(SLOTS[0], scan_control(0x016C))
         backend.record_execution("memory-load")
-        backend.program(SLOTS[1], scan_control(EventSelector(0x6C, 0x03)))
+        backend.program(SLOTS[1], scan_control(0x036C))
         backend.record_execution("memory-load")
         assert backend.read(SLOTS[0]) == 2
         assert backend.read(SLOTS[1]) == 1
@@ -143,7 +143,7 @@ class TestSimulatedPmu:
         backend = make_backend(family)
         twin = make_backend(family)  # read only at the end
         for pmu in (backend, twin):
-            pmu.program(SLOTS[0], scan_control(EventSelector(0x20, 0x00)))
+            pmu.program(SLOTS[0], scan_control(0x0020))
         previous = 0
         for _ in range(200):
             backend.record_execution("alu")
@@ -163,7 +163,7 @@ class TestSimulatedPmu:
             0x20, 0x00, frozenset({"alu"}), noise_stddev=5.0, seed=5
         )
         backend = make_backend(family)
-        backend.program(SLOTS[0], scan_control(EventSelector(0x20, 0x00)))
+        backend.program(SLOTS[0], scan_control(0x0020))
         for _ in range(100):
             backend.record_execution("branch")
         assert backend.read(SLOTS[0]) > 0
@@ -177,7 +177,7 @@ class TestSimulatedPmu:
             backend = SimulatedPmu([family], seed=seed)
             reads = []
             for umask in (0x01, 0x03, 0x07):
-                backend.program(SLOTS[0], scan_control(EventSelector(0x20, umask)))
+                backend.program(SLOTS[0], scan_control(umask << 8 | 0x20))
                 for _ in range(10):
                     backend.record_execution("alu")
                 reads.append(backend.read(SLOTS[0]))
@@ -191,7 +191,7 @@ class TestSimulatedPmu:
         family = SimEventFamily(0x20, 0x00, frozenset({"alu"}), noise_stddev=2.0, seed=3)
 
         def measure(backend, umask):
-            backend.program(SLOTS[0], scan_control(EventSelector(0x20, umask)))
+            backend.program(SLOTS[0], scan_control(umask << 8 | 0x20))
             for _ in range(20):
                 backend.record_execution("alu")
             return backend.read(SLOTS[0])
@@ -210,7 +210,7 @@ class TestSimulatedPmu:
         def windows(backend):
             reads = []
             for _ in range(8):
-                backend.program(SLOTS[0], scan_control(EventSelector(0x20, 0x00)))
+                backend.program(SLOTS[0], scan_control(0x0020))
                 for _ in range(20):
                     backend.record_execution("alu")
                 reads.append(backend.read(SLOTS[0]))
@@ -246,7 +246,7 @@ class TestSimulatedPmu:
         for slot_index, action, umask in ops:
             if action == "program":
                 code = 0x6C if umask % 2 else 0xD3
-                backend.program(SLOTS[slot_index], scan_control(EventSelector(code, umask)))
+                backend.program(SLOTS[slot_index], scan_control(umask << 8 | code))
                 model[slot_index] = (code, umask)
                 counts[slot_index] = 0
             else:
@@ -270,9 +270,9 @@ class SelectorEchoBackend(CounterBackend):
         self.held: dict[int, int] = {}
 
     def program(self, slot, value):
-        if value.selector.packed == self.refuse:
+        if value.selector == self.refuse:
             raise BackendError(f"cannot program 0x{self.refuse:04X}")
-        self.held[slot.index] = value.selector.packed
+        self.held[slot.index] = value.selector
 
     def read(self, slot):
         return self.held[slot.index]
@@ -332,7 +332,7 @@ class TestMeasure:
 
     def test_slot_programmed_before_measure_counts_its_executions(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        backend.program(SLOTS[0], scan_control(0x016C))
 
         def run(rep):
             backend.record_execution("memory-load")
@@ -543,7 +543,7 @@ class TestMeasureCounts:
 
     def test_slot_programmed_before_counts_the_matrix(self):
         backend = make_backend()
-        backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        backend.program(SLOTS[0], scan_control(0x016C))
         classes = count_matrix(backend, [[("memory-load", 2)], [("alu", 1)], [("memory-load", 1)]])
         assert counted(backend, [0x016C, 0x026C], classes).tolist() == [[2, 0, 1], [0, 0, 0]]
         assert backend.read(SLOTS[0]) == 3
@@ -569,6 +569,22 @@ def test_repeated_selector_rejected(path):
     with pytest.raises(ValueError, match="twice"):
         if path == "counts":
             pmu.measure_counts(codes, count_matrix(pmu, [[("memory-load", 1)]]))
+        else:
+            backend = _HiddenModel(pmu) if path == "scalar" else pmu
+            list(measure(backend, codes, lambda rep: None, 1))
+
+
+@pytest.mark.parametrize("codes", [
+    [0x016C, -1], [0x016C, EVENT_SPACE_SIZE],
+    range(-1, 2), range(EVENT_SPACE_SIZE - 1, EVENT_SPACE_SIZE + 1),
+], ids=["-1", "65536", "range-low", "range-high"])
+@pytest.mark.parametrize("path", ["scalar", "simulated", "counts"])
+def test_out_of_range_selector_rejected(path, codes):
+    # unchecked, numpy would wrap -1 to 0xFFFF and index past the row table at 65536
+    pmu = make_backend()
+    with pytest.raises(ValueError, match="packed selector out of range"):
+        if path == "counts":
+            pmu.measure_counts(codes, count_matrix(pmu, [[("alu", 2)]]))
         else:
             backend = _HiddenModel(pmu) if path == "scalar" else pmu
             list(measure(backend, codes, lambda rep: None, 1))
@@ -667,7 +683,7 @@ class TestCounterBasedNoise:
         # across epochs (execution 0 of 256 selectors x 64 repetitions) and
         # across the 2048 executions of one epoch
         across_epochs = one_execution_per_epoch(pmu, range(0x5E, 1 << 16, 256), 64)
-        pmu.program(SLOTS[0], scan_control(EventSelector(0x5E, 0x02)))
+        pmu.program(SLOTS[0], scan_control(0x025E))
         reads = [0]
         for _ in range(2048):
             pmu.record_execution("alu")
@@ -891,10 +907,10 @@ class TestNativeBackendDevice:
         try:
             with pytest.raises(BackendStateError):
                 backend.read(SLOTS[1])
-            backend.program(SLOTS[0], scan_control(EventSelector(0x3C, 0x00)))
+            backend.program(SLOTS[0], scan_control(0x003C))
             count = backend.read(SLOTS[0])
             assert isinstance(count, int) and count >= 0
             # leave the slot disabled: all-zero control value
-            backend.program(SLOTS[0], PerfEvtSelValue(selector=EventSelector(0, 0)))
+            backend.program(SLOTS[0], PerfEvtSelValue(selector=0x0000))
         finally:
             backend.close()

@@ -20,7 +20,7 @@ from pmu_prospector.collector import load_report
 from pmu_prospector.corpus import InstructionEntry, NativeExecutor, instantiate
 from pmu_prospector.detection import load_dataset_csv, load_model_json
 from pmu_prospector.errors import BackendError, CapabilityError
-from pmu_prospector.events import EventSelector, parse_selector
+from pmu_prospector.events import parse_selector
 
 
 # each of these flags, after the other arguments its command requires
@@ -124,7 +124,7 @@ class TestExitCodes:
 
         inputs = tmp_path / "inputs.json"
         if command == "detect":
-            save_model_json(EventSelector(0x6C, 0x01), LogisticModel(1.0, 0.0, 0.0, 1.0),
+            save_model_json(0x016C, LogisticModel(1.0, 0.0, 0.0, 1.0),
                             MetricsReport(9, 1, 1, 9, 0.9, 0.9, 0.9, 0.85, 0.95), str(inputs))
             argv = ["detect", "screen", "--models", str(inputs)]
         else:
@@ -501,7 +501,7 @@ class TestDetectCommands:
         assert code == 0
         assert "test accuracy" in capsys.readouterr().out
         selector, model, metrics = load_model_json(str(model_out))
-        assert selector == EventSelector(0x6C, 0x01)
+        assert selector == 0x016C
         assert 0.5 < metrics.accuracy < 1.0
 
         screen_out = tmp_path / "screen.csv"
@@ -571,7 +571,7 @@ class TestDetectCommands:
         metrics = MetricsReport(9, 1, 1, 9, 0.9, 0.9, 0.9, 0.9, 0.95)
         first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
         for path in (first, second):
-            save_model_json(EventSelector(0x6C, 0x01), LogisticModel(1.0, 0.0, 0.0, 1.0),
+            save_model_json(0x016C, LogisticModel(1.0, 0.0, 0.0, 1.0),
                             metrics, path)
         out = tmp_path / "screen.csv"
         code = dispatch(["detect", "screen", "--models", first, second, "--out", str(out)])
@@ -590,7 +590,7 @@ class TestDetectCommands:
         paths = []
         for name, metrics in (("perfect", perfect), ("good", good)):
             path = tmp_path / f"{name}.json"
-            selector = EventSelector(0x6C, 0x01 if name == "perfect" else 0x03)
+            selector = 0x016C if name == "perfect" else 0x036C
             save_model_json(selector, model, metrics, str(path))
             paths.append(str(path))
 
@@ -631,7 +631,7 @@ def test_one_parser_serves_every_dispatch(tmp_path, model_path, capsys):
     ]) == 0
     assert capsys.readouterr().out.startswith("0x016C: trained ")
     perfect = str(tmp_path / "perfect.json")
-    save_model_json(EventSelector(0x6C, 0x03), LogisticModel(1.0, 0.0, 0.0, 1.0),
+    save_model_json(0x036C, LogisticModel(1.0, 0.0, 0.0, 1.0),
                     MetricsReport(10, 0, 0, 10, 1.0, 1.0, 1.0, 1.0, 1.0), perfect)
     models = ["detect", "screen", "--models", str(trained), perfect]
     assert dispatch([*models, "--exclude-perfect", "--out", str(tmp_path / "a.csv")]) == 0

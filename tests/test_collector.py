@@ -44,9 +44,7 @@ from pmu_prospector.errors import ReportParseError
 from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
-    EventSelector,
     format_selector,
-    unpack_selector,
 )
 
 HIDDEN_6C = frozenset(u << 8 | 0x6C for u in range(256) if u & 0x01)
@@ -79,7 +77,7 @@ class _FailingBackend:
         self.label = inner.label
 
     def program(self, slot, value):
-        if value.selector.packed == self._fail:
+        if value.selector == self._fail:
             raise BackendError("injected programming failure")
         self._inner.program(slot, value)
 
@@ -136,7 +134,7 @@ class TestControlValues:
         assert len(values) == EVENT_SPACE_SIZE
         for packed in (0, 1, 0x016C, 0xFFFF):
             value = values[packed]
-            assert value.selector.packed == packed
+            assert value.selector == packed
             assert value.usr and value.os and value.enable
             assert not value.any_thread
 
@@ -152,7 +150,7 @@ class _ScriptedBackend:
         self.programmed: list[tuple[int, int]] = []
 
     def program(self, slot, value) -> None:
-        self.programmed.append((slot.index, value.selector.packed))
+        self.programmed.append((slot.index, value.selector))
 
     def read(self, slot) -> int:
         return self._reads[slot.index].pop(0)
@@ -178,7 +176,7 @@ class TestScanInstruction:
                 3: [1, 1, 1, 1, 2],
             }
         )
-        selectors = [EventSelector(0x10, u) for u in range(6)]
+        selectors = [u << 8 | 0x10 for u in range(6)]
         records = scan_instruction(
             ALU_ONLY[0], selectors, _StubExecutor(backend), ScanConfig(repetitions=5)
         )
@@ -194,7 +192,7 @@ class TestScanInstruction:
     def test_even_repetitions_take_lower_middle(self):
         backend = _ScriptedBackend({0: [4, 1, 3, 2]})
         records = scan_instruction(
-            ALU_ONLY[0], [EventSelector(0x10, 0)], _StubExecutor(backend),
+            ALU_ONLY[0], [0x0010], _StubExecutor(backend),
             ScanConfig(repetitions=4),
         )
         assert records[0].delta == 2
@@ -203,11 +201,11 @@ class TestScanInstruction:
         executor = make_executor()
         by_id = {e.id: e for e in corpus_entries}
         selectors = [
-            EventSelector(0x6C, 0x01),
-            EventSelector(0x6C, 0x00),
-            EventSelector(0xD3, 0x01),
-            EventSelector(0xD3, 0x00),
-            EventSelector(0x3C, 0x00),
+            0x016C,
+            0x006C,
+            0x01D3,
+            0x00D3,
+            0x003C,
         ]
         records = scan_instruction(by_id[1], selectors, executor)
         assert [r.delta for r in records] == [1, 0, 2, 0, 0]
@@ -219,7 +217,7 @@ class TestScanInstruction:
     ):
         executor = make_executor()
         by_id = {e.id: e for e in corpus_entries}
-        records = scan_instruction(by_id[8], [EventSelector(0x6C, 0x01)], executor)
+        records = scan_instruction(by_id[8], [0x016C], executor)
         assert records[0].outcome is ExecStatus.FAULT
         assert records[0].delta == 0
 
@@ -227,7 +225,7 @@ class TestScanInstruction:
         # 0x5E over-counts with position-seeded noise; 4-aligned parts keep
         # every selector on its slot, so fresh backends replay the same draws
         alu = next(e for e in corpus_entries if e.id == 3)
-        selectors = [EventSelector(0x5E, u) for u in range(256)]
+        selectors = [u << 8 | 0x5E for u in range(256)]
         config = ScanConfig(repetitions=2)
         whole = scan_instruction(alu, selectors, make_executor(seed=11), config)
         assert len({r.delta for r in whole}) > 1  # the noise is in play
@@ -239,7 +237,7 @@ class TestScanInstruction:
             assert sum(parts, []) == whole, bounds
 
     def test_lost_batch_raises(self):
-        selectors = [EventSelector(0x6C, u) for u in range(8)]
+        selectors = [u << 8 | 0x6C for u in range(8)]
         with pytest.raises(BackendError, match="injected"):
             scan_instruction(LOAD_ONLY[0], selectors, failing_executor(0x016C))
 
@@ -278,7 +276,7 @@ class TestFullScan:
         assert fixture_report.catalog_source == "catalog.csv"
 
     def test_documented_selectors_never_reported(self, fixture_report, catalog):
-        assert all(unpack_selector(p) not in catalog for p in fixture_report.hidden_events)
+        assert all(p not in catalog for p in fixture_report.hidden_events)
 
     def test_unsupported_instruction_logged_but_counted(
         self, make_executor, corpus_entries, catalog, caplog
@@ -343,7 +341,7 @@ class TestFullScan:
         nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "(0x....)"'
         for delta, entry_id, text in re.findall(nonzero, "".join(blocks)):
             packed = int(text, 16)
-            if int(delta) >= config.quiet_threshold and unpack_selector(packed) not in catalog:
+            if int(delta) >= config.quiet_threshold and packed not in catalog:
                 loud.setdefault(packed, set()).add(int(entry_id))
         assert loud == recorded.hidden_events
         assert {p & 0xFF for p in loud} == {0x08, 0x5E, 0x6C, 0xD3}
@@ -501,7 +499,7 @@ def sparse_blocks(draw):
 class TestRenderRecords:
     def test_selector_texts_follow_packed_order(self):
         assert list(selector_texts()) == [
-            format_selector(unpack_selector(p)) for p in range(EVENT_SPACE_SIZE)
+            format_selector(p) for p in range(EVENT_SPACE_SIZE)
         ]
         assert selector_texts() is selector_texts()
 
@@ -534,7 +532,7 @@ class TestRenderRecords:
         length=st.integers(min_value=0, max_value=RECORD_BLOCK),
     )
     def test_lines_equal_json_dumps(self, instruction_id, rows, start, length):
-        texts = [format_selector(unpack_selector(packed)) for packed, _, _ in rows]
+        texts = [format_selector(packed) for packed, _, _ in rows]
         deltas = [delta for _, delta, _ in rows]
         outcomes = [status.value for _, _, status in rows]
         text = render_records(instruction_id, texts, deltas, outcomes, start, start + length)

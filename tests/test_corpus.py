@@ -25,7 +25,7 @@ from pmu_prospector.corpus import (
     parse_corpus,
 )
 from pmu_prospector.errors import InstantiationError, NormalizationError
-from pmu_prospector.events import EventSelector, scan_control
+from pmu_prospector.events import scan_control
 
 
 def entry(mnemonic="ADD", templates=("r64", "r64"), ext="base", tag="alu", id=1, dialect=INTEL_ORDER):
@@ -242,7 +242,7 @@ class TestSimulatedExecutor:
     def test_success_dispatches_class_tag(self):
         e = entry()
         executor = make_executor_with([self.FAMILY])
-        executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        executor.backend.program(SLOTS[0], scan_control(0x016C))
         outcome = executor.execute(instantiate(e))
         assert outcome.status is ExecStatus.SUCCESS
         assert executor.backend.read(SLOTS[0]) == 1
@@ -250,7 +250,7 @@ class TestSimulatedExecutor:
     def test_fault_table_blocks_dispatch(self):
         e = entry(mnemonic="UD2", templates=(), tag="alu")
         executor = make_executor_with([self.FAMILY], fault_table={1: "illegal-instruction"})
-        executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        executor.backend.program(SLOTS[0], scan_control(0x016C))
         outcome = executor.execute(instantiate(e))
         assert outcome.status is ExecStatus.FAULT
         assert outcome.fault_kind == "illegal-instruction"
@@ -259,7 +259,7 @@ class TestSimulatedExecutor:
     def test_unsupported_extension_blocks_dispatch(self):
         e = entry(ext="sse2")
         executor = make_executor_with([self.FAMILY], extensions=frozenset({"base"}))
-        executor.backend.program(SLOTS[0], scan_control(EventSelector(0x6C, 0x01)))
+        executor.backend.program(SLOTS[0], scan_control(0x016C))
         outcome = executor.execute(instantiate(e))  # the register pool holds sse2
         assert outcome.status is ExecStatus.UNSUPPORTED
         assert executor.backend.read(SLOTS[0]) == 0

@@ -50,12 +50,12 @@ from pmu_prospector.detection import (
     write_screen_csv,
 )
 from pmu_prospector.errors import CapabilityError, DegenerateDataError, ReportParseError
-from pmu_prospector.events import EventSelector, parse_selector
+from pmu_prospector.events import parse_selector
 from pmu_prospector.seeding import derive_seed
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x00, frozenset({"memory-load"}))
 PRIMITIVE_FAMILY = SimEventFamily(0x5F, 0x00, frozenset({"fault-load"}))
-SELECTOR = EventSelector(0x6C, 0x01)
+SELECTOR = 0x016C
 
 
 def backend_with(family: SimEventFamily, seed: int = 0) -> SimulatedPmu:
@@ -141,7 +141,7 @@ class TestDatasetAndSplit:
         assert len(dataset.samples) == 80
         assert labels.count(0) == 40
         assert labels.count(1) == 40
-        assert dataset.split_seed == derive_seed(2, "split", SELECTOR.packed)
+        assert dataset.split_seed == derive_seed(2, "split", SELECTOR)
 
     @pytest.mark.parametrize("samples_per_class", [1, 0, -3])
     def test_rejects_fewer_than_two_samples_per_class(self, samples_per_class):
@@ -497,17 +497,17 @@ class TestScreen:
 
     def test_screen_returns_packed_order(self):
         reports = {
-            EventSelector(0x10, 0x02): report_with(),
-            EventSelector(0x10, 0x01): report_with(),
-            EventSelector(0x20, 0x00): report_with(accuracy=0.5),
+            0x0210: report_with(),
+            0x0110: report_with(),
+            0x0020: report_with(accuracy=0.5),
         }
-        assert screen(reports) == [EventSelector(0x10, 0x01), EventSelector(0x10, 0x02)]
+        assert screen(reports) == [0x0110, 0x0210]
 
 
 class TestEndToEnd:
     def test_primitive_counter_detects_perfectly(self):
         backend = backend_with(PRIMITIVE_FAMILY)
-        dataset = build_dataset(EventSelector(0x5F, 0x01), "meltdown", backend,
+        dataset = build_dataset(0x015F, "meltdown", backend,
                                 samples_per_class=200, seed=5)
         result = train(dataset)
         metrics = compute_metrics(result.model, result.test_samples)
@@ -517,7 +517,7 @@ class TestEndToEnd:
 
     def test_mixed_counter_detects_imperfectly_but_passes(self):
         family = SimEventFamily(0x60, 0x00, frozenset({"memory-load", "fault-load"}))
-        dataset = build_dataset(EventSelector(0x60, 0x01), "meltdown",
+        dataset = build_dataset(0x0160, "meltdown",
                                 backend_with(family), samples_per_class=200, seed=5)
         result = train(dataset)
         metrics = compute_metrics(result.model, result.test_samples)
@@ -527,7 +527,7 @@ class TestEndToEnd:
 
     def test_uninformative_counter_fails_screen(self):
         family = SimEventFamily(0x61, 0x00, frozenset({"branch"}))
-        dataset = build_dataset(EventSelector(0x61, 0x01), "meltdown",
+        dataset = build_dataset(0x0161, "meltdown",
                                 backend_with(family), samples_per_class=200, seed=5)
         result = train(dataset)
         metrics = compute_metrics(result.model, result.test_samples)
@@ -545,7 +545,7 @@ class TestEndToEnd:
         assert epochs == 15_301
 
     def test_train_keeps_heldout_samples(self):
-        dataset = build_dataset(EventSelector(0x5F, 0x01), "meltdown",
+        dataset = build_dataset(0x015F, "meltdown",
                                 backend_with(PRIMITIVE_FAMILY), samples_per_class=50, seed=5)
         result = train(dataset)
         assert len(result.train_samples) + len(result.test_samples) == 100
@@ -557,7 +557,7 @@ class TestPersistence:
         from pmu_prospector.detection import write_dataset_csv
 
         dataset = LabeledDataset(
-            SELECTOR, ((3, 0), (9, 1), (4, 0)), split_seed=derive_seed(77, "split", SELECTOR.packed)
+            SELECTOR, ((3, 0), (9, 1), (4, 0)), split_seed=derive_seed(77, "split", SELECTOR)
         )
         path = str(tmp_path / "dataset.csv")
         write_dataset_csv(dataset, path)
@@ -684,7 +684,7 @@ class TestPersistence:
             ((1 << 63) - 1, 1), (-(1 << 63), 0), (16, 1))
 
     def test_screen_csv_layout(self, tmp_path):
-        selectors = [EventSelector(0x10, 0x02), EventSelector(0x10, 0x01)]
+        selectors = [0x0210, 0x0110]
         reports = {selectors[0]: report_with(), selectors[1]: report_with(accuracy=0.5)}
         path = str(tmp_path / "screen.csv")
         write_screen_csv(reports, screen(reports), path)

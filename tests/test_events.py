@@ -7,7 +7,7 @@ from pmu_prospector.errors import CatalogError
 from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
-    EventSelector,
+    PackedSelector,
     PerfEvtSelValue,
     decode_msr_value,
     format_selector,
@@ -23,11 +23,7 @@ class _Byte(int):
     """An int subclass: the byte check accepts it like an int."""
 
 
-selectors = st.builds(
-    EventSelector,
-    event_code=st.integers(0, 255),
-    umask=st.integers(0, 255),
-)
+selectors = st.integers(0, EVENT_SPACE_SIZE - 1)
 
 sel_values = st.builds(
     PerfEvtSelValue,
@@ -46,29 +42,24 @@ sel_values = st.builds(
 
 class TestSelectorPacking:
     def test_pack_puts_umask_in_high_byte(self):
-        assert EventSelector(event_code=0x6C, umask=0x01).packed == 0x016C
+        assert load_catalog(io.StringIO("0x6C,0x01,widget\n")).entries == {0x016C: "widget"}
 
     def test_pack_extremes(self):
-        assert EventSelector(0, 0).packed == 0x0000
-        assert EventSelector(0xFF, 0xFF).packed == 0xFFFF
-
-    def test_unpack_recovers_both_bytes(self):
-        assert unpack_selector(0x016C) == EventSelector(event_code=0x6C, umask=0x01)
+        assert (format_selector(0), format_selector(0xFFFF)) == ("0x0000", "0xFFFF")
+        assert unpack_selector(0xFFFF).packed == parse_selector("0xFFFF") == 0xFFFF
 
     @given(selectors)
     def test_roundtrip(self, selector):
-        assert unpack_selector(selector.packed) == selector
+        unpacked = unpack_selector(selector)
+        assert type(unpacked) is PackedSelector
+        assert unpacked == unpacked.packed == selector
 
     def test_unpack_rejects_out_of_range(self):
         for bad in (-1, EVENT_SPACE_SIZE, 1 << 20):
             with pytest.raises(ValueError):
                 unpack_selector(bad)
-
-    def test_selector_rejects_out_of_range_bytes(self):
-        with pytest.raises(ValueError):
-            EventSelector(event_code=256, umask=0)
-        with pytest.raises(ValueError):
-            EventSelector(event_code=0, umask=-1)
+        with pytest.raises(TypeError):
+            unpack_selector(1.5)  # not truncated to selector 1
 
     @pytest.mark.parametrize("value", [
         0, 1, 0x6C, 255, 256, -1, 1 << 70, True, False, 1.0, 0.0, "1", None, _Byte(7), _Byte(300),
@@ -77,16 +68,30 @@ class TestSelectorPacking:
         # the check before the fast path for an exact int in [0, 255]
         accepted = isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 0xFF
         if accepted:
-            assert EventSelector(event_code=value, umask=0).event_code == value
+            assert PerfEvtSelValue(selector=0, counter_mask=value).counter_mask == value
         else:
-            with pytest.raises(ValueError, match="event_code must be an integer in"):
-                EventSelector(event_code=value, umask=0)
+            with pytest.raises(ValueError, match="counter_mask must be an integer in"):
+                PerfEvtSelValue(selector=0, counter_mask=value)
+
+    @pytest.mark.parametrize("value", [
+        0, 0x016C, 0xFFFF, _Byte(7),
+        EVENT_SPACE_SIZE, -1, 1 << 20, True, False, 1.0, "0x016C", None,
+    ])
+    def test_register_value_checks_its_selector(self, value):
+        accepted = (isinstance(value, int) and not isinstance(value, bool)
+                    and 0 <= value < EVENT_SPACE_SIZE)
+        if accepted:
+            assert PerfEvtSelValue(selector=value).selector == value
+        else:
+            with pytest.raises(ValueError, match=r"selector must be an integer in \[0, 65535\]"):
+                PerfEvtSelValue(selector=value)
 
     def test_format_and_parse(self):
-        selector = EventSelector(event_code=0x6C, umask=0x01)
-        assert format_selector(selector) == "0x016C"
-        assert parse_selector("0x016C") == selector
-        assert parse_selector("016c") == selector
+        assert format_selector(0x016C) == "0x016C"
+        assert format_selector(0x0008) == "0x0008"
+        assert parse_selector("0x016C") == 0x016C
+        assert parse_selector("016c") == 0x016C
+        assert parse_selector("016c").packed == 0x016C
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -99,8 +104,7 @@ class TestEnumeration:
     def test_covers_the_full_space_in_packed_order(self):
         space = [unpack_selector(packed) for packed in range(EVENT_SPACE_SIZE)]
         assert len(space) == 65536
-        assert space[0] == EventSelector(event_code=0, umask=0)
-        assert space[0x016C] == EventSelector(event_code=0x6C, umask=0x01)
+        assert space == list(range(EVENT_SPACE_SIZE))
         assert [s.packed for s in space[:300]] == list(range(300))
         assert space[-1].packed == 0xFFFF
 
@@ -110,13 +114,17 @@ class TestEnumeration:
 
 class TestRegisterImage:
     def test_render_default_scan_control(self):
-        value = scan_control(EventSelector(event_code=0x3C, umask=0x00))
+        value = scan_control(0x003C)
         assert render_msr_value(value) == 0x000000000043003C
+
+    def test_selector_sets_no_bit_above_15(self):
+        flags = render_msr_value(scan_control(0))
+        assert render_msr_value(scan_control(0xFFFF)) == flags | 0xFFFF
 
     def test_render_with_counter_mask(self):
         # oracle: OR each field at its documented position independently
         with_usr = PerfEvtSelValue(
-            selector=EventSelector(event_code=0x6C, umask=0x01),
+            selector=0x016C,
             usr=True,
             enable=True,
             counter_mask=2,
@@ -124,7 +132,7 @@ class TestRegisterImage:
         assert render_msr_value(with_usr) == 0x016C | (1 << 16) | (1 << 22) | (2 << 24)
         assert render_msr_value(with_usr) == 0x000000000241016C
         with_os = PerfEvtSelValue(
-            selector=EventSelector(event_code=0x6C, umask=0x01),
+            selector=0x016C,
             os=True,
             enable=True,
             counter_mask=2,
@@ -133,7 +141,7 @@ class TestRegisterImage:
         assert render_msr_value(with_os) == 0x000000000242016C
 
     def test_flag_bit_positions(self):
-        base = EventSelector(0, 0)
+        base = 0
         for name, bit in [
             ("usr", 16), ("os", 17), ("edge", 18), ("pin_control", 19),
             ("interrupt_enable", 20), ("any_thread", 21), ("enable", 22), ("invert", 23),
@@ -142,7 +150,7 @@ class TestRegisterImage:
             assert raw == 1 << bit, name
 
     def test_counter_mask_occupies_bits_31_24(self):
-        raw = render_msr_value(PerfEvtSelValue(selector=EventSelector(0, 0), counter_mask=0xFF))
+        raw = render_msr_value(PerfEvtSelValue(selector=0, counter_mask=0xFF))
         assert raw == 0xFF << 24
 
     @given(sel_values)
@@ -164,12 +172,12 @@ class TestRegisterImage:
             decode_msr_value(1 << 64)
 
     def test_scan_control_defaults(self):
-        value = scan_control(EventSelector(0x10, 0x20))
+        value = scan_control(0x2010)
         assert value.usr and value.os and value.enable
         assert not (value.edge or value.pin_control or value.interrupt_enable)
         assert not (value.any_thread or value.invert)
         assert value.counter_mask == 0
-        assert scan_control(EventSelector(0, 0), any_thread=True).any_thread
+        assert scan_control(0, any_thread=True).any_thread
 
 
 class TestUmaskGate:
@@ -193,8 +201,8 @@ class TestCatalog:
         text = "event_code,umask,name\n0x3C,0x00,clock\n0x6C,0x01,widget\n"
         catalog = load_catalog(io.StringIO(text), source="inline")
         assert len(catalog) == 2
-        assert EventSelector(0x3C, 0x00) in catalog
-        assert EventSelector(0x3C, 0x01) not in catalog
+        assert 0x003C in catalog
+        assert 0x013C not in catalog
 
     def test_duplicate_keys_fail(self):
         text = "0x3C,0x00,a\n0x3C,0x00,b\n"
@@ -219,7 +227,7 @@ class TestCatalog:
 
     def test_undocumented_complement_of_200_entry_catalog(self):
         entries = {
-            EventSelector(code, umask): f"e{code}-{umask}"
+            umask << 8 | code: f"e{code}-{umask}"
             for code in range(20)
             for umask in range(10)
         }

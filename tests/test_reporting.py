@@ -6,7 +6,6 @@ import pytest
 
 from pmu_prospector.collector import ScanReport
 from pmu_prospector.detection import MetricsReport
-from pmu_prospector.events import EventSelector
 from pmu_prospector.reporting import (
     render_summary,
     sample_rows,
@@ -67,11 +66,11 @@ class TestSampleRows:
 class TestMetricsPlot:
     def test_all_rows_kept_and_sorted_when_small(self, tmp_path):
         reports = {
-            EventSelector(0x10, 0x02): metrics(0.5),
-            EventSelector(0x10, 0x01): metrics(0.9),
+            0x0210: metrics(0.5),
+            0x0110: metrics(0.9),
         }
         path = str(tmp_path / "metrics.csv")
-        write_metrics_plot_csv(reports, path)
+        write_metrics_plot_csv(reports, path, sample_size=400, seed=0)
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == [
             "selector,accuracy,f1,auc",
@@ -80,7 +79,7 @@ class TestMetricsPlot:
         ]
 
     def test_oversized_input_is_sampled_then_sorted(self, tmp_path):
-        reports = {EventSelector(0x10, u): metrics() for u in range(256)}
+        reports = {u << 8 | 0x10: metrics() for u in range(256)}
         path = str(tmp_path / "metrics.csv")
         write_metrics_plot_csv(reports, path, sample_size=40, seed=1)
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -96,11 +95,11 @@ class TestMetricsPlot:
 class TestAccuracyPlot:
     def test_rows_sorted_by_selector(self, tmp_path):
         rows = [
-            (EventSelector(0x20, 0x01), 1.0),
-            (EventSelector(0x10, 0x01), 0.8125),
+            (0x0120, 1.0),
+            (0x0110, 0.8125),
         ]
         path = str(tmp_path / "accuracy.csv")
-        write_accuracy_plot_csv(rows, path)
+        write_accuracy_plot_csv(rows, path, sample_size=100, seed=0)
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == [
             "selector,accuracy",
@@ -109,7 +108,7 @@ class TestAccuracyPlot:
         ]
 
     def test_sampling_cap(self, tmp_path):
-        rows = [(EventSelector(0x10, u), 0.5) for u in range(200)]
+        rows = [(u << 8 | 0x10, 0.5) for u in range(200)]
         path = str(tmp_path / "accuracy.csv")
         write_accuracy_plot_csv(rows, path, sample_size=25, seed=9)
         lines = Path(path).read_text(encoding="utf-8").splitlines()

@@ -17,7 +17,6 @@ from pmu_prospector import backend as backend_module
 from pmu_prospector import sidechannel
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.errors import CapabilityError
-from pmu_prospector.events import EventSelector
 from pmu_prospector.seeding import point_fraction
 from pmu_prospector.sidechannel import (
     ATTACK_KINDS,
@@ -43,7 +42,7 @@ from pmu_prospector.sidechannel import (
 )
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
-BOUND = EventSelector(0x6C, 0x01)
+BOUND = 0x016C
 
 
 def load_backend(seed: int = 0, supports_tsx: bool = True) -> SimulatedPmu:
@@ -59,7 +58,7 @@ def run_trial(spec, selector, guess, position, backend, victim, iteration=0) -> 
     if not 0 <= position < len(victim.secret):
         raise IndexError(f"position {position} outside the {len(victim.secret)}-byte secret")
     fires = _fire_table(spec, victim, position, np.array([guess]), np.array([iteration]))
-    ((_, _, index, deltas),) = pmu.measure_counts([selector.packed], _gadget_classes(spec, pmu, fires))
+    ((_, _, index, deltas),) = pmu.measure_counts([selector], _gadget_classes(spec, pmu, fires))
     return int(deltas[0, 0]) if len(index) else 0
 
 
@@ -123,7 +122,7 @@ class TestRunTrial:
         # identical, so the channel through this selector is useless
         family = SimEventFamily(0x5E, 0x01, frozenset({"alu"}))
         backend = SimulatedPmu([family])
-        bound = EventSelector(0x5E, 0x01)
+        bound = 0x015E
         victim = SimVictim(b"A")
         assert run_trial(GadgetSpec(), bound, ord("A"), 0, backend, victim) == 1
         assert run_trial(GadgetSpec(), bound, ord("B"), 0, backend, victim) == 1
@@ -291,14 +290,14 @@ class TestSelectorScreening:
         victim = SimVictim(b"PMU!")
         template = GadgetSpec(secret_length=4)
         candidates = [
-            EventSelector(0x6C, 0x03),
-            EventSelector(0x5E, 0x01),
-            EventSelector(0x6C, 0x01),
+            0x036C,
+            0x015E,
+            0x016C,
         ]
         kept = screen_channel_events(candidates, template, backend, victim)
         assert kept == [
-            (EventSelector(0x6C, 0x01), 1.0),
-            (EventSelector(0x6C, 0x03), 1.0),
+            (0x016C, 1.0),
+            (0x036C, 1.0),
         ]
 
     def test_screen_accuracy_threshold_is_inclusive(self):
@@ -324,16 +323,15 @@ class TestSelectorScreening:
         # selector, listed out of packed order: 32 selectors of which 31 are
         # armed, so 3 per chunk leaves a ragged last chunk.  The four left
         # after position 0 share one chunk of 4, and two of them stop there.
-        candidates = [EventSelector(0xC0, 0x00), EventSelector(0xD3, 0x02),
-                      EventSelector(0x6C, 0x01)]
-        candidates += [EventSelector(0x5E, umask) for umask in range(0, 256, 9)]
+        candidates = [0x00C0, 0x02D3, 0x016C]
+        candidates += [umask << 8 | 0x5E for umask in range(0, 256, 9)]
         spec = GadgetSpec(iterations=3, secret_length=3)
         victim = SimVictim(b"PMU", false_fire_prob=0.2)
 
         def reference(bar):
             backend = sim_model.make_backend(3)
             rows = []
-            for selector in sorted(candidates, key=lambda s: s.packed):
+            for selector in sorted(candidates):
                 result = recover_secret(spec, selector, backend, victim)
                 accuracy = 1.0 - channel_metrics(result, victim.secret).error_rate
                 if accuracy >= bar:
@@ -352,7 +350,7 @@ class TestSelectorScreening:
         # one call per position: 28 stop at position 0 and 2 at position 1
         assert decoded == [(0, 32), (1, 4), (2, 2)]
         assert kept == reference(MIN_CHANNEL_ACCURACY)
-        assert kept == [(EventSelector(0x6C, 0x01), 1.0), (EventSelector(0xD3, 0x02), 1.0)]
+        assert kept == [(0x016C, 1.0), (0x02D3, 1.0)]
         # every accuracy, the noisy selectors' partial ones included
         monkeypatch.setattr(sidechannel, "MIN_CHANNEL_ACCURACY", 0.0)
         every = screen_channel_events(candidates, spec, sim_model.make_backend(3), victim)
@@ -361,8 +359,8 @@ class TestSelectorScreening:
 
     # every umask of the noisy 0x5E family, of the two load counters and of
     # 0x08, which the gadget never triggers, in packed order
-    SCREENED = sorted((EventSelector(code, umask) for code in (0x08, 0x5E, 0x6C, 0xD3)
-                       for umask in range(256)), key=lambda s: s.packed)
+    SCREENED = sorted(umask << 8 | code for code in (0x08, 0x5E, 0x6C, 0xD3)
+                      for umask in range(256))
 
     SPEC = GadgetSpec(iterations=2)
 
@@ -388,7 +386,7 @@ class TestSelectorScreening:
         victim, rows, _ = every_cell
         kept = screen_channel_events(self.SCREENED, self.SPEC, sim_model.make_backend(3), victim)
         assert kept == rows
-        assert {s.event_code for s, _ in kept} == {0x6C, 0xD3}
+        assert {s & 0xFF for s, _ in kept} == {0x6C, 0xD3}
         assert {accuracy for _, accuracy in kept} == {0.9375}  # a false fire costs one byte
 
     def test_early_stop_decodes_fewer_cells(self, sim_model, every_cell, monkeypatch):
@@ -417,7 +415,7 @@ class TestSelectorScreening:
             finally:
                 tracemalloc.stop()
 
-        noisy = [EventSelector(0x5E, umask) for umask in range(256)]
+        noisy = [umask << 8 | 0x5E for umask in range(256)]
         few, many = peak(noisy[:32]), peak(noisy)
         assert many < 1.5 * few
 
