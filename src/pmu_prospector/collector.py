@@ -9,13 +9,13 @@ so one workload run measures four candidates.  A selector is readable for
 an instruction when the lower median delta over the repetitions reaches
 the quiet threshold; readable selectors absent from the documented catalog
 are the hidden events.  Since the threshold is at least 1, only the rows a
-batch yields are searched, and the dense medians of the whole space are
-built only for the NDJSON records.
+batch yields are searched.  The NDJSON records are rendered as bytes from
+each instruction's batch spans and its nonzero medians (RecordRenderer);
+no per-selector list of the whole space is built.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -30,8 +30,10 @@ from .events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
     PerfEvtSelValue,
+    format_selector,
     parse_selector,
     scan_control,
+    selector_ascii,
     unpack_selector,
 )
 from .inputs import Field, read_json
@@ -39,7 +41,7 @@ from .outputs import write_json
 
 log = logging.getLogger(__name__)
 
-RECORD_BLOCK = 4096  # NDJSON lines per record_sink call; bounds the text held at once
+RECORD_BLOCK = 4096  # NDJSON lines per record_sink call: the rows of the reused quiet-line buffer
 
 
 @dataclass(frozen=True)
@@ -136,59 +138,86 @@ def scan_instruction(
     return records
 
 
-@functools.cache
-def selector_texts() -> tuple[str, ...]:
-    """format_selector(p) for every packed selector p, at index p; the tuple
-    is built once per process."""
-    digits = [f"{i:02X}" for i in range(256)]
-    return tuple("0x" + umask + code for umask in digits for code in digits)
+class RecordRenderer:
+    """Renders a scan's NDJSON records as bytes, RECORD_BLOCK lines a block.
 
+    Each line is byte-identical to json.dumps({"selector":
+    format_selector(p), "instruction": instruction_id, "delta": delta,
+    "outcome": outcome}, sort_keys=True) followed by a newline, for integer
+    ids and deltas and the ExecStatus values, none of which need JSON
+    escaping.
 
-def render_records(
-    instruction_id: int,
-    texts: Sequence[str],
-    deltas: Sequence[int] | np.ndarray,
-    outcomes: Sequence[str],
-    start: int,
-    stop: int,
-) -> str:
-    """NDJSON lines for the selectors at indexes start..stop-1 of the
-    aligned texts, deltas and outcome values.
-
-    Each line is byte-identical to json.dumps({"selector": text,
-    "instruction": instruction_id, "delta": delta, "outcome": outcome},
-    sort_keys=True) followed by a newline, for integer ids and deltas and
-    the ExecStatus values, none of which need JSON escaping.
-
-    A line is quiet when its delta is 0 and its outcome is the range's first
-    one; most lines of a scan are.  Each run of quiet lines is rendered with
-    one str.join over its selector texts and every other line on its own, so
-    the text is byte-identical to rendering each line by itself.
+    Most lines of a scan are quiet: delta 0 and the outcome of their span.
+    They are cut from one reused RECORD_BLOCK x width uint8 buffer of quiet
+    lines, whose head columns are rewritten only when the instruction or the
+    outcome changes and which is rebuilt only when the head's width does;
+    the selector columns are copied in per block from selector_ascii().
+    Each line with a nonzero delta is rendered on its own and spliced in.
     """
-    texts, deltas, outcomes = texts[start:stop], deltas[start:stop], outcomes[start:stop]
-    if not texts:
-        return ""
-    first = outcomes[0]
-    odd = np.asarray(deltas) != 0
-    if outcomes.count(first) != len(outcomes):  # a lost or faulting batch
-        odd |= np.array([outcome != first for outcome in outcomes])
 
-    def head(delta: int, outcome: str) -> str:
-        return (f'{{"delta": {delta}, "instruction": {instruction_id}, '
-                f'"outcome": "{outcome}", "selector": "')
+    def __init__(self) -> None:
+        self._head = b""
+        self._lines = np.empty((RECORD_BLOCK, 0), np.uint8)
 
-    quiet = head(0, first)
-    sep = '"}\n' + quiet
-    parts = []
-    run = 0  # first index of the current run of quiet lines
-    for i in np.flatnonzero(odd).tolist():
-        if run < i:
-            parts.append(quiet + sep.join(texts[run:i]) + '"}\n')
-        parts.append(head(int(deltas[i]), outcomes[i]) + texts[i] + '"}\n')
-        run = i + 1
-    if run < len(texts):
-        parts.append(quiet + sep.join(texts[run:]) + '"}\n')
-    return "".join(parts)
+    def render(
+        self,
+        instruction_id: int,
+        spans: Iterable[tuple[int, int, str]],
+        index: np.ndarray,
+        deltas: np.ndarray,
+    ) -> Iterator[bytes]:
+        """The records of one instruction, one bytes object per RECORD_BLOCK
+        block of the packed order (blocks start at multiples of it).
+
+        spans are (start, stop, outcome value) and tile a range of packed
+        selectors in order; index is the ascending int64 array of the
+        selectors in that range whose delta, at the same position of
+        deltas, is nonzero.  Every other selector's delta is 0.
+        """
+        parts: list[bytes] = []
+        for start, stop, outcome in spans:
+            self._set_head(instruction_id, outcome)
+            while start < stop:
+                end = min(stop, (start // RECORD_BLOCK + 1) * RECORD_BLOCK)
+                parts.append(self._piece(instruction_id, outcome, index, deltas, start, end))
+                if end % RECORD_BLOCK == 0:
+                    yield b"".join(parts)
+                    parts = []
+                start = end
+        if parts:
+            yield b"".join(parts)
+
+    def _set_head(self, instruction_id: int, outcome: str) -> None:
+        head = _record_line(0, instruction_id, outcome, "")[:-3]  # up to the selector
+        if head == self._head:
+            return
+        width = len(head) + 9  # the selector's six characters, then '"}\n'
+        if self._lines.shape[1] != width:
+            self._lines = np.empty((RECORD_BLOCK, width), np.uint8)
+            self._lines[:, -3:] = np.frombuffer(b'"}\n', np.uint8)
+        self._lines[:, : len(head)] = np.frombuffer(head, np.uint8)
+        self._head = head
+
+    def _piece(self, instruction_id: int, outcome: str, index: np.ndarray,
+               deltas: np.ndarray, start: int, stop: int) -> bytes:
+        """The lines of selectors start..stop-1, all in one block and span."""
+        lines, width = self._lines, self._lines.shape[1]
+        lines[: stop - start, width - 9 : width - 3] = selector_ascii()[start:stop]
+        flat = memoryview(lines.reshape(-1))
+        low, high = np.searchsorted(index, (start, stop)).tolist()
+        parts = []
+        row = 0  # first quiet line not yet taken
+        for selector, delta in zip(index[low:high].tolist(), deltas[low:high].tolist()):
+            parts.append(flat[row * width : (selector - start) * width])
+            parts.append(_record_line(delta, instruction_id, outcome, format_selector(selector)))
+            row = selector - start + 1
+        parts.append(flat[row * width : (stop - start) * width])
+        return b"".join(parts)
+
+
+def _record_line(delta: int, instruction_id: int, outcome: str, selector: str) -> bytes:
+    return (f'{{"delta": {delta}, "instruction": {instruction_id}, '
+            f'"outcome": "{outcome}", "selector": "{selector}"}}\n').encode()
 
 
 def full_scan(
@@ -196,7 +225,7 @@ def full_scan(
     catalog: EventCatalog,
     executor,
     config: ScanConfig = ScanConfig(),
-    record_sink: Callable[[str], object] | None = None,
+    record_sink: Callable[[bytes], object] | None = None,
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
@@ -208,15 +237,15 @@ def full_scan(
     count toward total_instructions.
 
     record_sink, when given, receives the NDJSON records of each scanned
-    instruction as rendered text, RECORD_BLOCK lines per call, in packed
-    order: one line per selector (see render_records), whose outcome is
-    that of the selector's own batch, or backend-error for a lost batch.
-    A skipped instruction writes nothing.
+    instruction as bytes, RECORD_BLOCK lines per call, in packed order: one
+    line per selector (see RecordRenderer), whose outcome is that of the
+    selector's own batch, or backend-error for a lost batch.  A skipped
+    instruction writes nothing.
     """
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
     documented[list(catalog.entries)] = True
-    texts = selector_texts() if record_sink is not None else None
+    renderer = RecordRenderer() if record_sink is not None else None
     hidden: dict[int, set[int]] = {}
     total = 0
     executed_success = 0
@@ -228,8 +257,11 @@ def full_scan(
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue
-        medians = np.zeros(EVENT_SPACE_SIZE, np.int64) if record_sink is not None else None
-        measured: list[tuple[int, int, ExecStatus]] = []  # start, stop, outcome per batch
+        # [start, stop, outcome] per batch, neighbours with one outcome merged;
+        # the batches tile codes, and a lost one's outcome is BACKEND_ERROR
+        spans: list[list] = []
+        # the selectors with a nonzero median and those medians, for the records
+        loud_index, loud_medians = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for start, stop, index, deltas, outcome in _measure_snippet(
             executor, snippet, codes, config
         ):
@@ -238,26 +270,35 @@ def full_scan(
                     "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
                     codes[start], codes[stop - 1], entry.id, outcome,
                 )
+                outcome = ExecStatus.BACKEND_ERROR
+            if spans and spans[-1][2] is outcome:
+                spans[-1][1] = stop
+            else:
+                spans.append([start, stop, outcome])
+            if outcome is ExecStatus.BACKEND_ERROR:
                 continue
-            measured.append((start, stop, outcome))
             # a position outside index measured 0, whose median never reaches
             # the threshold (ScanConfig keeps it at least 1); codes is the
             # space in packed order, so codes[index] is index itself
             batch = _lower_medians(deltas)
             for packed in index[(batch >= threshold) & ~documented[index]].tolist():
                 hidden.setdefault(packed, set()).add(entry.id)
-            if medians is not None:
-                medians[index] = batch
-        if measured and all(outcome is ExecStatus.SUCCESS for _, _, outcome in measured):
+            if renderer is not None:
+                nonzero = batch != 0
+                if nonzero.any():  # the scalar path's 16,384 batches are mostly quiet
+                    loud_index.append(index[nonzero])
+                    loud_medians.append(batch[nonzero])
+        measured = {outcome for _, _, outcome in spans} - {ExecStatus.BACKEND_ERROR}
+        if measured == {ExecStatus.SUCCESS}:
             executed_success += 1
-        if record_sink is not None:
-            outcomes = [ExecStatus.BACKEND_ERROR.value] * EVENT_SPACE_SIZE  # lost batches keep it
-            for start, stop, outcome in measured:
-                outcomes[start:stop] = [outcome.value] * (stop - start)
-            for start in range(0, EVENT_SPACE_SIZE, RECORD_BLOCK):
-                record_sink(render_records(
-                    entry.id, texts, medians, outcomes, start, start + RECORD_BLOCK
-                ))
+        if renderer is not None:
+            for block in renderer.render(
+                entry.id,
+                [(start, stop, outcome.value) for start, stop, outcome in spans],
+                np.concatenate(loud_index),
+                np.concatenate(loud_medians),
+            ):
+                record_sink(block)
     return ScanReport(
         microarchitecture_label=_backend_label(executor),
         total_instructions=total,
@@ -275,9 +316,9 @@ def _backend_label(executor) -> str:
 _REPORT_FORMAT = "pmu-prospector-scan-v1"
 
 
-def ndjson_record_sink(fh) -> Callable[[str], object]:
+def ndjson_record_sink(fh) -> Callable[[bytes], object]:
     """Record sink for full_scan: writes each rendered block of NDJSON
-    records to the text file fh as it arrives."""
+    records to the binary file fh as it arrives."""
     return fh.write
 
 
@@ -294,7 +335,8 @@ def persist_report(report: ScanReport, path: str) -> None:
         "total_instructions": report.total_instructions,
         "executed_success": report.executed_success,
         "hidden_events": {
-            f"0x{packed:04X}": sorted(ids) for packed, ids in report.hidden_events.items()
+            format_selector(selector): sorted(ids)
+            for selector, ids in report.hidden_events.items()
         },
     }
     write_json(path, doc)

@@ -12,9 +12,12 @@ layout.  Selection registers are programmed with a 64-bit image whose low
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CatalogError
 
@@ -60,8 +63,28 @@ def unpack_selector(packed: int) -> PackedSelector:
     return PackedSelector(operator.index(packed))
 
 
+def split_selector(selector: int) -> tuple[int, int]:
+    """(event_code, umask) of a packed selector."""
+    return selector & 0xFF, selector >> 8
+
+
 def format_selector(selector: int) -> str:
     return f"0x{selector:04X}"
+
+
+@functools.cache
+def selector_ascii() -> np.ndarray:
+    """format_selector(p) of every packed selector p as ASCII: row p of a
+    read-only (EVENT_SPACE_SIZE, 6) uint8 array, built once per process
+    from the four hexadecimal digits of each p."""
+    packed = np.arange(EVENT_SPACE_SIZE)
+    digits = np.frombuffer(b"0123456789ABCDEF", np.uint8)
+    table = np.empty((EVENT_SPACE_SIZE, 6), np.uint8)
+    table[:, :2] = np.frombuffer(b"0x", np.uint8)
+    for column, shift in enumerate((12, 8, 4, 0), start=2):
+        table[:, column] = digits[(packed >> shift) & 0xF]
+    table.flags.writeable = False
+    return table
 
 
 def parse_selector(text: str) -> PackedSelector:

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import or_
 
 from .collector import ScanReport
-from .events import umask_gates
+from .events import split_selector, umask_gates
 from .outputs import write_csv
 
 _SINGLE_BITS = tuple(1 << bit for bit in range(8))
@@ -64,8 +64,9 @@ def infer_relevance_mask(event_code: int, counted: Collection[int]) -> Relevance
 def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:
     """Hidden umasks per event code, both dimensions sorted ascending."""
     grouped: dict[int, set[int]] = {}
-    for packed in report.hidden_events:
-        grouped.setdefault(packed & 0xFF, set()).add(packed >> 8)
+    for selector in report.hidden_events:
+        event_code, umask = split_selector(selector)
+        grouped.setdefault(event_code, set()).add(umask)
     return {code: sorted(grouped[code]) for code in sorted(grouped)}
 
 

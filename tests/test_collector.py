@@ -12,16 +12,18 @@ import io
 import json
 import logging
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmu_prospector.backend import BackendError, SimEventFamily, SimulatedPmu
 from pmu_prospector.collector import (
     RECORD_BLOCK,
+    RecordRenderer,
     ScanConfig,
     _lower_medians,
     ScanReport,
@@ -30,9 +32,7 @@ from pmu_prospector.collector import (
     load_report,
     ndjson_record_sink,
     persist_report,
-    render_records,
     scan_instruction,
-    selector_texts,
 )
 from pmu_prospector.corpus import (
     ExecOutcome,
@@ -333,13 +333,13 @@ class TestFullScan:
         # the fixture's 0x5E family is noisy, so its medians vary with the
         # repetitions; the records hold the dense medians of every selector
         config = ScanConfig(repetitions=repetitions)
-        blocks: list[str] = []
+        blocks: list[bytes] = []
         recorded = full_scan(corpus_entries, catalog, make_executor(seed=4), config,
                              record_sink=blocks.append)
         assert full_scan(corpus_entries, catalog, make_executor(seed=4), config) == recorded
         loud: dict[int, set[int]] = {}
         nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "(0x....)"'
-        for delta, entry_id, text in re.findall(nonzero, "".join(blocks)):
+        for delta, entry_id, text in re.findall(nonzero, b"".join(blocks).decode()):
             packed = int(text, 16)
             if int(delta) >= config.quiet_threshold and packed not in catalog:
                 loud.setdefault(packed, set()).add(int(entry_id))
@@ -352,7 +352,7 @@ class TestRecordSink:
         family = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
 
         def run():
-            sink_file = io.StringIO()
+            sink_file = io.BytesIO()
             full_scan(
                 LOAD_ONLY,
                 EventCatalog(),
@@ -374,10 +374,10 @@ class TestRecordSink:
             "delta": 1, "instruction": 1, "outcome": "success", "selector": "0x016C"
         }
         # repeat runs produce byte-identical streams
-        assert hashlib.sha256(run().encode()).digest() == hashlib.sha256(text.encode()).digest()
+        assert hashlib.sha256(run()).digest() == hashlib.sha256(text).digest()
 
     def test_lost_batch_records_read_backend_error(self):
-        sink_file = io.StringIO()
+        sink_file = io.BytesIO()
         full_scan(
             LOAD_ONLY, EventCatalog(), failing_executor(0x016C), ScanConfig(repetitions=1),
             record_sink=ndjson_record_sink(sink_file),
@@ -399,7 +399,7 @@ class TestRecordSink:
         # repetition, so run 0x016C // 4 + 1 measures selectors 0x016C..0x016F
         inner = failing_executor(fail_packed=-1)  # a scalar-path backend that never fails
         executor = _FaultingBatchExecutor(inner, fault_call=0x016C // 4 + 1)
-        sink_file = io.StringIO()
+        sink_file = io.BytesIO()
         report = full_scan(
             LOAD_ONLY, EventCatalog(), executor, ScanConfig(repetitions=1),
             record_sink=ndjson_record_sink(sink_file),
@@ -418,7 +418,7 @@ class TestRecordSink:
         blocks: list[str] = []
         full_scan(
             corpus_entries, catalog, make_executor(seed=3), ScanConfig(repetitions=1),
-            record_sink=blocks.append,
+            record_sink=lambda block: blocks.append(block.decode()),
         )
         calls: Counter[int] = Counter()
         for block in blocks:
@@ -432,7 +432,23 @@ class TestRecordSink:
         stream = "".join(blocks)
         assert stream.count("\n") == len(scanned) * EVENT_SPACE_SIZE
         selectors = re.findall(r'"selector": "(0x[0-9A-F]{4})"', stream)
-        assert selectors == list(selector_texts()) * len(scanned)
+        assert selectors == [format_selector(p) for p in range(EVENT_SPACE_SIZE)] * len(scanned)
+
+    def test_scan_holds_no_list_of_the_whole_space(self, make_executor, corpus_entries, catalog):
+        # a 65,536-entry list takes 0.5 MiB: a scan that builds two per
+        # instruction, an outcome list and a dense median array, peaks at
+        # about 2.2 MiB on this instruction, and this one at about 1.1 MiB
+        entry = [e for e in corpus_entries if e.id == 1]
+        config = ScanConfig(repetitions=1)
+        full_scan(entry, catalog, make_executor(seed=3), config, record_sink=lambda b: None)
+        executor = make_executor(seed=3)  # the warm-up above built the per-process tables
+        tracemalloc.start()
+        try:
+            full_scan(entry, catalog, executor, config, record_sink=lambda b: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 @st.composite
@@ -461,89 +477,70 @@ class TestLowerMedians:
         assert np.array_equal(deltas, given_deltas)  # the input is left as it was
 
 
-def per_line_render(instruction_id, texts, deltas, outcomes, start, stop):
-    """Reference oracle: one f-string per line, as render_records built
-    each line before it joined runs of quiet lines."""
-    return "".join([
-        f'{{"delta": {delta}, "instruction": {instruction_id}, '
-        f'"outcome": "{outcome}", "selector": "{text}"}}\n'
-        for text, delta, outcome in zip(
-            texts[start:stop], deltas[start:stop], outcomes[start:stop]
-        )
-    ])
+def json_lines(instruction_id, spans, loud):
+    """Reference oracle: json.dumps of each record, one selector at a time."""
+    return [
+        json.dumps({"selector": format_selector(p), "instruction": instruction_id,
+                    "delta": loud.get(p, 0), "outcome": outcome}, sort_keys=True) + "\n"
+        for start, stop, outcome in spans for p in range(start, stop)
+    ]
 
 
 @st.composite
-def sparse_blocks(draw):
-    """Aligned texts, deltas and outcomes as a scan renders them: deltas
-    mostly 0 and outcomes mostly one ExecStatus, plus a start and stop that
-    may give an empty range, run past the end or cover a full block."""
-    n = draw(st.one_of(st.just(RECORD_BLOCK), st.integers(min_value=0, max_value=64)))
-    index = st.integers(min_value=0, max_value=max(n - 1, 0))
-    nonzero = draw(st.dictionaries(index, st.integers(min_value=1, max_value=2**63 - 1),
-                                   max_size=12))
-    others = draw(st.dictionaries(index, st.sampled_from(ExecStatus), max_size=12))
-    common = draw(st.sampled_from(ExecStatus))
-    base = draw(st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - n))
-    texts = selector_texts()[base : base + n]
-    deltas = [nonzero.get(i, 0) for i in range(n)]
-    outcomes = [others.get(i, common).value for i in range(n)]
-    if draw(st.booleans()):
-        start, stop = 0, RECORD_BLOCK
-    else:
-        start = draw(st.integers(min_value=0, max_value=n + 2))
-        stop = draw(st.integers(min_value=0, max_value=n + 8))
-    return texts, deltas, outcomes, start, stop
+def record_calls(draw):
+    """Arguments of consecutive RecordRenderer.render calls: ids in +-2**70,
+    spans of any outcome that tile a range of up to a few blocks from a drawn
+    first selector, and sparse nonzero int64 deltas, negative ones included."""
+    calls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        instruction_id = draw(st.integers(min_value=-(2**70), max_value=2**70))
+        size = draw(st.integers(min_value=0, max_value=2 * RECORD_BLOCK + 64))
+        first = draw(st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - size))
+        cuts = draw(st.sets(st.integers(min_value=first + 1, max_value=first + size - 1),
+                            max_size=6)) if size > 1 else set()
+        bounds = [first, *sorted(cuts), first + size] if size else []
+        spans = [(start, stop, draw(st.sampled_from(ExecStatus)).value)
+                 for start, stop in zip(bounds, bounds[1:])]
+        loud = draw(st.dictionaries(
+            st.integers(min_value=first, max_value=max(first, first + size - 1)),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1).filter(bool),
+            max_size=12,
+        )) if size else {}
+        calls.append((instruction_id, spans, loud))
+    return calls
 
 
 class TestRenderRecords:
-    def test_selector_texts_follow_packed_order(self):
-        assert list(selector_texts()) == [
-            format_selector(p) for p in range(EVENT_SPACE_SIZE)
-        ]
-        assert selector_texts() is selector_texts()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        instruction_id=st.integers(min_value=-(2**70), max_value=2**70),
-        block=sparse_blocks(),
-        as_array=st.booleans(),
-    )
-    def test_equals_per_line_render(self, instruction_id, block, as_array):
-        texts, deltas, outcomes, start, stop = block
-        given_deltas = np.array(deltas, np.int64) if as_array else deltas
-        text = render_records(instruction_id, texts, given_deltas, outcomes, start, stop)
-        expected = per_line_render(instruction_id, texts, deltas, outcomes, start, stop)
-        # lists, so a failure names the first differing line instead of diffing the block
-        assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        instruction_id=st.integers(min_value=-(2**70), max_value=2**70),
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - 1),
-                st.integers(min_value=0, max_value=2**63 - 1),
-                st.sampled_from(ExecStatus),
-            ),
-            max_size=40,
-        ),
-        start=st.integers(min_value=0, max_value=40),
-        length=st.integers(min_value=0, max_value=RECORD_BLOCK),
-    )
-    def test_lines_equal_json_dumps(self, instruction_id, rows, start, length):
-        texts = [format_selector(packed) for packed, _, _ in rows]
-        deltas = [delta for _, delta, _ in rows]
-        outcomes = [status.value for _, _, status in rows]
-        text = render_records(instruction_id, texts, deltas, outcomes, start, start + length)
-        expected = [
-            json.dumps(
-                {"selector": t, "instruction": instruction_id, "delta": d, "outcome": o},
-                sort_keys=True,
-            ) + "\n"
-            for t, d, o in list(zip(texts, deltas, outcomes))[start : start + length]
-        ]
-        assert text.splitlines(keepends=True) == expected
+    @settings(max_examples=150, deadline=None)
+    @given(calls=record_calls())
+    @example(calls=[
+        # a success span across the boundary at RECORD_BLOCK, then a
+        # backend-error span that starts and ends inside the next block
+        (7, [(RECORD_BLOCK - 5, RECORD_BLOCK + 9, "success"),
+             (RECORD_BLOCK + 9, RECORD_BLOCK + 20, "backend-error"),
+             (RECORD_BLOCK + 20, RECORD_BLOCK + 30, "success")],
+         {RECORD_BLOCK - 1: -3, RECORD_BLOCK: 2**63 - 1, RECORD_BLOCK + 9: 1}),
+        # a wider head rebuilds the buffer, and a narrower one again
+        (-(2**70), [(0, 3, "unsupported")], {2: -(2**63)}),
+        (8, [(EVENT_SPACE_SIZE - 2, EVENT_SPACE_SIZE, "fault")], {}),
+    ])
+    def test_lines_equal_json_dumps(self, calls):
+        renderer = RecordRenderer()
+        for instruction_id, spans, loud in calls:
+            index = np.array(sorted(loud), np.int64)
+            deltas = np.array([loud[p] for p in sorted(loud)], np.int64)
+            blocks = list(renderer.render(instruction_id, spans, index, deltas))
+            assert all(type(block) is bytes for block in blocks)
+            text = b"".join(blocks).decode()
+            # lists, so a failure names the first differing line instead of diffing the block
+            assert text.splitlines(keepends=True) == json_lines(instruction_id, spans, loud)
+            # one block per RECORD_BLOCK-aligned block of packed order the range touches
+            touched = {p // RECORD_BLOCK for start, stop, _ in spans for p in (start, stop - 1)}
+            assert len(blocks) == (max(touched) - min(touched) + 1 if spans else 0)
+            for block in blocks:
+                numbers = {int(p, 16) // RECORD_BLOCK
+                           for p in re.findall(rb'"selector": "(0x[0-9A-F]{4})"', block)}
+                assert len(numbers) == 1
 
 
 def report_cli(file: str) -> list[str]:

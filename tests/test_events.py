@@ -15,6 +15,8 @@ from pmu_prospector.events import (
     parse_selector,
     render_msr_value,
     scan_control,
+    selector_ascii,
+    split_selector,
     umask_gates,
     unpack_selector,
 )
@@ -92,6 +94,20 @@ class TestSelectorPacking:
         assert parse_selector("0x016C") == 0x016C
         assert parse_selector("016c") == 0x016C
         assert parse_selector("016c").packed == 0x016C
+
+    def test_ascii_table_rows_equal_format_selector(self):
+        table = selector_ascii()
+        assert table.shape == (EVENT_SPACE_SIZE, 6)
+        assert table.tobytes() == "".join(
+            format_selector(p) for p in range(EVENT_SPACE_SIZE)
+        ).encode("ascii")
+        assert selector_ascii() is table  # built once per process
+        assert not table.flags.writeable
+
+    @given(st.integers(0, 255), st.integers(0, 255))
+    def test_split_inverts_the_packing(self, event_code, umask):
+        packed = load_catalog(io.StringIO(f"0x{event_code:02X},0x{umask:02X},e\n")).entries
+        assert [split_selector(p) for p in packed] == [(event_code, umask)]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
