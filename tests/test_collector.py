@@ -486,6 +486,35 @@ def json_lines(instruction_id, spans, loud):
     ]
 
 
+def per_line_render(instruction_id, base, deltas, outcomes):
+    """Reference oracle: one f-string per line, the selector of line i being
+    base + i, as records were built before quiet lines were cut from a block."""
+    return [
+        f'{{"delta": {delta}, "instruction": {instruction_id}, '
+        f'"outcome": "{outcome}", "selector": "{format_selector(base + i)}"}}\n'
+        for i, (delta, outcome) in enumerate(zip(deltas, outcomes))
+    ]
+
+
+@st.composite
+def sparse_blocks(draw):
+    """Aligned deltas and outcomes from a drawn first selector, as a scan
+    renders them: deltas mostly 0 and outcomes mostly one ExecStatus, over
+    a range that may be empty, cross a block boundary or fill a block."""
+    n = draw(st.one_of(st.just(RECORD_BLOCK), st.integers(min_value=0, max_value=64)))
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    nonzero = draw(st.dictionaries(
+        index, st.integers(min_value=-(2**63), max_value=2**63 - 1).filter(bool),
+        max_size=12,
+    ))
+    others = draw(st.dictionaries(index, st.sampled_from(ExecStatus), max_size=12))
+    common = draw(st.sampled_from(ExecStatus))
+    base = draw(st.integers(min_value=0, max_value=EVENT_SPACE_SIZE - n))
+    deltas = [nonzero.get(i, 0) for i in range(n)]
+    outcomes = [others.get(i, common).value for i in range(n)]
+    return base, deltas, outcomes
+
+
 @st.composite
 def record_calls(draw):
     """Arguments of consecutive RecordRenderer.render calls: ids in +-2**70,
@@ -541,6 +570,29 @@ class TestRenderRecords:
                 numbers = {int(p, 16) // RECORD_BLOCK
                            for p in re.findall(rb'"selector": "(0x[0-9A-F]{4})"', block)}
                 assert len(numbers) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instruction_id=st.integers(min_value=-(2**70), max_value=2**70),
+        block=sparse_blocks(),
+    )
+    def test_equals_per_line_render(self, instruction_id, block):
+        base, deltas, outcomes = block
+        # one span per run of equal outcomes, as the scan hands them over
+        spans = []
+        for i, outcome in enumerate(outcomes, base):
+            if spans and spans[-1][2] == outcome:
+                spans[-1] = (spans[-1][0], i + 1, outcome)
+            else:
+                spans.append((i, i + 1, outcome))
+        loud = [i for i, delta in enumerate(deltas) if delta]
+        index = np.array([base + i for i in loud], np.int64)
+        text = b"".join(RecordRenderer().render(
+            instruction_id, spans, index, np.array([deltas[i] for i in loud], np.int64),
+        )).decode()
+        # lists, so a failure names the first differing line instead of diffing the block
+        assert text.splitlines(keepends=True) == per_line_render(
+            instruction_id, base, deltas, outcomes)
 
 
 def report_cli(file: str) -> list[str]:
