@@ -22,7 +22,8 @@ from .errors import (
     ReportParseError,
     SlotRangeError,
 )
-from .events import PerfEvtSelValue, render_msr_value, scan_control, unpack_selector
+from .events import (EVENT_SPACE_SIZE, PerfEvtSelValue, pack_selector, render_msr_value,
+                     scan_control, unpack_selector)
 from .inputs import read_json
 from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 
@@ -249,22 +250,20 @@ class SimulatedPmu(CounterBackend):
         self._class_index = {tag: i for i, tag in enumerate(classes)}
         self._tally = [0] * (len(classes) + 1)
         self._quiet_row = len(families)
-        # the row of every selector: its family's where the umask gate is
-        # open, else the quiet row; laid out [umask, event code], so that
-        # the raveled table is indexed by packed selector
-        rows = np.full((256, 256), self._quiet_row, np.int16)
+        # the row of every packed selector: its family's where the umask gate
+        # is open, else the quiet row
+        self._rows = np.full(EVENT_SPACE_SIZE, self._quiet_row, np.int16)
         self._stddevs = np.zeros(len(families) + 1)
         self._keys = np.zeros(len(families) + 1, np.uint64)
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
         umasks = np.arange(256)
         for k, family in enumerate(families):
-            rows[(family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0),
-                 family.event_code] = k
+            gated = umasks[(family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)]
+            self._rows[pack_selector(family.event_code, gated)] = k
             self._stddevs[k] = family.noise_stddev
             self._keys[k] = derive_seed(seed, family.seed)
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
-        self._rows = rows.ravel()
         self._armed = np.flatnonzero(self._rows != self._quiet_row)  # ascending packed
         self._noisy = self._stddevs > 0
         self.supports_tsx = supports_tsx  # whether the channel may use transactional suppression

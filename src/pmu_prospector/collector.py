@@ -1,17 +1,16 @@
 """Full-space scan orchestration and scan-report persistence.
 
 The scan walks the instruction corpus (outer loop) and the 65536-point
-selector space (inner loop, packed order) through backend.measure: a
-simulated PMU runs each instruction once per repetition and yields the
-deltas of its armed selectors only (every other delta is 0), while a real
-one is programmed four selectors at a time across the programmable slots,
-so one workload run measures four candidates.  A selector is readable for
-an instruction when the lower median delta over the repetitions reaches
-the quiet threshold; readable selectors absent from the documented catalog
-are the hidden events.  Since the threshold is at least 1, only the rows a
-batch yields are searched.  The NDJSON records are rendered as bytes from
-each instruction's batch spans and its nonzero medians (RecordRenderer);
-no per-selector list of the whole space is built.
+selector space (inner loop, packed order).  Each instruction gets one
+measuring pass through backend.measure (_scan_snippet): a simulated PMU
+runs it once per repetition and yields the deltas of its armed selectors
+only, while a real one is programmed four selectors at a time across the
+programmable slots.  The pass keeps the batches' outcome spans and the
+selectors whose lower median over the repetitions is nonzero, with those
+medians.  The hidden events (medians at the quiet threshold, selectors
+absent from the catalog), the executed count and the NDJSON records
+(RecordRenderer) all come from that one result; no per-selector list of
+the whole space is built.
 """
 
 from __future__ import annotations
@@ -101,15 +100,35 @@ def _lower_medians(deltas: np.ndarray) -> np.ndarray:
     return medians
 
 
-def _measure_snippet(
+def _scan_snippet(
     executor, snippet: Snippet, codes: Sequence[int], config: ScanConfig
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, object]]:
-    """measure() with one run of the snippet per repetition; each batch's
-    outcome is the workload's ExecStatus or the BackendError that lost it."""
+) -> tuple[list[list], np.ndarray, np.ndarray]:
+    """The one measuring pass of a snippet over codes: (spans, index, medians).
+
+    spans are [start, stop, outcome] over positions of codes and tile them,
+    neighbours with one outcome merged.  An outcome is the workload's
+    ExecStatus, or the BackendError that lost the batch, so two lost batches
+    are two spans.  index holds the ascending positions whose lower median
+    over the repetitions is nonzero, medians those medians.
+    """
     def run(_rep: int) -> ExecStatus:
         return executor.execute(snippet).status
 
-    return measure(executor.backend, codes, run, config.repetitions, config.any_thread)
+    spans: list[list] = []
+    index, medians = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for start, stop, rows, deltas, outcome in measure(
+        executor.backend, codes, run, config.repetitions, config.any_thread
+    ):
+        if spans and spans[-1][2] is outcome:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop, outcome])
+        batch = _lower_medians(deltas)
+        if np.count_nonzero(batch):  # the scalar path's 16,384 batches are mostly quiet
+            nonzero = batch != 0
+            index.append(rows[nonzero])
+            medians.append(batch[nonzero])
+    return spans, np.concatenate(index), np.concatenate(medians)
 
 
 # No src/ caller: benchmarks/ reads it until ROADMAP item 8 deletes it.
@@ -119,22 +138,22 @@ def scan_instruction(
     executor,
     config: ScanConfig = ScanConfig(),
 ) -> list[ScanRecord]:
-    """Measure one instruction against the given selectors.
+    """Measure one instruction against the given selectors, in one pass.
 
-    Packed selectors are visited in the given order; the recorded delta is the
-    lower median across repetitions and the outcome that of the batch's
-    workload run.  A batch lost to the backend raises its BackendError.
+    One record per selector, in the given order: its delta is the lower
+    median across repetitions and its outcome that of its batch's workload
+    run.  A batch lost to the backend raises its own BackendError.
     """
-    snippet = instantiate(entry)
     codes = list(selectors)
+    spans, index, medians = _scan_snippet(executor, instantiate(entry), codes, config)
+    deltas = np.zeros(len(codes), np.int64)
+    deltas[index] = medians
     records: list[ScanRecord] = []
-    for start, stop, index, deltas, outcome in _measure_snippet(executor, snippet, codes, config):
+    for start, stop, outcome in spans:
         if isinstance(outcome, BackendError):
             raise outcome
-        medians = np.zeros(stop - start, np.int64)
-        medians[index - start] = _lower_medians(deltas)
-        for selector, median in zip(codes[start:stop], medians.tolist()):
-            records.append(ScanRecord(selector, entry.id, median, outcome, config.repetitions))
+        records += [ScanRecord(selector, entry.id, delta, outcome, config.repetitions)
+                    for selector, delta in zip(codes[start:stop], deltas[start:stop].tolist())]
     return records
 
 
@@ -229,12 +248,14 @@ def full_scan(
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
-    Selectors are measured in packed order.  A batch lost to a backend
-    failure is logged and skipped, and the scan goes on.  An instruction
-    counts as executed when at least one batch was measured and every
-    measured batch ran with the success outcome.  Instructions whose
-    templates cannot be instantiated are skipped (and logged); they still
-    count toward total_instructions.
+    Each instruction gets one measuring pass over the space in packed order
+    (_scan_snippet), and its hidden events, its executed count and its
+    records all come from that pass's spans and nonzero medians.  A batch
+    lost to a backend failure is logged, one warning per batch, and the scan
+    goes on.  An instruction counts as executed when at least one batch was
+    measured and every measured batch ran with the success outcome.
+    Instructions whose templates cannot be instantiated are skipped (and
+    logged); they still count toward total_instructions.
 
     record_sink, when given, receives the NDJSON records of each scanned
     instruction as bytes, RECORD_BLOCK lines per call, in packed order: one
@@ -245,11 +266,9 @@ def full_scan(
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
     documented[list(catalog.entries)] = True
-    renderer = RecordRenderer() if record_sink is not None else None
+    renderer = RecordRenderer()
     hidden: dict[int, set[int]] = {}
-    total = 0
-    executed_success = 0
-    threshold = config.quiet_threshold
+    total = executed_success = 0
     for entry in entries:
         total += 1
         try:
@@ -257,47 +276,23 @@ def full_scan(
         except (NormalizationError, InstantiationError) as exc:
             log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
             continue
-        # [start, stop, outcome] per batch, neighbours with one outcome merged;
-        # the batches tile codes, and a lost one's outcome is BACKEND_ERROR
-        spans: list[list] = []
-        # the selectors with a nonzero median and those medians, for the records
-        loud_index, loud_medians = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for start, stop, index, deltas, outcome in _measure_snippet(
-            executor, snippet, codes, config
-        ):
-            if isinstance(outcome, BackendError):
-                log.warning(
-                    "backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
-                    codes[start], codes[stop - 1], entry.id, outcome,
-                )
-                outcome = ExecStatus.BACKEND_ERROR
-            if spans and spans[-1][2] is outcome:
-                spans[-1][1] = stop
-            else:
-                spans.append([start, stop, outcome])
-            if outcome is ExecStatus.BACKEND_ERROR:
-                continue
-            # a position outside index measured 0, whose median never reaches
-            # the threshold (ScanConfig keeps it at least 1); codes is the
-            # space in packed order, so codes[index] is index itself
-            batch = _lower_medians(deltas)
-            for packed in index[(batch >= threshold) & ~documented[index]].tolist():
-                hidden.setdefault(packed, set()).add(entry.id)
-            if renderer is not None:
-                nonzero = batch != 0
-                if nonzero.any():  # the scalar path's 16,384 batches are mostly quiet
-                    loud_index.append(index[nonzero])
-                    loud_medians.append(batch[nonzero])
+        spans, index, medians = _scan_snippet(executor, snippet, codes, config)
+        for span in spans:
+            if isinstance(span[2], BackendError):
+                log.warning("backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
+                            codes[span[0]], codes[span[1] - 1], entry.id, span[2])
+                span[2] = ExecStatus.BACKEND_ERROR
+        # codes is the space in packed order, so a position is its selector;
+        # a position outside index measured 0, below the threshold's floor of 1
+        loud = index[(medians >= config.quiet_threshold) & ~documented[index]]
+        for packed in loud.tolist():
+            hidden.setdefault(packed, set()).add(entry.id)
         measured = {outcome for _, _, outcome in spans} - {ExecStatus.BACKEND_ERROR}
         if measured == {ExecStatus.SUCCESS}:
             executed_success += 1
-        if renderer is not None:
-            for block in renderer.render(
-                entry.id,
-                [(start, stop, outcome.value) for start, stop, outcome in spans],
-                np.concatenate(loud_index),
-                np.concatenate(loud_medians),
-            ):
+        if record_sink is not None:
+            values = [(start, stop, outcome.value) for start, stop, outcome in spans]
+            for block in renderer.render(entry.id, values, index, medians):
                 record_sink(block)
     return ScanReport(
         microarchitecture_label=_backend_label(executor),

@@ -63,6 +63,12 @@ def unpack_selector(packed: int) -> PackedSelector:
     return PackedSelector(operator.index(packed))
 
 
+def pack_selector(event_code, umask):
+    """The packed selector of (event_code, umask), the inverse of
+    split_selector; on numpy integer arrays it packs element by element."""
+    return umask << 8 | event_code
+
+
 def split_selector(selector: int) -> tuple[int, int]:
     """(event_code, umask) of a packed selector."""
     return selector & 0xFF, selector >> 8
@@ -222,8 +228,8 @@ def load_catalog(lines: Iterable[str], source: str = "") -> EventCatalog:
             continue
         if len(row) != 3:
             raise CatalogError(f"{where}: expected 3 columns, got {len(row)}")
-        event_code = _parse_hex_byte("event_code", row[0], where)
-        selector = _parse_hex_byte("umask", row[1], where) << 8 | event_code
+        selector = pack_selector(_parse_hex_byte("event_code", row[0], where),
+                                 _parse_hex_byte("umask", row[1], where))
         if selector in entries:
             raise CatalogError(f"{where}: duplicate catalog key {format_selector(selector)}")
         entries[selector] = row[2].strip()

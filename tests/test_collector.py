@@ -40,7 +40,7 @@ from pmu_prospector.corpus import (
     SimulatedExecutor,
     parse_corpus,
 )
-from pmu_prospector.errors import ReportParseError
+from pmu_prospector.errors import InstantiationError, ReportParseError
 from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
@@ -69,16 +69,19 @@ def mini_executor(families, entries, seed=0):
 
 
 class _FailingBackend:
-    """Simulated backend that refuses to program one packed selector."""
+    """Simulated backend that refuses to program the given packed selectors;
+    raised lists the BackendErrors it raised, in order."""
 
     def __init__(self, inner, fail_packed):
         self._inner = inner
         self._fail = fail_packed
         self.label = inner.label
+        self.raised: list[BackendError] = []
 
     def program(self, slot, value):
-        if value.selector == self._fail:
-            raise BackendError("injected programming failure")
+        if value.selector in self._fail:
+            self.raised.append(BackendError("injected programming failure"))
+            raise self.raised[-1]
         self._inner.program(slot, value)
 
     def read(self, slot):
@@ -106,9 +109,9 @@ class _FaultingBatchExecutor:
         return outcome
 
 
-def failing_executor(fail_packed):
+def failing_executor(*fail_packed):
     family = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
-    backend = _FailingBackend(SimulatedPmu([family], label="mini"), fail_packed)
+    backend = _FailingBackend(SimulatedPmu([family], label="mini"), set(fail_packed))
     return SimulatedExecutor(backend)
 
 
@@ -241,6 +244,34 @@ class TestScanInstruction:
         with pytest.raises(BackendError, match="injected"):
             scan_instruction(LOAD_ONLY[0], selectors, failing_executor(0x016C))
 
+    @pytest.mark.parametrize("entry_id", range(1, 11))
+    def test_records_equal_full_scan_records(self, make_executor, corpus_entries, catalog,
+                                             entry_id):
+        # the two callers share one measuring pass: over a 4-aligned slice of
+        # the packed order, fresh executors with one seed give equal records,
+        # the noisy 0x5E (id 3) and the faulting UD2 (id 8) included
+        entry = next(e for e in corpus_entries if e.id == entry_id)
+        selectors = range(0x4000, 0x8000)
+        config = ScanConfig(repetitions=2)
+        sink_file = io.BytesIO()
+        full_scan([entry], catalog, make_executor(seed=5), config,
+                  record_sink=ndjson_record_sink(sink_file))
+        lines = sink_file.getvalue().splitlines()
+        if entry_id == 9:  # needs avx512: full_scan skips it, scan_instruction raises
+            assert lines == []
+            with pytest.raises(InstantiationError):
+                scan_instruction(entry, selectors, make_executor(seed=5), config)
+            return
+        want = [(p, record["delta"], record["outcome"])
+                for p, record in zip(selectors, map(json.loads, lines[selectors.start:]))]
+        got = [(r.selector, r.delta, r.outcome.value)
+               for r in scan_instruction(entry, selectors, make_executor(seed=5), config)]
+        assert got == want
+        if entry_id == 3:  # the noise is in play
+            assert len({delta for p, delta, _ in got if p & 0xFF == 0x5E}) > 1
+        if entry_id == 8:
+            assert {outcome for _, _, outcome in got} == {"fault"}
+
 
 class TestFullScan:
     @pytest.fixture()
@@ -326,6 +357,27 @@ class TestFullScan:
         # the warning names the lost batch's span, the four selectors of its slots
         assert "selectors 0x016C..0x016F for id 1" in caplog.text
 
+    @pytest.mark.parametrize("failing", [(0x016C,), (0x016C, 0x0170)])
+    def test_one_warning_per_lost_batch(self, caplog, failing):
+        # benchmarks/ counts lost batches from these warnings; two
+        # neighbouring lost batches are two warnings, not one merged span
+        sink_file = io.BytesIO()
+        with caplog.at_level(logging.WARNING, logger="pmu_prospector.collector"):
+            full_scan(LOAD_ONLY, EventCatalog(), failing_executor(*failing),
+                      ScanConfig(repetitions=1), record_sink=ndjson_record_sink(sink_file))
+        lost = [r for r in caplog.records if r.msg.startswith("backend failure")]
+        assert [r.name for r in lost] == ["pmu_prospector.collector"] * len(failing)
+        outcomes = [json.loads(line)["outcome"] for line in sink_file.getvalue().splitlines()]
+        assert {p for p, outcome in enumerate(outcomes) if outcome == "backend-error"} == {
+            packed + k for packed in failing for k in range(4)}
+
+        caplog.clear()
+        executor = failing_executor(*failing)
+        with caplog.at_level(logging.DEBUG), pytest.raises(BackendError, match="injected") as exc:
+            scan_instruction(LOAD_ONLY[0], range(0x0160, 0x0180), executor)
+        assert exc.value is executor.backend.raised[0]
+        assert caplog.records == []
+
     @pytest.mark.parametrize("repetitions", [1, 2, 5])
     def test_same_report_with_and_without_records(
         self, make_executor, corpus_entries, catalog, repetitions
@@ -397,7 +449,7 @@ class TestRecordSink:
     def test_each_record_carries_its_own_batch_outcome(self):
         # the scalar path runs the workload once per batch of four at one
         # repetition, so run 0x016C // 4 + 1 measures selectors 0x016C..0x016F
-        inner = failing_executor(fail_packed=-1)  # a scalar-path backend that never fails
+        inner = failing_executor()  # a scalar-path backend that never fails
         executor = _FaultingBatchExecutor(inner, fault_call=0x016C // 4 + 1)
         sink_file = io.BytesIO()
         report = full_scan(

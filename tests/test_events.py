@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from pmu_prospector.events import (
     decode_msr_value,
     format_selector,
     load_catalog,
+    pack_selector,
     parse_selector,
     render_msr_value,
     scan_control,
@@ -108,6 +110,11 @@ class TestSelectorPacking:
     def test_split_inverts_the_packing(self, event_code, umask):
         packed = load_catalog(io.StringIO(f"0x{event_code:02X},0x{umask:02X},e\n")).entries
         assert [split_selector(p) for p in packed] == [(event_code, umask)]
+        assert list(packed) == [pack_selector(event_code, umask)]
+        assert type(pack_selector(event_code, umask)) is int
+        codes, umasks = np.array([event_code, 0xFF, 0]), np.array([umask, 0, 0xFF])
+        assert pack_selector(codes, umasks).tolist() == [
+            umask * 256 + event_code, 0x00FF, 0xFF00]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

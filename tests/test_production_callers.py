@@ -7,7 +7,9 @@ with the reason it stays.  A second audit keeps the tests from importing
 names they never use, which would otherwise hold such a name in place.  A
 third keeps JSON parsing in the reader module, inputs, so that no loader
 grows its own field checks again, and a fourth keeps JSON and CSV rendering
-in the writer module, outputs, so that every output file has one format.
+in the writer module, outputs, so that every output file has one format.  A
+fifth keeps the collector to one call of backend.measure, so that full_scan
+and scan_instruction keep sharing one measuring loop.
 """
 
 import ast
@@ -95,3 +97,18 @@ def test_only_the_reader_module_parses_json():
 def test_only_the_writer_module_renders_output():
     assert modules_naming("json", {"dump", "dumps"}) | modules_naming("csv", {"writer"}) == {
         "outputs"}
+
+
+def call_sites(module: str, name: str) -> int:
+    """Calls in one module of the package of a function called name, by
+    name (measure(...)) or by attribute (backend.measure(...))."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return sum(
+        isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                 getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def test_the_collector_measures_at_one_site():
+    assert call_sites("collector", "measure") == 1
