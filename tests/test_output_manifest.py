@@ -8,9 +8,10 @@ A change that moves bytes on purpose re-pins the manifest in one step,
 
 and names the changed entries in CHANGES.md.  The grid runs at seed 3, so
 it repeats no digest that criterion 09 or the noisy-median test pins (seed
-7).  As in criterion 09, detector.json, screen.csv and metrics-plot.csv are
-left out: their bytes come from numpy float training, which may round
-differently across numpy builds; the detect train stdout (3 decimals) is kept.
+7).  Unlike criterion 09, the grid also pins the detector JSON, screen CSV
+and metrics-plot CSV: their bytes come from numpy float training, so a
+change to the fit, or a numpy build that rounds differently, shows up here
+as named entries.
 """
 
 import contextlib
@@ -59,12 +60,12 @@ def _grid() -> list[tuple[str, list[str], tuple[str, ...]]]:
                 "--out", f"dataset-{name}.csv"], (f"dataset-{name}.csv",)))
             steps.append((f"train-{name}", [
                 "detect", "train", "--dataset", f"dataset-{name}.csv", "--selector", selector,
-                "--seed", SEED, "--out", f"detector-{name}.json"], ()))
+                "--seed", SEED, "--out", f"detector-{name}.json"], (f"detector-{name}.json",)))
             models.append(f"detector-{name}.json")
         steps.append((f"screen-{attack}", [
             "detect", "screen", "--models", *models, "--seed", SEED,
             "--plot-out", f"metrics-plot-{attack}.csv", "--plot-sample", "3",
-            "--out", f"screen-{attack}.csv"], ()))
+            "--out", f"screen-{attack}.csv"], (f"screen-{attack}.csv", f"metrics-plot-{attack}.csv")))
     channel = ["--sim-model", model, "--secret-file", secret, "--seed", SEED]
     steps += [
         ("run-meltdown", ["sidechannel", "run", "--attack", "meltdown", "--selector", "0x016C",
