@@ -26,7 +26,6 @@ from .seeding import derive_seed
 
 Sample = tuple[int, int]  # (count delta, label)
 
-LEARNING_RATE = 0.1
 MAX_EPOCHS = 2000
 GRAD_TOLERANCE = 1e-6
 TRAIN_FRACTION = 0.7
@@ -279,27 +278,37 @@ class LogisticModel:
         return _sigmoid(self.weight * z + self.bias)
 
 
+def _fraction_below_bound(w: float, b: float, dw: float, db: float, zmax: float) -> float:
+    """The largest fraction t <= 1 of the step (dw, db) whose reach,
+    abs(w - t * dw) * zmax + abs(b - t * db), stays below _CLAMP_FREE_BOUND or
+    lands on it.  The reach starts below the bound and is convex and
+    piecewise linear in t, kinked where a parameter crosses 0."""
+    def reach(t: float) -> float:
+        return abs(w - t * dw) * zmax + abs(b - t * db)
+
+    knots = sorted({0.0, 1.0, *(v / d for v, d in ((w, dw), (b, db)) if d and 0.0 < v / d < 1.0)})
+    for lo, hi in zip(knots, knots[1:]):
+        if reach(hi) >= _CLAMP_FREE_BOUND:
+            return lo + (hi - lo) * (_CLAMP_FREE_BOUND - reach(lo)) / (reach(hi) - reach(lo))
+    return 1.0
+
+
 def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, int]:
     """Single-feature logistic regression: (model, epochs run).
 
-    Full-batch gradient descent from zero weights with step LEARNING_RATE,
-    stopping once both gradient components are below GRAD_TOLERANCE or
-    after MAX_EPOCHS epochs.  Standardization parameters are estimated from
-    the fitted data, so fit on the training split only.  The procedure has
-    no random state: the same samples always give the same model.
+    Newton-Raphson steps (IRLS; Hastie, Tibshirani and Friedman, The Elements
+    of Statistical Learning, 2nd ed., section 4.4.1) from zero weights, one
+    epoch each, until both mean gradient components are below GRAD_TOLERANCE
+    or MAX_EPOCHS steps ran.  Standardization is estimated from the fitted
+    data, so fit on the training split only.  The same samples always give
+    the same model.
 
-    Windows with the same delta share a score, so each epoch evaluates the
-    sigmoid once per distinct delta and weights it by that delta's window
-    count; both gradient components come from one matrix product.  The
-    arithmetic is that of a sum over every window, in a different
-    summation order, so weight and bias can differ from it in the last bits.
-
-    While abs(weight) * max|z| + abs(bias) < _CLAMP_FREE_BOUND (25), no score
-    reaches _sigmoid's +-60 clamp and no probability its [1e-12, 1 - 1e-12]
-    clamp (those bind only past about +-27.6), so the epoch computes the
-    unclamped sigmoid in place in one preallocated buffer and the gradient
-    in Python floats.  Negation and rounding are symmetric, so this is
-    bit for bit the clamped epoch; past the bound the epoch calls _sigmoid.
+    A step sums over distinct deltas, weighted by their window counts, and
+    solves the 2x2 Hessian in closed form; a singular one (a constant
+    feature) moves only the bias.  Separable data have no finite optimum, so
+    a step that would take abs(weight) * max|z| + abs(bias) to
+    _CLAMP_FREE_BOUND or past it stops on the bound: no probability then
+    reaches _sigmoid's clamp, and scores keep their ranks.
     """
     x = np.asarray(deltas, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -311,39 +320,30 @@ def fit(deltas: Sequence[int], labels: Sequence[int]) -> tuple[LogisticModel, in
     if len(present) < 2:
         raise DegenerateDataError("training data needs both labels present")
     mean = float(x.mean())
-    stddev = float(x.std())
-    if stddev == 0.0:
-        stddev = 1.0  # constant feature: fall back to a pure shift
+    stddev = float(x.std()) or 1.0  # constant feature: fall back to a pure shift
     values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     positives = np.bincount(inverse, weights=y)
     z = (values - mean) / stddev
-    # [grad_w, grad_b] = (m @ sigmoid(weight * z + bias) - [target_w, target_b]) / n
-    m = np.stack([counts * z, counts])
-    target_w = float(positives @ z)
-    target_b = float(positives.sum())
+    # gradient sums m[1:] @ p - target; Hessian sums m @ p(1 - p)
+    m = np.stack([counts * z * z, counts * z, counts])
+    target = np.array([positives @ z, positives.sum()])
     zmax = float(np.abs(z).max())
-    buf = np.empty_like(z)
-    weight = 0.0
-    bias = 0.0
+    weight = bias = 0.0
     epochs = 0
-    inv_n = 1.0 / x.size
     for epochs in range(1, MAX_EPOCHS + 1):
-        if abs(weight) * zmax + abs(bias) < _CLAMP_FREE_BOUND:
-            # 1 / (1 + exp(-(weight * z + bias))), with no clamp that could bind
-            np.multiply(z, -weight, out=buf)
-            np.subtract(buf, bias, out=buf)
-            np.exp(buf, out=buf)
-            np.add(buf, 1.0, out=buf)
-            p = np.divide(1.0, buf, out=buf)
-        else:
-            p = _sigmoid(weight * z + bias)
-        sum_w, sum_b = (m @ p).tolist()
-        grad_w = (sum_w - target_w) * inv_n
-        grad_b = (sum_b - target_b) * inv_n
-        if max(abs(grad_w), abs(grad_b)) < GRAD_TOLERANCE:
+        p = _sigmoid(weight * z + bias)
+        grad_w, grad_b = (m[1:] @ p - target).tolist()
+        if max(abs(grad_w), abs(grad_b)) / x.size < GRAD_TOLERANCE:
             break
-        weight -= LEARNING_RATE * grad_w
-        bias -= LEARNING_RATE * grad_b
+        h_ww, h_wb, h_bb = (m @ (p * (1.0 - p))).tolist()
+        det = h_ww * h_bb - h_wb * h_wb
+        step_w = (h_bb * grad_w - h_wb * grad_b) / det if det > 0.0 else 0.0
+        step_b = (h_ww * grad_b - h_wb * grad_w) / det if det > 0.0 else grad_b / h_bb
+        t = _fraction_below_bound(weight, bias, step_w, step_b, zmax)
+        weight -= t * step_w
+        bias -= t * step_b
+        if t < 1.0:
+            break
     return LogisticModel(weight, bias, mean, stddev), epochs
 
 
@@ -356,9 +356,9 @@ class TrainResult:
 
 
 def train(dataset: LabeledDataset) -> TrainResult:
-    """Split at TRAIN_FRACTION, fit on the training side (see fit for
-    LEARNING_RATE, MAX_EPOCHS and GRAD_TOLERANCE), and keep the held-out
-    test samples with the result."""
+    """Split at TRAIN_FRACTION, fit on the training side by Newton steps
+    (see fit for MAX_EPOCHS, GRAD_TOLERANCE and the stop on the clamp-free
+    bound), and keep the held-out test samples with the result."""
     train_samples, test_samples = train_test_split(dataset)
     model, epochs = fit([s[0] for s in train_samples], [s[1] for s in train_samples])
     return TrainResult(
