@@ -279,16 +279,6 @@ class TestFit:
         assert not np.isin(probs, [1e-12, 1.0 - 1e-12]).any()
         assert (probs >= THRESHOLD).astype(int).tolist() == labels
 
-    def test_separable_fit_with_an_outlier_stops_on_the_bound(self):
-        # the far positive window takes the reach to 25 before the gradient is small
-        deltas, labels = [0, 1, 2, 1000], [0, 0, 1, 1]
-        with np.errstate(all="raise"):
-            model, epochs = fit(deltas, labels)
-            probs = model.predict_proba(deltas)
-        assert epochs < MAX_EPOCHS
-        assert math.isclose(reach(model, deltas), detection._CLAMP_FREE_BOUND, rel_tol=1e-9)
-        assert not np.isin(probs, [1e-12, 1.0 - 1e-12]).any()
-
     def test_probabilities_stay_in_open_interval(self):
         model, _ = fit([0, 1, 1000, 1001], [0, 0, 1, 1])
         probs = model.predict_proba([-1e9, 0, 1000, 1e9])
@@ -382,13 +372,15 @@ class TestFitMatchesPerWindowOracle:
     def test_outlier_split_stops_on_the_clamp_free_bound(self):
         samples = [(d, 0) for d in [0] * 50 + [1] * 50]
         samples += [(d, 1) for d in [2] * 50 + [3] * 49 + [400]]
+        deltas = [d for d, _ in samples]
         with np.errstate(all="raise"):
             model, epochs = self.assert_fits_agree(samples, samples)
+            probs = model.predict_proba(deltas)
         assert epochs < MAX_EPOCHS
         assert compute_metrics(model, samples).accuracy == 1.0
-        # the last step was cut to land on the bound of 25
-        deltas = [d for d, _ in samples]
+        # the last step was cut to land on the bound of 25, short of _sigmoid's clamp
         assert math.isclose(reach(model, deltas), detection._CLAMP_FREE_BOUND, rel_tol=1e-9)
+        assert not np.isin(probs, [1e-12, 1.0 - 1e-12]).any()
 
 
 class TestMetrics:
