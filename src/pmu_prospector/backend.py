@@ -8,6 +8,7 @@ through /dev/cpu/<n>/msr and needs root plus a pinned core.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from abc import ABC, abstractmethod
@@ -254,6 +255,7 @@ class SimulatedPmu(CounterBackend):
         # is open, else the quiet row
         self._rows = np.full(EVENT_SPACE_SIZE, self._quiet_row, np.int16)
         self._stddevs = np.zeros(len(families) + 1)
+        self._first_hash_limits = np.zeros(len(families) + 1, np.uint64)  # see _overcounts
         self._keys = np.zeros(len(families) + 1, np.uint64)
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
         umasks = np.arange(256)
@@ -261,6 +263,9 @@ class SimulatedPmu(CounterBackend):
             gated = umasks[(family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)]
             self._rows[pack_selector(family.event_code, gated)] = k
             self._stddevs[k] = family.noise_stddev
+            if family.noise_stddev:
+                reach = math.exp(-1 / (8 * family.noise_stddev**2)) * (1 + 1e-6) * 2**64
+                self._first_hash_limits[k] = min(int(reach), 2**64 - 1)
             self._keys[k] = derive_seed(seed, family.seed)
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
@@ -408,13 +413,19 @@ class SimulatedPmu(CounterBackend):
         given per epoch with its family row and packed selector.
 
         The executions of all epochs are laid end to end and drawn
-        NOISE_BATCH at a time, which bounds peak memory.
+        NOISE_BATCH at a time, which bounds peak memory.  Two exact cuts
+        keep about 70% of them (at stddev 0.5) out of the floating-point
+        formula, as they over-count 0:
+        - an over-count of 1 or more needs stddev * sqrt(-2 ln u1) > 1/2, so
+          a first hash above exp(-1 / (8 stddev**2)) * 2**64, widened by a
+          relative 1e-6 for rounding (_first_hash_limits), cannot reach 1;
+        - a second hash in [2**62 + 2**40, 3 * 2**62 - 2**40] gives a u2 with
+          cos(2 pi u2) < -3.7e-7, so a normal and a rint that are not positive.
         """
         ends = np.cumsum(sizes)
         shift = ends - sizes  # where each epoch's execution 0 lies in the layout
         total = int(ends[-1]) if len(ends) else 0
         prefix = point_hashes(self._keys[rows], packed, epochs)
-        stddevs = self._stddevs[rows]
         sums = np.zeros(len(sizes))
         for low in range(0, total, NOISE_BATCH):
             high = min(low + NOISE_BATCH, total)
@@ -423,13 +434,23 @@ class SimulatedPmu(CounterBackend):
             taken = np.minimum(ends[span], high) - np.maximum(ends[span] - sizes[span], low)
             k = np.arange(low, high) - np.repeat(shift[span], taken)
             h = point_hashes(k, prefix=np.repeat(prefix[span], taken))
-            u1 = np.maximum(point_fractions(prefix=h), 2.0**-64)  # 0 only for hash 0
-            u2 = point_fractions(1, prefix=h)
-            normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            over = np.maximum(np.rint(np.repeat(stddevs[span], taken) * normal), 0.0)
+            over = self._execution_overcounts(np.repeat(rows[span], taken), h)
             counted = np.flatnonzero(taken)
             sums[first + counted] += np.add.reduceat(over, (np.cumsum(taken) - taken)[counted])
         return sums.astype(np.int64)
+
+    def _execution_overcounts(self, rows, hashes) -> np.ndarray:
+        """Over-count of each execution from its family row and first hash."""
+        over = np.zeros(len(hashes))
+        live = np.flatnonzero(hashes <= self._first_hash_limits[rows])
+        second = point_hashes(1, prefix=hashes[live])
+        # second in [2**62 + 2**40, 3 * 2**62 - 2**40], by a wrapping subtraction
+        negative = second - np.uint64((1 << 62) + (1 << 40)) <= np.uint64((1 << 63) - (1 << 41))
+        live, second = live[~negative], second[~negative]
+        u1 = np.maximum(point_fractions(prefix=hashes[live]), 2.0**-64)  # 0 only for hash 0
+        normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * point_fractions(prefix=second))
+        over[live] = np.maximum(np.rint(self._stddevs[rows[live]] * normal), 0.0)
+        return over
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
@@ -52,6 +53,8 @@ class ClassActivity:
     def __post_init__(self) -> None:
         if self.base < 0 or self.jitter < 0:
             raise ValueError("activity counts must be non-negative")
+        if self.jitter >= 1 << 31:  # _randint_draws reads a draw off one 32-bit word
+            raise ValueError(f"jitter must be below 2**31, got {self.jitter}")
 
 
 Profile = Mapping[str, ClassActivity]
@@ -172,9 +175,10 @@ def collect_samples(
     """Measure n windows of one scenario on one selector.
 
     Each window is one repetition of the scenario's jittered activity mix,
-    drawn window by window from one stream, so the draws replay.  The
-    windows go to the simulated PMU as one class-count matrix, so a
-    simulated backend is required.
+    read off the raw words of one seeded generator, equal to randint per
+    window and class (_randint_draws), so the draws replay.  The windows go
+    to the simulated PMU as one class-count matrix, so a simulated backend
+    is required.
     """
     pmu = simulation_of(backend)
     if pmu is None:
@@ -186,18 +190,33 @@ def collect_samples(
     )
     label = 1 if scenario.kind is ScenarioKind.ATTACK else 0
     activity = sorted(scenario.workload_profile.items())
-    windows = [
-        [act.base + rng.randint(-act.jitter, act.jitter) if act.jitter else act.base
-         for _, act in activity]
-        for _ in range(n)
-    ]
-    executed = np.maximum(np.array(windows, np.int64).reshape(n, len(activity)), 0)
+    spans = [2 * act.jitter + 1 for _, act in activity if act.jitter]
+    executed = np.tile(np.array([act.base for _, act in activity], np.int64), (n, 1))
+    executed[:, [act.jitter > 0 for _, act in activity]] += _randint_draws(rng, spans, n)
     classes = np.zeros((n, pmu.column_count), np.int64)
     for j, (tag, _) in enumerate(activity):
-        classes[:, pmu.column(tag)] += executed[:, j]
+        classes[:, pmu.column(tag)] += np.maximum(executed[:, j], 0)
     ((_, _, index, deltas),) = pmu.measure_counts((selector,), classes)
     counts = deltas[0] if len(index) else np.zeros(n, np.int64)  # an unarmed selector reads 0
     return [(delta, label) for delta in counts.tolist()]
+
+
+def _randint_draws(rng: random.Random, spans: Sequence[int], n: int) -> np.ndarray:
+    """n rounds of rng.randint(-j, j) per span 2j + 1 <= 2**32, in order, read
+    off raw words: randint takes the top (2j + 1).bit_length() bits of the
+    next 32-bit Mersenne Twister word, drawing again while they reach 2j + 1,
+    and getrandbits(32 * m) returns the next m words, the first lowest."""
+    shifts = [32 - span.bit_length() for span in spans]
+    walk = itertools.cycle([span << shift for span, shift in zip(spans, shifts)])
+    bound, kept = next(walk, None), []  # a word below bound is the next draw
+    while (m := n * len(spans) - len(kept)) > 0:  # a block of as many words as draws remain
+        block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        for word in np.frombuffer(block, "<u4").tolist():
+            if word < bound:
+                kept.append(word)
+                bound = next(walk)
+    draws = np.array(kept, np.int64).reshape(n, len(spans)) >> np.array(shifts, np.int64)
+    return draws - np.array(spans, np.int64) // 2
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from pmu_prospector.backend import (
     PROGRAMMABLE_SLOTS,
     CounterBackend,
     CounterSlot,
+    MAX_FAMILY_SCALE,
     NativeMsrBackend,
     SLOTS,
     SimEventFamily,
@@ -31,7 +32,7 @@ from pmu_prospector.errors import (
     SlotRangeError,
 )
 from pmu_prospector.events import EVENT_SPACE_SIZE, PerfEvtSelValue, scan_control, unpack_selector
-from pmu_prospector.seeding import derive_seed, point_fraction
+from pmu_prospector.seeding import derive_seed, mix64, point_fraction, point_fractions, point_hashes
 
 DATA = Path(__file__).resolve().parent / "data"
 SIM_MODEL = json.loads((DATA / "sim_model.json").read_text(encoding="utf-8"))
@@ -728,6 +729,124 @@ class TestCounterBasedNoise:
         assert np.array_equal(deltas(np.split(shuffled, sorted(set(cuts)))), whole)
         assert np.array_equal(deltas(np.split(space, sorted(set(cuts)))), whole)
         assert len(np.unique(whole[0x5E::256], axis=0)) > 1  # the noise is there
+
+
+def documented_overcounts(stddev, first_hashes):
+    """The class docstring's over-count of each execution, from its first hash."""
+    u1 = np.maximum(point_fractions(prefix=first_hashes), 2.0**-64)
+    u2 = point_fractions(1, prefix=first_hashes)
+    normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return np.maximum(np.rint(stddev * normal), 0.0)
+
+
+def uncut_overcounts(pmu, rows, packed, epochs, sizes):
+    """The oracle: SimulatedPmu._overcounts before its cuts, every execution
+    through the floating-point formula."""
+    ends = np.cumsum(sizes)
+    shift = ends - sizes
+    total = int(ends[-1]) if len(ends) else 0
+    prefix = point_hashes(pmu._keys[rows], packed, epochs)
+    stddevs = pmu._stddevs[rows]
+    sums = np.zeros(len(sizes))
+    for low in range(0, total, backend_module.NOISE_BATCH):
+        high = min(low + backend_module.NOISE_BATCH, total)
+        first, last = np.searchsorted(ends, [low, high - 1], side="right").tolist()
+        span = slice(first, last + 1)
+        taken = np.minimum(ends[span], high) - np.maximum(ends[span] - sizes[span], low)
+        k = np.arange(low, high) - np.repeat(shift[span], taken)
+        h = point_hashes(k, prefix=np.repeat(prefix[span], taken))
+        over = documented_overcounts(np.repeat(stddevs[span], taken), h)
+        counted = np.flatnonzero(taken)
+        sums[first + counted] += np.add.reduceat(over, (np.cumsum(taken) - taken)[counted])
+    return sums.astype(np.int64)
+
+
+def unmix64(value: int) -> int:
+    """The inverse of seeding.mix64."""
+    def unshift(x, k):  # inverts x ^ (x >> k)
+        y = x
+        for s in range(k, 64, k):
+            y ^= x >> s
+        return y
+
+    value = unshift(value, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) % (1 << 64)
+    value = unshift(value, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) % (1 << 64)
+    return (unshift(value, 30) - 0x9E3779B97F4A7C15) % (1 << 64)
+
+
+def one_family(stddev):
+    return SimulatedPmu([SimEventFamily(0x5E, 0x00, frozenset({"alu"}), noise_stddev=stddev)])
+
+
+class TestNoiseCuts:
+    """_overcounts skips the formula where it gives 0; the counts must not move."""
+
+    STDDEVS = (0.05, 0.3, 0.5, 1, 3, 50, 2**20, 2**32)
+
+    @pytest.mark.parametrize("batch", [7, backend_module.NOISE_BATCH])
+    def test_equals_the_uncut_loop(self, monkeypatch, batch):
+        monkeypatch.setattr(backend_module, "NOISE_BATCH", batch)
+        families = [SimEventFamily(0x50 + i, 0x00, frozenset({"alu"}), noise_stddev=stddev,
+                                   seed=i) for i, stddev in enumerate(self.STDDEVS)]
+        pmu = SimulatedPmu(families, seed=32)
+        draws = np.random.default_rng(batch)
+        for size in (1, 2, 30, 400):
+            rows = draws.integers(0, len(families), size).astype(np.int16)  # as _deltas passes them
+            packed = (rows.astype(np.int64) + 0x50) | draws.integers(0, 256, size) << 8
+            epochs = draws.integers(0, 1000, size)
+            sizes = draws.integers(0, 300 if batch > 7 else 40, size)
+            cut = pmu._overcounts(rows, packed, epochs, sizes)
+            assert np.array_equal(cut, uncut_overcounts(pmu, rows, packed, epochs, sizes))
+        for row, stddev in enumerate(self.STDDEVS[1:], 1):  # at 0.05, z would need to pass 10
+            sizes = np.full(50, 20)
+            assert pmu._overcounts(np.full(50, row), np.arange(50), np.arange(50), sizes).any()
+
+    @pytest.mark.parametrize("stddev", [0.0531, 0.5, 1.5, 3])
+    def test_first_hash_limit(self, stddev):
+        pmu = one_family(stddev)
+        limit = int(pmu._first_hash_limits[0])
+        assert limit == int(math.exp(-1 / (8 * stddev**2)) * (1 + 1e-6) * 2**64)
+        hashes = np.array([limit, limit + 1], np.uint64)
+        kept, dropped = pmu._execution_overcounts(np.zeros(2, np.intp), hashes).tolist()
+        assert kept == documented_overcounts(stddev, hashes[:1])[0] and dropped == 0
+        # above the limit the formula gives 0 even where cos(2 pi u2) is 1
+        u1 = point_fractions(prefix=hashes[1:])
+        assert np.rint(stddev * np.sqrt(-2.0 * np.log(u1)))[0] == 0
+        if stddev == 0.0531:  # the limit is 1, and at hash 1 that bound is 1: the cut is tight
+            assert limit == 1 and np.rint(stddev * math.sqrt(-2.0 * math.log(2.0**-64))) == 1
+        above = np.random.default_rng(1).integers(limit + 1, 1 << 64, 50_000, np.uint64,
+                                                  endpoint=False)
+        assert not documented_overcounts(stddev, above).any()
+        assert not pmu._execution_overcounts(np.zeros(len(above), np.intp), above).any()
+
+    def test_largest_stddev_keeps_the_top_hashes(self):
+        # a limit clipped to 2**64 - 2048, the largest double below 2**64,
+        # would drop hashes whose u1 is 1 - 2**-53, and they over-count
+        pmu = one_family(MAX_FAMILY_SCALE)
+        assert int(pmu._first_hash_limits[0]) == 2**64 - 1
+        top = np.arange(0xFFFFFFFFFFFFF801, 1 << 64, dtype=np.uint64)
+        over = pmu._execution_overcounts(np.zeros(len(top), np.intp), top)
+        assert np.array_equal(over, documented_overcounts(MAX_FAMILY_SCALE, top))
+        assert 0 < over.max() <= 64
+
+    @pytest.mark.parametrize("quarter, inward", [(1 << 62, 1), (3 << 62, -1)])
+    @pytest.mark.parametrize("stddev", [0.5, MAX_FAMILY_SCALE])
+    def test_second_hash_cut(self, quarter, inward, stddev):
+        # second hashes at the quarter, at the cut's bound 2**40 inside it,
+        # each +-1, and one 2**44 outside, where cos(2 pi u2) is positive
+        bound = quarter + inward * (1 << 40)
+        seconds = [at + d for at in (quarter, bound) for d in (-1, 0, 1)]
+        seconds.append(quarter - inward * (1 << 44))
+        firsts = [unmix64(second) ^ 1 for second in seconds]  # second hash = mix64(first ^ 1)
+        assert [mix64(first ^ 1) for first in firsts] == seconds
+        hashes = np.array(firsts, np.uint64)
+        over = one_family(stddev)._execution_overcounts(np.zeros(7, np.intp), hashes)
+        assert np.array_equal(over, documented_overcounts(stddev, hashes))
+        if stddev == MAX_FAMILY_SCALE:
+            assert over[-1] > 0  # so the cut may not reach past the quarter
+        for second in seconds:  # inside the cut the normal is not positive
+            if (1 << 62) + (1 << 40) <= second <= (3 << 62) - (1 << 40):
+                assert math.cos(2.0 * math.pi * (second / 2**64)) < -3.7e-7
 
 
 class TestSimModelLoading:

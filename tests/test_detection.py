@@ -5,6 +5,7 @@ loss, and the rank AUC against the brute-force all-pairs statistic, so the
 in-package implementations never grade their own homework.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.stats import chisquare
 
 from pmu_prospector import detection
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
+from pmu_prospector.cli import dispatch
 from pmu_prospector.detection import (
     DEFAULT_ATTACKS,
     GRAD_TOLERANCE,
@@ -130,6 +133,67 @@ class TestCollectSamples:
         clean, _, _ = scenario_suite("meltdown")
         with pytest.raises(CapabilityError):
             collect_samples(SELECTOR, clean, 1, FakeNative())
+
+
+def per_window_randint(rng, spans, n):
+    """The oracle: one rng.randint call per window and span, in order."""
+    return [[rng.randint(-(span // 2), span // 2) for span in spans] for _ in range(n)]
+
+
+class TestRandintDraws:
+    def test_equals_per_window_randint(self):
+        layouts = random.Random(32)
+        for trial in range(400):
+            spans = [2 * layouts.randint(1, 40) + 1 for _ in range(layouts.randint(1, 7))]
+            if trial % 4 == 0:
+                spans[layouts.randrange(len(spans))] = 17  # j = 8: 17 of 32 top-bit values pass
+            n, seed = layouts.randint(1, 2000), layouts.getrandbits(64)
+            got = detection._randint_draws(random.Random(seed), spans, n)
+            assert got.tolist() == per_window_randint(random.Random(seed), spans, n), (spans, n)
+
+    @pytest.mark.parametrize("spans", [[2**32 - 1, 3], [1, 5], [3, 1 << 31 | 1]])
+    def test_extreme_spans_equal_randint(self, spans):
+        # a whole word (shift 0), a span of one that draws 0 off a top bit,
+        # and a span just past a power of two that redraws half its words
+        got = detection._randint_draws(random.Random(9), spans, 300)
+        assert got.tolist() == per_window_randint(random.Random(9), spans, 300)
+
+    def test_no_span_draws_nothing(self):
+        rng = random.Random(4)
+        assert detection._randint_draws(rng, [], 5).shape == (5, 0)
+        assert rng.random() == random.Random(4).random()
+
+    def test_draws_are_uniform(self):
+        jitters = (1, 8, 40)
+        draws = detection._randint_draws(random.Random(7), [2 * j + 1 for j in jitters], 40_000)
+        for column, j in zip(draws.T, jitters):
+            counts = np.bincount(column + j, minlength=2 * j + 1)
+            assert len(counts) == 2 * j + 1 and counts.min() > 0  # every value of [-j, j], no other
+            assert chisquare(counts).pvalue > 1e-3
+
+    def test_collect_reads_no_randint(self, monkeypatch, tmp_path, capsys):
+        # the output manifest's 0x015E meltdown collect, which pins the bytes
+        # that per-window randint calls gave
+        def refuse(*args):
+            raise AssertionError("randint called")
+
+        monkeypatch.setattr(random.Random, "randint", refuse)
+        data = Path(__file__).resolve().parent / "data"
+        out = tmp_path / "dataset.csv"
+        assert dispatch([
+            "detect", "collect", "--selector", "0x015E", "--attack", "meltdown",
+            "--sim-model", str(data / "sim_model.json"), "--samples", "100", "--seed", "3",
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        manifest = (data / "outputs.sha256").read_text().splitlines()
+        pinned = dict(line.split()[::-1] for line in manifest)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["dataset-0x015E-meltdown.csv"]
+
+    def test_jitter_below_2_to_31(self):
+        assert ClassActivity(1, 2**31 - 1).jitter == 2**31 - 1
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            ClassActivity(1, 2**31)
 
 
 class TestDatasetAndSplit:
