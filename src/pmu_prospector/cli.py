@@ -88,7 +88,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             )
         sink = None
         if args.records:
-            records_fh = stack.enter_context(open(args.records, "wb"))
+            records_fh = stack.enter_context(outputs.completed_stream(args.records))
             sink = collector.ndjson_record_sink(records_fh)
         report = collector.full_scan(entries, catalog, executor, scan_config, record_sink=sink)
     collector.persist_report(report, args.out)

@@ -287,6 +287,7 @@ def full_scan(
         loud = index[(medians >= config.quiet_threshold) & ~documented[index]]
         for packed in loud.tolist():
             hidden.setdefault(packed, set()).add(entry.id)
+        log.info("scanned id %d (%s): %d hidden events", entry.id, entry.mnemonic, len(loud))
         measured = {outcome for _, _, outcome in spans} - {ExecStatus.BACKEND_ERROR}
         if measured == {ExecStatus.SUCCESS}:
             executed_success += 1

@@ -13,10 +13,13 @@ ints with one str.join, and writes every other scalar as json would."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
+from typing import BinaryIO
 
 
 def _scalar_text(value: object) -> str:
@@ -70,3 +73,24 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def completed_stream(path: str) -> Iterator[BinaryIO]:
+    """Open path + ".partial" for the with block, and rename it onto path when
+    the block ends without an exception, so path only ever holds a whole
+    stream.  A regular file at path is moved aside and overwritten in place,
+    reusing its blocks instead of freeing them; through a symlink, the file it
+    names is.  A FIFO or a device at path is written directly, never renamed."""
+    if os.path.lexists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)  # never rename a symlink, such as /dev/stdout
+    partial = path + ".partial"
+    if os.path.exists(path):
+        os.replace(path, partial)
+    with open(os.open(partial, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        yield fh
+        fh.truncate()
+    os.replace(partial, path)

@@ -16,6 +16,7 @@ comes from a cost model calibrated to measured channel rates.
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from .errors import CapabilityError
 from .events import format_selector
 from .outputs import write_json
 from .seeding import point_fractions
+
+log = logging.getLogger(__name__)
 
 MELTDOWN = "meltdown"
 SPECTRE_V1 = "spectre_v1"
@@ -259,6 +262,7 @@ def screen_channel_events(
         passing = 1.0 - mismatches / spec.secret_length >= MIN_CHANNEL_ACCURACY
         live = [s for s, ok in zip(live, passing.tolist()) if ok]
         mismatches = mismatches[passing]
+        log.info("byte position %d: %d selectors still live", position, len(live))
     return list(zip(live, (1.0 - mismatches / spec.secret_length).tolist()))
 
 

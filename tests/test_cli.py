@@ -5,12 +5,15 @@ fixtures inside a temporary directory, then inspects the artifacts the
 subcommand leaves behind.
 """
 
+import contextlib
 import json
 import logging
 import os
 import re
 import shlex
 import shutil
+import stat
+import threading
 
 import pytest
 
@@ -387,28 +390,116 @@ class TestScanCommand:
         assert dispatch(scan_args(second)) == 0
         assert read_bytes(first) == read_bytes(second)
 
-    def test_records_stream_written_and_deterministic(self, tmp_path, catalog_path, model_path):
+    @pytest.fixture
+    def mini_scan(self, tmp_path, catalog_path, model_path):
+        """mini_scan(records) scans a one-instruction corpus with --records
+        records and returns the exit code."""
         corpus = tmp_path / "mini.tsv"
         corpus.write_text("1\tMOV\tr64,m64\tbase\tmemory-load\n")
 
-        def run(tag):
-            out = tmp_path / f"report-{tag}.json"
-            records = tmp_path / f"records-{tag}.ndjson"
-            code = dispatch([
+        def run(records):
+            return dispatch([
                 "scan", "--corpus", str(corpus), "--catalog", catalog_path,
                 "--sim-model", model_path, "--repetitions", "1", "--seed", "7",
-                "--records", str(records), "--out", str(out),
+                "--records", str(records), "--out", str(tmp_path / "report.json"),
             ])
-            assert code == 0
-            return records
 
-        first = run("a")
+        return run
+
+    def test_records_stream_written_and_deterministic(self, tmp_path, mini_scan):
+        first, second = tmp_path / "records-a.ndjson", tmp_path / "records-b.ndjson"
+        assert mini_scan(first) == 0
         lines = read_bytes(first).decode("utf-8").splitlines()
         assert len(lines) == 65536
         assert json.loads(lines[0x016C]) == {
             "delta": 1, "instruction": 1, "outcome": "success", "selector": "0x016C"
         }
-        assert read_bytes(first) == read_bytes(run("b"))
+        assert mini_scan(second) == 0
+        assert read_bytes(first) == read_bytes(second)
+
+    @pytest.mark.parametrize("previous", ["longer-stream", "junk-bytes"])
+    def test_rerun_replaces_an_existing_file_exactly(self, tmp_path, mini_scan, scan_args,
+                                                     previous):
+        fresh, records = tmp_path / "fresh.ndjson", tmp_path / "records.ndjson"
+        assert mini_scan(fresh) == 0
+        if previous == "longer-stream":  # the fixture corpus's nine scanned instructions
+            assert dispatch(scan_args(tmp_path / "full.json", ["--records", str(records)])) == 0
+            assert records.stat().st_size > fresh.stat().st_size
+        else:
+            records.write_bytes(b"0123456789")
+        assert mini_scan(records) == 0
+        assert read_bytes(records) == read_bytes(fresh)
+        assert not list(tmp_path.glob("*.partial"))
+
+    @pytest.mark.parametrize("through_symlink", [False, True], ids=["file", "symlink"])
+    def test_failed_scan_leaves_only_the_partial_stream(self, tmp_path, capsys, monkeypatch,
+                                                        scan_args, through_symlink):
+        scanned = set()
+
+        class FailingExecutor(cli.SimulatedExecutor):
+            def execute(self, snippet):
+                scanned.add(snippet.entry.id)
+                if len(scanned) == 3:
+                    raise OSError("probe lost")
+                return super().execute(snippet)
+
+        monkeypatch.setattr(cli, "SimulatedExecutor", FailingExecutor)
+        records = path = tmp_path / "records.ndjson"
+        if through_symlink:  # the file the link names is set aside, and the link stays
+            records.write_bytes(b"0123456789")
+            path = tmp_path / "link"
+            path.symlink_to(records)
+        assert dispatch(scan_args(tmp_path / "report.json", ["--records", str(path)])) == 1
+        assert capsys.readouterr().err == "error: probe lost\n"
+        assert not records.exists()
+        assert path.is_symlink() == through_symlink
+        # the two instructions scanned before the failure
+        assert read_bytes(tmp_path / "records.ndjson.partial").count(b"\n") == 2 * 65536
+
+    def test_fifo_target_is_written_directly(self, tmp_path, mini_scan):
+        fresh, fifo = tmp_path / "fresh.ndjson", tmp_path / "fifo"
+        assert mini_scan(fresh) == 0
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(read_bytes(fifo)), daemon=True)
+        reader.start()
+        try:
+            code = mini_scan(fifo)
+        finally:
+            # a scan that never opened the FIFO leaves the reader waiting for a writer
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [read_bytes(fresh)]
+        assert not list(tmp_path.glob("*.partial"))
+
+    def test_verbose_logs_one_line_per_scanned_instruction(self, tmp_path, caplog, capsys,
+                                                           scan_args):
+        out = tmp_path / "report.json"
+        root = logging.getLogger()
+        saved = root.level
+        messages = {}
+        try:
+            for flags in ([], ["--verbose"]):
+                caplog.clear()
+                assert dispatch([*flags, *scan_args(out)]) == 0
+                messages[bool(flags)] = [
+                    r.getMessage() for r in caplog.records
+                    if r.name == "pmu_prospector.collector" and r.levelno == logging.INFO
+                ]
+        finally:
+            root.setLevel(saved)
+        assert messages[False] == []
+        assert "scanned id" not in capsys.readouterr().err
+        lines = [re.fullmatch(r"scanned id (\d+) \((\w+)\): (\d+) hidden events", m)
+                 for m in messages[True]]
+        assert len(lines) == 9 and all(lines)  # the avx512 instruction (id 9) is skipped
+        assert 9 not in {int(m[1]) for m in lines}
+        hidden = load_report(str(out)).hidden_events
+        assert sum(int(m[3]) for m in lines) == sum(len(ids) for ids in hidden.values())
 
 @pytest.fixture(scope="module")
 def scan_report_path(tmp_path_factory, corpus_path, catalog_path, model_path):

@@ -6,6 +6,7 @@ noise floor.  All tests drive the deterministic simulated backend.
 """
 
 import json
+import logging
 import math
 import tracemalloc
 from pathlib import Path
@@ -281,7 +282,7 @@ class TestChannelMetrics:
 
 
 class TestSelectorScreening:
-    def test_screen_keeps_working_channels_in_packed_order(self):
+    def test_screen_keeps_working_channels_in_packed_order(self, caplog):
         families = [
             SimEventFamily(0x5E, 0x01, frozenset({"alu"})),        # scaffold counter
             SimEventFamily(0x6C, 0x01, frozenset({"memory-load"})),
@@ -294,11 +295,13 @@ class TestSelectorScreening:
             0x015E,
             0x016C,
         ]
-        kept = screen_channel_events(candidates, template, backend, victim)
+        with caplog.at_level(logging.INFO, logger="pmu_prospector.sidechannel"):
+            kept = screen_channel_events(candidates, template, backend, victim)
         assert kept == [
             (0x016C, 1.0),
             (0x036C, 1.0),
         ]
+        assert caplog.messages == [f"byte position {p}: 2 selectors still live" for p in range(4)]
 
     def test_screen_accuracy_threshold_is_inclusive(self):
         backend = load_backend()
