@@ -42,7 +42,6 @@ from .detection import (
     LogisticModel,
     MetricsReport,
     ScenarioSpec,
-    ScreenCriteria,
     build_dataset,
     collect_samples,
     compute_metrics,

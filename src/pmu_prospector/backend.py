@@ -24,7 +24,7 @@ from .errors import (
     SlotRangeError,
 )
 from .events import (EVENT_SPACE_SIZE, PerfEvtSelValue, pack_selector, render_msr_value,
-                     scan_control, unpack_selector)
+                     scan_control, umask_gates, unpack_selector)
 from .inputs import read_json
 from .seeding import _INT_PART_BOUND, derive_seed, point_fractions, point_hashes
 
@@ -260,7 +260,7 @@ class SimulatedPmu(CounterBackend):
         self._increments = np.zeros((len(families) + 1, len(classes) + 1), np.int64)
         umasks = np.arange(256)
         for k, family in enumerate(families):
-            gated = umasks[(family.relevance_mask == 0) | ((umasks & family.relevance_mask) != 0)]
+            gated = umasks[umask_gates(umasks, family.relevance_mask)]
             self._rows[pack_selector(family.event_code, gated)] = k
             self._stddevs[k] = family.noise_stddev
             if family.noise_stddev:

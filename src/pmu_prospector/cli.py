@@ -157,10 +157,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
             )
         reports[selector] = metrics
         sources[selector] = path
-    criteria = detection.ScreenCriteria(
-        exclude_perfect=args.exclude_perfect, exclude_f1_band=args.exclude_f1_band
-    )
-    passed = detection.screen(reports, criteria)
+    passed = detection.screen(reports, exclude_perfect=args.exclude_perfect,
+                              exclude_f1_band=args.exclude_f1_band)
     detection.write_screen_csv(reports, passed, args.out)
     if args.plot_out:
         reporting.write_metrics_plot_csv(reports, args.plot_out, args.plot_sample, args.seed)
@@ -196,8 +194,7 @@ def cmd_sidechannel(args: argparse.Namespace) -> int:
     # screen
     report = collector.load_report(args.report)
     rows = sidechannel.screen_channel_events(report.hidden_events, spec, backend, victim)
-    outputs.write_csv(args.out, ["selector", "accuracy"],
-                      ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in rows))
+    reporting.write_selector_csv(args.out, ["selector", "accuracy"], rows)
     if args.plot_out:
         reporting.write_accuracy_plot_csv(rows, args.plot_out, args.plot_sample, args.seed)
     print(

@@ -89,15 +89,8 @@ def control_values(any_thread: bool = False) -> list[PerfEvtSelValue]:
 
 
 def _lower_medians(deltas: np.ndarray) -> np.ndarray:
-    # lower middle element per row; keeps medians integral for even repetition
-    # counts.  Only rows whose repetitions differ are sorted: a row that
-    # repeats one value, as every quiet selector's does, has that median.
-    medians = deltas[:, 0].copy()
-    varied = np.zeros(len(deltas), bool)
-    for column in deltas.T[1:]:  # column by column: far cheaper than any(axis=1)
-        varied |= column != medians
-    medians[varied] = np.sort(deltas[varied], axis=1)[:, (deltas.shape[1] - 1) // 2]
-    return medians
+    # lower middle element per row; keeps medians integral for even repetition counts
+    return np.sort(deltas, axis=1)[:, (deltas.shape[1] - 1) // 2]
 
 
 def _scan_snippet(

@@ -409,27 +409,17 @@ def confusion_ratios(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, 
     raising; screening then treats it as a failing value.
     """
     undefined: set[str] = set()
-    total = tp + fp + fn + tn
-    if total:
-        accuracy = (tp + tn) / total
-    else:
-        accuracy = 0.0
-        undefined.add("accuracy")
-    if tp + fp:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.add("precision")
-    if tp + fn:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        undefined.add("recall")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.add("f1")
+
+    def ratio(name: str, numerator, denominator) -> float:
+        if denominator:
+            return numerator / denominator
+        undefined.add(name)
+        return 0.0
+
+    accuracy = ratio("accuracy", tp + tn, tp + fp + fn + tn)
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    f1 = ratio("f1", 2 * precision * recall, precision + recall)
     return accuracy, precision, recall, f1, frozenset(undefined)
 
 
@@ -473,38 +463,30 @@ def compute_metrics(model: LogisticModel, samples: Sequence[Sample]) -> MetricsR
     return MetricsReport(tp, fp, fn, tn, accuracy, precision, recall, f1, auc, undefined)
 
 
-@dataclass(frozen=True)
-class ScreenCriteria:
-    """Optional exclusions on top of the fixed metric bars of passes_screen."""
-
-    exclude_perfect: bool = False      # drop events with any metric exactly 1.0
-    exclude_f1_band: bool = False      # drop events with F1 in the open band (0.9, 1)
-
-
 _COUNTS = ("tp", "fp", "fn", "tn")
 _METRICS = ("accuracy", "precision", "recall", "f1", "auc")
 
 
-def passes_screen(report: MetricsReport, criteria: ScreenCriteria = ScreenCriteria()) -> bool:
+def passes_screen(
+    report: MetricsReport, *, exclude_perfect: bool = False, exclude_f1_band: bool = False
+) -> bool:
     """Whether a detector clears accuracy > MIN_ACCURACY, F1 > MIN_F1 and
-    AUC > MIN_AUC, and none of the criteria's exclusions drops it."""
+    AUC > MIN_AUC, and is not dropped by exclude_perfect (any metric exactly
+    1.0) or exclude_f1_band (F1 in the open band (0.9, 1))."""
     if not (report.accuracy > MIN_ACCURACY and report.f1 > MIN_F1 and report.auc > MIN_AUC):
         return False
-    if criteria.exclude_perfect and any(
-        getattr(report, name) == 1.0 for name in _METRICS
-    ):
+    if exclude_perfect and any(getattr(report, name) == 1.0 for name in _METRICS):
         return False
-    if criteria.exclude_f1_band and 0.9 < report.f1 < 1.0:
-        return False
-    return True
+    return not (exclude_f1_band and 0.9 < report.f1 < 1.0)
 
 
 def screen(
-    reports: Mapping[int, MetricsReport],
-    criteria: ScreenCriteria = ScreenCriteria(),
+    reports: Mapping[int, MetricsReport], *, exclude_perfect: bool = False,
+    exclude_f1_band: bool = False,
 ) -> list[int]:
-    """Selectors whose metrics clear the screen, in packed order."""
-    return sorted(sel for sel, rep in reports.items() if passes_screen(rep, criteria))
+    """Selectors whose metrics clear passes_screen with the same flags, in packed order."""
+    return sorted(sel for sel, rep in reports.items() if passes_screen(
+        rep, exclude_perfect=exclude_perfect, exclude_f1_band=exclude_f1_band))
 
 
 def write_dataset_csv(dataset: LabeledDataset, path: str) -> None:

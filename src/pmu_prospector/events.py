@@ -171,15 +171,14 @@ def scan_control(selector: int, any_thread: bool = False) -> PerfEvtSelValue:
     )
 
 
-def umask_gates(umask: int, relevance_mask: int) -> bool:
-    """Whether a umask activates an event family with the given relevant bits.
+def umask_gates(umask, relevance_mask):
+    """Whether a umask activates an event family with the given relevant bits;
+    on numpy integer arrays it gates element by element, as pack_selector packs.
 
     A family with relevance_mask 0 ignores the umask and counts regardless;
     otherwise at least one relevant bit must be set in the umask.
     """
-    _check_int("umask", umask)
-    _check_int("relevance_mask", relevance_mask)
-    return relevance_mask == 0 or (umask & relevance_mask) != 0
+    return (relevance_mask == 0) | ((umask & relevance_mask) != 0)
 
 
 @dataclass(frozen=True)

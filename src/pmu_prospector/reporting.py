@@ -9,7 +9,7 @@ by packed selector, so the emitted file is reproducible.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TypeVar
 
 from .collector import ScanReport
@@ -47,21 +47,21 @@ def sample_rows(rows: Sequence[T], sample_size: int, seed: int, stream: str) -> 
     return rng.sample(items, sample_size)
 
 
+def write_selector_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV of (selector, *values) rows: the selector as "0xUUEE", then each
+    value at six decimals."""
+    write_csv(path, header, ([format_selector(selector), *(f"{value:.6f}" for value in values)]
+                             for selector, *values in rows))
+
+
 def write_metrics_plot_csv(
     reports: Mapping[int, MetricsReport], path: str, sample_size: int, seed: int
 ) -> None:
     """Scatter dataset of per-event detection metrics."""
     rows = sample_rows(sorted(reports.items()), sample_size, seed, "metrics")
     rows.sort()
-    write_csv(path, ["selector", "accuracy", "f1", "auc"], (
-        [
-            format_selector(selector),
-            f"{rep.accuracy:.6f}",
-            f"{rep.f1:.6f}",
-            f"{rep.auc:.6f}",
-        ]
-        for selector, rep in rows
-    ))
+    write_selector_csv(path, ["selector", "accuracy", "f1", "auc"],
+                       ((selector, rep.accuracy, rep.f1, rep.auc) for selector, rep in rows))
 
 
 def write_accuracy_plot_csv(
@@ -70,5 +70,4 @@ def write_accuracy_plot_csv(
     """Scatter dataset of per-event channel accuracies."""
     sampled = sample_rows(rows, sample_size, seed, "channel-accuracy")
     sampled.sort()
-    write_csv(path, ["selector", "accuracy"],
-              ([format_selector(selector), f"{accuracy:.6f}"] for selector, accuracy in sampled))
+    write_selector_csv(path, ["selector", "accuracy"], sampled)

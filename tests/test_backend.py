@@ -1,8 +1,12 @@
+import contextlib
+import errno
 import itertools
 import json
+import logging
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +29,17 @@ from pmu_prospector.backend import (
     measure,
     probe_native_backend,
 )
+from pmu_prospector.collector import ScanConfig, _scan_snippet, full_scan
+from pmu_prospector.corpus import SimulatedExecutor, instantiate
 from pmu_prospector.errors import (
     BackendError,
     BackendStateError,
+    InstantiationError,
     ReportParseError,
     SlotRangeError,
 )
-from pmu_prospector.events import EVENT_SPACE_SIZE, PerfEvtSelValue, scan_control, unpack_selector
+from pmu_prospector.events import (EVENT_SPACE_SIZE, EventCatalog, PerfEvtSelValue, decode_msr_value,
+                                   pack_selector, scan_control, umask_gates, unpack_selector)
 from pmu_prospector.seeding import derive_seed, mix64, point_fraction, point_fractions, point_hashes
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -860,6 +868,12 @@ class TestSimModelLoading:
         assert by_code[0xD3].increment == 2
         assert by_code[0x5E].noise_stddev == 0.5
 
+    def test_armed_selectors_follow_the_scalar_gate(self, sim_model):
+        armed = sorted(pack_selector(family.event_code, umask)
+                       for family in sim_model.families for umask in range(256)
+                       if umask_gates(umask, family.relevance_mask))
+        assert sim_model.make_backend()._armed.tolist() == armed
+
     def test_hex_strings_and_ints_both_accepted(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(
@@ -1014,6 +1028,126 @@ class TestNativeBackendUnavailable:
         assert backend is None
         assert "native backend unavailable" in report
         assert "rtm=" in report
+
+
+class SimulatedMsrDevice:
+    """/dev/cpu/0/msr over a SimulatedPmu, as NativeMsrBackend uses it.
+
+    A write to PERFEVTSELx decodes its image and programs slot x of the PMU,
+    a write to PMCx is accepted (programming has reset the count), a read of
+    PMCx gives slot x's count as 8 little-endian bytes, and
+    IA32_PERF_GLOBAL_CTRL holds a plain 64-bit value.  Any other address
+    fails with EIO, and so does the first PERFEVTSEL write of the selector
+    `refuse`.  install() puts it behind backend's os, whose every other
+    attribute is the real one; sched_setaffinity only notes its call.
+    """
+
+    PATH = "/dev/cpu/0/msr"
+    FD = 1 << 20  # no real descriptor: the device is never opened
+    GLOBAL_CTRL = 0x38F
+
+    def __init__(self, pmu: SimulatedPmu, refuse: int | None = None):
+        self.pmu = pmu
+        self.refuse = refuse
+        self.global_ctrl = 0
+        self.closed: list[int] = []
+        self.pinned: list[tuple[int, set[int]]] = []
+
+    def install(self, monkeypatch) -> None:
+        fake = _Forwarding(os)
+        fake.path = _Forwarding(os.path)
+        fake.path.exists = lambda path: path == self.PATH
+        fake.open = self.open
+        fake.pread, fake.pwrite, fake.close = self.pread, self.pwrite, self.closed.append
+        fake.sched_setaffinity = lambda pid, cpus: self.pinned.append((pid, cpus))
+        monkeypatch.setattr(backend_module, "os", fake)
+
+    def open(self, path: str, flags: int) -> int:
+        assert (path, flags) == (self.PATH, os.O_RDWR)
+        return self.FD
+
+    def pwrite(self, fd: int, data: bytes, address: int) -> int:
+        assert fd == self.FD and len(data) == 8
+        value = int.from_bytes(data, "little")
+        if 0 <= address - PERFEVTSEL_BASE_MSR < PROGRAMMABLE_SLOTS:
+            image = decode_msr_value(value)
+            if image.selector == self.refuse:
+                self.refuse = None
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            self.pmu.program(SLOTS[address - PERFEVTSEL_BASE_MSR], image)
+        elif address == self.GLOBAL_CTRL:
+            self.global_ctrl = value
+        elif not 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return len(data)
+
+    def pread(self, fd: int, size: int, address: int) -> bytes:
+        assert fd == self.FD and size == 8
+        if 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
+            return self.pmu.read(SLOTS[address - PMC_BASE_MSR]).to_bytes(8, "little")
+        if address == self.GLOBAL_CTRL:
+            return self.global_ctrl.to_bytes(8, "little")
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+# 576 selectors: every umask of the noisy 0x5E and the gated 0x6C families,
+# and event codes 0x00-0x3F at umask 1
+DEVICE_CODES = sorted({*(pack_selector(code, umask) for code in (0x5E, 0x6C)
+                         for umask in range(256)), *range(0x0100, 0x0140)})
+
+
+class TestNativeBackendOnSimulatedDevice:
+    def native_executor(self, monkeypatch, sim_model, seed, refuse=None):
+        """An executor whose backend is NativeMsrBackend on a fresh device
+        over the fixture model's PMU, and the device."""
+        pmu = sim_model.make_backend(seed)
+        device = SimulatedMsrDevice(pmu, refuse)
+        device.install(monkeypatch)
+        workload = SimulatedExecutor(pmu, sim_model.fault_table, sim_model.supported_extensions)
+        return SimpleNamespace(backend=NativeMsrBackend(cpu=0), execute=workload.execute), device
+
+    def test_slice_pass_equals_the_vector_path(self, monkeypatch, sim_model, corpus_entries,
+                                               make_executor):
+        native, device = self.native_executor(monkeypatch, sim_model, seed=5)
+        vector = make_executor(5)
+        config = ScanConfig(repetitions=3)
+        snippets = []
+        for entry in corpus_entries:
+            with contextlib.suppress(InstantiationError):  # the avx512 entry, as full_scan skips it
+                snippets.append(instantiate(entry))
+        assert len(snippets) == 9
+        loud_codes = set()
+        for snippet in snippets:
+            slow = _scan_snippet(native, snippet, DEVICE_CODES, config)
+            fast = _scan_snippet(vector, snippet, DEVICE_CODES, config)
+            assert slow[0] == fast[0]
+            assert slow[1].tolist() == fast[1].tolist()
+            assert slow[2].tolist() == fast[2].tolist()
+            loud_codes |= {DEVICE_CODES[i] & 0xFF for i in slow[1].tolist()}
+        assert loud_codes == {0x5E, 0x6C}
+        assert device.pinned == [(0, {0})]
+        native.backend.close()
+
+    def test_refused_write_loses_one_batch(self, monkeypatch, sim_model, corpus_entries, caplog):
+        native, _ = self.native_executor(monkeypatch, sim_model, seed=0, refuse=0x016C)
+        lines: list[bytes] = []
+        with caplog.at_level(logging.WARNING):
+            report = full_scan(corpus_entries[:1], EventCatalog(), native,
+                               ScanConfig(repetitions=1), record_sink=lines.append)
+        records = b"".join(lines).splitlines()
+        lost = [json.loads(line)["selector"] for line in records if b"backend-error" in line]
+        assert lost == ["0x016C", "0x016D", "0x016E", "0x016F"]
+        assert len(records) == EVENT_SPACE_SIZE
+        assert ["backend failure" in r.message for r in caplog.records].count(True) == 1
+        assert 0x016C not in report.hidden_events and 0x036C in report.hidden_events
+        assert report.executed_success == 1
+        native.backend.close()
+
+    def test_close_closes_the_descriptor_once(self, monkeypatch, sim_model):
+        native, device = self.native_executor(monkeypatch, sim_model, seed=0)
+        native.backend.close()
+        native.backend.close()
+        assert device.closed == [SimulatedMsrDevice.FD]
 
 
 @pytest.mark.skipif(

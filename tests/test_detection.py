@@ -34,7 +34,6 @@ from pmu_prospector.detection import (
     MetricsReport,
     ScenarioKind,
     ScenarioSpec,
-    ScreenCriteria,
     build_dataset,
     collect_samples,
     compute_metrics,
@@ -566,13 +565,12 @@ class TestScreen:
     def test_exclude_perfect_drops_saturated_metrics(self):
         report = report_with(auc=1.0)
         assert passes_screen(report)
-        assert not passes_screen(report, ScreenCriteria(exclude_perfect=True))
+        assert not passes_screen(report, exclude_perfect=True)
 
     def test_exclude_f1_band_is_open_interval(self):
-        banded = ScreenCriteria(exclude_f1_band=True)
-        assert not passes_screen(report_with(f1=0.95), banded)
-        assert passes_screen(report_with(f1=0.9), banded)
-        assert passes_screen(report_with(f1=1.0), banded)
+        assert not passes_screen(report_with(f1=0.95), exclude_f1_band=True)
+        assert passes_screen(report_with(f1=0.9), exclude_f1_band=True)
+        assert passes_screen(report_with(f1=1.0), exclude_f1_band=True)
 
     def test_screen_returns_packed_order(self):
         reports = {
@@ -592,7 +590,7 @@ class TestEndToEnd:
         metrics = compute_metrics(result.model, result.test_samples)
         assert (metrics.accuracy, metrics.f1, metrics.auc) == (1.0, 1.0, 1.0)
         assert passes_screen(metrics)
-        assert not passes_screen(metrics, ScreenCriteria(exclude_perfect=True))
+        assert not passes_screen(metrics, exclude_perfect=True)
 
     def test_mixed_counter_detects_imperfectly_but_passes(self):
         family = SimEventFamily(0x60, 0x00, frozenset({"memory-load", "fault-load"}))

@@ -218,6 +218,12 @@ class TestUmaskGate:
     def test_gate_matches_bitwise_and(self, umask, mask):
         assert umask_gates(umask, mask) == bool(umask & mask)
 
+    def test_arrays_gate_element_by_element(self):
+        gates = umask_gates(np.arange(256)[:, None], np.arange(256))
+        assert gates.dtype == bool and gates.shape == (256, 256)
+        assert gates.tolist() == [[umask_gates(umask, mask) for mask in range(256)]
+                                  for umask in range(256)]
+
 
 class TestCatalog:
     def test_load_and_lookup(self):

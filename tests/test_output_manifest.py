@@ -11,7 +11,11 @@ it repeats no digest that criterion 09 or the noisy-median test pins (seed
 7).  Unlike criterion 09, the grid also pins the detector JSON, screen CSV
 and metrics-plot CSV: their bytes come from numpy float training, so a
 change to the fit, or a numpy build that rounds differently, shows up here
-as named entries.
+as named entries.  The other channel screens transmit through the default
+memory-load class, which only noiseless families count, so their bytes
+cannot show a change to the simulated over-counts; the channel-alu step
+transmits through alu, which only the noisy 0x5E family counts, so which
+selectors pass its screen depends on those over-counts.
 """
 
 import contextlib
@@ -79,6 +83,9 @@ def _grid() -> list[tuple[str, list[str], tuple[str, ...]]]:
                            "--iterations", "2", "--false-fire", "0.05", *channel,
                            "--plot-out", "channel-noisy-plot.csv", "--out", "channel-noisy.csv"],
          ("channel-noisy.csv", "channel-noisy-plot.csv")),
+        ("channel-alu", ["sidechannel", "screen", "--report", "scan-r3.json", "--length", "4",
+                         "--iterations", "2", "--transmit-class", "alu", *channel,
+                         "--out", "channel-alu.csv"], ("channel-alu.csv",)),
     ]
     return steps
 
