@@ -413,44 +413,49 @@ class SimulatedPmu(CounterBackend):
         given per epoch with its family row and packed selector.
 
         The executions of all epochs are laid end to end and drawn
-        NOISE_BATCH at a time, which bounds peak memory.  Two exact cuts
-        keep about 70% of them (at stddev 0.5) out of the floating-point
-        formula, as they over-count 0:
+        NOISE_BATCH at a time, which bounds peak memory; each epoch's hash
+        prefix and first-hash limit are repeated over its executions.
+        Two exact cuts keep about 70% of them (at stddev 0.5) out of the
+        floating-point formula, as they over-count 0:
         - an over-count of 1 or more needs stddev * sqrt(-2 ln u1) > 1/2, so
           a first hash above exp(-1 / (8 stddev**2)) * 2**64, widened by a
           relative 1e-6 for rounding (_first_hash_limits), cannot reach 1;
         - a second hash in [2**62 + 2**40, 3 * 2**62 - 2**40] gives a u2 with
           cos(2 pi u2) < -3.7e-7, so a normal and a rint that are not positive.
+        The rest are summed per epoch in int64, exact where a float64 sum
+        past 2**53 would round.
         """
         ends = np.cumsum(sizes)
         shift = ends - sizes  # where each epoch's execution 0 lies in the layout
         total = int(ends[-1]) if len(ends) else 0
         prefix = point_hashes(self._keys[rows], packed, epochs)
-        sums = np.zeros(len(sizes))
+        limits, stddevs = self._first_hash_limits[rows], self._stddevs[rows]
+        sums = np.zeros(len(sizes), np.int64)
         for low in range(0, total, NOISE_BATCH):
             high = min(low + NOISE_BATCH, total)
             first, last = np.searchsorted(ends, [low, high - 1], side="right").tolist()
             span = slice(first, last + 1)  # the epochs this batch overlaps
-            taken = np.minimum(ends[span], high) - np.maximum(ends[span] - sizes[span], low)
+            taken = np.minimum(ends[span], high) - np.maximum(shift[span], low)
             k = np.arange(low, high) - np.repeat(shift[span], taken)
             h = point_hashes(k, prefix=np.repeat(prefix[span], taken))
-            over = self._execution_overcounts(np.repeat(rows[span], taken), h)
-            counted = np.flatnonzero(taken)
-            sums[first + counted] += np.add.reduceat(over, (np.cumsum(taken) - taken)[counted])
-        return sums.astype(np.int64)
+            epoch, over = self._execution_overcounts(h, taken, limits[span], stddevs[span])
+            np.add.at(sums, first + epoch, over)
+        return sums
 
-    def _execution_overcounts(self, rows, hashes) -> np.ndarray:
-        """Over-count of each execution from its family row and first hash."""
-        over = np.zeros(len(hashes))
-        live = np.flatnonzero(hashes <= self._first_hash_limits[rows])
+    def _execution_overcounts(self, hashes, taken, limits, stddevs) -> tuple[np.ndarray, np.ndarray]:
+        """(epoch, over): the epoch and int64 over-count of each execution past
+        both cuts of _overcounts.  hashes holds the taken[j] first hashes of
+        epoch j, epoch after epoch; limits[j] and stddevs[j] belong to epoch j."""
+        live = np.flatnonzero(hashes <= np.repeat(limits, taken))
         second = point_hashes(1, prefix=hashes[live])
-        # second in [2**62 + 2**40, 3 * 2**62 - 2**40], by a wrapping subtraction
-        negative = second - np.uint64((1 << 62) + (1 << 40)) <= np.uint64((1 << 63) - (1 << 41))
-        live, second = live[~negative], second[~negative]
+        # second outside [2**62 + 2**40, 3 * 2**62 - 2**40], by a wrapping subtraction
+        kept = np.flatnonzero(
+            second - np.uint64((1 << 62) + (1 << 40)) > np.uint64((1 << 63) - (1 << 41)))
+        live, second = live[kept], second[kept]
+        epoch = np.searchsorted(np.cumsum(taken), live, side="right")
         u1 = np.maximum(point_fractions(prefix=hashes[live]), 2.0**-64)  # 0 only for hash 0
         normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * point_fractions(prefix=second))
-        over[live] = np.maximum(np.rint(self._stddevs[rows[live]] * normal), 0.0)
-        return over
+        return epoch, np.maximum(np.rint(stddevs[epoch] * normal), 0.0).astype(np.int64)
 
 
 @dataclass(frozen=True)

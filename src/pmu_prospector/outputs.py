@@ -5,6 +5,12 @@ CSV file is UTF-8, a header row then the rows, with CRLF line ends (RFC
 4180).  No other module writes JSON or CSV, apart from the scan's NDJSON
 record stream, which collector renders in blocks because it is the hot path.
 
+Every output file, the record stream included, goes through completed_stream,
+the writers' whole text at once: to path + ".partial", renamed onto path, so
+path never holds part of a file.  A regular file at path (or one a symlink
+there names) is overwritten in place, not truncated, which keeps its blocks; a
+FIFO or a device is written directly.  The directory of path must be writable.
+
 The JSON text is exactly json.dumps(doc, indent=2, sort_keys=True) plus a
 newline, but json.dumps does not make it: given an indent, it runs json's
 pure-Python encoder, one generator step per token.  _render_json quotes
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
@@ -64,29 +71,31 @@ def _render_json(value: object, indent: str = "\n") -> str:
 
 
 def write_json(path: str, doc: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_render_json(doc) + "\n")
+    data = (_render_json(doc) + "\n").encode()
+    with completed_stream(path) as fh:
+        fh.write(data)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode()
+    with completed_stream(path) as fh:
+        fh.write(data)
 
 
 @contextlib.contextmanager
 def completed_stream(path: str) -> Iterator[BinaryIO]:
     """Open path + ".partial" for the with block, and rename it onto path when
-    the block ends without an exception, so path only ever holds a whole
-    stream.  A regular file at path is moved aside and overwritten in place,
-    reusing its blocks instead of freeing them; through a symlink, the file it
-    names is.  A FIFO or a device at path is written directly, never renamed."""
+    the block ends without an exception (the module docstring has the rest)."""
     if os.path.lexists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
         return
-    path = os.path.realpath(path)  # never rename a symlink, such as /dev/stdout
+    if os.path.islink(path):  # never rename a symlink, such as /dev/stdout
+        path = os.path.realpath(path)
     partial = path + ".partial"
     if os.path.exists(path):
         os.replace(path, partial)

@@ -786,6 +786,18 @@ def one_family(stddev):
     return SimulatedPmu([SimEventFamily(0x5E, 0x00, frozenset({"alu"}), noise_stddev=stddev)])
 
 
+def execution_overcounts(pmu, hashes):
+    """pmu._execution_overcounts of family row 0, as one over-count per hash."""
+    n = len(hashes)
+    epoch, over = pmu._execution_overcounts(  # one execution per epoch
+        hashes, np.ones(n, np.int64), np.repeat(pmu._first_hash_limits[:1], n),
+        np.repeat(pmu._stddevs[:1], n))
+    assert np.all(np.diff(epoch) > 0) and over.dtype == np.int64
+    dense = np.zeros(n, np.int64)
+    dense[epoch] = over
+    return dense
+
+
 class TestNoiseCuts:
     """_overcounts skips the formula where it gives 0; the counts must not move."""
 
@@ -809,13 +821,40 @@ class TestNoiseCuts:
             sizes = np.full(50, 20)
             assert pmu._overcounts(np.full(50, row), np.arange(50), np.arange(50), sizes).any()
 
+    def test_empty_epochs_and_an_epoch_across_batches(self, monkeypatch):
+        # batches [0, 7), [7, 14) and [14, 15): the first holds empty epochs
+        # between epochs that draw, and the epoch of 9 spans the first two
+        monkeypatch.setattr(backend_module, "NOISE_BATCH", 7)
+        pmu = SimulatedPmu([SimEventFamily(0x5E, 0x00, frozenset({"alu"}), noise_stddev=50),
+                            SimEventFamily(0x6C, 0x00, frozenset({"alu"}), noise_stddev=3)])
+        sizes = np.array([0, 3, 0, 0, 2, 0, 9, 0, 1, 0])
+        rows = np.arange(len(sizes)) % 2
+        packed, epochs = np.where(rows, 0x6C, 0x5E), np.arange(len(sizes))
+        cut = pmu._overcounts(rows, packed, epochs, sizes)
+        assert np.array_equal(cut, uncut_overcounts(pmu, rows, packed, epochs, sizes))
+        assert cut.dtype == np.int64 and not cut[sizes == 0].any() and cut[6] > 0
+
+    def test_a_sum_past_2_to_the_53_is_exact(self):
+        # about 1.7e9 per execution at the largest stddev, so 5.5M executions
+        # sum to an odd number near 9.4e15, which float64 cannot hold
+        pmu, size = one_family(MAX_FAMILY_SCALE), 5_500_000
+        rows, packed, epochs = np.zeros(1, np.intp), np.array([0x5E]), np.array([3])
+        (cut,) = pmu._overcounts(rows, packed, epochs, np.array([size]))
+        prefix = point_hashes(pmu._keys[rows], packed, epochs)
+        step = 1 << 20
+        exact = sum(
+            int(documented_overcounts(MAX_FAMILY_SCALE, point_hashes(
+                np.arange(low, min(low + step, size)), prefix=prefix)).astype(np.int64).sum())
+            for low in range(0, size, step))
+        assert cut == exact > 2**53 and exact % 2
+
     @pytest.mark.parametrize("stddev", [0.0531, 0.5, 1.5, 3])
     def test_first_hash_limit(self, stddev):
         pmu = one_family(stddev)
         limit = int(pmu._first_hash_limits[0])
         assert limit == int(math.exp(-1 / (8 * stddev**2)) * (1 + 1e-6) * 2**64)
         hashes = np.array([limit, limit + 1], np.uint64)
-        kept, dropped = pmu._execution_overcounts(np.zeros(2, np.intp), hashes).tolist()
+        kept, dropped = execution_overcounts(pmu, hashes).tolist()
         assert kept == documented_overcounts(stddev, hashes[:1])[0] and dropped == 0
         # above the limit the formula gives 0 even where cos(2 pi u2) is 1
         u1 = point_fractions(prefix=hashes[1:])
@@ -825,7 +864,7 @@ class TestNoiseCuts:
         above = np.random.default_rng(1).integers(limit + 1, 1 << 64, 50_000, np.uint64,
                                                   endpoint=False)
         assert not documented_overcounts(stddev, above).any()
-        assert not pmu._execution_overcounts(np.zeros(len(above), np.intp), above).any()
+        assert not execution_overcounts(pmu, above).any()
 
     def test_largest_stddev_keeps_the_top_hashes(self):
         # a limit clipped to 2**64 - 2048, the largest double below 2**64,
@@ -833,7 +872,7 @@ class TestNoiseCuts:
         pmu = one_family(MAX_FAMILY_SCALE)
         assert int(pmu._first_hash_limits[0]) == 2**64 - 1
         top = np.arange(0xFFFFFFFFFFFFF801, 1 << 64, dtype=np.uint64)
-        over = pmu._execution_overcounts(np.zeros(len(top), np.intp), top)
+        over = execution_overcounts(pmu, top)
         assert np.array_equal(over, documented_overcounts(MAX_FAMILY_SCALE, top))
         assert 0 < over.max() <= 64
 
@@ -848,7 +887,7 @@ class TestNoiseCuts:
         firsts = [unmix64(second) ^ 1 for second in seconds]  # second hash = mix64(first ^ 1)
         assert [mix64(first ^ 1) for first in firsts] == seconds
         hashes = np.array(firsts, np.uint64)
-        over = one_family(stddev)._execution_overcounts(np.zeros(7, np.intp), hashes)
+        over = execution_overcounts(one_family(stddev), hashes)
         assert np.array_equal(over, documented_overcounts(stddev, hashes))
         if stddev == MAX_FAMILY_SCALE:
             assert over[-1] > 0  # so the cut may not reach past the quarter

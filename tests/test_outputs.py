@@ -3,6 +3,7 @@
 import enum
 import json
 import math
+import os
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -63,3 +64,43 @@ def test_csv_has_the_header_first_crlf_line_ends_and_a_comma_quoted(tmp_path):
     rows = (row for row in [("0x016C", "a,b"), ["0x03D3", 7]])  # callers pass generators
     write_csv(str(path), ["selector", "note"], rows)
     assert path.read_bytes() == b'selector,note\r\n0x016C,"a,b"\r\n0x03D3,7\r\n'
+
+
+def test_a_shorter_rewrite_reuses_the_file_and_leaves_exactly_the_new_bytes(tmp_path):
+    paths = json_path, csv_path = tmp_path / "doc.json", tmp_path / "rows.csv"
+    write_json(str(json_path), {"tag": "x" * 5000})
+    write_csv(str(csv_path), ["tag"], [["x" * 5000]])
+    for path in paths:
+        path.chmod(0o640)
+    before = [(path.stat().st_ino, path.stat().st_mode) for path in paths]
+    write_json(str(json_path), {"tag": "y"})
+    write_csv(str(csv_path), ["tag"], [["y"]])
+    assert [(path.stat().st_ino, path.stat().st_mode) for path in paths] == before
+    assert json_path.read_bytes() == b'{\n  "tag": "y"\n}\n'
+    assert csv_path.read_bytes() == b"tag\r\ny\r\n"
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_a_failing_row_iterator_leaves_the_old_csv(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["n"], [[n] for n in range(100)])
+    old = path.read_bytes()
+
+    def rows():
+        yield [1]
+        raise RuntimeError("row 2")
+
+    with pytest.raises(RuntimeError, match="row 2"):
+        write_csv(str(path), ["n"], rows())
+    assert path.read_bytes() == old
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_through_a_symlink_the_target_is_rewritten_and_the_link_stays(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    write_json(str(target), list(range(100)))
+    link.symlink_to(target.name)
+    write_json(str(link), [1])
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == b"[\n  1\n]\n"
+    assert not list(tmp_path.glob("*.partial"))
