@@ -151,7 +151,7 @@ def scan_instruction(
 
 
 class RecordRenderer:
-    """Renders a scan's NDJSON records as bytes, RECORD_BLOCK lines a block.
+    """Renders a scan's NDJSON records, RECORD_BLOCK lines a block.
 
     Each line is byte-identical to json.dumps({"selector":
     format_selector(p), "instruction": instruction_id, "delta": delta,
@@ -161,15 +161,24 @@ class RecordRenderer:
 
     Most lines of a scan are quiet: delta 0 and the outcome of their span.
     They are cut from one reused RECORD_BLOCK x width uint8 buffer of quiet
-    lines, whose head columns are rewritten only when the instruction or the
-    outcome changes and which is rebuilt only when the head's width does;
-    the selector columns are copied in per block from selector_ascii().
-    Each line with a nonzero delta is rendered on its own and spliced in.
+    lines, row p % RECORD_BLOCK holding selector p.  Its head columns are
+    rewritten only when the instruction or the outcome changes, and it is
+    rebuilt only when the head's width does.  The rows of every aligned
+    block of selector_ascii() differ from its first RECORD_BLOCK rows only
+    in the columns of the top digits, so a rebuild copies in those rows and
+    a block rewrites only those columns, and only when they change.  Each
+    line with a nonzero delta is rendered on its own from the span's bytes
+    template.  A block leaves as its list of buffers: full_scan hands it to
+    its record sink in one call, and the buffers are valid only during it.
     """
 
     def __init__(self) -> None:
-        self._head = b""
+        self._head = self._template = b""
         self._lines = np.empty((RECORD_BLOCK, 0), np.uint8)
+        table = selector_ascii()
+        top = np.flatnonzero((table[::RECORD_BLOCK] != table[0]).any(axis=0)).tolist()
+        self._top = slice(top[0], top[-1] + 1)  # the columns of the top digits
+        self._block = 0  # the aligned block whose top digits the buffer holds
 
     def render(
         self,
@@ -177,59 +186,68 @@ class RecordRenderer:
         spans: Iterable[tuple[int, int, str]],
         index: np.ndarray,
         deltas: np.ndarray,
-    ) -> Iterator[bytes]:
-        """The records of one instruction, one bytes object per RECORD_BLOCK
-        block of the packed order (blocks start at multiples of it).
+    ) -> Iterator[list[bytes | memoryview]]:
+        """The records of one instruction, one list of buffers per
+        RECORD_BLOCK block of the packed order (blocks start at multiples of
+        it); the block's lines are the buffers' bytes in order.  The buffers
+        are slices of the reused quiet-line buffer and the rendered nonzero
+        lines, valid only until the generator is resumed.
 
         spans are (start, stop, outcome value) and tile a range of packed
         selectors in order; index is the ascending int64 array of the
         selectors in that range whose delta, at the same position of
         deltas, is nonzero.  Every other selector's delta is 0.
         """
-        parts: list[bytes] = []
+        buffers: list[bytes | memoryview] = []
         for start, stop, outcome in spans:
+            if buffers:  # a span starting inside a block: its head may rewrite their rows
+                buffers = [b"".join(buffers)]
             self._set_head(instruction_id, outcome)
             while start < stop:
                 end = min(stop, (start // RECORD_BLOCK + 1) * RECORD_BLOCK)
-                parts.append(self._piece(instruction_id, outcome, index, deltas, start, end))
+                self._piece(buffers, index, deltas, start, end)
                 if end % RECORD_BLOCK == 0:
-                    yield b"".join(parts)
-                    parts = []
+                    yield buffers
+                    buffers = []
                 start = end
-        if parts:
-            yield b"".join(parts)
+        if buffers:
+            yield buffers
 
     def _set_head(self, instruction_id: int, outcome: str) -> None:
-        head = _record_line(0, instruction_id, outcome, "")[:-3]  # up to the selector
+        """Make the buffer's heads and the nonzero-line template those of the
+        span."""
+        self._template = (f'{{"delta": %d, "instruction": {instruction_id}, '
+                          f'"outcome": "{outcome}", "selector": "%b"}}\n').encode()
+        head = (self._template % (0, b""))[:-3]  # a quiet line up to the selector
         if head == self._head:
             return
         width = len(head) + 9  # the selector's six characters, then '"}\n'
         if self._lines.shape[1] != width:
             self._lines = np.empty((RECORD_BLOCK, width), np.uint8)
+            self._lines[:, -9:-3] = selector_ascii()[:RECORD_BLOCK]
             self._lines[:, -3:] = np.frombuffer(b'"}\n', np.uint8)
+            self._block = 0
         self._lines[:, : len(head)] = np.frombuffer(head, np.uint8)
         self._head = head
 
-    def _piece(self, instruction_id: int, outcome: str, index: np.ndarray,
-               deltas: np.ndarray, start: int, stop: int) -> bytes:
-        """The lines of selectors start..stop-1, all in one block and span."""
-        lines, width = self._lines, self._lines.shape[1]
-        lines[: stop - start, width - 9 : width - 3] = selector_ascii()[start:stop]
-        flat = memoryview(lines.reshape(-1))
+    def _piece(self, buffers: list[bytes | memoryview], index: np.ndarray,
+               deltas: np.ndarray, start: int, stop: int) -> None:
+        """Append the lines of selectors start..stop-1, all in one block and
+        span, to buffers."""
+        block = start // RECORD_BLOCK
+        if block != self._block:
+            self._lines[:, -9:-3][:, self._top] = selector_ascii()[block * RECORD_BLOCK, self._top]
+            self._block = block
+        first = block * RECORD_BLOCK
+        flat, width = memoryview(self._lines.reshape(-1)), self._lines.shape[1]
         low, high = np.searchsorted(index, (start, stop)).tolist()
-        parts = []
-        row = 0  # first quiet line not yet taken
+        row = start - first  # first quiet line not yet taken
         for selector, delta in zip(index[low:high].tolist(), deltas[low:high].tolist()):
-            parts.append(flat[row * width : (selector - start) * width])
-            parts.append(_record_line(delta, instruction_id, outcome, format_selector(selector)))
-            row = selector - start + 1
-        parts.append(flat[row * width : (stop - start) * width])
-        return b"".join(parts)
-
-
-def _record_line(delta: int, instruction_id: int, outcome: str, selector: str) -> bytes:
-    return (f'{{"delta": {delta}, "instruction": {instruction_id}, '
-            f'"outcome": "{outcome}", "selector": "{selector}"}}\n').encode()
+            line = (selector - first) * width
+            buffers.append(flat[row * width : line])
+            buffers.append(self._template % (delta, flat[line + width - 9 : line + width - 3]))
+            row = selector - first + 1
+        buffers.append(flat[row * width : (stop - first) * width])
 
 
 def full_scan(
@@ -237,7 +255,7 @@ def full_scan(
     catalog: EventCatalog,
     executor,
     config: ScanConfig = ScanConfig(),
-    record_sink: Callable[[bytes], object] | None = None,
+    record_sink: Callable[[list[bytes | memoryview]], object] | None = None,
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
@@ -251,15 +269,17 @@ def full_scan(
     logged); they still count toward total_instructions.
 
     record_sink, when given, receives the NDJSON records of each scanned
-    instruction as bytes, RECORD_BLOCK lines per call, in packed order: one
-    line per selector (see RecordRenderer), whose outcome is that of the
-    selector's own batch, or backend-error for a lost batch.  A skipped
-    instruction writes nothing.
+    instruction in packed order, one call per RECORD_BLOCK block of lines:
+    one line per selector (see RecordRenderer), whose outcome is that of the
+    selector's own batch, or backend-error for a lost batch.  Each call gets
+    a list of bytes-like buffers whose bytes, in order, are the block's
+    lines; they are valid only during the call, so a sink that keeps them
+    copies them.  A skipped instruction writes nothing.
     """
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
     documented[list(catalog.entries)] = True
-    renderer = RecordRenderer()
+    renderer = RecordRenderer() if record_sink is not None else None  # it builds selector_ascii()
     hidden: dict[int, set[int]] = {}
     total = executed_success = 0
     for entry in entries:
@@ -284,7 +304,7 @@ def full_scan(
         measured = {outcome for _, _, outcome in spans} - {ExecStatus.BACKEND_ERROR}
         if measured == {ExecStatus.SUCCESS}:
             executed_success += 1
-        if record_sink is not None:
+        if renderer is not None:
             values = [(start, stop, outcome.value) for start, stop, outcome in spans]
             for block in renderer.render(entry.id, values, index, medians):
                 record_sink(block)
@@ -305,10 +325,41 @@ def _backend_label(executor) -> str:
 _REPORT_FORMAT = "pmu-prospector-scan-v1"
 
 
-def ndjson_record_sink(fh) -> Callable[[bytes], object]:
-    """Record sink for full_scan: writes each rendered block of NDJSON
-    records to the binary file fh as it arrives."""
-    return fh.write
+def ndjson_record_sink(fh) -> Callable[[list[bytes | memoryview]], None]:
+    """Record sink for full_scan, which calls it once per block of NDJSON
+    records with a list of buffers valid only during the call: it writes
+    them to the binary file fh before it returns.
+
+    It flushes fh, then hands the buffers to os.writev on fh's descriptor,
+    at most SC_IOV_MAX of them a call, again past a short write.  Without
+    os.writev, or for a file with no descriptor (such as io.BytesIO), it
+    calls fh.writelines instead.
+    """
+    writev = getattr(os, "writev", None)
+    try:
+        fd = fh.fileno()
+    except OSError:  # io.UnsupportedOperation: no descriptor
+        writev = None
+    if writev is None:
+        return fh.writelines
+    iov_max = os.sysconf("SC_IOV_MAX")
+
+    def sink(buffers: list[bytes | memoryview]) -> None:
+        fh.flush()
+        first = 0
+        while first < len(buffers):
+            chunk = buffers[first : first + iov_max]
+            written = writev(fd, chunk)
+            for size in map(len, chunk):  # skip the buffers written whole
+                if written < size:
+                    break
+                written -= size
+                first += 1
+            if written:  # a short write stopped inside buffers[first]
+                buffers = [memoryview(buffers[first])[written:], *buffers[first + 1 :]]
+                first = 0
+
+    return sink
 
 
 def persist_report(report: ScanReport, path: str) -> None:

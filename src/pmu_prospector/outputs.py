@@ -9,7 +9,8 @@ Every output file, the record stream included, goes through completed_stream,
 the writers' whole text at once: to path + ".partial", renamed onto path, so
 path never holds part of a file.  A regular file at path (or one a symlink
 there names) is overwritten in place, not truncated, which keeps its blocks; a
-FIFO or a device is written directly.  The directory of path must be writable.
+FIFO or a device is written directly.  The directory of path must be writable;
+an error opening path + ".partial" names path.
 
 The JSON text is exactly json.dumps(doc, indent=2, sort_keys=True) plus a
 newline, but json.dumps does not make it: given an indent, it runs json's
@@ -94,12 +95,17 @@ def completed_stream(path: str) -> Iterator[BinaryIO]:
         with open(path, "wb") as fh:
             yield fh
         return
+    given = path
     if os.path.islink(path):  # never rename a symlink, such as /dev/stdout
         path = os.path.realpath(path)
     partial = path + ".partial"
     if os.path.exists(path):
         os.replace(path, partial)
-    with open(os.open(partial, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    try:
+        fd = os.open(partial, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:  # name the path the caller gave, not the .partial file
+        raise OSError(exc.errno, exc.strerror, given) from None
+    with open(fd, "wb") as fh:
         yield fh
         fh.truncate()
     os.replace(partial, path)

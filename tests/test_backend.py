@@ -1172,7 +1172,8 @@ class TestNativeBackendOnSimulatedDevice:
         lines: list[bytes] = []
         with caplog.at_level(logging.WARNING):
             report = full_scan(corpus_entries[:1], EventCatalog(), native,
-                               ScanConfig(repetitions=1), record_sink=lines.append)
+                               ScanConfig(repetitions=1),
+                               record_sink=lambda block: lines.append(b"".join(block)))
         records = b"".join(lines).splitlines()
         lost = [json.loads(line)["selector"] for line in records if b"backend-error" in line]
         assert lost == ["0x016C", "0x016D", "0x016E", "0x016F"]

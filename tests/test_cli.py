@@ -456,6 +456,17 @@ class TestScanCommand:
         # the two instructions scanned before the failure
         assert read_bytes(tmp_path / "records.ndjson.partial").count(b"\n") == 2 * 65536
 
+    @pytest.mark.parametrize("flag", ["--out", "--records"])
+    def test_a_missing_directory_is_named_as_given(self, tmp_path, capsys, scan_args, flag):
+        # the stream goes to <path>.partial, but the error names <path>
+        missing = tmp_path / "missing" / "file"
+        extra = ["--records", str(missing)] if flag == "--records" else []
+        out = missing if flag == "--out" else tmp_path / "report.json"
+        assert dispatch(scan_args(out, extra)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert list(tmp_path.rglob("*")) == []
+
     def test_fifo_target_is_written_directly(self, tmp_path, mini_scan):
         fresh, fifo = tmp_path / "fresh.ndjson", tmp_path / "fifo"
         assert mini_scan(fresh) == 0

@@ -11,7 +11,10 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -26,6 +29,7 @@ from pmu_prospector.collector import (
     RecordRenderer,
     ScanConfig,
     _lower_medians,
+    _scan_snippet,
     ScanReport,
     control_values,
     full_scan,
@@ -38,6 +42,7 @@ from pmu_prospector.corpus import (
     ExecOutcome,
     ExecStatus,
     SimulatedExecutor,
+    instantiate,
     parse_corpus,
 )
 from pmu_prospector.errors import InstantiationError, ReportParseError
@@ -45,7 +50,9 @@ from pmu_prospector.events import (
     EVENT_SPACE_SIZE,
     EventCatalog,
     format_selector,
+    selector_ascii,
 )
+from pmu_prospector.outputs import completed_stream
 
 HIDDEN_6C = frozenset(u << 8 | 0x6C for u in range(256) if u & 0x01)
 HIDDEN_D3 = frozenset(u << 8 | 0xD3 for u in range(256) if u & 0x03) - {0x01D3, 0x02D3}
@@ -273,6 +280,35 @@ class TestScanInstruction:
             assert {outcome for _, _, outcome in got} == {"fault"}
 
 
+class TestPartitionRule:
+    def test_partitioned_passes_equal_one_pass(self, make_executor, corpus_entries):
+        # noise epochs are per selector, so passes over a partition of the
+        # codes, each with a fresh executor of one seed, measure what one pass
+        # over the whole space does, the noisy 0x5E family included
+        rng = np.random.default_rng(36)
+        order = rng.permutation(EVENT_SPACE_SIZE)
+        parts = np.split(order, np.sort(rng.choice(EVENT_SPACE_SIZE - 1, 4, replace=False)) + 1)
+        config = ScanConfig(repetitions=3)
+        spread = {}
+        for entry in corpus_entries:
+            if entry.id == 9:  # needs avx512, which the fixture's pool lacks
+                continue
+            snippet = instantiate(entry)
+            _, index, medians = _scan_snippet(
+                make_executor(seed=5), snippet, range(EVENT_SPACE_SIZE), config)
+            whole = np.zeros(EVENT_SPACE_SIZE, np.int64)
+            whole[index] = medians
+            pieced = np.full(EVENT_SPACE_SIZE, -1, np.int64)
+            for part in parts:  # each in its shuffled order
+                _, index, medians = _scan_snippet(make_executor(seed=5), snippet, part.tolist(),
+                                                  config)
+                pieced[part] = 0
+                pieced[part[index]] = medians
+            assert pieced.tolist() == whole.tolist(), entry.id
+            spread[entry.id] = len(set(whole[0x5E::256].tolist()))
+        assert spread[3] > 1  # the noise is in play on the alu instruction
+
+
 class TestFullScan:
     @pytest.fixture()
     def fixture_report(self, make_executor, corpus_entries, catalog):
@@ -385,9 +421,9 @@ class TestFullScan:
         # the fixture's 0x5E family is noisy, so its medians vary with the
         # repetitions; the records hold the dense medians of every selector
         config = ScanConfig(repetitions=repetitions)
-        blocks: list[bytes] = []
+        blocks: list[bytes] = []  # each block copied during its sink call
         recorded = full_scan(corpus_entries, catalog, make_executor(seed=4), config,
-                             record_sink=blocks.append)
+                             record_sink=lambda block: blocks.append(b"".join(block)))
         assert full_scan(corpus_entries, catalog, make_executor(seed=4), config) == recorded
         loud: dict[int, set[int]] = {}
         nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "(0x....)"'
@@ -470,7 +506,7 @@ class TestRecordSink:
         blocks: list[str] = []
         full_scan(
             corpus_entries, catalog, make_executor(seed=3), ScanConfig(repetitions=1),
-            record_sink=lambda block: blocks.append(block.decode()),
+            record_sink=lambda block: blocks.append(b"".join(block).decode()),
         )
         calls: Counter[int] = Counter()
         for block in blocks:
@@ -610,8 +646,12 @@ class TestRenderRecords:
         for instruction_id, spans, loud in calls:
             index = np.array(sorted(loud), np.int64)
             deltas = np.array([loud[p] for p in sorted(loud)], np.int64)
-            blocks = list(renderer.render(instruction_id, spans, index, deltas))
-            assert all(type(block) is bytes for block in blocks)
+            blocks = []
+            for block in renderer.render(instruction_id, spans, index, deltas):
+                # a list of byte buffers, valid until the next block: copied at once
+                assert type(block) is list
+                assert all(memoryview(b).ndim == 1 and memoryview(b).itemsize == 1 for b in block)
+                blocks.append(b"".join(block))
             text = b"".join(blocks).decode()
             # lists, so a failure names the first differing line instead of diffing the block
             assert text.splitlines(keepends=True) == json_lines(instruction_id, spans, loud)
@@ -639,12 +679,143 @@ class TestRenderRecords:
                 spans.append((i, i + 1, outcome))
         loud = [i for i, delta in enumerate(deltas) if delta]
         index = np.array([base + i for i in loud], np.int64)
-        text = b"".join(RecordRenderer().render(
+        text = b"".join(b"".join(block) for block in RecordRenderer().render(
             instruction_id, spans, index, np.array([deltas[i] for i in loud], np.int64),
         )).decode()
         # lists, so a failure names the first differing line instead of diffing the block
         assert text.splitlines(keepends=True) == per_line_render(
             instruction_id, base, deltas, outcomes)
+
+
+    def test_an_outcome_of_equal_width_changes_inside_a_block(self):
+        # the ExecStatus values differ in width, so this takes two other
+        # outcomes: the second rewrites the heads of the rows the first's
+        # buffers slice, so those are copied before it is set
+        spans = [(10, 20, "alpha"), (20, 30, "gamma"), (30, RECORD_BLOCK + 5, "alpha")]
+        loud = {12: 4, 25: -1}
+        stream = []
+        render_into(lambda block: stream.append(b"".join(block)), [(2, spans, loud)])
+        assert b"".join(stream).decode().splitlines(keepends=True) == json_lines(2, spans, loud)
+
+    def test_aligned_blocks_differ_from_the_first_only_in_the_top_digit(self):
+        # the quiet-line buffer holds rows 0..RECORD_BLOCK-1 and rewrites only
+        # this column per block
+        table = selector_ascii()
+        first = table[:RECORD_BLOCK]
+        for start in range(0, EVENT_SPACE_SIZE, RECORD_BLOCK):
+            rows = table[start : start + RECORD_BLOCK]
+            assert (rows != first).any(axis=0).tolist() == [False, False, start > 0] + [False] * 3
+            fixed = first.copy()
+            fixed[:, 2] = rows[0, 2]
+            assert np.array_equal(rows, fixed)
+            assert rows[0].tobytes() == format_selector(start).encode()
+
+
+# consecutive render calls as (instruction_id, spans, loud): spans across
+# block boundaries with a mid-block change of outcome, and the space's last block
+SINK_CALLS = [
+    (7, [(0, RECORD_BLOCK + 9, "success"), (RECORD_BLOCK + 9, RECORD_BLOCK + 20, "backend-error"),
+         (RECORD_BLOCK + 20, 3 * RECORD_BLOCK, "success")],
+     {5: 3, RECORD_BLOCK: 2**63 - 1, RECORD_BLOCK + 9: -1, 3 * RECORD_BLOCK - 1: 12}),
+    (12345, [(EVENT_SPACE_SIZE - RECORD_BLOCK, EVENT_SPACE_SIZE, "fault")],
+     {EVENT_SPACE_SIZE - RECORD_BLOCK: 2, EVENT_SPACE_SIZE - 1: 1}),
+]
+# one block whose every selector is nonzero: 8,193 buffers, more than SC_IOV_MAX
+ALL_LOUD = [(3, [(RECORD_BLOCK, 2 * RECORD_BLOCK, "success")],
+             {p: p - 2**40 for p in range(RECORD_BLOCK, 2 * RECORD_BLOCK)})]
+
+
+def render_into(sink, calls) -> None:
+    renderer = RecordRenderer()
+    for instruction_id, spans, loud in calls:
+        index = np.array(sorted(loud), np.int64)
+        deltas = np.array([loud[p] for p in sorted(loud)], np.int64)
+        for block in renderer.render(instruction_id, spans, index, deltas):
+            sink(block)
+
+
+def json_stream(calls) -> bytes:
+    return "".join(line for call in calls for line in json_lines(*call)).encode()
+
+
+class TestNdjsonRecordSink:
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        iov_max = os.sysconf("SC_IOV_MAX")
+        want = json_stream(SINK_CALLS + ALL_LOUD)
+        sizes = []
+
+        def short_writev(fd, buffers):  # at most 1,000 bytes a call
+            assert len(buffers) <= iov_max
+            assert sum(sizes) < len(want)  # a sink that rewrote bytes would never end
+            data = bytearray()
+            for buffer in buffers:
+                data += buffer
+                if len(data) >= 1000:
+                    break
+            sizes.append(os.write(fd, data[:1000]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        path = tmp_path / "records.ndjson"
+        with open(path, "wb") as fh:
+            render_into(ndjson_record_sink(fh), SINK_CALLS + ALL_LOUD)
+        assert path.read_bytes() == want
+        assert max(sizes) == 1000 and len(sizes) > len(want) // 1000
+
+    def test_what_fh_buffered_comes_first(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        with open(path, "wb") as fh:
+            fh.write(b"buffered\n")
+            render_into(ndjson_record_sink(fh), SINK_CALLS)
+        assert path.read_bytes() == b"buffered\n" + json_stream(SINK_CALLS)
+
+    def test_a_block_past_iov_max_is_written_in_chunks(self, tmp_path, monkeypatch):
+        iov_max = os.sysconf("SC_IOV_MAX")
+        writev, chunks = os.writev, []
+
+        def counting_writev(fd, buffers):
+            chunks.append(len(buffers))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", counting_writev)
+        path = tmp_path / "records.ndjson"
+        with open(path, "wb") as fh:
+            render_into(ndjson_record_sink(fh), ALL_LOUD)
+        assert path.read_bytes() == json_stream(ALL_LOUD)
+        assert sum(chunks) == 2 * RECORD_BLOCK + 1 > iov_max
+        assert chunks == [iov_max] * (len(chunks) - 1) + [sum(chunks) % iov_max or iov_max]
+
+    @pytest.mark.parametrize("target", ["bytesio", "no-writev"])
+    def test_writelines_fallback(self, tmp_path, monkeypatch, target):
+        if target == "no-writev":
+            monkeypatch.delattr(os, "writev")
+        # an io.BytesIO has no descriptor
+        with io.BytesIO() if target == "bytesio" else open(tmp_path / "records", "w+b") as fh:
+            render_into(ndjson_record_sink(fh), SINK_CALLS)
+            fh.seek(0)
+            assert fh.read() == json_stream(SINK_CALLS)
+
+    def test_a_longer_file_is_cut_to_the_stream(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        want = json_stream(SINK_CALLS)
+        path.write_bytes(b"x" * (2 * len(want) + 1))
+        with completed_stream(str(path)) as fh:
+            render_into(ndjson_record_sink(fh), SINK_CALLS)
+        assert path.read_bytes() == want
+        assert not list(tmp_path.glob("*.partial"))
+
+    def test_a_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with completed_stream(str(fifo)) as fh:
+            render_into(ndjson_record_sink(fh), SINK_CALLS)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [json_stream(SINK_CALLS)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def report_cli(file: str) -> list[str]:
