@@ -375,8 +375,6 @@ class SimulatedPmu(CounterBackend):
             packed = self._armed[first:last]
             positions = packed - codes.start
         else:
-            if isinstance(codes, range):  # np.asarray would convert a range element by element
-                codes = np.arange(codes.start, codes.stop, codes.step)
             codes = np.asarray(codes, np.int64)
             positions = np.flatnonzero(self._rows[codes] != self._quiet_row)
             packed = codes[positions]
@@ -476,7 +474,7 @@ class SimModel:
 
 def load_sim_model(path: str) -> SimModel:
     """Load a simulated-PMU description (README, "Input files") from JSON."""
-    doc = read_json(path, "sim model", unreadable=BackendError).object(optional={
+    doc = read_json(path, "sim model").object(optional={
         "microarchitecture": "sim", "families": [], "fault_instructions": {},
         "supported_extensions": ["base"], "supports_tsx": True})
     families, first_of = [], {}  # event code -> the family that gives it
@@ -524,8 +522,10 @@ class NativeMsrBackend(CounterBackend):
 
     Needs the msr kernel module and read/write access to /dev/cpu/<n>/msr;
     the calling thread is pinned to the chosen CPU so reads observe the
-    counters that were programmed.
+    counters that were programmed; close() restores the affinity it had.
     """
+
+    label = "native"
 
     def __init__(self, cpu: int = 0):
         self._cpu = cpu
@@ -539,6 +539,7 @@ class NativeMsrBackend(CounterBackend):
         except OSError as exc:
             raise BackendError(f"cannot open {path}: {exc}") from exc
         try:
+            self._affinity = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {cpu})
         except OSError as exc:
             os.close(self._fd)
@@ -549,6 +550,7 @@ class NativeMsrBackend(CounterBackend):
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
+            os.sched_setaffinity(0, self._affinity)
 
     def _write_msr(self, address: int, value: int) -> None:
         try:

@@ -309,17 +309,12 @@ def full_scan(
             for block in renderer.render(entry.id, values, index, medians):
                 record_sink(block)
     return ScanReport(
-        microarchitecture_label=_backend_label(executor),
+        microarchitecture_label=executor.backend.label,
         total_instructions=total,
         executed_success=executed_success,
         hidden_events=dict(sorted(hidden.items())),
         catalog_source=os.path.basename(catalog.source),
     )
-
-
-def _backend_label(executor) -> str:
-    backend = getattr(executor, "backend", None)
-    return getattr(backend, "label", "native")
 
 
 _REPORT_FORMAT = "pmu-prospector-scan-v1"

@@ -188,12 +188,6 @@ class EventCatalog:
     entries: dict[int, str] = field(default_factory=dict)
     source: str = ""
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, selector: int) -> bool:
-        return selector in self.entries
-
 
 def _parse_hex_byte(field_name: str, text: str, where: str) -> int:
     t = text.strip()

@@ -11,15 +11,16 @@ import re
 import sys
 from collections.abc import Callable, Collection, Mapping
 
-from .errors import ProspectorError, ReportParseError
+from .errors import ReportParseError
 from .events import PackedSelector, parse_selector
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)\s*").fullmatch
 
 
-def read_json(path: str, what: str, unreadable: type[ProspectorError] = ReportParseError) -> Field:
-    """The JSON file at path, named `what path`; one that cannot be opened raises
-    `unreadable`, and an object that repeats a member name raises ReportParseError."""
+def read_json(path: str, what: str) -> Field:
+    """The JSON file at path, named `what path` in every message.  A file that
+    cannot be opened, is not JSON or repeats a member name in an object
+    raises ReportParseError."""
     source = f"{what} {path}"
 
     def distinct_members(pairs: list[tuple[str, object]]) -> dict:
@@ -34,7 +35,7 @@ def read_json(path: str, what: str, unreadable: type[ProspectorError] = ReportPa
         with open(path, "r", encoding="utf-8") as fh:
             return Field(json.load(fh, object_pairs_hook=distinct_members), source)
     except OSError as exc:
-        raise unreadable(f"cannot read {source}: {exc}") from exc
+        raise ReportParseError(f"cannot read {source}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, not JSON, or a number too long to convert
         at = f" at byte offset {exc.pos}" if isinstance(exc, json.JSONDecodeError) else ""
         raise ReportParseError(f"{source}: invalid JSON{at}: {exc}") from exc

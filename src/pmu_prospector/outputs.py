@@ -14,44 +14,27 @@ an error opening path + ".partial" names path.
 
 The JSON text is exactly json.dumps(doc, indent=2, sort_keys=True) plus a
 newline, but json.dumps does not make it: given an indent, it runs json's
-pure-Python encoder, one generator step per token.  _render_json quotes
-each string with json's C encode_basestring_ascii, renders a list of plain
-ints with one str.join, and writes every other scalar as json would."""
+pure-Python encoder, one generator step per token.  _render_json walks
+the lists and objects itself, quoting each key with json's C
+encode_basestring_ascii and rendering a list of plain ints with one
+str.join; every other value, a string included, is spelled by json.dumps."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
-import math
+import json
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO
 
 
-def _scalar_text(value: object) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _render_json(value: object, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) for a value whose object
     keys are strings; indent is the line break and leading spaces of the
     line value starts on."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -68,7 +51,7 @@ def _render_json(value: object, indent: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + _render_json(item, inner)
             for key, item in sorted(value.items())
         ) + indent + "}"
-    return _scalar_text(value)
+    return json.dumps(value)
 
 
 def write_json(path: str, doc: object) -> None:

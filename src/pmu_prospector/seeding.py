@@ -38,34 +38,14 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def mix64(value: int) -> int:
-    # splitmix64 finalizer; cheap stateless mixing for per-point draws
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
-
-
-# No src/ caller: the scalar reference that tests hold point_fractions to, bit for bit.
-def point_fraction(*parts: int) -> float:
-    """Map an integer coordinate tuple to a uniform float in [0, 1).
-
-    Unlike a sequential generator, the draw for a coordinate does not depend
-    on how many other coordinates were sampled before it, so repeating a run
-    with more iterations replays the earlier draws unchanged.
-    """
-    h = 0
-    for part in parts:
-        h = mix64(h ^ (part & _MASK64))
-    return h / float(1 << 64)
-
-
 def point_fractions(*parts: int | np.ndarray, prefix: int | np.ndarray = 0) -> np.ndarray:
-    """point_fraction over broadcast numpy coordinates, bit for bit.
+    """Uniform floats in [0, 1), point_hashes(*parts, prefix=prefix) / 2**64.
 
-    Integer parts are masked to 64 bits like the scalar version; array parts
-    are taken as uint64.  Returns a float64 array of the broadcast shape
-    (at least one-dimensional).  prefix continues a hash from point_hashes.
+    The hash chains h = splitmix64(h ^ part) over the parts from h = prefix,
+    so the draw for a coordinate does not depend on how many others were
+    sampled before it: a run with more iterations replays the earlier draws.
+    Integer parts are masked to 64 bits, array parts taken as uint64; the
+    result has the broadcast shape (at least one-dimensional).
     """
     return point_hashes(*parts, prefix=prefix).astype(np.float64) / float(1 << 64)
 
@@ -85,7 +65,7 @@ def point_hashes(*parts: int | np.ndarray, prefix: int | np.ndarray = 0) -> np.n
 
 
 def _mix64_array(value: np.ndarray) -> np.ndarray:
-    # mix64 in uint64 arithmetic, which wraps modulo 2**64 like the masks there
+    """splitmix64's finalizer per element, wrapping modulo 2**64 as uint64 does."""
     value = value + np.uint64(0x9E3779B97F4A7C15)
     value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

@@ -39,8 +39,10 @@ from pmu_prospector.errors import (
     SlotRangeError,
 )
 from pmu_prospector.events import (EVENT_SPACE_SIZE, EventCatalog, PerfEvtSelValue, decode_msr_value,
-                                   pack_selector, scan_control, umask_gates, unpack_selector)
-from pmu_prospector.seeding import derive_seed, mix64, point_fraction, point_fractions, point_hashes
+                                   pack_selector, render_msr_value, scan_control, umask_gates,
+                                   unpack_selector)
+from pmu_prospector.seeding import derive_seed, point_fractions, point_hashes
+from scalar_hash import mix64, point_fraction
 
 DATA = Path(__file__).resolve().parent / "data"
 SIM_MODEL = json.loads((DATA / "sim_model.json").read_text(encoding="utf-8"))
@@ -770,7 +772,7 @@ def uncut_overcounts(pmu, rows, packed, epochs, sizes):
 
 
 def unmix64(value: int) -> int:
-    """The inverse of seeding.mix64."""
+    """The inverse of scalar_hash.mix64."""
     def unshift(x, k):  # inverts x ^ (x >> k)
         y = x
         for s in range(k, 64, k):
@@ -948,7 +950,7 @@ class TestSimModelLoading:
             load_sim_model(str(path))
 
     def test_missing_file_fails(self, tmp_path):
-        with pytest.raises(BackendError):
+        with pytest.raises(ReportParseError, match="^cannot read sim model .*nope.json"):
             load_sim_model(str(tmp_path / "nope.json"))
 
     # (path, value, the field the error names): the first rows are whole
@@ -1072,23 +1074,31 @@ class TestNativeBackendUnavailable:
 class SimulatedMsrDevice:
     """/dev/cpu/0/msr over a SimulatedPmu, as NativeMsrBackend uses it.
 
-    A write to PERFEVTSELx decodes its image and programs slot x of the PMU,
-    a write to PMCx is accepted (programming has reset the count), a read of
-    PMCx gives slot x's count as 8 little-endian bytes, and
-    IA32_PERF_GLOBAL_CTRL holds a plain 64-bit value.  Any other address
-    fails with EIO, and so does the first PERFEVTSEL write of the selector
-    `refuse`.  install() puts it behind backend's os, whose every other
-    attribute is the real one; sched_setaffinity only notes its call.
+    PMCx holds a 48-bit count, which reads give as 8 little-endian bytes and
+    which wraps at 2**48.  A write to PMCx sets the count to the written
+    bits 31:0, sign-extended to 48 bits.  A write to PERFEVTSELx decodes its
+    image and programs slot x of the PMU, and keeps the count: slot x then
+    counts on from it.  The count is carried as an offset over slot x's
+    pmu.read, so a PMC write never programs the PMU and claims no noise
+    epoch.  IA32_PERF_GLOBAL_CTRL holds a plain 64-bit value.  Any other
+    address fails with EIO, and so does the first PERFEVTSEL write of the
+    selector `refuse`.  install() puts it behind backend's os, whose every
+    other attribute is the real one; sched_setaffinity only notes its call,
+    and sched_getaffinity gives `affinity`.
     """
 
     PATH = "/dev/cpu/0/msr"
     FD = 1 << 20  # no real descriptor: the device is never opened
     GLOBAL_CTRL = 0x38F
+    WIDTH = 1 << 48
 
     def __init__(self, pmu: SimulatedPmu, refuse: int | None = None):
         self.pmu = pmu
         self.refuse = refuse
         self.global_ctrl = 0
+        self.offsets = [0] * PROGRAMMABLE_SLOTS  # PMCx = offset + the PMU slot's count
+        self.programmed: set[int] = set()
+        self.affinity = {0, 1, 2, 3}
         self.closed: list[int] = []
         self.pinned: list[tuple[int, set[int]]] = []
 
@@ -1099,31 +1109,44 @@ class SimulatedMsrDevice:
         fake.open = self.open
         fake.pread, fake.pwrite, fake.close = self.pread, self.pwrite, self.closed.append
         fake.sched_setaffinity = lambda pid, cpus: self.pinned.append((pid, cpus))
+        fake.sched_getaffinity = lambda pid: set(self.affinity)
         monkeypatch.setattr(backend_module, "os", fake)
 
     def open(self, path: str, flags: int) -> int:
         assert (path, flags) == (self.PATH, os.O_RDWR)
         return self.FD
 
+    def count(self, slot: int) -> int:
+        counted = self.pmu.read(SLOTS[slot]) if slot in self.programmed else 0
+        return (self.offsets[slot] + counted) % self.WIDTH
+
     def pwrite(self, fd: int, data: bytes, address: int) -> int:
         assert fd == self.FD and len(data) == 8
         value = int.from_bytes(data, "little")
-        if 0 <= address - PERFEVTSEL_BASE_MSR < PROGRAMMABLE_SLOTS:
+        slot = address - PERFEVTSEL_BASE_MSR
+        if 0 <= slot < PROGRAMMABLE_SLOTS:
             image = decode_msr_value(value)
             if image.selector == self.refuse:
                 self.refuse = None
                 raise OSError(errno.EIO, os.strerror(errno.EIO))
-            self.pmu.program(SLOTS[address - PERFEVTSEL_BASE_MSR], image)
+            self.offsets[slot] = self.count(slot)
+            self.pmu.program(SLOTS[slot], image)
+            self.programmed.add(slot)
+        elif 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
+            slot = address - PMC_BASE_MSR
+            low = value & 0xFFFF_FFFF
+            written = low - (1 << 32) if low >> 31 else low
+            self.offsets[slot] += written - self.count(slot)
         elif address == self.GLOBAL_CTRL:
             self.global_ctrl = value
-        elif not 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
+        else:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
         return len(data)
 
     def pread(self, fd: int, size: int, address: int) -> bytes:
         assert fd == self.FD and size == 8
         if 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
-            return self.pmu.read(SLOTS[address - PMC_BASE_MSR]).to_bytes(8, "little")
+            return self.count(address - PMC_BASE_MSR).to_bytes(8, "little")
         if address == self.GLOBAL_CTRL:
             return self.global_ctrl.to_bytes(8, "little")
         raise OSError(errno.EIO, os.strerror(errno.EIO))
@@ -1188,6 +1211,45 @@ class TestNativeBackendOnSimulatedDevice:
         native.backend.close()
         native.backend.close()
         assert device.closed == [SimulatedMsrDevice.FD]
+
+    def test_close_restores_the_saved_affinity_once(self, monkeypatch, sim_model):
+        native, device = self.native_executor(monkeypatch, sim_model, seed=0)
+        assert device.pinned == [(0, {0})]
+        device.affinity = {5}  # what close() restores was saved before pinning
+        native.backend.close()
+        native.backend.close()
+        assert device.pinned == [(0, {0}), (0, {0, 1, 2, 3})]
+
+    def test_wide_counts_read_back_whole(self, monkeypatch):
+        # one execution counts 2**32: a read cut to 32 bits gives 0, and a
+        # count that programming did not zero doubles in the second repetition
+        wide = SimEventFamily(0x6C, 0, frozenset({"alu"}), increment=MAX_FAMILY_SCALE)
+        pmu = SimulatedPmu([wide])
+        SimulatedMsrDevice(pmu).install(monkeypatch)
+        backend = NativeMsrBackend(cpu=0)
+
+        def run(rep):
+            for _ in range(3):
+                pmu.record_execution("alu")
+
+        batches = list(measure(backend, [0x006C, 0x016C], run, repetitions=2))
+        backend.close()
+        assert [deltas.tolist() for *_, deltas, _ in batches] == [[[3 << 32] * 2] * 2]
+
+    def test_device_counts_like_a_48_bit_counter(self, monkeypatch):
+        pmu = SimulatedPmu([SimEventFamily(0x6C, 0, frozenset({"alu"}), increment=3)])
+        device = SimulatedMsrDevice(pmu)
+        device.install(monkeypatch)
+        backend = NativeMsrBackend(cpu=0)
+        backend._write_msr(PMC_BASE_MSR, 0xABCD_0000_7FFF_FFFE)  # bits 63:32 are dropped
+        assert backend._read_msr(PMC_BASE_MSR) == 0x7FFF_FFFE
+        backend._write_msr(PMC_BASE_MSR, 0xFFFF_FFFE)  # bit 31 extends to bit 47
+        assert backend._read_msr(PMC_BASE_MSR) == 0xFFFF_FFFF_FFFE
+        backend._write_msr(PERFEVTSEL_BASE_MSR, render_msr_value(scan_control(0x006C)))
+        assert backend._read_msr(PMC_BASE_MSR) == 0xFFFF_FFFF_FFFE  # programming keeps it
+        pmu.record_execution("alu")
+        assert backend._read_msr(PMC_BASE_MSR) == 1  # wraps at 2**48
+        backend.close()
 
 
 @pytest.mark.skipif(

@@ -262,6 +262,7 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, catalog_path, failure
     ):
         class FakeMsrBackend:
+            label = "native"
             closed = 0
 
             def close(self):
@@ -273,6 +274,7 @@ class TestExitCodes:
             made = []
 
             def __init__(self, native):
+                self.backend = native
                 self.probe_dir = tmp_path / "probes"
                 self.probe_dir.mkdir()
                 self.closed = 0
@@ -307,6 +309,8 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, catalog_path, records_ok
     ):
         class FakeMsrBackend:
+            label = "native"
+
             def close(self):
                 pass
 

@@ -343,7 +343,7 @@ class TestFullScan:
         assert fixture_report.catalog_source == "catalog.csv"
 
     def test_documented_selectors_never_reported(self, fixture_report, catalog):
-        assert all(p not in catalog for p in fixture_report.hidden_events)
+        assert all(p not in catalog.entries for p in fixture_report.hidden_events)
 
     def test_unsupported_instruction_logged_but_counted(
         self, make_executor, corpus_entries, catalog, caplog
@@ -429,7 +429,7 @@ class TestFullScan:
         nonzero = r'"delta": ([1-9]\d*), "instruction": (\d+), [^\n]*"selector": "(0x....)"'
         for delta, entry_id, text in re.findall(nonzero, b"".join(blocks).decode()):
             packed = int(text, 16)
-            if int(delta) >= config.quiet_threshold and packed not in catalog:
+            if int(delta) >= config.quiet_threshold and packed not in catalog.entries:
                 loud.setdefault(packed, set()).add(int(entry_id))
         assert loud == recorded.hidden_events
         assert {p & 0xFF for p in loud} == {0x08, 0x5E, 0x6C, 0xD3}

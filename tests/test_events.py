@@ -229,9 +229,9 @@ class TestCatalog:
     def test_load_and_lookup(self):
         text = "event_code,umask,name\n0x3C,0x00,clock\n0x6C,0x01,widget\n"
         catalog = load_catalog(io.StringIO(text), source="inline")
-        assert len(catalog) == 2
-        assert 0x003C in catalog
-        assert 0x013C not in catalog
+        assert len(catalog.entries) == 2
+        assert 0x003C in catalog.entries
+        assert 0x013C not in catalog.entries
 
     def test_duplicate_keys_fail(self):
         text = "0x3C,0x00,a\n0x3C,0x00,b\n"
@@ -252,7 +252,7 @@ class TestCatalog:
 
     def test_blank_lines_and_comments_skipped(self):
         text = "# comment\n\n0x01,0x02,thing\n"
-        assert len(load_catalog(io.StringIO(text))) == 1
+        assert len(load_catalog(io.StringIO(text)).entries) == 1
 
     def test_undocumented_complement_of_200_entry_catalog(self):
         entries = {
@@ -261,11 +261,11 @@ class TestCatalog:
             for umask in range(10)
         }
         catalog = EventCatalog(entries=entries)
-        assert len(catalog) == 200
+        assert len(catalog.entries) == 200
         # oracle: complement computed by explicit set difference
         documented = set(entries)
         space = [unpack_selector(packed) for packed in range(EVENT_SPACE_SIZE)]
         undocumented = [s for s in space if s not in documented]
         assert len(undocumented) == len(set(undocumented))
         assert len(undocumented) == 65536 - 200 == 65336
-        assert sum(1 for s in space if s not in catalog) == 65336
+        assert sum(1 for s in space if s not in catalog.entries) == 65336

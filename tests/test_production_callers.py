@@ -1,9 +1,10 @@
-"""Every public function and class in the package has a caller in the package.
+"""Every public function, class and method in the package has a caller in the package.
 
 The audit walks the modules' syntax trees and lists the public top-level
-names that no Name or Attribute node in any module references.  Such a name
-serves only tests or outside scripts, so it must be deleted or named below
-with the reason it stays.  A second audit keeps the tests from importing
+names, and the public methods and properties of top-level classes, that no
+Name or Attribute node in any module references.  Such a name serves only
+tests or outside scripts, so it must be deleted or named below with the
+reason it stays.  A second audit keeps the tests from importing
 names they never use, which would otherwise hold such a name in place.  A
 third keeps JSON parsing in the reader module, inputs, so that no loader
 grows its own field checks again, and a fourth keeps JSON and CSV rendering
@@ -24,31 +25,42 @@ KEPT_WITHOUT_CALLER = {
     "collector.control_values": "benchmarks/ reads it until ROADMAP item 7 deletes it",
     "collector.scan_instruction": "benchmarks/ reads it until ROADMAP item 8 deletes it",
     "events.decode_msr_value": "the subject of acceptance criterion 02",
-    "seeding.point_fraction": "the scalar reference point_fractions is tested against",
 }
+METHODS_KEPT_WITHOUT_CALLER = {
+    "backend.SimulatedPmu.simulation": "simulation_of reads it by name, through getattr",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unreferenced_public_names() -> set[str]:
-    defined: dict[str, str] = {}
+def unreferenced_public_names() -> tuple[set[str], set[str]]:
+    """The public top-level names, and the public methods as module.Class.name,
+    that no module of the package references."""
+    functions: dict[str, str] = {}
+    methods: dict[str, str] = {}
     referenced: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined[node.name] = path.stem
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                functions[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                methods.update((f"{path.stem}.{node.name}.{item.name}", item.name)
+                               for item in node.body
+                               if isinstance(item, DEFINITIONS) and not item.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return {f"{module}.{name}" for name, module in defined.items() if name not in referenced}
+    return ({key for key, name in functions.items() if name not in referenced},
+            {key for key, name in methods.items() if name not in referenced})
 
 
 def test_only_the_allowlist_lacks_a_caller_in_the_package():
-    assert unreferenced_public_names() == set(KEPT_WITHOUT_CALLER)
+    assert unreferenced_public_names() == (set(KEPT_WITHOUT_CALLER),
+                                           set(METHODS_KEPT_WITHOUT_CALLER))
 
 
 def unused_test_imports() -> set[str]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmu_prospector.seeding import derive_seed, mix64, point_fraction, point_fractions
+from pmu_prospector.seeding import derive_seed, point_fractions
+from scalar_hash import mix64, point_fraction
 
 
 def test_derive_seed_is_stable_across_calls():

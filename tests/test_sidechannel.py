@@ -18,7 +18,6 @@ from pmu_prospector import backend as backend_module
 from pmu_prospector import sidechannel
 from pmu_prospector.backend import SimEventFamily, SimulatedPmu
 from pmu_prospector.errors import CapabilityError
-from pmu_prospector.seeding import point_fraction
 from pmu_prospector.sidechannel import (
     ATTACK_KINDS,
     MELTDOWN,
@@ -41,6 +40,7 @@ from pmu_prospector.sidechannel import (
     _fire_table,
     _gadget_classes,
 )
+from scalar_hash import point_fraction
 
 LOAD_FAMILY = SimEventFamily(0x6C, 0x01, frozenset({"memory-load"}))
 BOUND = 0x016C
