@@ -223,9 +223,9 @@ class SimulatedPmu(CounterBackend):
     uniforms point_fractions(key, p, e, k) and point_fractions(key, p, e,
     k, 1), and key = derive_seed(run seed, family seed).  Each
     programming of p, and each repetition p is measured for, claims the
-    next epoch of p.  So the counts depend on what was measured, not on the
-    slot or on how the selector space was split, and repeated measurements
-    of one selector still see fresh draws.
+    next epoch of p, which an int64 array over the armed selectors holds.
+    So the counts depend on what was measured, not on the slot or on how
+    the selector space was split, and repeated measurements see fresh draws.
     """
 
     def __init__(
@@ -242,7 +242,6 @@ class SimulatedPmu(CounterBackend):
             by_code[family.event_code] = family
         self._label = label
         self._slots = [_SimSlot() for _ in range(PROGRAMMABLE_SLOTS)]
-        self._epochs: dict[int, int] = {}  # packed selector -> its next noise epoch
         # row k of the tables is family k, the last row no family; column c of
         # the tally and of _increments is trigger class c, the last column
         # every other class
@@ -270,6 +269,7 @@ class SimulatedPmu(CounterBackend):
             for tag in family.trigger_classes:
                 self._increments[k, self._class_index[tag]] = family.increment
         self._armed = np.flatnonzero(self._rows != self._quiet_row)  # ascending packed
+        self._epochs = np.zeros(len(self._armed), np.int64)  # the next noise epoch of each
         self._noisy = self._stddevs > 0
         self.supports_tsx = supports_tsx  # whether the channel may use transactional suppression
 
@@ -300,8 +300,9 @@ class SimulatedPmu(CounterBackend):
         state.start = self._tally.copy()
         state.selector = value.selector
         if self._noisy[row]:
-            state.epoch = self._epochs.get(state.selector, 0)
-            self._epochs[state.selector] = state.epoch + 1
+            at = self._armed.searchsorted(state.selector)
+            state.epoch = int(self._epochs[at])
+            self._epochs[at] += 1
 
     def read(self, slot: CounterSlot) -> int:
         state = self._slots[slot.index]
@@ -400,11 +401,11 @@ class SimulatedPmu(CounterBackend):
             start = stop
 
     def _claim_epochs(self, codes: np.ndarray, repetitions: int) -> np.ndarray:
-        """Claim each code's next `repetitions` noise epochs, one row per code."""
-        codes = codes.tolist()
-        first = [self._epochs.get(packed, 0) for packed in codes]
-        self._epochs.update((packed, epoch + repetitions) for packed, epoch in zip(codes, first))
-        return np.array(first)[:, None] + np.arange(repetitions)
+        """Claim each armed code's next `repetitions` noise epochs, one row per code."""
+        at = self._armed.searchsorted(codes)
+        first = self._epochs[at]
+        self._epochs[at] += repetitions
+        return first[:, None] + np.arange(repetitions)
 
     def _overcounts(self, rows, packed, epochs, sizes) -> np.ndarray:
         """Summed over-count of executions [0, sizes) of each noise epoch,

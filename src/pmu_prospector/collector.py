@@ -19,6 +19,7 @@ import logging
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .events import (
     EventCatalog,
     PerfEvtSelValue,
     format_selector,
-    parse_selector,
     scan_control,
     selector_ascii,
     unpack_selector,
@@ -395,23 +395,17 @@ def load_report(path: str) -> ScanReport:
 
 
 def _hidden_events(hidden: Field) -> dict[int, set[int]]:
-    """A report's hidden_events object, read in one loop: each key a
+    """A report's hidden_events object, read in bulk: each key a
     parse_selector spelling of a selector, each value a list of int ids.  Two
     keys that spell one selector, such as "0x016C" and "0x16c", are an
-    error.  A Field is made only for a malformed member, to raise its error."""
+    error.  Only a malformed object goes through Field.mapping, for its error."""
     members = hidden.members()
-    events: dict[int, set[int]] = {}
-    for text, ids in members.items():
-        try:
-            packed = parse_selector(text)
-        except ValueError:  # Field.selector rejects the same texts
-            Field(text, hidden.source, f"{hidden.path} key {text!r}").selector()
-            raise
-        if packed in events:  # a JSON object's key texts are distinct
-            first = next(key for key in members if parse_selector(key) == packed)
-            raise ReportParseError(f"{hidden.source}: {hidden.path} keys {first!r} "
-                                   f"and {text!r} name the same entry")
-        if type(ids) is not list or not all(type(i) is int for i in ids):  # a bool is not one
-            Field(ids, hidden.source, f"{hidden.path}[{text!r}]").list_of(int)  # raises
-        events[packed] = set(ids)
-    return events
+    ids = members.values()
+    try:
+        keys = list(map(unpack_selector, map(int, members, repeat(16))))
+    except ValueError:
+        keys = []
+    if (len(set(keys)) < len(ids) or not {*map(type, ids)} <= {list}
+            or not {*map(type, chain.from_iterable(ids))} <= {int}):  # a bool is not an int
+        hidden.mapping(Field.selector, lambda item: item.list_of(int))  # raises, in file order
+    return dict(zip(keys, map(set, ids)))

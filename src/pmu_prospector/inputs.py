@@ -24,11 +24,11 @@ def read_json(path: str, what: str) -> Field:
     source = f"{what} {path}"
 
     def distinct_members(pairs: list[tuple[str, object]]) -> dict:
-        members: dict[str, object] = {}
-        for key, value in pairs:
-            if key in members:  # json.load would keep the last value silently
-                raise ReportParseError(f"{source}: member {key!r} is repeated")
-            members[key] = value
+        members = dict(pairs)
+        if len(members) < len(pairs):  # dict() and json.load keep the last value silently
+            seen: set[str] = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ReportParseError(f"{source}: member {key!r} is repeated")
         return members
 
     try:

@@ -17,7 +17,9 @@ newline, but json.dumps does not make it: given an indent, it runs json's
 pure-Python encoder, one generator step per token.  _render_json walks
 the lists and objects itself, quoting each key with json's C
 encode_basestring_ascii and rendering a list of plain ints with one
-str.join; every other value, a string included, is spelled by json.dumps."""
+str.join, and an object whose members are all such lists with one type check
+of all their items; every other value, a string included, is spelled by
+json.dumps."""
 
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import io
 import json
 import os
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO
 
@@ -47,10 +50,17 @@ def _render_json(value: object, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(key) + ": " + _render_json(item, inner)
-            for key, item in sorted(value.items())
-        ) + indent + "}"
+        members = sorted(value.items())
+        items = value.values()
+        if {*map(type, items)} == {list} and {*map(type, chain.from_iterable(items))} <= {int}:
+            line = inner + "  "  # every member an int list, such as a report's hidden_events
+            sep, head, tail = "," + line, ": [" + line, inner + "]"
+            texts = [encode_basestring_ascii(key) + (head + sep.join(map(repr, ids)) + tail
+                                                     if ids else ": []") for key, ids in members]
+        else:
+            texts = [encode_basestring_ascii(key) + ": " + _render_json(item, inner)
+                     for key, item in members]
+        return "{" + inner + ("," + inner).join(texts) + indent + "}"
     return json.dumps(value)
 
 

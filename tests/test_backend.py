@@ -658,13 +658,17 @@ class TestCounterBasedNoise:
         plan = [[("alu", 2), ("memory-load", rep)] for rep in range(3)]
         space = range(1 << 16)
 
+        def claimed(pmu):
+            """{packed selector: its next noise epoch} of every armed selector that claimed one."""
+            return {int(p): int(e) for p, e in zip(pmu._armed, pmu._epochs) if e}
+
         def measured(cells):
             """Deltas and claimed epochs of measure_counts, then of measure."""
             monkeypatch.setattr(backend_module, "VECTOR_CELLS", cells)
             rows = max(1, cells // len(plan))
             pmu = SimulatedPmu(families, seed=5)
             counts = counted(pmu, space, count_matrix(pmu, plan))
-            epochs = dict(pmu._epochs)
+            epochs = claimed(pmu)
 
             def run(rep):
                 for tag, times in plan[rep]:
@@ -676,7 +680,7 @@ class TestCounterBasedNoise:
                 assert start == offset and 0 < len(index) <= rows
                 offset = stop
             streamed = np.concatenate([deltas for _, deltas, _ in densified(batches)])
-            return counts, epochs, streamed, dict(pmu._epochs)
+            return counts, epochs, streamed, claimed(pmu)
 
         whole = measured(len(plan) << 16)
         assert np.count_nonzero(whole[0].any(axis=1)) > 4096  # a few noisy ones draw only 0
@@ -1077,10 +1081,12 @@ class SimulatedMsrDevice:
     PMCx holds a 48-bit count, which reads give as 8 little-endian bytes and
     which wraps at 2**48.  A write to PMCx sets the count to the written
     bits 31:0, sign-extended to 48 bits.  A write to PERFEVTSELx decodes its
-    image and programs slot x of the PMU, and keeps the count: slot x then
-    counts on from it.  The count is carried as an offset over slot x's
+    image and keeps the count.  With EN (bit 22) set it programs slot x of
+    the PMU, and slot x counts on from the kept count; without EN slot x
+    stops counting.  The count is carried as an offset over slot x's
     pmu.read, so a PMC write never programs the PMU and claims no noise
-    epoch.  IA32_PERF_GLOBAL_CTRL holds a plain 64-bit value.  Any other
+    epoch.  IA32_PERF_GLOBAL_CTRL holds a plain 64-bit value and gates
+    nothing, as NativeMsrBackend never writes it.  Any other
     address fails with EIO, and so does the first PERFEVTSEL write of the
     selector `refuse`.  install() puts it behind backend's os, whose every
     other attribute is the real one; sched_setaffinity only notes its call,
@@ -1130,8 +1136,10 @@ class SimulatedMsrDevice:
                 self.refuse = None
                 raise OSError(errno.EIO, os.strerror(errno.EIO))
             self.offsets[slot] = self.count(slot)
-            self.pmu.program(SLOTS[slot], image)
-            self.programmed.add(slot)
+            self.programmed.discard(slot)
+            if image.enable:
+                self.pmu.program(SLOTS[slot], image)
+                self.programmed.add(slot)
         elif 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
             slot = address - PMC_BASE_MSR
             low = value & 0xFFFF_FFFF
@@ -1249,6 +1257,21 @@ class TestNativeBackendOnSimulatedDevice:
         assert backend._read_msr(PMC_BASE_MSR) == 0xFFFF_FFFF_FFFE  # programming keeps it
         pmu.record_execution("alu")
         assert backend._read_msr(PMC_BASE_MSR) == 1  # wraps at 2**48
+        backend.close()
+
+    def test_a_slot_counts_only_while_enabled(self, monkeypatch):
+        pmu = SimulatedPmu([SimEventFamily(0x6C, 0, frozenset({"alu"}), increment=3)])
+        SimulatedMsrDevice(pmu).install(monkeypatch)
+        backend = NativeMsrBackend(cpu=0)
+        backend.program(SLOTS[0], PerfEvtSelValue(selector=0x006C, usr=True, os=True))  # no EN
+        pmu.record_execution("alu")
+        assert backend.read(SLOTS[0]) == 0
+        backend.program(SLOTS[0], scan_control(0x006C))
+        pmu.record_execution("alu")
+        assert backend.read(SLOTS[0]) == 3
+        backend._write_msr(PERFEVTSEL_BASE_MSR, render_msr_value(PerfEvtSelValue(0x006C)))
+        pmu.record_execution("alu")
+        assert backend.read(SLOTS[0]) == 3  # clearing EN stops the count and keeps it
         backend.close()
 
 

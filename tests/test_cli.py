@@ -552,7 +552,9 @@ class TestReportCommand:
         ('"executed_success": 1, "executed_success": 5, "hidden_events": {}',
          "executed_success"),
         ('"executed_success": 1, "hidden_events": {"0x016C": [1], "0x016C": [2]}', "0x016C"),
-    ], ids=["top-level", "nested"])
+        ('"executed_success": 1, "hidden_events": {}, "hidden_events": {}, "executed_success": 1',
+         "hidden_events"),  # the first name seen again, not the first name that repeats
+    ], ids=["top-level", "nested", "two-repeated"])
     def test_repeated_member_exits_one_naming_it(self, members, repeated, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text('{"format": "pmu-prospector-scan-v1", "microarchitecture": "sim", '

@@ -887,6 +887,8 @@ class TestReportPersistence:
         persist_report(load_report(first), second)
         assert len(report.hidden_events) == 702
         assert Path(first).read_bytes() == Path(second).read_bytes()
+        text = Path(first).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -971,11 +973,18 @@ class TestReportPersistence:
         (("hidden_events", "0x016C"), [1, 3.0], "hidden_events['0x016C'] must be a list"),
         (("hidden_events", "0x16c"), [2],
          "hidden_events keys '0x016C' and '0x16c' name the same entry"),
+        # two malformed members: the error names the one first in the file
+        (("hidden_events",), {"0x016C": [1, 2.5], "0xZZ6C": [1]},
+         "hidden_events['0x016C'] must be a list"),
+        (("hidden_events",), {"0xZZ6C": [1], "0x016C": [1, 2.5]}, "hidden_events key '0xZZ6C'"),
+        (("hidden_events",), {"0x016C": [1], "0x16c": [2], "0x03D3": [True]},
+         "hidden_events keys '0x016C' and '0x16c' name the same entry"),
     ], ids=["not-utf-8", "number-too-long", "top-level-list", "other-format", "unknown-key",
             "no-label", "label-list", "source-object", "total-float", "total-below-0",
             "executed-string", "executed-below-0", "executed-past-total", "hidden-list",
             "selector-not-hex", "selector-below-0", "selector-past-0xFFFF", "id-float",
-            "selector-twice"])
+            "selector-twice", "id-float-then-bad-key", "bad-key-then-id-float",
+            "selector-twice-then-id-bool"])
     def test_wrongly_typed_field_names_it(self, tmp_path, rejects, path, value, field):
         written = str(tmp_path / "report.json")
         persist_report(sample_report(), written)

@@ -46,6 +46,9 @@ def doc_path(tmp_path_factory):
 @example([[1, True], [0, False], [_Level.HIGH], {"kind": _Kind.LOAD, "level": _Level.HIGH}])
 @example([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf, 5e-324])
 @example({"0x016C": [1, 3], "0x03D3": [2], "format": "pmu-prospector-scan-v1"})
+@example({"a": [1, True], "b": []})  # objects of int lists, and their edges
+@example({"a": [_Level.HIGH], "b": [2]})
+@example({"t": [3, 1], "u": {"v": [2]}})
 def test_json_bytes_equal_json_dumps(doc_path, doc):
     write_json(str(doc_path), doc)
     assert doc_path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
