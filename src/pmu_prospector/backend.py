@@ -74,49 +74,54 @@ class CounterBackend(ABC):
 def measure(
     backend: CounterBackend,
     codes: Sequence[int],
-    run: Callable[[int], object],
+    runs: Sequence[Callable[[int], object]],
     repetitions: int,
     any_thread: bool = False,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, object]]:
-    """The one measurement loop: per-repetition deltas of packed selectors.
+) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray, object]]:
+    """The one measurement loop: per-repetition deltas of packed selectors
+    for each workload w, whose runs[w](rep) executes repetition rep.  It
+    must produce the same class trace and outcome every time it is called
+    for a given rep, because the two paths below call it a different number
+    of times.
 
-    run(rep) executes the workload of repetition rep.  It must produce the
-    same class trace and outcome every time it is called for a given rep,
-    because the two paths below call it a different number of times.
-
-    Yields (start, stop, index, deltas, outcome) per batch.  The batch
-    covers the positions codes[start:stop], and the spans of the batches
-    tile codes in order.  index is an ascending int64 array of positions in
-    [start, stop), and deltas an int64 array of shape (len(index),
-    repetitions) whose row j belongs to codes[index[j]]; every other
-    position of the span measured 0 in every repetition.  outcome is what
-    run(repetitions - 1) returned.  A code outside the event space or listed
-    twice raises ValueError.
+    Yields (workload, start, stop, index, deltas, outcome) per batch, the
+    batches of workload 0, 1, ... in turn.  A batch covers the positions
+    codes[start:stop], and the spans of a workload's batches tile codes in
+    order.  index is an ascending int64 array of positions in [start, stop),
+    and deltas an int64 array of shape (len(index), repetitions) whose row j
+    belongs to codes[index[j]]; every other position of the span measured 0
+    in every repetition.  outcome is what runs[workload](repetitions - 1)
+    returned.  A code outside the event space or listed twice raises
+    ValueError.
 
     - On a simulated backend (one that exposes its SimulatedPmu as
-      `simulation`, directly or through a delegating proxy) run(rep) executes
-      once per repetition, and the PMU's running class tally taken around it
-      gives that repetition's class counts.  Only the armed selectors, whose
-      family's umask gate is open, are then computed in numpy from their
-      family's increment, a VECTOR_CELLS chunk at a time, and so is their
-      noise, one draw per chunk: each repetition is the next noise epoch of
-      the selector, the one that programming it would claim (see
-      SimulatedPmu).  Each chunk is one batch, whose index lists its armed
-      positions; the last batch's span runs to the end of codes.  Slots
-      programmed before the call count its executions too.
-    - Any other backend gets the scalar loop: codes are rendered with
-      scan_control four at a time, one per slot; each repetition programs
-      every slot of the batch (which resets its count), runs the workload
-      and reads every slot, so each read is already a delta.  index is the
-      whole span.  A batch lost to a BackendError yields the exception as
-      its outcome and an empty index and deltas, its span naming the lost
-      positions; the next batch is still measured.
+      `simulation`, directly or through a delegating proxy) the workloads
+      go in groups of VECTOR_CELLS // (repetitions x armed codes), at least
+      one.  Each run(rep) of a group executes once, workload after workload,
+      and the PMU's running class tally taken around it gives that
+      repetition's class counts.  Only the armed selectors, whose family's
+      umask gate is open, are then computed in numpy from their family's
+      increment, for the whole group a VECTOR_CELLS chunk at a time, and so
+      is their noise, one draw per chunk: each repetition is the next noise
+      epoch of the selector, the one that programming it would claim (see
+      SimulatedPmu).  Each chunk is one batch of each workload, whose index
+      lists its armed positions; the last batch's span runs to the end of
+      codes.  Slots programmed before the call count its executions too.  A
+      run that raises leaves no batch of its group.
+    - Any other backend gets the scalar loop, workload after workload:
+      codes are rendered with scan_control four at a time, one per slot;
+      each repetition programs every slot of the batch (which resets its
+      count), runs the workload and reads every slot, so each read is
+      already a delta.  index is the whole span.  A batch lost to a
+      BackendError yields the exception as its outcome and an empty index
+      and deltas, its span naming the lost positions; the next batch is
+      still measured.
     """
     _check_codes(codes)
     pmu = simulation_of(backend)
     if pmu is not None:
-        return pmu.measure(codes, run, repetitions)
-    return _measure_scalar(backend, codes, run, repetitions, any_thread)
+        return pmu.measure(codes, runs, repetitions)
+    return _measure_scalar(backend, codes, runs, repetitions, any_thread)
 
 
 def _check_codes(codes: Sequence[int]) -> None:
@@ -139,28 +144,30 @@ def simulation_of(backend: CounterBackend) -> SimulatedPmu | None:
     return pmu if isinstance(pmu, SimulatedPmu) else None
 
 
-def _measure_scalar(backend, codes, run, repetitions, any_thread):
+def _measure_scalar(backend, codes, runs, repetitions, any_thread):
     program = backend.program
     read = backend.read
-    for base in range(0, len(codes), PROGRAMMABLE_SLOTS):
-        programs = tuple(
-            (slot, scan_control(unpack_selector(code), any_thread))
-            for slot, code in zip(SLOTS, codes[base : base + PROGRAMMABLE_SLOTS])
-        )
-        stop = base + len(programs)
-        reads: list[int] = []
-        outcome = None
-        try:
-            for rep in range(repetitions):
-                for slot, value in programs:
-                    program(slot, value)
-                outcome = run(rep)
-                reads.extend(read(slot) for slot, _ in programs)
-        except BackendError as exc:
-            yield base, stop, np.empty(0, np.int64), np.empty((0, repetitions), np.int64), exc
-        else:
-            deltas = np.array(reads, np.int64).reshape(repetitions, len(programs)).T
-            yield base, stop, np.arange(base, stop), deltas, outcome
+    for workload, run in enumerate(runs):
+        for base in range(0, len(codes), PROGRAMMABLE_SLOTS):
+            programs = tuple(
+                (slot, scan_control(unpack_selector(code), any_thread))
+                for slot, code in zip(SLOTS, codes[base : base + PROGRAMMABLE_SLOTS])
+            )
+            stop = base + len(programs)
+            reads: list[int] = []
+            outcome = None
+            try:
+                for rep in range(repetitions):
+                    for slot, value in programs:
+                        program(slot, value)
+                    outcome = run(rep)
+                    reads.extend(read(slot) for slot, _ in programs)
+            except BackendError as exc:
+                yield (workload, base, stop, np.empty(0, np.int64),
+                       np.empty((0, repetitions), np.int64), exc)
+            else:
+                deltas = np.array(reads, np.int64).reshape(repetitions, len(programs)).T
+                yield workload, base, stop, np.arange(base, stop), deltas, outcome
 
 
 @dataclass(frozen=True)
@@ -323,19 +330,31 @@ class SimulatedPmu(CounterBackend):
         """Account one executed instruction of the given class."""
         self._tally[self._class_index.get(class_tag, -1)] += 1
 
-    def measure(self, codes: Sequence[int], run: Callable[[int], object], repetitions: int):
+    def measure(self, codes: Sequence[int], runs: Sequence[Callable[[int], object]],
+                repetitions: int):
         """The simulated path of backend.measure, which documents it."""
         if not len(codes):
             return
+        armed = self._armed_in(codes)
+        group = max(1, VECTOR_CELLS // max(repetitions * len(armed[0]), 1))
         tally = self._tally
-        snapshots = tally.copy()  # flat: the tally before, then after each repetition
-        outcome = None
-        for rep in range(repetitions):
-            outcome = run(rep)
-            snapshots += tally
-        classes = np.diff(np.array(snapshots, np.int64).reshape(repetitions + 1, -1), axis=0)
-        for start, stop, index, deltas in self._deltas(codes, classes):
-            yield start, stop, index, deltas, outcome
+        for first in range(0, len(runs), group):
+            snapshots = tally.copy()  # flat: the tally before, then after each repetition
+            outcomes = []
+            for run in runs[first : first + group]:
+                outcome = None
+                for rep in range(repetitions):
+                    outcome = run(rep)
+                    snapshots += tally
+                outcomes.append(outcome)
+            classes = np.diff(np.array(snapshots, np.int64).reshape(-1, len(tally)), axis=0)
+            batches = self._deltas(len(codes), armed, classes)
+            if len(outcomes) > 1:
+                batches = list(batches)  # read once per workload of the group
+            for workload, outcome in enumerate(outcomes):
+                reps = slice(workload * repetitions, (workload + 1) * repetitions)
+                for start, stop, index, deltas in batches:
+                    yield first + workload, start, stop, index, deltas[:, reps], outcome
 
     def measure_counts(
         self, codes: Sequence[int], classes: np.ndarray
@@ -355,30 +374,35 @@ class SimulatedPmu(CounterBackend):
                 f"got {classes.shape}"
             )
         self._tally[:] = (classes.sum(axis=0) + self._tally).tolist()
-        return self._deltas(codes, classes)
+        return self._deltas(len(codes), self._armed_in(codes), classes)
 
-    def _deltas(self, codes: Sequence[int], classes: np.ndarray):
-        """(start, stop, index, deltas) per VECTOR_CELLS chunk of armed
-        codes, for repetitions with the given class counts.
+    def _armed_in(self, codes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, packed): the ascending positions of the armed codes
+        (a family owns the event code and its umask gate is open) in codes,
+        and those codes."""
+        if isinstance(codes, range) and codes.step == 1:
+            first, last = np.searchsorted(self._armed, [codes.start, codes.stop]).tolist()
+            return self._armed[first:last] - codes.start, self._armed[first:last]
+        codes = np.asarray(codes, np.int64)
+        positions = np.flatnonzero(self._rows[codes] != self._quiet_row)
+        return positions, codes[positions]
 
-        Only the armed codes (a family owns the event code and its umask gate
-        is open) can count.  index holds their positions in codes, and row j
-        of deltas belongs to codes[index[j]], with one noise draw for the
-        chunk's noisy codes.  The spans [start, stop) tile codes: each ends
-        after its chunk's last armed code, and the last one at the end of
-        codes; with no armed code there is one span of no rows.
+    def _deltas(self, size: int, armed: tuple[np.ndarray, np.ndarray], classes: np.ndarray):
+        """(start, stop, index, deltas) per VECTOR_CELLS chunk of the armed
+        codes of a code list of the given size, for repetitions with the
+        given class counts.
+
+        armed is _armed_in(codes).  Only the armed codes can count.  index
+        holds their positions in codes, and row j of deltas belongs to
+        codes[index[j]], with one noise draw for the chunk's noisy codes.
+        The spans [start, stop) tile the positions: each ends after its
+        chunk's last armed code, and the last one at size; with no armed
+        code there is one span of no rows.
         """
         repetitions = len(classes)
         executions = classes.sum(axis=1)
         counts = self._increments @ classes.T  # per family row and repetition
-        if isinstance(codes, range) and codes.step == 1:
-            first, last = np.searchsorted(self._armed, [codes.start, codes.stop]).tolist()
-            packed = self._armed[first:last]
-            positions = packed - codes.start
-        else:
-            codes = np.asarray(codes, np.int64)
-            positions = np.flatnonzero(self._rows[codes] != self._quiet_row)
-            packed = codes[positions]
+        positions, packed = armed
         rows = self._rows[packed]
         chunk = max(1, VECTOR_CELLS // max(repetitions, 1))
         start = 0
@@ -396,7 +420,7 @@ class SimulatedPmu(CounterBackend):
                     epochs.ravel(),
                     np.tile(executions, len(epochs)),
                 ).reshape(epochs.shape)
-            stop = len(codes) if low + chunk >= len(packed) else int(index[-1]) + 1
+            stop = size if low + chunk >= len(packed) else int(index[-1]) + 1
             yield start, stop, index, values
             start = stop
 

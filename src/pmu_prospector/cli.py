@@ -111,8 +111,9 @@ def cmd_analyze_umask(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     distribution_path = os.path.join(args.out, "umask_distribution.csv")
     masks_path = os.path.join(args.out, "relevance_masks.csv")
-    umask.write_distribution_csv(report, distribution_path)
-    masks = umask.infer_report_masks(report)
+    grouped = umask.group_hidden_by_event_code(report)
+    umask.write_distribution_csv(grouped, distribution_path)
+    masks = umask.infer_report_masks(grouped)
     umask.write_masks_csv(masks, masks_path)
     consistent = sum(1 for m in masks.values() if m.consistent)
     print(

@@ -1,16 +1,16 @@
 """Full-space scan orchestration and scan-report persistence.
 
-The scan walks the instruction corpus (outer loop) and the 65536-point
-selector space (inner loop, packed order).  Each instruction gets one
-measuring pass through backend.measure (_scan_snippet): a simulated PMU
-runs it once per repetition and yields the deltas of its armed selectors
-only, while a real one is programmed four selectors at a time across the
-programmable slots.  The pass keeps the batches' outcome spans and the
-selectors whose lower median over the repetitions is nonzero, with those
-medians.  The hidden events (medians at the quiet threshold, selectors
-absent from the catalog), the executed count and the NDJSON records
-(RecordRenderer) all come from that one result; no per-selector list of
-the whole space is built.
+The scan measures the instructions of the corpus against the 65536-point
+selector space in packed order, all in one backend.measure call
+(_scan_snippets): a simulated PMU runs a group of instructions once per
+repetition and computes the deltas of their armed selectors in one pass,
+while a real one is programmed four selectors at a time across the
+programmable slots, instruction after instruction.  For each instruction
+the call keeps the batches' outcome spans and the selectors whose lower
+median over the repetitions is nonzero, with those medians.  The hidden
+events (medians at the quiet threshold, selectors absent from the
+catalog), the executed count and the NDJSON records (RecordRenderer) all
+come from that result; no per-selector list of the whole space is built.
 """
 
 from __future__ import annotations
@@ -93,10 +93,12 @@ def _lower_medians(deltas: np.ndarray) -> np.ndarray:
     return np.sort(deltas, axis=1)[:, (deltas.shape[1] - 1) // 2]
 
 
-def _scan_snippet(
-    executor, snippet: Snippet, codes: Sequence[int], config: ScanConfig
-) -> tuple[list[list], np.ndarray, np.ndarray]:
-    """The one measuring pass of a snippet over codes: (spans, index, medians).
+def _scan_snippets(
+    executor, snippets: Sequence[Snippet], codes: Sequence[int], config: ScanConfig
+) -> Iterator[tuple[list[list], np.ndarray, np.ndarray]]:
+    """The one measuring pass of snippets over codes: (spans, index,
+    medians) per snippet, in order, each as soon as its last batch is
+    measured.
 
     spans are [start, stop, outcome] over positions of codes and tile them,
     neighbours with one outcome merged.  An outcome is the workload's
@@ -104,14 +106,13 @@ def _scan_snippet(
     are two spans.  index holds the ascending positions whose lower median
     over the repetitions is nonzero, medians those medians.
     """
-    def run(_rep: int) -> ExecStatus:
-        return executor.execute(snippet).status
-
-    spans: list[list] = []
-    index, medians = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for start, stop, rows, deltas, outcome in measure(
-        executor.backend, codes, run, config.repetitions, config.any_thread
+    runs = [lambda _rep, snippet=snippet: executor.execute(snippet).status
+            for snippet in snippets]
+    for _, start, stop, rows, deltas, outcome in measure(
+        executor.backend, codes, runs, config.repetitions, config.any_thread
     ):
+        if not start:  # the snippet's first batch
+            spans, index, medians = [], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         if spans and spans[-1][2] is outcome:
             spans[-1][1] = stop
         else:
@@ -121,7 +122,8 @@ def _scan_snippet(
             nonzero = batch != 0
             index.append(rows[nonzero])
             medians.append(batch[nonzero])
-    return spans, np.concatenate(index), np.concatenate(medians)
+        if stop == len(codes):  # its last batch
+            yield spans, np.concatenate(index), np.concatenate(medians)
 
 
 # No src/ caller: benchmarks/ reads it until ROADMAP item 8 deletes it.
@@ -138,15 +140,15 @@ def scan_instruction(
     run.  A batch lost to the backend raises its own BackendError.
     """
     codes = list(selectors)
-    spans, index, medians = _scan_snippet(executor, instantiate(entry), codes, config)
-    deltas = np.zeros(len(codes), np.int64)
-    deltas[index] = medians
     records: list[ScanRecord] = []
-    for start, stop, outcome in spans:
-        if isinstance(outcome, BackendError):
-            raise outcome
-        records += [ScanRecord(selector, entry.id, delta, outcome, config.repetitions)
-                    for selector, delta in zip(codes[start:stop], deltas[start:stop].tolist())]
+    for spans, index, medians in _scan_snippets(executor, [instantiate(entry)], codes, config):
+        deltas = np.zeros(len(codes), np.int64)
+        deltas[index] = medians
+        for start, stop, outcome in spans:
+            if isinstance(outcome, BackendError):
+                raise outcome
+            records += [ScanRecord(selector, entry.id, delta, outcome, config.repetitions)
+                        for selector, delta in zip(codes[start:stop], deltas[start:stop].tolist())]
     return records
 
 
@@ -259,9 +261,9 @@ def full_scan(
 ) -> ScanReport:
     """Scan every corpus instruction against the full selector space.
 
-    Each instruction gets one measuring pass over the space in packed order
-    (_scan_snippet), and its hidden events, its executed count and its
-    records all come from that pass's spans and nonzero medians.  A batch
+    Each instruction is measured over the space in packed order
+    (_scan_snippets), and its hidden events, its executed count and its
+    records all come from its spans and nonzero medians.  A batch
     lost to a backend failure is logged, one warning per batch, and the scan
     goes on.  An instruction counts as executed when at least one batch was
     measured and every measured batch ran with the success outcome.
@@ -274,22 +276,30 @@ def full_scan(
     selector's own batch, or backend-error for a lost batch.  Each call gets
     a list of bytes-like buffers whose bytes, in order, are the block's
     lines; they are valid only during the call, so a sink that keeps them
-    copies them.  A skipped instruction writes nothing.
+    copies them.  A skipped instruction writes nothing.  An instruction's
+    records go out once its last batch is measured: on a simulated backend
+    after the pass of its whole group (see backend.measure), so a run that
+    raises leaves none of its group.
     """
     codes = range(EVENT_SPACE_SIZE)
     documented = np.zeros(EVENT_SPACE_SIZE, bool)
     documented[list(catalog.entries)] = True
     renderer = RecordRenderer() if record_sink is not None else None  # it builds selector_ascii()
     hidden: dict[int, set[int]] = {}
-    total = executed_success = 0
+    prepared = []  # (entry, its snippet or why it is skipped), in corpus order
     for entry in entries:
-        total += 1
         try:
-            snippet = instantiate(entry)
+            prepared.append((entry, instantiate(entry)))
         except (NormalizationError, InstantiationError) as exc:
-            log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, exc)
+            prepared.append((entry, str(exc)))  # the error's traceback would hold this frame
+    passes = _scan_snippets(executor, [snippet for _, snippet in prepared
+                                       if isinstance(snippet, Snippet)], codes, config)
+    executed_success = 0
+    for entry, snippet in prepared:
+        if not isinstance(snippet, Snippet):
+            log.warning("skipping id %d (%s): %s", entry.id, entry.mnemonic, snippet)
             continue
-        spans, index, medians = _scan_snippet(executor, snippet, codes, config)
+        spans, index, medians = next(passes)
         for span in spans:
             if isinstance(span[2], BackendError):
                 log.warning("backend failure scanning selectors 0x%04X..0x%04X for id %d: %s",
@@ -310,7 +320,7 @@ def full_scan(
                 record_sink(block)
     return ScanReport(
         microarchitecture_label=executor.backend.label,
-        total_instructions=total,
+        total_instructions=len(prepared),
         executed_success=executed_success,
         hidden_events=dict(sorted(hidden.items())),
         catalog_source=os.path.basename(catalog.source),

@@ -70,21 +70,20 @@ def group_hidden_by_event_code(report: ScanReport) -> dict[int, list[int]]:
     return {code: sorted(grouped[code]) for code in sorted(grouped)}
 
 
-def infer_report_masks(report: ScanReport) -> dict[int, RelevanceMask]:
-    """Relevance mask per hidden event code, umasks outside its hidden set
-    taken as quiet.  Valid only when no documented selector shares the event
-    code, since documented reactions are excluded from hidden_events."""
-    return {
-        code: infer_relevance_mask(code, set(umasks))
-        for code, umasks in group_hidden_by_event_code(report).items()
-    }
+def infer_report_masks(grouped: dict[int, list[int]]) -> dict[int, RelevanceMask]:
+    """Relevance mask per hidden event code of a report's
+    group_hidden_by_event_code, umasks outside its hidden set taken as
+    quiet.  Valid only when no documented selector shares the event code,
+    since documented reactions are excluded from hidden_events."""
+    return {code: infer_relevance_mask(code, set(umasks)) for code, umasks in grouped.items()}
 
 
-def write_distribution_csv(report: ScanReport, path: str) -> None:
-    """Scatter dataset of the hidden-event distribution, for external plotting."""
+def write_distribution_csv(grouped: dict[int, list[int]], path: str) -> None:
+    """Scatter dataset of the hidden-event distribution, a report's
+    group_hidden_by_event_code, for external plotting."""
     write_csv(path, ["event_code", "umask"], (
         [f"0x{event_code:02X}", f"0x{umask:02X}"]
-        for event_code, umasks in group_hidden_by_event_code(report).items() for umask in umasks
+        for event_code, umasks in grouped.items() for umask in umasks
     ))
 
 

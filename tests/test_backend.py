@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import itertools
 import json
 import logging
@@ -29,7 +30,7 @@ from pmu_prospector.backend import (
     measure,
     probe_native_backend,
 )
-from pmu_prospector.collector import ScanConfig, _scan_snippet, full_scan
+from pmu_prospector.collector import ScanConfig, _scan_snippets, full_scan
 from pmu_prospector.corpus import SimulatedExecutor, instantiate
 from pmu_prospector.errors import (
     BackendError,
@@ -297,7 +298,7 @@ def control(base: int, n: int) -> list[int]:
 def densified(batches):
     """(start, deltas, outcome) per measure() batch, its rows scattered back
     to one per position of its span; a lost batch keeps its empty deltas."""
-    for start, stop, index, deltas, outcome in batches:
+    for _, start, stop, index, deltas, outcome in batches:
         if not isinstance(outcome, BackendError):
             full = np.zeros((stop - start, deltas.shape[1]), np.int64)
             full[index - start] = deltas
@@ -316,14 +317,14 @@ class TestMeasure:
                 backend.record_execution("memory-load")
             return "ran"
 
-        ((base, deltas, outcome),) = densified(measure(backend, control(0x01, 1), run, 3))
+        ((base, deltas, outcome),) = densified(measure(backend, control(0x01, 1), [run], 3))
         assert deltas.dtype == np.int64 and deltas.shape == (1, 3)
         assert (base, deltas.tolist(), outcome) == (0, [[1, 2, 3]], "ran")
         assert seen == [0, 1, 2]
 
     def test_four_values_per_batch_one_per_slot(self):
         codes = control(0x10, 9)
-        batches = list(densified(measure(SelectorEchoBackend(), codes, lambda rep: None, 2)))
+        batches = list(densified(measure(SelectorEchoBackend(), codes, [lambda rep: None], 2)))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         for base, deltas, _ in batches:
             assert deltas.dtype == np.int64
@@ -333,7 +334,7 @@ class TestMeasure:
     def test_backend_error_loses_only_its_batch(self):
         codes = control(0x10, 9)
         backend = SelectorEchoBackend(refuse=codes[5])
-        batches = list(densified(measure(backend, codes, lambda rep: "ran", 1)))
+        batches = list(densified(measure(backend, codes, [lambda rep: "ran"], 1)))
         assert [base for base, _, _ in batches] == [0, 4, 8]
         (_, first, ok_first), (_, lost, error), (_, last, ok_last) = batches
         assert isinstance(error, BackendError) and lost.tolist() == []
@@ -348,7 +349,7 @@ class TestMeasure:
         def run(rep):
             backend.record_execution("memory-load")
 
-        ((_, deltas, _),) = densified(measure(backend, [0x016C], run, 3))
+        ((_, deltas, _),) = densified(measure(backend, [0x016C], [run], 3))
         assert deltas.tolist() == [[1, 1, 1]]
         assert backend.read(SLOTS[0]) == 3
 
@@ -360,7 +361,7 @@ class TestMeasure:
                 programmed.append(value)
                 super().program(slot, value)
 
-        list(measure(Recorder(), control(0x10, 2), lambda rep: None, 1, any_thread=True))
+        list(measure(Recorder(), control(0x10, 2), [lambda rep: None], 1, any_thread=True))
         assert programmed == [scan_control(unpack_selector(c), True) for c in control(0x10, 2)]
 
 
@@ -429,7 +430,7 @@ def measured(backend, codes, plan, repetitions):
         return f"outcome-{rep}-{len(plan[rep])}"
 
     deltas, outcomes = [], []
-    for _, batch, outcome in densified(measure(backend, codes, run, repetitions)):
+    for _, batch, outcome in densified(measure(backend, codes, [run], repetitions)):
         assert batch.dtype == np.int64 and batch.shape[1] == repetitions
         deltas += batch.tolist()
         outcomes += [outcome] * len(batch)
@@ -457,6 +458,48 @@ class TestMeasurePathsAgree:
         # the simulated path computed its deltas without programming a slot
         with pytest.raises(BackendStateError):
             simulated.read(SLOTS[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        families=families_strategy,
+        codes=codes_strategy,
+        repetitions=st.integers(1, 3),
+        plans=st.lists(st.lists(st.lists(st.sampled_from(EQUIVALENCE_TAGS), max_size=3),
+                                min_size=3, max_size=3), min_size=1, max_size=4),
+        cells=st.sampled_from([1, 7, 30, 1 << 13]),
+        seed=st.integers(0, 1000),
+    )
+    def test_workloads_in_one_call_equal_a_call_each(self, families, codes, repetitions, plans,
+                                                     cells, seed):
+        # however VECTOR_CELLS groups the workloads, each one's batches hold
+        # what a call of its own measures, on both paths, noise epochs included
+        def runner(pmu, plan):
+            def run(rep):
+                for tag in plan[rep]:
+                    pmu.record_execution(tag)
+                return f"outcome-{rep}-{len(plan[rep])}"
+            return run
+
+        def per_workload(batches):
+            """Per workload, in order: its densified rows and their outcomes."""
+            result: list[tuple[list, list]] = []
+            for (workload, *_), (start, deltas, outcome) in zip(batches, densified(batches)):
+                if start == 0:  # the workload's first batch
+                    assert workload == len(result)
+                    result.append(([], []))
+                result[-1][0].extend(deltas.tolist())
+                result[-1][1].extend([outcome] * len(deltas))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend_module, "VECTOR_CELLS", cells)
+            for wrap in (lambda pmu: pmu, _HiddenModel):
+                together, apart = SimulatedPmu(families, seed=seed), SimulatedPmu(families, seed=seed)
+                one_call = per_workload(list(measure(
+                    wrap(together), codes, [runner(together, plan) for plan in plans], repetitions)))
+                calls = [per_workload(list(measure(wrap(apart), codes, [runner(apart, plan)],
+                                                   repetitions)))[0] for plan in plans]
+                assert one_call == calls
 
     def test_forwarding_proxy_takes_the_simulated_path(self):
         family = SimEventFamily(
@@ -491,17 +534,17 @@ def test_spans_tile_the_codes(monkeypatch, path, families, codes, cells, simulat
         backend.record_execution("memory-load")
         return "ran"
 
-    batches = list(measure(backend, codes, run, 2))
+    batches = list(measure(backend, codes, [run], 2))
     offset = 0
-    for start, stop, index, deltas, outcome in batches:
-        assert start == offset < stop and outcome == "ran"
+    for workload, start, stop, index, deltas, outcome in batches:
+        assert workload == 0 and start == offset < stop and outcome == "ran"
         assert index.dtype == np.int64 and deltas.shape == (len(index), 2)
         assert np.all(np.diff(index) > 0) and np.all((start <= index) & (index < stop))
         offset = stop
     assert offset == len(codes)
     if path == "simulated":
         assert len(batches) == simulated_batches
-    hits = [codes[i] for _, _, index, deltas, _ in batches for i in index[deltas.any(axis=1)]]
+    hits = [codes[i] for _, _, _, index, deltas, _ in batches for i in index[deltas.any(axis=1)]]
     assert hits == [code for code in codes if families and (code >> 8) & 1 and code & 0xFF == 0x6C]
 
 
@@ -516,7 +559,7 @@ def count_matrix(pmu, plan):
 
 def counted(pmu, codes, classes):
     """measure_counts' batches densified into one (len(codes), repetitions) matrix."""
-    batches = (batch + (None,) for batch in pmu.measure_counts(codes, classes))
+    batches = ((0, *batch, None) for batch in pmu.measure_counts(codes, classes))
     return np.concatenate([deltas for _, deltas, _ in densified(batches)])
 
 
@@ -542,7 +585,7 @@ class TestMeasureCounts:
 
         for _ in range(2):  # the second round shows that epochs advanced alike
             fast = counted(by_matrix, codes, count_matrix(by_matrix, plan))
-            slow = [row for _, batch, _ in densified(measure(by_run, codes, run, len(plan)))
+            slow = [row for _, batch, _ in densified(measure(by_run, codes, [run], len(plan)))
                     for row in batch]
             assert fast.dtype == np.int64 and fast.shape == (len(codes), len(plan))
             assert fast.tolist() == [row.tolist() for row in slow]
@@ -582,7 +625,7 @@ def test_repeated_selector_rejected(path):
             pmu.measure_counts(codes, count_matrix(pmu, [[("memory-load", 1)]]))
         else:
             backend = _HiddenModel(pmu) if path == "scalar" else pmu
-            list(measure(backend, codes, lambda rep: None, 1))
+            list(measure(backend, codes, [lambda rep: None], 1))
 
 
 @pytest.mark.parametrize("codes", [
@@ -598,7 +641,7 @@ def test_out_of_range_selector_rejected(path, codes):
             pmu.measure_counts(codes, count_matrix(pmu, [[("alu", 2)]]))
         else:
             backend = _HiddenModel(pmu) if path == "scalar" else pmu
-            list(measure(backend, codes, lambda rep: None, 1))
+            list(measure(backend, codes, [lambda rep: None], 1))
 
 
 NOISY = SimEventFamily(0x5E, 0x00, frozenset({"alu"}), increment=0, noise_stddev=1.5, seed=13)
@@ -675,8 +718,8 @@ class TestCounterBasedNoise:
                     for _ in range(times):
                         pmu.record_execution(tag)
 
-            batches, offset = list(measure(pmu, space, run, len(plan))), 0
-            for start, stop, index, _, _ in batches:
+            batches, offset = list(measure(pmu, space, [run], len(plan))), 0
+            for _, start, stop, index, _, _ in batches:
                 assert start == offset and 0 < len(index) <= rows
                 offset = stop
             streamed = np.concatenate([deltas for _, deltas, _ in densified(batches)])
@@ -1090,7 +1133,8 @@ class SimulatedMsrDevice:
     address fails with EIO, and so does the first PERFEVTSEL write of the
     selector `refuse`.  install() puts it behind backend's os, whose every
     other attribute is the real one; sched_setaffinity only notes its call,
-    and sched_getaffinity gives `affinity`.
+    and sched_getaffinity gives `affinity`.  Every pwrite and pread, failed
+    ones too, is counted in `calls` and added to the digest `log`.
     """
 
     PATH = "/dev/cpu/0/msr"
@@ -1107,6 +1151,11 @@ class SimulatedMsrDevice:
         self.affinity = {0, 1, 2, 3}
         self.closed: list[int] = []
         self.pinned: list[tuple[int, set[int]]] = []
+        self.calls, self.log = 0, hashlib.sha256()
+
+    def note(self, *call) -> None:
+        self.calls += 1
+        self.log.update(repr(call).encode())
 
     def install(self, monkeypatch) -> None:
         fake = _Forwarding(os)
@@ -1129,6 +1178,7 @@ class SimulatedMsrDevice:
     def pwrite(self, fd: int, data: bytes, address: int) -> int:
         assert fd == self.FD and len(data) == 8
         value = int.from_bytes(data, "little")
+        self.note("pwrite", address, value)
         slot = address - PERFEVTSEL_BASE_MSR
         if 0 <= slot < PROGRAMMABLE_SLOTS:
             image = decode_msr_value(value)
@@ -1153,6 +1203,7 @@ class SimulatedMsrDevice:
 
     def pread(self, fd: int, size: int, address: int) -> bytes:
         assert fd == self.FD and size == 8
+        self.note("pread", address)
         if 0 <= address - PMC_BASE_MSR < PROGRAMMABLE_SLOTS:
             return self.count(address - PMC_BASE_MSR).to_bytes(8, "little")
         if address == self.GLOBAL_CTRL:
@@ -1188,8 +1239,8 @@ class TestNativeBackendOnSimulatedDevice:
         assert len(snippets) == 9
         loud_codes = set()
         for snippet in snippets:
-            slow = _scan_snippet(native, snippet, DEVICE_CODES, config)
-            fast = _scan_snippet(vector, snippet, DEVICE_CODES, config)
+            (slow,) = _scan_snippets(native, [snippet], DEVICE_CODES, config)
+            (fast,) = _scan_snippets(vector, [snippet], DEVICE_CODES, config)
             assert slow[0] == fast[0]
             assert slow[1].tolist() == fast[1].tolist()
             assert slow[2].tolist() == fast[2].tolist()
@@ -1213,6 +1264,43 @@ class TestNativeBackendOnSimulatedDevice:
         assert 0x016C not in report.hidden_events and 0x036C in report.hidden_events
         assert report.executed_success == 1
         native.backend.close()
+
+    def test_an_instruction_streams_before_the_next_programs(self, monkeypatch, sim_model,
+                                                              corpus_entries, caplog):
+        # the scalar path keeps instructions the outer loop: a pass over two
+        # makes the device calls of two passes over one each, and streams the
+        # first one's records before it programs the second one
+        def scan(groups):
+            native, device = self.native_executor(monkeypatch, sim_model, seed=2, refuse=0x016C)
+            sunk: list[tuple[int, bytes]] = []  # the device calls made before each sink call
+
+            def sink(block):
+                sunk.append((device.calls, b"".join(block)))
+                device.refuse = 0x016C  # so the next instruction loses a batch too
+
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                for entries in groups:
+                    full_scan(entries, EventCatalog(), native, ScanConfig(repetitions=1),
+                              record_sink=sink)
+            native.backend.close()
+            return device, sunk, [r.getMessage() for r in caplog.records]
+
+        entries = corpus_entries[:2]
+        together, sunk, warnings = scan([entries])
+        apart, sunk_apart, warnings_apart = scan([entries[:1], entries[1:]])
+        assert (together.calls, together.log.digest()) == (apart.calls, apart.log.digest())
+        assert b"".join(text for _, text in sunk) == b"".join(text for _, text in sunk_apart)
+        first = [calls for calls, text in sunk if b'"instruction": 1,' in text]
+        second = [calls for calls, text in sunk if b'"instruction": 2,' in text]
+        assert len(first) == len(second) == EVENT_SPACE_SIZE // 4096
+        # the two make the same number of device calls, and every block of
+        # the first one goes out after its last call, before the second
+        # one's first
+        assert set(first) == {together.calls // 2} and set(second) == {together.calls}
+        assert warnings == warnings_apart
+        assert [w.startswith("backend failure scanning selectors 0x016C..0x016F for id ")
+                for w in warnings] == [True, True]
 
     def test_close_closes_the_descriptor_once(self, monkeypatch, sim_model):
         native, device = self.native_executor(monkeypatch, sim_model, seed=0)
@@ -1240,7 +1328,7 @@ class TestNativeBackendOnSimulatedDevice:
             for _ in range(3):
                 pmu.record_execution("alu")
 
-        batches = list(measure(backend, [0x006C, 0x016C], run, repetitions=2))
+        batches = list(measure(backend, [0x006C, 0x016C], [run], repetitions=2))
         backend.close()
         assert [deltas.tolist() for *_, deltas, _ in batches] == [[[3 << 32] * 2] * 2]
 

@@ -14,6 +14,7 @@ import shlex
 import shutil
 import stat
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -457,7 +458,36 @@ class TestScanCommand:
         assert capsys.readouterr().err == "error: probe lost\n"
         assert not records.exists()
         assert path.is_symlink() == through_symlink
-        # the two instructions scanned before the failure
+        # a simulated scan measures the fixture's instructions in one group at
+        # one repetition, so the group whose run raised renders no record
+        assert read_bytes(tmp_path / "records.ndjson.partial").count(b"\n") == 0
+
+    def test_failed_scalar_scan_keeps_the_completed_instructions(self, tmp_path, capsys,
+                                                                monkeypatch, scan_args):
+        scanned = set()
+
+        class ScalarFailingExecutor(cli.SimulatedExecutor):
+            """Runs through the PMU's counter contract without its model, so
+            the scan takes the scalar path, instruction by instruction."""
+
+            def __init__(self, pmu, *args, **kwargs):
+                super().__init__(pmu, *args, **kwargs)
+                self.backend = SimpleNamespace(label=pmu.label, program=pmu.program,
+                                               read=pmu.read,
+                                               record_execution=pmu.record_execution)
+
+            def execute(self, snippet):
+                scanned.add(snippet.entry.id)
+                if len(scanned) == 3:
+                    raise OSError("probe lost")
+                return super().execute(snippet)
+
+        monkeypatch.setattr(cli, "SimulatedExecutor", ScalarFailingExecutor)
+        records = tmp_path / "records.ndjson"
+        assert dispatch(scan_args(tmp_path / "report.json", ["--records", str(records)])) == 1
+        assert capsys.readouterr().err == "error: probe lost\n"
+        assert not records.exists()
+        # the records of the two instructions completed before the failure
         assert read_bytes(tmp_path / "records.ndjson.partial").count(b"\n") == 2 * 65536
 
     @pytest.mark.parametrize("flag", ["--out", "--records"])
@@ -880,3 +910,14 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert len(expected) == 2
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_measure_example_prints_its_comments(capsys):
+    # the second python block of `## Library use` runs after the first, on its backend
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    first, second = [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+    expected = [line[2:] for line in second.splitlines() if line.startswith("# ")]
+    assert len(expected) == 2
+    exec(compile(first + second, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[2:] == expected

@@ -7,6 +7,8 @@ umasks documented in the catalog; 0x08 gates on bit 4 and reacts to 5; 0x5E
 gates for every umask, reacts to 3 and 6, and over-counts with stddev 0.5.
 """
 
+import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -23,13 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pmu_prospector import backend as backend_module
 from pmu_prospector.backend import BackendError, SimEventFamily, SimulatedPmu
 from pmu_prospector.collector import (
     RECORD_BLOCK,
     RecordRenderer,
     ScanConfig,
     _lower_medians,
-    _scan_snippet,
+    _scan_snippets,
     ScanReport,
     control_values,
     full_scan,
@@ -294,19 +297,86 @@ class TestPartitionRule:
             if entry.id == 9:  # needs avx512, which the fixture's pool lacks
                 continue
             snippet = instantiate(entry)
-            _, index, medians = _scan_snippet(
-                make_executor(seed=5), snippet, range(EVENT_SPACE_SIZE), config)
+            ((_, index, medians),) = _scan_snippets(
+                make_executor(seed=5), [snippet], range(EVENT_SPACE_SIZE), config)
             whole = np.zeros(EVENT_SPACE_SIZE, np.int64)
             whole[index] = medians
             pieced = np.full(EVENT_SPACE_SIZE, -1, np.int64)
             for part in parts:  # each in its shuffled order
-                _, index, medians = _scan_snippet(make_executor(seed=5), snippet, part.tolist(),
-                                                  config)
+                ((_, index, medians),) = _scan_snippets(make_executor(seed=5), [snippet],
+                                                        part.tolist(), config)
                 pieced[part] = 0
                 pieced[part[index]] = medians
             assert pieced.tolist() == whole.tolist(), entry.id
             spread[entry.id] = len(set(whole[0x5E::256].tolist()))
         assert spread[3] > 1  # the noise is in play on the alu instruction
+
+
+class TestBatchRule:
+    @pytest.mark.parametrize("wide", [False, True], ids=["fixture", "wide"])
+    @pytest.mark.parametrize("repetitions", [1, 2, 3, 9])
+    def test_one_scan_equals_a_pass_per_instruction(self, sim_model, corpus_entries, catalog,
+                                                    caplog, repetitions, wide):
+        # a simulated scan measures several instructions in one pass, whose
+        # noise epochs each selector claims instruction by instruction, so
+        # it gives what scanning each in its own pass, in corpus order, does:
+        # the noisy 0x5E family, the faulting id 8 and the skipped id 9
+        # included.  The wide model's 8,192 more armed selectors take more
+        # than VECTOR_CELLS cells at any repetitions: one instruction a pass,
+        # and several chunks each
+        families = sim_model.families
+        if wide:
+            families += tuple(SimEventFamily(code, 0x00, frozenset({"alu"}), increment=code)
+                              for code in range(0x10, 0x30))
+        model = dataclasses.replace(sim_model, families=families)
+
+        def scan(groups):
+            executor = SimulatedExecutor(model.make_backend(8), model.fault_table,
+                                         model.supported_extensions)
+            blocks: list[bytes] = []
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="pmu_prospector.collector"):
+                reports = [full_scan(entries, catalog, executor, ScanConfig(repetitions),
+                                     record_sink=lambda block: blocks.append(b"".join(block)))
+                           for entries in groups]
+            logs = [(r.levelname, r.getMessage()) for r in caplog.records]
+            return reports, b"".join(blocks), logs
+
+        (whole,), records, logs = scan([corpus_entries])
+        parts, part_records, part_logs = scan([[entry] for entry in corpus_entries])
+        hidden: dict[int, set[int]] = {}
+        for part in parts:
+            for packed, ids in part.hidden_events.items():
+                hidden.setdefault(packed, set()).update(ids)
+        assert whole.hidden_events == dict(sorted(hidden.items()))
+        assert whole.total_instructions == sum(part.total_instructions for part in parts) == 10
+        assert whole.executed_success == sum(part.executed_success for part in parts) == 8
+        assert records == part_records and logs == part_logs
+        assert ("WARNING", "skipping id 9 (VFMADD132PS): extension 'avx512' not supported by the "
+                "register pool") in logs
+        assert b'"instruction": 8, "outcome": "fault"' in records
+        assert len({tuple(whole.hidden_events[p]) for p in HIDDEN_5E}) > 1  # the noise is in play
+        armed = len(model.make_backend()._armed)
+        assert armed * repetitions > backend_module.VECTOR_CELLS if wide else armed == 704
+
+    @pytest.mark.parametrize("repetitions, passes, draws",
+                             [(1, 1, 1), (2, 2, 2), (3, 3, 3), (5, 5, 5), (12, 9, 18)])
+    def test_instructions_per_pass(self, make_executor, corpus_entries, catalog, monkeypatch,
+                                   repetitions, passes, draws):
+        # VECTOR_CELLS // (repetitions * 704 armed selectors) instructions a
+        # pass, at least one: 11, 5, 3 and 2 of the 9 scanned, then 1 from 12
+        # repetitions on, where an instruction's 704 x 12 cells take two
+        # chunks.  Each pass makes one _deltas round, and each chunk one
+        # _overcounts call for its noisy 0x5E selectors
+        calls: Counter = Counter()
+        for name in ("_deltas", "_overcounts"):
+            def counted(*args, _method=getattr(SimulatedPmu, name), _name=name):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(SimulatedPmu, name, counted)
+        full_scan(corpus_entries, catalog, make_executor(seed=3), ScanConfig(repetitions))
+        assert calls == {"_deltas": passes, "_overcounts": draws}
 
 
 class TestFullScan:
@@ -358,6 +428,21 @@ class TestFullScan:
         assert report.total_instructions == 2
         assert report.executed_success == 1
         assert "skipping id 9" in caplog.text
+
+    def test_a_scan_leaves_no_cyclic_garbage(self, make_executor, corpus_entries, catalog,
+                                            caplog):
+        # the skipped id 9's error, kept with its traceback, would hold the
+        # scan's frame, and all it refers to, until the next gc collection;
+        # no log record is made, as a captured one would keep it reachable
+        caplog.set_level(logging.CRITICAL, logger="pmu_prospector.collector")
+        executor = make_executor()
+        gc.collect()
+        gc.disable()
+        try:
+            full_scan(corpus_entries, catalog, executor, ScanConfig(repetitions=1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_quiet_threshold_keeps_only_loud_families(self):
         families = [

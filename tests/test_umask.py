@@ -125,7 +125,7 @@ def synthetic_report() -> ScanReport:
 
 class TestReportAnalysis:
     def test_masks_inferred_per_event_code(self):
-        masks = infer_report_masks(synthetic_report())
+        masks = infer_report_masks(group_hidden_by_event_code(synthetic_report()))
         assert masks == {
             0x08: RelevanceMask(0x08, 0x10, consistent=True),
             0x5E: RelevanceMask(0x5E, 0x00, consistent=True),
@@ -141,7 +141,7 @@ class TestReportAnalysis:
 
     def test_distribution_points_sorted(self, tmp_path):
         path = tmp_path / "distribution.csv"
-        write_distribution_csv(synthetic_report(), str(path))
+        write_distribution_csv(group_hidden_by_event_code(synthetic_report()), str(path))
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         points = [tuple(int(field, 16) for field in row.split(",")) for row in rows]
         assert points == sorted(points)
@@ -150,7 +150,7 @@ class TestReportAnalysis:
 
     def test_distribution_csv(self, tmp_path):
         path = str(tmp_path / "distribution.csv")
-        write_distribution_csv(synthetic_report(), path)
+        write_distribution_csv(group_hidden_by_event_code(synthetic_report()), path)
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "event_code,umask"
         assert lines[1] == "0x08,0x10"
